@@ -38,8 +38,6 @@ from .leanenv import (
     SimVerifier,
     Workspace,
     audit_verdict,
-    extract_signature,
-    scan_forbidden,
     signature_match,
 )
 from .ledger import (

@@ -4,7 +4,9 @@ Two interchangeable verifiers sit behind one interface: :class:`RealVerifier`
 shells out to the pinned Lean toolchain (``lake build`` plus a driver file for
 the transitive axiom listing), while :class:`SimVerifier` evaluates a
 deterministic rule table keyed by source-content directives, so full runs can
-be replayed on a laptop in seconds.
+be replayed on a laptop in seconds.  In-loop sim builds evaluate the text the
+workspace wrote, cached per file by content; the final audit (and
+``proofloop audit``) reads every file from disk.
 
 The forbidden-token scanner understands Lean comment and string syntax: line
 comments, nested block comments and escaped string literals never produce
@@ -73,6 +75,9 @@ class Workspace:
     target_file: str = ""
     node_files: dict[str, str] = field(default_factory=dict)
     toolchain_pin: str = ""
+    # Text each path last received from write_node_source; paths placed in
+    # node_files directly are absent, and in-loop builds read those from disk.
+    written: dict[str, str] = field(default_factory=dict, repr=False)
 
     def _rel_path(self, node_id: str) -> str:
         safe = re.sub(r"[^A-Za-z0-9_]", "_", node_id)
@@ -86,6 +91,7 @@ class Workspace:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         self.node_files[node_id] = rel
+        self.written[rel] = text
         if is_target:
             self.target_file = rel
         return rel
@@ -93,14 +99,12 @@ class Workspace:
     def remove_node_source(self, node_id: str) -> None:
         rel = self.node_files.pop(node_id, None)
         if rel:
+            self.written.pop(rel, None)
             path = self.root_dir / rel
             if path.exists():
                 path.unlink()
             if self.target_file == rel:
                 self.target_file = ""
-
-    def source_paths(self) -> list[Path]:
-        return [self.root_dir / rel for rel in sorted(self.node_files.values())]
 
     def read_target(self) -> str:
         if not self.target_file:
@@ -224,17 +228,6 @@ def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str
     return hits
 
 
-def scan_forbidden(files: list[Path]) -> list[tuple[str, str, int]]:
-    hits: list[tuple[str, str, int]] = []
-    for path in files:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-        hits.extend(scan_forbidden_text(text, str(path)))
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # Declaration signature extraction.
 
@@ -298,14 +291,6 @@ def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
     binders = normalize_signature(masked[match.end():colon_at])
     conclusion = normalize_signature(masked[colon_at + 1:end_at])
     return DeclSignature(keyword, decl_name, binders, conclusion)
-
-
-def extract_signature(file: Path, decl_name: str) -> DeclSignature:
-    try:
-        text = file.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {file}: {exc}") from exc
-    return extract_signature_text(text, decl_name)
 
 
 def signature_match(anchor_signature: str, decl_name: str, ws: Workspace) -> bool:
@@ -374,13 +359,32 @@ def load_sim_rules(path: Path | None) -> dict[str, SimRule]:
     return parse_sim_rules(path.read_text(encoding="utf-8"))
 
 
+@dataclass(frozen=True)
+class _FileBuild:
+    """What one file contributes to a sim build, and the text it was derived from."""
+
+    text: str
+    errors: tuple[str, ...]
+    sites: tuple[tuple[str, int], ...]
+
+
 class SimVerifier:
-    """Rule-table verifier; reports are a pure function of workspace content."""
+    """Rule-table verifier driven by in-source directives.
+
+    In-loop builds evaluate the text the workspace wrote for each path (files
+    it did not write are read from disk) and cache each file's contribution
+    by content, so a build rescans only the files that changed since the last
+    one.  The axiom audit always reads every file from disk.  The rule table
+    is fixed at construction.
+    """
 
     mode = "sim"
 
     def __init__(self, rules: dict[str, SimRule] | None = None):
         self.rules = dict(rules or {})
+        # (workspace root, relative path) -> contribution; holds only the
+        # files of the last build.
+        self._built: dict[tuple[Path, str], _FileBuild] = {}
 
     def ensure_available(self) -> None:
         pass
@@ -394,34 +398,44 @@ class SimVerifier:
             out.setdefault(match.group(1), []).append(match.group(2))
         return out
 
+    def _build_file(self, rel: str, text: str) -> _FileBuild:
+        directives = self._file_directives(text)
+        if "key" in directives:
+            key = directives["key"][0]
+            rule = self.rules.get(key)
+            if rule is None:
+                return _FileBuild(text, (f"{rel}: error: unknown sim rule key '{key}'",), ())
+            errors = [f"{rel}: {rule.diagnostics}"] if rule.diagnostics else []
+            if not rule.clean and not rule.diagnostics and not rule.sorry_lines:
+                errors.append(f"{rel}: error: build rejected by rule '{key}'")
+            return _FileBuild(text, tuple(errors), tuple((rel, line) for line in rule.sorry_lines))
+        if "error" in directives:
+            return _FileBuild(text, (f"{rel}: error: {directives['error'][0]}",), ())
+        sites = tuple((rel, line) for token, _, line in scan_forbidden_text(text, rel)
+                      if token == "sorry")
+        return _FileBuild(text, (), sites)
+
     def build(self, ws: Workspace) -> BuildReport:
         errors: list[str] = []
         sites: list[tuple[str, int]] = []
+        built: dict[tuple[Path, str], _FileBuild] = {}
         for node_id in sorted(ws.node_files):
             rel = ws.node_files[node_id]
-            path = ws.root_dir / rel
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise IoError(f"cannot read {path}: {exc}") from exc
-            directives = self._file_directives(text)
-            if "key" in directives:
-                key = directives["key"][0]
-                rule = self.rules.get(key)
-                if rule is None:
-                    errors.append(f"{rel}: error: unknown sim rule key '{key}'")
-                    continue
-                if rule.diagnostics:
-                    errors.append(f"{rel}: {rule.diagnostics}")
-                sites.extend((rel, line) for line in rule.sorry_lines)
-                if not rule.clean and not rule.diagnostics and not rule.sorry_lines:
-                    errors.append(f"{rel}: error: build rejected by rule '{key}'")
-            elif "error" in directives:
-                errors.append(f"{rel}: error: {directives['error'][0]}")
-            else:
-                for token, _, line in scan_forbidden_text(text, rel):
-                    if token == "sorry":
-                        sites.append((rel, line))
+            text = ws.written.get(rel)
+            if text is None:
+                path = ws.root_dir / rel
+                try:
+                    text = path.read_text(encoding="utf-8")
+                except OSError as exc:
+                    raise IoError(f"cannot read {path}: {exc}") from exc
+            key = (ws.root_dir, rel)
+            result = self._built.get(key)
+            if result is None or result.text != text:
+                result = self._build_file(rel, text)
+            built[key] = result
+            errors.extend(result.errors)
+            sites.extend(result.sites)
+        self._built = built
         compiled = not errors
         clean = compiled and not sites
         return BuildReport(clean, tuple(sites), "\n".join(errors), 0.0, compiled)

@@ -159,7 +159,7 @@ class RunLedger:
         frame = Frame(
             index=len(self.frames),
             node_states={nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
-            edges=tuple(plan.edges()),
+            edges=plan.edges(),
             plan_revision=plan.revision,
         )
         self.frames.append(frame)

@@ -139,12 +139,23 @@ class PlanDiff:
 
 @dataclass(frozen=True)
 class ProofPlan:
-    """Immutable plan snapshot.  ``order`` is a topological sort of the ids."""
+    """Immutable plan snapshot.  ``order`` is a topological sort of the ids.
+
+    The edge list depends only on the structure, so it is derived once when
+    the plan is built and handed on by status-only updates.
+    """
 
     nodes: dict[str, PlanNode]
     order: tuple[str, ...]
     revision: int = 0
     retired: frozenset[str] = field(default_factory=frozenset)
+    _edges: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._edges is None:
+            edges = tuple((dep, node_id) for node_id in self.order
+                          for dep in self.nodes[node_id].deps)
+            object.__setattr__(self, "_edges", edges)
 
     @property
     def anchor_id(self) -> str:
@@ -167,13 +178,9 @@ class ProofPlan:
                 out[dep].add(node.node_id)
         return out
 
-    def edges(self) -> list[tuple[str, str]]:
+    def edges(self) -> tuple[tuple[str, str], ...]:
         """Dependency edges as (dep, node) pairs in deterministic order."""
-        pairs = []
-        for node_id in self.order:
-            for dep in self.nodes[node_id].deps:
-                pairs.append((dep, node_id))
-        return pairs
+        return self._edges
 
 
 def _find_cycle(nodes: dict[str, PlanNode]) -> list[str] | None:
@@ -378,16 +385,18 @@ def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:
         raise PlanError(f"unknown node {node_id}")
     nodes = dict(plan.nodes)
     nodes[node_id] = nodes[node_id].with_status(status)
-    return ProofPlan(nodes=nodes, order=plan.order, revision=plan.revision, retired=plan.retired)
+    return ProofPlan(nodes=nodes, order=plan.order, revision=plan.revision,
+                     retired=plan.retired, _edges=plan._edges)
 
 
 def next_open_statement(plan: ProofPlan) -> str | None:
-    """Earliest Open/Failing node in order whose deps are all Closed."""
+    """Earliest Open/Failing node in order whose deps are all Closed.
+
+    ``order`` is topological, so every dep of the first non-Closed node comes
+    before it and is Closed.
+    """
     for node_id in plan.order:
-        node = plan.nodes[node_id]
-        if node.status is Status.CLOSED:
-            continue
-        if all(plan.nodes[dep].status is Status.CLOSED for dep in node.deps):
+        if plan.nodes[node_id].status is not Status.CLOSED:
             return node_id
     return None
 

@@ -1,5 +1,7 @@
 import random
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,100 @@ class TestAuditVerdict:
     def test_tightened_permitted_set_fails_classical_proof(self, tmp_path):
         report = _audit(tmp_path, {"t": GOOD_TARGET}, permitted=frozenset({"propext"}))
         assert not report.passed
+
+
+def _assembled_from_disk(root: Path) -> Workspace:
+    """A workspace over every .lean file under ``root``, as ``proofloop audit`` builds it."""
+    ws = Workspace(root_dir=root)
+    for path in sorted(root.rglob("*.lean")):
+        ws.node_files[path.stem] = str(path.relative_to(root))
+    return ws
+
+
+CACHE_RULES = parse_sim_rules(RULES_TEXT + "rule rejected\nclean false\nend\n")
+CACHE_POOL = ("a", "b", "c", "d")
+CACHE_DIRECTIVES = (
+    "-- sim: key clean-v3\n", "-- sim: key classical\n", "-- sim: key has-sorry\n",
+    "-- sim: key broken\n", "-- sim: key rejected\n", "-- sim: key ghost\n",
+    "-- sim: error type mismatch\n", "-- sim: axioms myAx\n",
+)
+
+
+def _cache_source(rng: random.Random) -> str:
+    text = random_lean_file(rng)
+    if rng.random() < 0.5:
+        text = rng.choice(CACHE_DIRECTIVES) + text
+    return text
+
+
+class TestBuildCache:
+    """One long-lived verifier must agree with a fresh one reading the disk."""
+
+    @given(st.lists(st.tuples(st.sampled_from(("write", "write-back", "remove")),
+                              st.sampled_from(CACHE_POOL),
+                              st.integers(0, 2**32 - 1)),
+                    max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_build_matches_fresh_build_from_disk(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            ws = Workspace(root_dir=root)
+            verifier = SimVerifier(CACHE_RULES)
+            history: dict[str, list[str]] = {node_id: [] for node_id in CACHE_POOL}
+            for op, node_id, seed in steps:
+                rng = random.Random(seed)
+                if op == "remove":
+                    ws.remove_node_source(node_id)
+                else:
+                    if op == "write-back" and history[node_id]:
+                        text = rng.choice(history[node_id])
+                    else:
+                        text = _cache_source(rng)
+                    history[node_id].append(text)
+                    ws.write_node_source(node_id, text)
+                expected = SimVerifier(CACHE_RULES).build(_assembled_from_disk(root))
+                assert verifier.build(ws) == expected
+
+    def test_unwritten_files_are_read_from_disk(self, tmp_path):
+        verifier = SimVerifier()
+        (tmp_path / "Proofws").mkdir()
+        (tmp_path / "Proofws" / "a.lean").write_text("theorem a : True := trivial\n")
+        ws = _assembled_from_disk(tmp_path)
+        assert verifier.build(ws).clean
+        (tmp_path / "Proofws" / "a.lean").write_text("theorem a : True := by\n  sorry\n")
+        assert verifier.build(ws).sorry_sites == (("Proofws/a.lean", 2),)
+
+
+class TestAuditReadsDisk:
+    """Edits made behind the harness must fail the audit, whatever the build cache holds."""
+
+    TARGET = "theorem t (x : Nat) : x = x := rfl\n"
+
+    def solved(self, tmp_path):
+        verifier = SimVerifier(parse_sim_rules(RULES_TEXT))
+        ws = _ws_with(tmp_path, {"t": self.TARGET, "h": "theorem h : True := trivial\n"},
+                      target="t")
+        assert verifier.build(ws).clean
+        assert audit_verdict(ws, ANCHOR_SIG, "t", verifier).passed
+        return verifier, ws
+
+    def test_proof_swapped_for_sorry_on_disk(self, tmp_path):
+        verifier, ws = self.solved(tmp_path)
+        (tmp_path / ws.target_file).write_text(self.TARGET.replace("rfl", "sorry"))
+        assert verifier.build(ws).clean  # the build evaluates the text the workspace wrote
+        report = audit_verdict(ws, ANCHOR_SIG, "t", verifier)
+        assert not report.passed
+        assert report.forbidden_occurrences == (("sorry", ws.target_file, 1),)
+        assert "sorryAx" in verifier.audit_axioms(ws, "t")
+
+    def test_axiom_appended_on_disk(self, tmp_path):
+        verifier, ws = self.solved(tmp_path)
+        helper = tmp_path / ws.node_files["h"]
+        helper.write_text(helper.read_text() + "axiom bad : False\n")
+        assert verifier.build(ws).clean
+        report = audit_verdict(ws, ANCHOR_SIG, "t", verifier)
+        assert not report.passed
+        assert report.forbidden_occurrences == (("axiom", ws.node_files["h"], 2),)
 
 
 LAKE_OUTPUT = """info: building Proofws

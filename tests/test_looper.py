@@ -1,11 +1,17 @@
+import builtins
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+import proofloop.leanenv as leanenv
 from helpers import (
     FixtureBuilder,
     SIMPLE_INPUT,
     anchor_decl,
+    clean_src,
+    error_src,
     main_clean_src,
     mk_node,
     single_node_fixture,
@@ -391,3 +397,65 @@ class TestReplayDeterminism:
             records.append(strip_timing(read_ledger_records(ledger_path)))
         assert records[0] == records[1]
         assert json.dumps(records[0]) == json.dumps(records[1])
+
+
+class TestLinearBuildGuard:
+    """Counts calls instead of timing them, so it cannot flake on a slow host."""
+
+    LEMMAS = 60
+
+    def wide_fixture(self):
+        """Independent lemmas plus an anchor on the last three; every 6th fails once."""
+        lemmas = [f"L{i}" for i in range(self.LEMMAS)]
+        nodes = [mk_node(lemma) for lemma in lemmas]
+        nodes.append(mk_node("Main", tuple(lemmas[-3:]), anchor=anchor_decl("Main")))
+        builder = FixtureBuilder()
+        builder.initial(PlanDiff(adds=tuple(nodes), cause=DiffCause.INITIAL_PLAN))
+        for i, lemma in enumerate(lemmas):
+            if i % 6 == 0:
+                builder.lean(lemma, error_src(lemma))
+            builder.lean(lemma, clean_src(lemma))
+            builder.check(lemma, CheckKind.FAITHFULNESS, True)
+        builder.lean("Main", main_clean_src())
+        builder.check("Main", CheckKind.FAITHFULNESS, True)
+        return builder.fixture
+
+    def test_wide_run_scans_linearly_and_builds_from_written_text(self, tmp_path, monkeypatch):
+        scans = 0
+        real_scan = leanenv.scan_forbidden_text
+
+        def counting_scan(*args, **kwargs):
+            nonlocal scans
+            scans += 1
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(leanenv, "scan_forbidden_text", counting_scan)
+        reread: list[Path] = []
+
+        class GuardedVerifier(SimVerifier):
+            def build(self, ws):
+                opened: list[Path] = []
+                real_open = io.open
+
+                def recording_open(file, *args, **kwargs):
+                    opened.append(Path(file))
+                    return real_open(file, *args, **kwargs)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(io, "open", recording_open)
+                    patch.setattr(builtins, "open", recording_open)
+                    report = super().build(ws)
+                written = {ws.root_dir / rel for rel in ws.written}
+                reread.extend(path for path in opened if path in written)
+                return report
+
+        input_file = tmp_path / "input.lean"
+        input_file.write_text(SIMPLE_INPUT, encoding="utf-8")
+        outcome, ledger = run(input_file, ScriptedBackend(self.wide_fixture()),
+                              GuardedVerifier(), cfg(),
+                              workspace_dir=tmp_path / "ws", ledger_path=None)
+        statements = self.LEMMAS + 1
+        assert outcome.verdict is Verdict.SOLVED
+        assert ledger.outcome.statement_count == statements
+        assert scans <= 3 * statements
+        assert reread == []

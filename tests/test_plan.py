@@ -332,7 +332,34 @@ class TestSerialization:
             diff_from_text("plandiff v1\ncause bogus-cause\n")
 
 
+def _next_open_checking_deps(plan):
+    """Selection as first defined: the earliest non-Closed node whose deps are all Closed."""
+    for node_id in plan.order:
+        node = plan.nodes[node_id]
+        if node.status is Status.CLOSED:
+            continue
+        if all(plan.nodes[dep].status is Status.CLOSED for dep in node.deps):
+            return node_id
+    return None
+
+
 class TestRandomizedInvariants:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_selection_and_cached_edges_match_recomputation(self, seed):
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, max_nodes=25)
+        for _ in range(8):
+            assert next_open_statement(plan) == _next_open_checking_deps(plan)
+            fresh = tuple((dep, node_id) for node_id in plan.order
+                          for dep in plan.nodes[node_id].deps)
+            assert plan.edges() == fresh
+            assert plan_from_text(plan_to_text(plan)).edges() == fresh
+            if rng.random() < 0.3:
+                plan, _ = apply_diff(plan, random_diff(rng, plan))
+            else:
+                plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
+
     def test_topological_invariant_and_oracle_agreement(self):
         rng = random.Random(20260810)
         for _ in range(150):
