@@ -126,8 +126,6 @@ class CheckVerdict:
 @dataclass(frozen=True)
 class LeanOutcome:
     source: str
-    exhausted: bool = False
-    attempts_used: int = 1
 
 
 @dataclass(frozen=True)
@@ -252,10 +250,6 @@ class Fixture:
         self.entries[slot] = entry
 
 
-def _task_key(task: AgentTask) -> FixtureKey:
-    return FixtureKey(task.kind, task.check_kind, task.subject.node_id)
-
-
 class ScriptedBackend:
     """Replays fixture entries in per-key occurrence order."""
 
@@ -264,7 +258,7 @@ class ScriptedBackend:
         self._cursor: dict[FixtureKey, int] = {}
 
     def invoke(self, task: AgentTask) -> tuple[AgentResult, TokenUsage]:
-        key = _task_key(task)
+        key = FixtureKey(task.kind, task.check_kind, task.subject.node_id)
         occurrence = self._cursor.get(key, 0) + 1
         entry = self.fixture.entries.get((key, occurrence))
         if entry is None:
@@ -483,7 +477,8 @@ class LiveBackend:
         self._sleep = sleep
         self._prompts: dict[tuple[TaskKind, CheckKind | None], Template] = {}
 
-    def _token(self) -> str:
+    def token(self) -> str:
+        """The auth token from the environment; raises :class:`AuthError` if unset."""
         token = os.environ.get(self.config.auth_env, "")
         if not token:
             raise AuthError(f"auth token not set in ${self.config.auth_env}")
@@ -511,7 +506,7 @@ class LiveBackend:
         )
 
     def _post(self, body: dict) -> dict:
-        token = self._token()
+        token = self.token()
         last_error: Exception | None = None
         for attempt in range(1, self.config.retry.attempts + 1):
             if attempt > 1:

@@ -42,7 +42,6 @@ from .ledger import (
     CostModel,
     LedgerError,
     ReplayMismatch,
-    UnsupportedFormat,
     ZERO_RATES,
     aggregate_stats,
     cost,
@@ -52,7 +51,8 @@ from .ledger import (
     render_stats_row,
     verify_replay,
 )
-from .looper import InputError, LoopConfig, Verdict, run
+from .looper import ANCHOR_FILE, InputError, LoopConfig, Verdict, find_anchor, run
+from .plan import PlanError
 
 logger = logging.getLogger("proofloop")
 
@@ -62,7 +62,6 @@ EXIT_USAGE = 2
 EXIT_ENV = 3
 
 LOCK_FILE = ".proofloop.lock"
-ANCHOR_FILE = ".proofloop-anchor.json"
 
 _DURATION_RE = re.compile(r"^(?:(\d+)h)?(?:(\d+)m)?(?:(\d+(?:\.\d+)?)s)?$")
 
@@ -74,8 +73,6 @@ class UsageError(Exception):
 def parse_duration(text: str) -> float:
     """Accept '4h', '90m', '10s', '1h30m', or a bare number of seconds."""
     text = text.strip()
-    if not text:
-        raise UsageError("empty duration")
     try:
         return float(text)
     except ValueError:
@@ -149,7 +146,9 @@ def _make_backend(opts: _Options):
         model = opts.get("model")
         if not endpoint or not model:
             raise UsageError("live backend needs --endpoint and --model")
-        return LiveBackend(LiveConfig(endpoint=str(endpoint), model=str(model)))
+        backend = LiveBackend(LiveConfig(endpoint=str(endpoint), model=str(model)))
+        backend.token()  # missing credentials are an environment error, not a failed run
+        return backend
     raise UsageError(f"unknown backend {backend!r}")
 
 
@@ -182,7 +181,6 @@ def _rates(opts: _Options) -> CostModel:
 class _WorkspaceLock:
     def __init__(self, workspace_dir: Path):
         self.path = workspace_dir / LOCK_FILE
-        self.acquired = False
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,11 +190,10 @@ class _WorkspaceLock:
             raise UsageError(f"workspace is locked by {self.path}") from None
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
-        self.acquired = True
         return self
 
     def __exit__(self, *exc_info):
-        if self.acquired and self.path.exists():
+        if self.path.exists():
             self.path.unlink()
         return False
 
@@ -205,40 +202,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     opts = _Options(args)
     input_file = Path(args.file)
     if not input_file.is_file():
-        logger.error("input file %s does not exist", input_file)
-        return EXIT_USAGE
+        raise UsageError(f"input file {input_file} does not exist")
     out_dir = Path(opts.get("out", "proofloop-out"))
     workspace_dir = out_dir / "workspace"
     ledger_path = out_dir / "ledger.jsonl"
-    try:
-        config = _loop_config(opts)
-        backend = _make_backend(opts)
-        verifier = _make_verifier(opts)
-    except (UsageError, FixtureParse, OSError, VerifierError, ValueError) as exc:
-        if isinstance(exc, ToolchainMissing):
-            logger.error("%s", exc)
-            return EXIT_ENV
-        logger.error("%s", exc)
-        return EXIT_USAGE
-    try:
-        with _WorkspaceLock(workspace_dir):
-            outcome, ledger = run(input_file, backend, verifier, config,
-                                  workspace_dir=workspace_dir, ledger_path=ledger_path,
-                                  run_id=opts.get("run_id"))
-    except UsageError as exc:
-        logger.error("%s", exc)
-        return EXIT_USAGE
-    except InputError as exc:
-        logger.error("%s", exc)
-        return EXIT_USAGE
-    except ToolchainMissing as exc:
-        logger.error("%s", exc)
-        return EXIT_ENV
-    except AuthError as exc:
-        logger.error("%s", exc)
-        return EXIT_ENV
+    config = _loop_config(opts)
+    rates = _rates(opts)
+    backend = _make_backend(opts)
+    verifier = _make_verifier(opts)
+    with _WorkspaceLock(workspace_dir):
+        outcome, ledger = run(input_file, backend, verifier, config,
+                              workspace_dir=workspace_dir, ledger_path=ledger_path,
+                              run_id=opts.get("run_id"))
     total = ledger.usage_total
-    usd = cost(total, _rates(opts))
+    usd = cost(total, rates)
     _emit({
         "command": "run",
         "verdict": outcome.verdict.value,
@@ -263,8 +240,6 @@ def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, st
     if anchor_file:
         text = Path(anchor_file).read_text(encoding="utf-8")
         if not decl:
-            from .looper import find_anchor
-
             found = find_anchor(text)
             return found.decl_name, found.signature_text
         sig = extract_signature_text(text, decl)
@@ -280,18 +255,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     opts = _Options(args)
     workspace_dir = Path(args.workspace)
     if not workspace_dir.is_dir():
-        logger.error("workspace %s does not exist", workspace_dir)
-        return EXIT_USAGE
-    try:
-        verifier = _make_verifier(opts)
-        verifier.ensure_available()
-        decl, signature = _load_anchor(args, workspace_dir)
-    except ToolchainMissing as exc:
-        logger.error("%s", exc)
-        return EXIT_ENV
-    except (UsageError, OSError, VerifierError, json.JSONDecodeError) as exc:
-        logger.error("%s", exc)
-        return EXIT_USAGE
+        raise UsageError(f"workspace {workspace_dir} does not exist")
+    verifier = _make_verifier(opts)
+    verifier.ensure_available()
+    decl, signature = _load_anchor(args, workspace_dir)
     ws = Workspace(root_dir=workspace_dir)
     for path in sorted(workspace_dir.rglob("*.lean")):
         rel = str(path.relative_to(workspace_dir))
@@ -306,11 +273,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         except VerifierError:
             continue
     ws.target_file = target_rel or ""
-    try:
-        report = audit_verdict(ws, signature, decl, verifier, _permitted(opts))
-    except ToolchainMissing as exc:
-        logger.error("%s", exc)
-        return EXIT_ENV
+    report = audit_verdict(ws, signature, decl, verifier, _permitted(opts))
     _emit({
         "command": "audit",
         "pass": report.passed,
@@ -324,20 +287,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.ledger)
-    if not path.is_file():
-        logger.error("ledger %s does not exist", path)
-        return EXIT_USAGE
     records = read_ledger_records(path)
     try:
         frames, diffs = verify_replay(records)
     except ReplayMismatch as exc:
         _emit({"command": "replay", "consistent": False, "error": str(exc)})
         return EXIT_UNFINISHED
-    except (LedgerError, Exception) as exc:  # malformed ledgers
-        if isinstance(exc, ReplayMismatch):
-            raise
-        logger.error("cannot replay %s: %s", path, exc)
-        return EXIT_USAGE
     _emit({"command": "replay", "consistent": True, "frames": frames, "diffs": diffs,
            "note": "frames consistent"})
     return EXIT_OK
@@ -345,15 +300,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     path = Path(args.ledger)
-    if not path.is_file():
-        logger.error("ledger %s does not exist", path)
-        return EXIT_USAGE
-    try:
-        ledger = load_ledger(path)
-        rendered = export_trace(ledger, args.format)
-    except (UnsupportedFormat, LedgerError, ValueError, KeyError) as exc:
-        logger.error("cannot export trace: %s", exc)
-        return EXIT_USAGE
+    ledger = load_ledger(path)
+    rendered = export_trace(ledger, args.format)
     out = Path(args.out) if args.out else path.with_suffix(f".{args.format}")
     out.write_text(rendered, encoding="utf-8")
     _emit({"command": "trace", "format": args.format, "frames": len(ledger.frames),
@@ -362,16 +310,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    paths = [Path(p) for p in args.ledgers]
-    if not paths:
-        logger.error("no ledger files given")
-        return EXIT_USAGE
-    try:
-        ledgers = [load_ledger(p) for p in paths]
-        stats = aggregate_stats(ledgers)
-    except (LedgerError, OSError, ValueError, KeyError) as exc:
-        logger.error("cannot aggregate: %s", exc)
-        return EXIT_USAGE
+    stats = aggregate_stats([load_ledger(Path(p)) for p in args.ledgers])
     row = render_stats_row(stats)
     _emit({
         "command": "stats", "runs": stats.runs, "row": row,
@@ -452,9 +391,16 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         level=getattr(logging, str(args.log_level).upper(), logging.INFO),
                         format="%(levelname)s %(name)s: %(message)s", force=True)
+    # The one map from exceptions to exit codes.  ToolchainMissing is a VerifierError,
+    # so the environment arm comes first; KeyError and ValueError come from option
+    # values and ledger records of the wrong shape.
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (ToolchainMissing, AuthError) as exc:
+        logger.error("%s", exc)
+        return EXIT_ENV
+    except (UsageError, InputError, FixtureParse, LedgerError, PlanError, VerifierError,
+            OSError, KeyError, ValueError) as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
 

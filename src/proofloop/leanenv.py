@@ -74,7 +74,6 @@ class Workspace:
     files_dir: str = "Proofws"
     target_file: str = ""
     node_files: dict[str, str] = field(default_factory=dict)
-    toolchain_pin: str = ""
     # Text each path last received from write_node_source; paths placed in
     # node_files directly are absent, and in-loop builds read those from disk.
     written: dict[str, str] = field(default_factory=dict, repr=False)
@@ -85,7 +84,7 @@ class Workspace:
             safe = "N" + safe
         return f"{self.files_dir}/{safe}.lean"
 
-    def write_node_source(self, node_id: str, text: str, is_target: bool = False) -> str:
+    def write_node_source(self, node_id: str, text: str, is_target: bool = False) -> None:
         rel = self.node_files.get(node_id) or self._rel_path(node_id)
         path = self.root_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,7 +93,6 @@ class Workspace:
         self.written[rel] = text
         if is_target:
             self.target_file = rel
-        return rel
 
     def remove_node_source(self, node_id: str) -> None:
         rel = self.node_files.pop(node_id, None)
@@ -361,11 +359,12 @@ def load_sim_rules(path: Path | None) -> dict[str, SimRule]:
 
 @dataclass(frozen=True)
 class _FileBuild:
-    """What one file contributes to a sim build, and the text it was derived from."""
+    """What one file contributes to a sim build and audit, and the text it was derived from."""
 
     text: str
     errors: tuple[str, ...]
     sites: tuple[tuple[str, int], ...]
+    axioms: frozenset[str]
 
 
 class SimVerifier:
@@ -374,8 +373,9 @@ class SimVerifier:
     In-loop builds evaluate the text the workspace wrote for each path (files
     it did not write are read from disk) and cache each file's contribution
     by content, so a build rescans only the files that changed since the last
-    one.  The axiom audit always reads every file from disk.  The rule table
-    is fixed at construction.
+    one.  The axiom audit evaluates each file the same way, but always on
+    the text read from disk and never through the cache.  The rule table is
+    fixed at construction.
     """
 
     mode = "sim"
@@ -392,28 +392,28 @@ class SimVerifier:
     def init_workspace(self, ws: Workspace) -> None:
         ws.root_dir.mkdir(parents=True, exist_ok=True)
 
-    def _file_directives(self, text: str) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for match in _SIM_DIRECTIVE.finditer(text):
-            out.setdefault(match.group(1), []).append(match.group(2))
-        return out
-
     def _build_file(self, rel: str, text: str) -> _FileBuild:
-        directives = self._file_directives(text)
+        directives: dict[str, list[str]] = {}
+        for match in _SIM_DIRECTIVE.finditer(text):
+            directives.setdefault(match.group(1), []).append(match.group(2))
+        declared = frozenset(name for spec in directives.get("axioms", []) for name in spec.split())
         if "key" in directives:
             key = directives["key"][0]
             rule = self.rules.get(key)
             if rule is None:
-                return _FileBuild(text, (f"{rel}: error: unknown sim rule key '{key}'",), ())
+                return _FileBuild(text, (f"{rel}: error: unknown sim rule key '{key}'",), (),
+                                  declared)
             errors = [f"{rel}: {rule.diagnostics}"] if rule.diagnostics else []
             if not rule.clean and not rule.diagnostics and not rule.sorry_lines:
                 errors.append(f"{rel}: error: build rejected by rule '{key}'")
-            return _FileBuild(text, tuple(errors), tuple((rel, line) for line in rule.sorry_lines))
+            return _FileBuild(text, tuple(errors), tuple((rel, line) for line in rule.sorry_lines),
+                              declared | rule.axioms)
         if "error" in directives:
-            return _FileBuild(text, (f"{rel}: error: {directives['error'][0]}",), ())
+            return _FileBuild(text, (f"{rel}: error: {directives['error'][0]}",), (), declared)
         sites = tuple((rel, line) for token, _, line in scan_forbidden_text(text, rel)
                       if token == "sorry")
-        return _FileBuild(text, (), sites)
+        # A sorry the rule table does not account for reaches the kernel as sorryAx.
+        return _FileBuild(text, (), sites, (declared | {SORRY_AXIOM}) if sites else declared)
 
     def build(self, ws: Workspace) -> BuildReport:
         errors: list[str] = []
@@ -444,17 +444,7 @@ class SimVerifier:
         axioms: set[str] = set()
         for node_id in sorted(ws.node_files):
             rel = ws.node_files[node_id]
-            text = (ws.root_dir / rel).read_text(encoding="utf-8")
-            directives = self._file_directives(text)
-            if "key" in directives:
-                rule = self.rules.get(directives["key"][0])
-                if rule is not None:
-                    axioms |= rule.axioms
-            for spec in directives.get("axioms", []):
-                axioms |= set(spec.split())
-            if "key" not in directives and "error" not in directives:
-                if any(t == "sorry" for t, _, _ in scan_forbidden_text(text, rel)):
-                    axioms.add(SORRY_AXIOM)
+            axioms |= self._build_file(rel, (ws.root_dir / rel).read_text(encoding="utf-8")).axioms
         return axioms
 
 
@@ -524,8 +514,6 @@ class RealVerifier:
         (ws.root_dir / "lakefile.toml").write_text(
             _LAKEFILE.format(lib=ws.files_dir), encoding="utf-8"
         )
-        if ws.toolchain_pin:
-            (ws.root_dir / "lean-toolchain").write_text(ws.toolchain_pin + "\n", encoding="utf-8")
         (ws.root_dir / ws.files_dir).mkdir(parents=True, exist_ok=True)
 
     def _refresh_root_module(self, ws: Workspace) -> None:

@@ -10,6 +10,7 @@ rendering.  Replay determinism is defined modulo timestamp fields.
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
@@ -18,7 +19,9 @@ from pathlib import Path
 from typing import IO, Any
 
 from .agents import TokenUsage
-from .plan import ProofPlan, Status, apply_diff, diff_from_text, plan_from_text, set_status
+from .plan import (
+    CycleError, ProofPlan, Status, apply_diff, diff_from_text, plan_from_text, set_status,
+)
 
 
 class LedgerError(Exception):
@@ -38,10 +41,6 @@ class EmptyInput(LedgerError):
 
 
 class UnsolvedIncluded(LedgerError):
-    pass
-
-
-class CycleError(LedgerError):
     pass
 
 
@@ -139,7 +138,7 @@ class RunLedger:
             self._sink.flush()
 
     def record_event(self, kind: EventKind, node_id: str | None = None,
-                     detail: str = "", data: dict[str, Any] | None = None) -> LoopEvent:
+                     detail: str = "", data: dict[str, Any] | None = None) -> None:
         if self._closed:
             raise LedgerClosed("ledger already closed")
         event = LoopEvent(utc_now_iso(), kind, node_id, detail, data)
@@ -151,9 +150,8 @@ class RunLedger:
         if data is not None:
             record["data"] = data
         self._emit(record)
-        return event
 
-    def snapshot_frame(self, plan: ProofPlan) -> Frame:
+    def snapshot_frame(self, plan: ProofPlan) -> None:
         if self._closed:
             raise LedgerClosed("ledger already closed")
         frame = Frame(
@@ -167,7 +165,6 @@ class RunLedger:
             "rec": "frame", "index": frame.index, "revision": frame.plan_revision,
             "nodes": frame.node_states, "edges": [list(e) for e in frame.edges],
         })
-        return frame
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
                      usage: TokenUsage, elapsed: float) -> None:
@@ -216,17 +213,24 @@ def open_ledger(run_id: str, path: Path | None = None, meta: dict[str, Any] | No
 
 
 def read_ledger_records(path: Path) -> list[dict[str, Any]]:
-    """Read JSON-line records, tolerating a truncated final line."""
+    """Read JSON-line records.  Only the final line may fail to parse (an in-flight
+    record); any other bad line, or one that is not an object, is a LedgerError."""
     records: list[dict[str, Any]] = []
+    unparsed: str | None = None  # an error only if another record follows
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(handle, 1):
+            if line.isspace():
                 continue
+            if unparsed is not None:
+                raise LedgerError(unparsed)
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # in-flight record from an interrupted run
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                unparsed = f"{path}: line {number} is not a JSON record: {exc}"
+                continue
+            if not isinstance(record, dict):
+                raise LedgerError(f"{path}: line {number} is not a JSON object")
+            records.append(record)
     return records
 
 
@@ -273,50 +277,54 @@ def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
     """Re-execute the ledger's diffs and check every frame against them.
 
     Returns (frames checked, diffs applied); raises :class:`ReplayMismatch`
-    on the first inconsistent frame or invalidation set.  A CheckFail event
-    with an ``audit:`` detail reopens the anchor node, mirroring the loop.
+    on the first inconsistent frame or invalidation set and :class:`LedgerError`
+    on a malformed record.  A CheckFail event with an ``audit:`` detail reopens
+    the anchor node, mirroring the loop.
     """
     plan: ProofPlan | None = None
     frames_checked = 0
     diffs_applied = 0
-    for record in records:
-        rec = record.get("rec")
-        if rec == "event":
-            kind = record.get("kind")
-            data = record.get("data") or {}
-            node = record.get("node")
-            if kind == EventKind.PLAN_CREATED.value:
-                plan = plan_from_text(data["plan"])
-            elif kind == EventKind.DIFF_APPLIED.value:
+    try:
+        for record in records:
+            rec = record.get("rec")
+            if rec == "event":
+                kind = record.get("kind")
+                data = record.get("data") or {}
+                node = record.get("node")
+                if kind == EventKind.PLAN_CREATED.value:
+                    plan = plan_from_text(data["plan"])
+                elif kind == EventKind.DIFF_APPLIED.value:
+                    if plan is None:
+                        raise ReplayMismatch("diff applied before any plan was created")
+                    diff = diff_from_text(data["diff"])
+                    plan, invalidated = apply_diff(plan, diff)
+                    diffs_applied += 1
+                    if sorted(invalidated) != list(data.get("invalidated", [])):
+                        raise ReplayMismatch(
+                            f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
+                            f"!= recorded {data.get('invalidated')}")
+                elif kind == EventKind.NODE_CLOSED.value and plan is not None:
+                    plan = set_status(plan, node, Status.CLOSED)
+                elif kind == EventKind.NODE_FAILING.value and plan is not None:
+                    plan = set_status(plan, node, Status.FAILING)
+                elif (kind == EventKind.CHECK_FAIL.value and plan is not None
+                      and record.get("detail", "").startswith("audit:")):
+                    plan = set_status(plan, node, Status.OPEN)
+            elif rec == "frame":
                 if plan is None:
-                    raise ReplayMismatch("diff applied before any plan was created")
-                diff = diff_from_text(data["diff"])
-                plan, invalidated = apply_diff(plan, diff)
-                diffs_applied += 1
-                if sorted(invalidated) != list(data.get("invalidated", [])):
-                    raise ReplayMismatch(
-                        f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
-                        f"!= recorded {data.get('invalidated')}")
-            elif kind == EventKind.NODE_CLOSED.value and plan is not None:
-                plan = set_status(plan, node, Status.CLOSED)
-            elif kind == EventKind.NODE_FAILING.value and plan is not None:
-                plan = set_status(plan, node, Status.FAILING)
-            elif (kind == EventKind.CHECK_FAIL.value and plan is not None
-                  and record.get("detail", "").startswith("audit:")):
-                plan = set_status(plan, node, Status.OPEN)
-        elif rec == "frame":
-            if plan is None:
-                raise ReplayMismatch("frame recorded before any plan was created")
-            expected = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
-            if record["nodes"] != expected:
-                raise ReplayMismatch(f"frame {record['index']}: node states diverge")
-            if [list(e) for e in plan.edges()] != record["edges"]:
-                raise ReplayMismatch(f"frame {record['index']}: edges diverge")
-            if record["revision"] != plan.revision:
-                raise ReplayMismatch(f"frame {record['index']}: revision diverges")
-            if record["index"] != frames_checked:
-                raise ReplayMismatch(f"frame index {record['index']} out of sequence")
-            frames_checked += 1
+                    raise ReplayMismatch("frame recorded before any plan was created")
+                expected = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
+                if record["nodes"] != expected:
+                    raise ReplayMismatch(f"frame {record['index']}: node states diverge")
+                if [list(e) for e in plan.edges()] != record["edges"]:
+                    raise ReplayMismatch(f"frame {record['index']}: edges diverge")
+                if record["revision"] != plan.revision:
+                    raise ReplayMismatch(f"frame {record['index']}: revision diverges")
+                if record["index"] != frames_checked:
+                    raise ReplayMismatch(f"frame index {record['index']} out of sequence")
+                frames_checked += 1
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LedgerError(f"malformed ledger record: {exc!r}") from exc
     return frames_checked, diffs_applied
 
 
@@ -329,16 +337,17 @@ def depth_layout(frame: Frame) -> dict[str, int]:
         if node in deps and dep in frame.node_states:
             deps[node].append(dep)
     levels: dict[str, int] = {}
-    visiting: set[str] = set()
+    visiting: dict[str, None] = {}  # the current path, in order
 
     def level_of(node: str) -> int:
         if node in levels:
             return levels[node]
         if node in visiting:
-            raise CycleError(f"frame edges contain a cycle through {node}")
-        visiting.add(node)
+            path = list(visiting)
+            raise CycleError(path[path.index(node):] + [node])
+        visiting[node] = None
         value = 0 if not deps[node] else 1 + max(level_of(d) for d in deps[node])
-        visiting.discard(node)
+        del visiting[node]
         levels[node] = value
         return value
 
@@ -398,26 +407,6 @@ class RunStats:
     runs: int
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
-
-
-def _sample_std(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    m = _mean(values)
-    return (sum((v - m) ** 2 for v in values) / (len(values) - 1)) ** 0.5
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
 def aggregate_stats(ledgers: list[RunLedger]) -> RunStats:
     """Sample statistics over solved runs; minutes/statement is the per-run ratio."""
     if not ledgers:
@@ -431,11 +420,13 @@ def aggregate_stats(ledgers: list[RunLedger]) -> RunStats:
         (ledger.outcome.wall_clock / 60.0) / ledger.outcome.statement_count
         for ledger in ledgers
     ]
+    # One run has no sample spread.
+    std = statistics.stdev if len(ledgers) > 1 else (lambda values: 0.0)
     return RunStats(
-        mean_time_h=_mean(hours), std_time_h=_sample_std(hours),
-        median_time_h=_median(hours), min_time_h=min(hours), max_time_h=max(hours),
-        mean_statements=_mean(stmts), std_statements=_sample_std(stmts),
-        mean_min_per_stmt=_mean(ratios), std_min_per_stmt=_sample_std(ratios),
+        mean_time_h=statistics.fmean(hours), std_time_h=std(hours),
+        median_time_h=statistics.median(hours), min_time_h=min(hours), max_time_h=max(hours),
+        mean_statements=statistics.fmean(stmts), std_statements=std(stmts),
+        mean_min_per_stmt=statistics.fmean(ratios), std_min_per_stmt=std(ratios),
         runs=len(ledgers),
     )
 

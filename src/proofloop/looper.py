@@ -28,8 +28,6 @@ from .agents import (
     BackendUnavailable,
     CheckKind,
     CheckVerdict,
-    InvokeRecord,
-    LeanOutcome,
     LocalContext,
     MalformedResponse,
     TaskKind,
@@ -54,7 +52,6 @@ from .plan import (
     DiffCause,
     PlanError,
     ProofPlan,
-    RejectedDiff,
     Status,
     apply_diff,
     create_plan,
@@ -66,6 +63,9 @@ from .plan import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Written into the workspace at run start; `proofloop audit` reads it back.
+ANCHOR_FILE = ".proofloop-anchor.json"
 
 
 class InputError(Exception):
@@ -145,6 +145,19 @@ def route_check_verdict(kind: CheckKind, verdict: CheckVerdict) -> NextStep:
     return _CHECK_ROUTES[(kind, verdict.passed)]
 
 
+# The actions the loop takes for the steps above; RETRY_SAME_NODE needs none.
+_CHECK_STEPS = {
+    NextStep.CHECK_FAITHFULNESS: CheckKind.FAITHFULNESS,
+    NextStep.CHECK_MATH: CheckKind.MATH,
+    NextStep.CHECK_DECOMPOSITION: CheckKind.DECOMPOSITION,
+}
+_REPLAN_STEPS = {
+    NextStep.REPLAN_FAITHFULNESS: DiffCause.FAITHFULNESS_FAIL,
+    NextStep.REPLAN_MATH: DiffCause.MATH_FAIL,
+    NextStep.REPLAN_SPLIT: DiffCause.DECOMPOSITION_SPLIT,
+}
+
+
 # ---------------------------------------------------------------------------
 # Anchor extraction from the input file.
 
@@ -217,7 +230,7 @@ class _Run:
         self.started = time.monotonic()
 
     def _write_anchor_sidecar(self) -> None:
-        sidecar = self.ws.root_dir / ".proofloop-anchor.json"
+        sidecar = self.ws.root_dir / ANCHOR_FILE
         sidecar.write_text(json.dumps({
             "decl_name": self.anchor.decl_name,
             "signature": self.anchor.signature_text,
@@ -236,11 +249,15 @@ class _Run:
 
     # -- agent plumbing ------------------------------------------------------
 
-    def _invoke(self, task: AgentTask, phase: str) -> InvokeRecord:
-        """One task with fresh re-invocations on malformed payloads."""
-        attempts = 1 + self.config.check_retry_limit
+    def _attempt(self, task: AgentTask, phase: str, accept):
+        """Invoke ``task`` until ``accept`` takes the result; return what it returns.
+
+        A malformed payload and a result that ``accept`` rejects with a
+        :class:`PlanError` each use one of the ``1 + check_retry_limit`` tries;
+        transport and credential failures stop the run at once.
+        """
         last: Exception | None = None
-        for _ in range(attempts):
+        for _ in range(1 + self.config.check_retry_limit):
             self.gate(phase)
             try:
                 record = invoke(self.backend, task)
@@ -255,7 +272,11 @@ class _Run:
                 task.check_kind.value if task.check_kind else None,
                 task.subject.node_id, record.usage, record.elapsed,
             )
-            return record
+            try:
+                return accept(record.result)
+            except PlanError as exc:
+                last = exc
+                logger.warning("result rejected during %s: %s", phase, exc)
         raise _Stop(StopReason.BACKEND_FAILURE, f"{phase}: {last}")
 
     # -- plan bookkeeping ----------------------------------------------------
@@ -288,49 +309,38 @@ class _Run:
             anchor_signature=self.anchor.signature_text,
             lean_source=self.input_text,
         )
-        task = AgentTask(TaskKind.PLAN_INITIAL, ctx)
-        attempts = 1 + self.config.check_retry_limit
-        last_reason = ""
-        for _ in range(attempts):
-            record = self._invoke(task, "initial planning")
-            try:
-                plan = create_plan(list(record.result.diff.adds))
-            except PlanError as exc:
-                last_reason = str(exc)
-                logger.warning("initial plan rejected: %s", exc)
-                continue
-            anchor_node = plan.nodes[plan.anchor_id]
-            if anchor_node.anchor.decl_name != self.anchor.decl_name:
-                last_reason = "initial plan anchors a different declaration"
-                continue
-            if (normalize_signature(anchor_node.anchor.signature_text)
-                    != normalize_signature(self.anchor.signature_text)):
-                last_reason = "initial plan carries a different anchor signature"
-                continue
-            self.plan = plan
-            self.anchor_node_id = plan.anchor_id
-            self.ledger.record_event(
-                EventKind.PLAN_CREATED, plan.anchor_id,
-                f"initial plan with {len(plan.nodes)} statements",
-                data={"plan": plan_to_text(plan)},
-            )
-            self._frame()
-            return
-        raise _Stop(StopReason.BACKEND_FAILURE, f"initial planning: {last_reason}")
 
-    def lean_cycle(self, node_id: str) -> tuple[LeanOutcome, BuildReport]:
+        def accept(result) -> ProofPlan:
+            plan = create_plan(list(result.diff.adds))
+            anchor = plan.anchor
+            if anchor.decl_name != self.anchor.decl_name:
+                raise PlanError("initial plan anchors a different declaration")
+            if (normalize_signature(anchor.signature_text)
+                    != normalize_signature(self.anchor.signature_text)):
+                raise PlanError("initial plan carries a different anchor signature")
+            return plan
+
+        plan = self._attempt(AgentTask(TaskKind.PLAN_INITIAL, ctx), "initial planning", accept)
+        self.plan = plan
+        self.anchor_node_id = plan.anchor_id
+        self.ledger.record_event(
+            EventKind.PLAN_CREATED, plan.anchor_id,
+            f"initial plan with {len(plan.nodes)} statements",
+            data={"plan": plan_to_text(plan)},
+        )
+        self._frame()
+
+    def lean_cycle(self, node_id: str) -> tuple[str, BuildReport]:
         """Invoke-write-build until the build compiles or the budget runs out."""
         assert self.plan is not None
         budget = self.config.compile_budget
         source: str | None = None
-        errors = self.node_diag.get(node_id)
         report: BuildReport | None = None
-        attempts = 0
         for attempt in range(1, budget + 1):
-            ctx = assemble_context(self.plan, node_id, lean_source=source, build_errors=errors)
-            record = self._invoke(AgentTask(TaskKind.LEAN_WORK, ctx), f"lean work on {node_id}")
-            source = record.result.lean.source
-            attempts = attempt
+            ctx = assemble_context(self.plan, node_id, lean_source=source,
+                                   build_errors=self.node_diag.get(node_id))
+            source = self._attempt(AgentTask(TaskKind.LEAN_WORK, ctx), f"lean work on {node_id}",
+                                   lambda result: result.lean.source)
             self.ws.write_node_source(node_id, source, is_target=node_id == self.anchor_node_id)
             self.gate(f"build for {node_id}")
             try:
@@ -344,32 +354,30 @@ class _Run:
                                      f"attempt {attempt}/{budget}: {summary}")
             if report.compiled:
                 break
-            errors = report.diagnostics
             self.node_diag[node_id] = report.diagnostics
         assert report is not None and source is not None
         if report.compiled:
             self.node_diag.pop(node_id, None)
             if report.clean:
                 self.ledger.record_event(EventKind.BUILD_CLEAN, node_id,
-                                         f"clean after {attempts} attempt(s)")
+                                         f"clean after {attempt} attempt(s)")
             else:
                 self.ledger.record_event(
                     EventKind.BUILD_SORRIES, node_id,
-                    f"{len(report.sorry_sites)} sorry site(s) after {attempts} attempt(s)")
-            return LeanOutcome(source, False, attempts), report
+                    f"{len(report.sorry_sites)} sorry site(s) after {attempt} attempt(s)")
+            return source, report
         self.ledger.record_event(EventKind.BUILD_SORRIES, node_id,
-                                 f"exhausted compile budget ({attempts} attempts)")
+                                 f"exhausted compile budget ({attempt} attempts)")
         self._mark_failing(node_id)
-        return LeanOutcome(source, True, attempts), report
+        return source, report
 
     def check(self, kind: CheckKind, node_id: str, source: str,
               errors: str | None) -> CheckVerdict:
         assert self.plan is not None
         ctx = assemble_context(self.plan, node_id, lean_source=source,
                                build_errors=errors, check_kind=kind)
-        record = self._invoke(AgentTask(TaskKind.CHECK, ctx, check_kind=kind),
-                              f"{kind.value} check on {node_id}")
-        verdict = record.result.verdict
+        verdict = self._attempt(AgentTask(TaskKind.CHECK, ctx, check_kind=kind),
+                                f"{kind.value} check on {node_id}", lambda result: result.verdict)
         event = EventKind.CHECK_PASS if verdict.passed else EventKind.CHECK_FAIL
         detail = kind.value + (f": {verdict.note}" if verdict.note else "")
         self.ledger.record_event(event, node_id, detail)
@@ -382,37 +390,29 @@ class _Run:
                         f"replan limit of {self.config.replan_limit} reached")
         ctx = assemble_context(self.plan, node_id,
                                build_errors=self.node_diag.get(node_id))
-        task = AgentTask(TaskKind.PLAN_REVISE, ctx, cause=cause)
-        attempts = 1 + self.config.check_retry_limit
-        last_reason = ""
-        for _ in range(attempts):
-            record = self._invoke(task, f"replanning at {node_id}")
-            diff = record.result.diff
-            try:
-                new_plan, invalidated = apply_diff(self.plan, diff)
-            except RejectedDiff as exc:
-                last_reason = str(exc)
-                logger.warning("diff rejected: %s", exc)
-                continue
-            removed = set(self.plan.nodes) - set(new_plan.nodes)
-            self.plan = new_plan
-            self.replans += 1
-            for stale in sorted(invalidated | removed):
-                self.ws.remove_node_source(stale)
-                self.node_diag.pop(stale, None)
-            self.ledger.record_event(
-                EventKind.DIFF_APPLIED, node_id,
-                f"cause={cause.value}: +{len(diff.adds)} -{len(diff.removes)} "
-                f"~{len(diff.rewrites)}, invalidated {len(invalidated)}",
-                data={"diff": diff_to_text(diff),
-                      "invalidated": sorted(invalidated), "cause": cause.value},
-            )
-            self._frame()
-            self.ledger.record_event(EventKind.RESTART, None,
-                                     "selection restarts from the top of the plan")
-            return
-        raise _Stop(StopReason.BACKEND_FAILURE,
-                    f"replanning at {node_id}: {last_reason or 'diffs kept being rejected'}")
+
+        def accept(result):
+            new_plan, invalidated = apply_diff(self.plan, result.diff)
+            return result.diff, new_plan, invalidated
+
+        diff, new_plan, invalidated = self._attempt(
+            AgentTask(TaskKind.PLAN_REVISE, ctx, cause=cause), f"replanning at {node_id}", accept)
+        removed = set(self.plan.nodes) - set(new_plan.nodes)
+        self.plan = new_plan
+        self.replans += 1
+        for stale in sorted(invalidated | removed):
+            self.ws.remove_node_source(stale)
+            self.node_diag.pop(stale, None)
+        self.ledger.record_event(
+            EventKind.DIFF_APPLIED, node_id,
+            f"cause={cause.value}: +{len(diff.adds)} -{len(diff.removes)} "
+            f"~{len(diff.rewrites)}, invalidated {len(invalidated)}",
+            data={"diff": diff_to_text(diff),
+                  "invalidated": sorted(invalidated), "cause": cause.value},
+        )
+        self._frame()
+        self.ledger.record_event(EventKind.RESTART, None,
+                                 "selection restarts from the top of the plan")
 
     def success_exit(self) -> bool:
         assert self.plan is not None and self.anchor_node_id is not None
@@ -447,24 +447,17 @@ class _Run:
                 continue
             node_id = next_open_statement(self.plan)
             assert node_id is not None
-            outcome, report = self.lean_cycle(node_id)
+            source, report = self.lean_cycle(node_id)
             step = route_build_result(report)
-            if step is NextStep.CHECK_FAITHFULNESS:
-                verdict = self.check(CheckKind.FAITHFULNESS, node_id, outcome.source, None)
-                if route_check_verdict(CheckKind.FAITHFULNESS, verdict) is NextStep.CLOSE_AND_ADVANCE:
-                    self._close_node(node_id)
-                else:
-                    self.replan(DiffCause.FAITHFULNESS_FAIL, node_id)
-                continue
-            errors = report.diagnostics or None
-            verdict = self.check(CheckKind.MATH, node_id, outcome.source, errors)
-            if route_check_verdict(CheckKind.MATH, verdict) is NextStep.REPLAN_MATH:
-                self.replan(DiffCause.MATH_FAIL, node_id)
-                continue
-            verdict = self.check(CheckKind.DECOMPOSITION, node_id, outcome.source, errors)
-            if route_check_verdict(CheckKind.DECOMPOSITION, verdict) is NextStep.REPLAN_SPLIT:
-                self.replan(DiffCause.DECOMPOSITION_SPLIT, node_id)
-            # Decomposition pass: the same node is selected again next iteration.
+            while step in _CHECK_STEPS:
+                kind = _CHECK_STEPS[step]
+                step = route_check_verdict(
+                    kind, self.check(kind, node_id, source, report.diagnostics or None))
+            if step is NextStep.CLOSE_AND_ADVANCE:
+                self._close_node(node_id)
+            elif step in _REPLAN_STEPS:
+                self.replan(_REPLAN_STEPS[step], node_id)
+            # RETRY_SAME_NODE: the same node is selected again next iteration.
 
     def execute(self) -> tuple[RunOutcome, RunLedger]:
         try:

@@ -183,43 +183,6 @@ class ProofPlan:
         return self._edges
 
 
-def _find_cycle(nodes: dict[str, PlanNode]) -> list[str] | None:
-    """Return one dependency cycle as a closed id path, if any."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node_id: WHITE for node_id in nodes}
-    stack: list[str] = []
-
-    def visit(start: str) -> list[str] | None:
-        path = [(start, iter(nodes[start].deps))]
-        color[start] = GRAY
-        stack.append(start)
-        while path:
-            node_id, it = path[-1]
-            advanced = False
-            for dep in it:
-                if color[dep] == GRAY:
-                    i = stack.index(dep)
-                    return stack[i:] + [dep]
-                if color[dep] == WHITE:
-                    color[dep] = GRAY
-                    stack.append(dep)
-                    path.append((dep, iter(nodes[dep].deps)))
-                    advanced = True
-                    break
-            if not advanced:
-                path.pop()
-                stack.pop()
-                color[node_id] = BLACK
-        return None
-
-    for node_id in nodes:
-        if color[node_id] == WHITE:
-            cycle = visit(node_id)
-            if cycle:
-                return cycle
-    return None
-
-
 def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str, ...]:
     """Kahn's algorithm; ties broken by the caller-supplied stable key."""
     import heapq
@@ -240,8 +203,14 @@ def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str
             if remaining[dep_user] == 0:
                 heapq.heappush(ready, (sort_key[dep_user], dep_user))
     if len(order) != len(nodes):
-        cycle = _find_cycle(nodes)
-        raise CycleError(cycle or sorted(node_id for node_id in nodes if remaining[node_id] > 0))
+        # Every node left unsorted has a dep left unsorted, so following such
+        # deps from any of them must come back to a node already on the path.
+        node_id = next(node_id for node_id in nodes if remaining[node_id])
+        path: dict[str, int] = {}
+        while node_id not in path:
+            path[node_id] = len(path)
+            node_id = next(dep for dep in nodes[node_id].deps if remaining[dep])
+        raise CycleError(list(path)[path[node_id]:] + [node_id])
     return tuple(order)
 
 
@@ -365,8 +334,6 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
         node = new_nodes[node_id]
         if node.status is not Status.OPEN:
             new_nodes[node_id] = node.with_status(Status.OPEN)
-        else:
-            new_nodes[node_id] = node
 
     new_plan = ProofPlan(
         nodes=new_nodes,
@@ -417,15 +384,14 @@ def _q(text: str) -> str:
     return json.dumps(text, ensure_ascii=False)
 
 
-def _node_lines(node: PlanNode, with_status: bool = True) -> list[str]:
+def _node_lines(node: PlanNode) -> list[str]:
     lines = [
         f"node {node.node_id}",
         f"informal {_q(node.informal)}",
         f"sketch {_q(node.sketch)}",
         ("deps " + " ".join(node.deps)).rstrip(),
+        f"status {node.status.value}",
     ]
-    if with_status:
-        lines.append(f"status {node.status.value}")
     if node.anchor is not None:
         a = node.anchor
         lines.append(f"anchor {_q(a.decl_name)} {_q(a.signature_text)} {_q(a.original_body)}")
@@ -487,18 +453,16 @@ def _parse_json_fields(rest: str, count: int, what: str) -> list[str]:
     return out
 
 
-def _parse_node_block(reader: _LineReader, header_rest: str, with_status: bool) -> PlanNode:
+def _parse_node_block(reader: _LineReader, header_rest: str) -> PlanNode:
     node_id = header_rest
     informal = _parse_json_fields(reader.expect("informal"), 1, reader.what)[0]
     sketch = _parse_json_fields(reader.expect("sketch"), 1, reader.what)[0]
     deps = tuple(reader.expect("deps").split())
-    status = Status.OPEN
-    if with_status:
-        raw = reader.expect("status")
-        try:
-            status = Status(raw)
-        except ValueError as exc:
-            raise PlanError(f"{reader.what}: unknown status {raw!r}") from exc
+    raw = reader.expect("status")
+    try:
+        status = Status(raw)
+    except ValueError as exc:
+        raise PlanError(f"{reader.what}: unknown status {raw!r}") from exc
     anchor = None
     line = reader.take()
     if line.startswith("anchor "):
@@ -522,7 +486,7 @@ def plan_from_text(text: str) -> ProofPlan:
     nodes: list[PlanNode] = []
     while reader.peek() is not None:
         rest = reader.expect("node")
-        nodes.append(_parse_node_block(reader, rest, with_status=True))
+        nodes.append(_parse_node_block(reader, rest))
     plan = create_plan(nodes)
     return ProofPlan(nodes=plan.nodes, order=plan.order, revision=revision, retired=retired)
 
@@ -562,7 +526,7 @@ def diff_from_text(text: str) -> PlanDiff:
             break
         if line.startswith("add "):
             reader.take()
-            adds.append(_parse_node_block(reader, line[4:].strip(), with_status=True))
+            adds.append(_parse_node_block(reader, line[4:].strip()))
         elif line.startswith("remove "):
             removes.append(reader.take().split(None, 1)[1])
         elif line.startswith("rewrite "):

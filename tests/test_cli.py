@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from helpers import BURNSIDE_DIR, SIMPLE_INPUT, single_node_fixture
+from helpers import BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, mk_node, single_node_fixture
 from proofloop.agents import fixture_to_text
 from proofloop.cli import main, parse_duration, UsageError
 from proofloop.ledger import Outcome, open_ledger
+from proofloop.plan import create_plan, plan_to_text
 
 
 def burnside_args(tmp_path, *extra):
@@ -301,3 +302,181 @@ class TestStdoutDiscipline:
         assert code == 2
         assert captured.out == ""
         assert "does not exist" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# One row per fault: how each command reports it on its exit code.
+
+NO_LAKE = pytest.mark.skipif(__import__("shutil").which("lake") is not None,
+                             reason="a real toolchain is present")
+
+
+def write_records(path, *records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def solved_run(tmp_path):
+    assert main(simple_run_args(tmp_path)) == 0
+    return tmp_path / "out"
+
+
+def fault_bad_fixture(tmp_path):
+    args = simple_run_args(tmp_path)
+    (tmp_path / "simple.fx").write_text("not a fixture\n", encoding="utf-8")
+    return args
+
+
+def fault_bad_config_value(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"compile_budget": "many"}), encoding="utf-8")
+    return simple_run_args(tmp_path, "--config", str(config))
+
+
+def fault_locked_workspace(tmp_path):
+    args = simple_run_args(tmp_path)
+    (tmp_path / "out" / "workspace").mkdir(parents=True)
+    (tmp_path / "out" / "workspace" / ".proofloop.lock").write_text("1", encoding="utf-8")
+    return args
+
+
+def fault_input_without_sorry(tmp_path):
+    args = simple_run_args(tmp_path)
+    (tmp_path / "input.lean").write_text("theorem t : True := trivial\n", encoding="utf-8")
+    return args
+
+
+def fault_audit_corrupt_sidecar(tmp_path):
+    workspace = solved_run(tmp_path) / "workspace"
+    (workspace / ".proofloop-anchor.json").write_text("{", encoding="utf-8")
+    return ["audit", str(workspace), "--verifier", "sim"]
+
+
+def fault_audit_missing_anchor_file(tmp_path):
+    workspace = solved_run(tmp_path) / "workspace"
+    return ["audit", str(workspace), "--verifier", "sim", "--anchor", str(tmp_path / "none.lean")]
+
+
+def fault_audit_without_anchor(tmp_path):
+    (tmp_path / "bare").mkdir()
+    (tmp_path / "bare" / "A.lean").write_text("theorem a : True := trivial\n", encoding="utf-8")
+    return ["audit", str(tmp_path / "bare"), "--verifier", "sim"]
+
+
+def fault_replay_mismatch(tmp_path):
+    ledger_path = solved_run(tmp_path) / "ledger.jsonl"
+    records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+    frame = next(r for r in records if r["rec"] == "frame")
+    frame["nodes"] = {node: "failing" for node in frame["nodes"]}
+    write_records(ledger_path, *records)
+    return ["replay", str(ledger_path)]
+
+
+def replay_of_diff(diff):
+    def make_args(tmp_path):
+        plan = create_plan([mk_node("Main", anchor=anchor_decl("Main"))])
+        path = write_records(
+            tmp_path / "ledger.jsonl",
+            {"rec": "run", "version": 1, "run_id": "r"},
+            {"rec": "event", "kind": "PlanCreated", "data": {"plan": plan_to_text(plan)}},
+            {"rec": "event", "kind": "DiffApplied", "data": {"diff": diff}},
+        )
+        return ["replay", str(path)]
+    return make_args
+
+
+def fault_trace_not_a_run_ledger(tmp_path):
+    path = write_records(tmp_path / "ledger.jsonl", {"rec": "frame"})
+    return ["trace", str(path)]
+
+
+def fault_trace_frame_without_edges(tmp_path):
+    path = write_records(tmp_path / "ledger.jsonl", {"rec": "run", "version": 1},
+                         {"rec": "frame", "index": 0, "revision": 0, "nodes": {}})
+    return ["trace", str(path)]
+
+
+def fault_trace_cyclic_frame(tmp_path):
+    path = write_records(
+        tmp_path / "ledger.jsonl",
+        {"rec": "run", "version": 1, "run_id": "r"},
+        {"rec": "frame", "index": 0, "revision": 0,
+         "nodes": {"a": "not-yet", "b": "not-yet"}, "edges": [["a", "b"], ["b", "a"]]},
+    )
+    return ["trace", str(path)]
+
+
+def fault_stats_missing_ledger(tmp_path):
+    return ["stats", str(tmp_path / "none.jsonl")]
+
+
+def fault_audit_real_verifier(tmp_path):
+    return ["audit", str(solved_run(tmp_path) / "workspace"), "--verifier", "real"]
+
+
+@pytest.mark.parametrize("make_args, code", [
+    pytest.param(fault_bad_fixture, 2, id="run-bad-fixture"),
+    pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--wall-clock", "soon"), 2,
+                 id="run-bad-wall-clock"),
+    pytest.param(fault_bad_config_value, 2, id="run-bad-config-value"),
+    pytest.param(fault_locked_workspace, 2, id="run-locked-workspace"),
+    pytest.param(fault_input_without_sorry, 2, id="run-input-without-sorry"),
+    pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--verifier", "real"), 3,
+                 marks=NO_LAKE, id="run-real-verifier"),
+    pytest.param(fault_audit_corrupt_sidecar, 2, id="audit-corrupt-sidecar"),
+    pytest.param(fault_audit_missing_anchor_file, 2, id="audit-missing-anchor-file"),
+    pytest.param(fault_audit_without_anchor, 2, id="audit-without-anchor"),
+    pytest.param(fault_audit_real_verifier, 3, marks=NO_LAKE, id="audit-real-verifier"),
+    pytest.param(fault_replay_mismatch, 1, id="replay-mismatch"),
+    pytest.param(replay_of_diff("not a diff"), 2, id="replay-unparseable-diff"),
+    pytest.param(replay_of_diff(5), 2, id="replay-diff-of-the-wrong-type"),
+    pytest.param(fault_trace_not_a_run_ledger, 2, id="trace-not-a-run-ledger"),
+    pytest.param(fault_trace_frame_without_edges, 2, id="trace-frame-without-edges"),
+    pytest.param(fault_trace_cyclic_frame, 2, id="trace-cyclic-frame"),
+    pytest.param(fault_stats_missing_ledger, 2, id="stats-missing-ledger"),
+])
+def test_exit_code_of_each_fault(tmp_path, capsys, make_args, code):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    if code == 2:
+        assert capsys.readouterr().out == ""
+
+
+class TestLedgerSoundness:
+    def test_replay_rejects_a_corrupt_line_before_the_last(self, tmp_path, capsys):
+        assert main(burnside_args(tmp_path)) == 0
+        capsys.readouterr()
+        ledger_path = tmp_path / "out" / "ledger.jsonl"
+        lines = ledger_path.read_text(encoding="utf-8").splitlines()
+        lines[10] = lines[10][:len(lines[10]) // 2]
+        ledger_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", str(ledger_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 11" in captured.err
+
+    def test_trace_and_stats_reject_a_record_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "run.jsonl"
+        open_ledger("r", path).record_outcome(Outcome("solved", None, 3600.0, 2, 1))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0], "[1, 2]", *lines[1:]]) + "\n", encoding="utf-8")
+        assert main(["trace", str(path)]) == 2
+        assert main(["stats", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestMissingCredentials:
+    def test_live_run_without_a_token_is_an_environment_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.delenv("PROOFLOOP_API_TOKEN", raising=False)
+        input_file = tmp_path / "input.lean"
+        input_file.write_text(SIMPLE_INPUT, encoding="utf-8")
+        code = main(["run", str(input_file), "--backend", "live",
+                     "--endpoint", "http://localhost:9", "--model", "m",
+                     "--verifier", "sim", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "PROOFLOOP_API_TOKEN" in captured.err
+        assert not (tmp_path / "out" / "ledger.jsonl").exists()

@@ -9,11 +9,11 @@ from helpers import anchor_decl, chain_plan, mk_node, oracle_levels
 from proofloop.agents import TokenUsage
 from proofloop.ledger import (
     CostModel,
-    CycleError,
     EmptyInput,
     EventKind,
     Frame,
     LedgerClosed,
+    LedgerError,
     Outcome,
     ReplayMismatch,
     RunLedger,
@@ -29,7 +29,7 @@ from proofloop.ledger import (
     render_stats_row,
     verify_replay,
 )
-from proofloop.plan import Status, create_plan, set_status
+from proofloop.plan import CycleError, Status, create_plan, set_status
 
 
 def frame_of(nodes: dict[str, str], edges: list[tuple[str, str]], index: int = 0) -> Frame:
@@ -87,6 +87,27 @@ class TestLedgerFile:
         records = read_ledger_records(path)
         assert records[-1]["rec"] == "outcome"
 
+    def test_corrupt_line_before_the_last_is_an_error(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        ledger = open_ledger("r1", path)
+        ledger.record_event(EventKind.PLAN_CREATED, None, "start")
+        ledger.record_outcome(Outcome("solved", None, 2.0, 1, 0))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1][:len(lines[1]) // 2]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LedgerError, match="line 2"):
+            read_ledger_records(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "7", "null"])
+    def test_a_line_that_is_not_an_object_is_an_error(self, tmp_path, line):
+        path = tmp_path / "run.jsonl"
+        ledger = open_ledger("r1", path)
+        ledger.record_outcome(Outcome("solved", None, 2.0, 1, 0))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(LedgerError, match="not a JSON object"):
+            read_ledger_records(path)
+
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
         ledger = open_ledger("r7", path)
@@ -118,9 +139,12 @@ class TestDepthLayout:
         assert levels == oracle_levels(list("abcd"), list(frame.edges))
 
     def test_cycle_detected(self):
-        frame = frame_of({"a": "not-yet", "b": "not-yet"}, [("a", "b"), ("b", "a")])
-        with pytest.raises(CycleError):
+        frame = frame_of({"a": "not-yet", "b": "not-yet", "c": "not-yet"},
+                         [("a", "b"), ("b", "a"), ("a", "c")])
+        with pytest.raises(CycleError) as exc:
             depth_layout(frame)
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b"}
 
     def test_matches_relaxation_oracle_on_random_dags(self):
         rng = random.Random(4242)

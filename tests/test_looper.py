@@ -1,4 +1,5 @@
 import builtins
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import proofloop.leanenv as leanenv
 from helpers import (
+    REPO_ROOT,
     FixtureBuilder,
     SIMPLE_INPUT,
     anchor_decl,
@@ -23,6 +25,7 @@ from proofloop.agents import (
     CheckVerdict,
     MalformedResponse,
     ScriptedBackend,
+    TaskKind,
 )
 from proofloop.leanenv import BuildReport, SimVerifier
 from proofloop.ledger import EventKind, read_ledger_records, verify_replay
@@ -231,6 +234,78 @@ class TestBackendFailures:
                               workspace_dir=tmp_path / "ws")
         assert outcome.verdict is Verdict.SOLVED
         assert backend.failed
+
+
+class MalformedOn:
+    """Raises MalformedResponse on the given calls of one task kind; delegates the rest."""
+
+    def __init__(self, inner, kind: TaskKind, malformed_calls: set[int]):
+        self.inner = inner
+        self.kind = kind
+        self.malformed_calls = malformed_calls
+        self.calls = 0
+
+    def invoke(self, task):
+        if task.kind is self.kind:
+            self.calls += 1
+            if self.calls in self.malformed_calls:
+                raise MalformedResponse(f"garbled payload on call {self.calls}")
+        return self.inner.invoke(task)
+
+
+class TestSharedRetryBudget:
+    """Malformed payloads and rejected plans or diffs draw on one budget of tries."""
+
+    PHASES = [TaskKind.PLAN_INITIAL, TaskKind.PLAN_REVISE]
+
+    def payloads(self, kind: TaskKind) -> tuple[PlanDiff, PlanDiff]:
+        """A (rejected, accepted) pair of planning payloads for the phase."""
+        if kind is TaskKind.PLAN_INITIAL:
+            return (PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Other")),)),
+                    PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),)))
+        cause = DiffCause.DECOMPOSITION_SPLIT
+        return (PlanDiff(removes=("Main",), cause=cause),
+                PlanDiff(rewrites=(NodeRewrite("Main", "statement Main", "again", ()),),
+                         cause=cause))
+
+    def run_phase(self, tmp_path, kind: TaskKind, diffs, malformed_calls):
+        builder = FixtureBuilder()
+        if kind is TaskKind.PLAN_INITIAL:
+            for diff in diffs:
+                builder.initial(diff)
+        else:
+            builder.initial(PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),)))
+            builder.lean("Main", sorried_src("Main"))
+            builder.check("Main", CheckKind.MATH, True)
+            builder.check("Main", CheckKind.DECOMPOSITION, False)
+            for diff in diffs:
+                builder.revise("Main", diff)
+        builder.lean("Main", main_clean_src())
+        builder.check("Main", CheckKind.FAITHFULNESS, True)
+        input_file = tmp_path / "input.lean"
+        input_file.write_text(SIMPLE_INPUT, encoding="utf-8")
+        backend = MalformedOn(ScriptedBackend(builder.fixture), kind, malformed_calls)
+        outcome, ledger = run(input_file, backend, SimVerifier({}), cfg(check_retry_limit=2),
+                              workspace_dir=tmp_path / "ws")
+        return outcome, ledger, backend.calls
+
+    @pytest.mark.parametrize("kind", PHASES)
+    def test_malformed_then_rejected_then_valid_succeeds_on_the_third_call(self, tmp_path,
+                                                                          kind):
+        rejected, accepted = self.payloads(kind)
+        outcome, _, calls = self.run_phase(tmp_path, kind, [rejected, accepted], {1})
+        assert outcome.verdict is Verdict.SOLVED
+        assert calls == 3
+
+    @pytest.mark.parametrize("kind", PHASES)
+    def test_three_mixed_failures_stop_after_three_calls(self, tmp_path, kind):
+        rejected, _ = self.payloads(kind)
+        outcome, ledger, calls = self.run_phase(tmp_path, kind, [rejected] * 3, {2})
+        assert outcome.reason is StopReason.BACKEND_FAILURE
+        assert calls == 3
+        # The two payloads that parsed were charged; the malformed one was not.
+        assert sum(r.kind == kind.value for r in ledger.usage_records) == 2
+        assert not any(e.kind is EventKind.DIFF_APPLIED for e in ledger.events)
 
 
 class TestExhaustionPath:
@@ -459,3 +534,52 @@ class TestLinearBuildGuard:
         assert ledger.outcome.statement_count == statements
         assert scans <= 3 * statements
         assert reread == []
+
+
+def load_bench_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTracerTargets:
+    """The benchmark wraps names where the loop resolves them; a refactor must keep them."""
+
+    def test_tracer_installs_and_uninstalls_on_every_target(self):
+        tracing = load_bench_tracing()
+        originals = [(owner, attr, owner.__dict__[attr])
+                     for owner, attr, _, _ in tracing._targets()]
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert all(owner.__dict__[attr] is not original
+                       for owner, attr, original in originals)
+        finally:
+            tracer.uninstall()
+        assert all(owner.__dict__[attr] is original for owner, attr, original in originals)
+
+    def test_a_traced_run_records_the_loop_layers(self, tmp_path):
+        builder = FixtureBuilder()
+        builder.initial(PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),)))
+        builder.lean("Main", main_clean_src())
+        builder.check("Main", CheckKind.FAITHFULNESS, False, "weakened")
+        builder.revise("Main", PlanDiff(
+            rewrites=(NodeRewrite("Main", "statement Main", "keep the statement", ()),),
+            cause=DiffCause.FAITHFULNESS_FAIL))
+        builder.lean("Main", main_clean_src())
+        builder.check("Main", CheckKind.FAITHFULNESS, True)
+        tracing = load_bench_tracing()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            outcome, _, _ = run_fixture(tmp_path, builder.fixture)
+        finally:
+            tracer.uninstall()
+        assert outcome.verdict is Verdict.SOLVED
+        names = {span[0] for span in tracer.spans}
+        assert {"agents.invoke", "agents.context", "plan.select", "plan.set_status",
+                "plan.apply_diff", "plan.serialize", "leanenv.build", "leanenv.scan",
+                "leanenv.write", "leanenv.audit", "ledger.event", "ledger.frame",
+                "ledger.usage"} - names == set()

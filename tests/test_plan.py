@@ -75,6 +75,22 @@ class TestCreatePlan:
             ])
         assert set(exc.value.cycle) >= {"a", "b"}
 
+    def test_reported_cycle_is_a_closed_dependency_path(self):
+        nodes = [
+            mk_node("d", ("a",)),  # downstream of the cycle, unsorted but not on it
+            mk_node("a", ("c",), anchor=anchor_decl("a")),
+            mk_node("b", ("a",)),
+            mk_node("c", ("b",)),
+            mk_node("e"),
+        ]
+        with pytest.raises(CycleError) as exc:
+            create_plan(nodes)
+        cycle = exc.value.cycle
+        deps = {node.node_id: node.deps for node in nodes}
+        assert cycle[0] == cycle[-1]
+        assert set(cycle) == {"a", "b", "c"}
+        assert all(dep in deps[node] for node, dep in zip(cycle, cycle[1:]))
+
     def test_no_anchor_rejected(self):
         with pytest.raises(AnchorError):
             create_plan([mk_node("a")])
