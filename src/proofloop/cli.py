@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .agents import (
@@ -172,10 +172,13 @@ def _rates(opts: _Options) -> CostModel:
     if not rates_path:
         return ZERO_RATES
     data = json.loads(Path(rates_path).read_text(encoding="utf-8"))
-    return CostModel(Decimal(str(data.get("prompt", 0))),
-                     Decimal(str(data.get("completion", 0))),
-                     Decimal(str(data.get("cache_read", 0))),
-                     Decimal(str(data.get("cache_write", 0))))
+    if not isinstance(data, dict):
+        raise UsageError(f"rates file {rates_path} is not a JSON object")
+    try:
+        return CostModel(*(Decimal(str(data.get(name, 0)))
+                           for name in ("prompt", "completion", "cache_read", "cache_write")))
+    except InvalidOperation as exc:
+        raise UsageError(f"rates file {rates_path} has a non-numeric rate") from exc
 
 
 class _WorkspaceLock:

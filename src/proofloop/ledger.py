@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Any
 
-from .agents import TokenUsage
+from .agents import AgentError, TokenUsage
 from .plan import (
     CycleError, ProofPlan, Status, apply_diff, diff_from_text, plan_from_text, set_status,
 )
@@ -124,6 +124,10 @@ class RunLedger:
     outcome: Outcome | None = None
     _sink: IO[str] | None = None
     _closed: bool = False
+    # The last structure's edge list and its JSON text: a plan hands the same
+    # edges object to every frame of one revision, so it is serialised once.
+    _edges_json: tuple[tuple[tuple[str, str], ...], str] = field(
+        default=((), "[]"), repr=False, compare=False)
 
     @property
     def usage_total(self) -> TokenUsage:
@@ -161,10 +165,16 @@ class RunLedger:
             plan_revision=plan.revision,
         )
         self.frames.append(frame)
-        self._emit({
-            "rec": "frame", "index": frame.index, "revision": frame.plan_revision,
-            "nodes": frame.node_states, "edges": [list(e) for e in frame.edges],
-        })
+        if self._sink is None:
+            return
+        if frame.edges is not self._edges_json[0]:
+            self._edges_json = (frame.edges, json.dumps([list(e) for e in frame.edges],
+                                                        ensure_ascii=False))
+        # "edges" is the record's last key, so its text goes before the closing brace.
+        head = json.dumps({"rec": "frame", "index": frame.index, "revision": frame.plan_revision,
+                           "nodes": frame.node_states}, ensure_ascii=False)
+        self._sink.write(f'{head[:-1]}, "edges": {self._edges_json[1]}}}\n')
+        self._sink.flush()
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
                      usage: TokenUsage, elapsed: float) -> None:
@@ -235,37 +245,47 @@ def read_ledger_records(path: Path) -> list[dict[str, Any]]:
 
 
 def load_ledger(path: Path) -> RunLedger:
+    """Load a ledger; a record of the wrong shape is a :class:`LedgerError`.
+
+    Consecutive frames with equal edge lists share one edges tuple.
+    """
     records = read_ledger_records(path)
     if not records or records[0].get("rec") != "run":
         raise LedgerError(f"{path} is not a run ledger")
     ledger = RunLedger(run_id=records[0].get("run_id", ""))
     ledger._closed = True
-    for record in records[1:]:
-        kind = record.get("rec")
-        if kind == "event":
-            ledger.events.append(LoopEvent(
-                record.get("ts", ""), EventKind(record["kind"]),
-                record.get("node"), record.get("detail", ""), record.get("data"),
-            ))
-        elif kind == "frame":
-            ledger.frames.append(Frame(
-                record["index"], dict(record["nodes"]),
-                tuple((dep, node) for dep, node in record["edges"]),
-                record["revision"],
-            ))
-        elif kind == "usage":
-            ledger.usage_records.append(UsageRecord(
-                record.get("ts", ""), record.get("kind", ""), record.get("check"),
-                record.get("node"),
-                TokenUsage(record.get("prompt", 0), record.get("completion", 0),
-                           record.get("cache_read", 0), record.get("cache_write", 0)),
-                record.get("elapsed", 0.0),
-            ))
-        elif kind == "outcome":
-            ledger.outcome = Outcome(
-                record["verdict"], record.get("reason"), record.get("wall_clock", 0.0),
-                record.get("statement_count", 0), record.get("revision", 0),
-            )
+    raw_edges: Any = None
+    edges: tuple[tuple[str, str], ...] = ()
+    try:
+        for record in records[1:]:
+            kind = record.get("rec")
+            if kind == "event":
+                ledger.events.append(LoopEvent(
+                    record.get("ts", ""), EventKind(record["kind"]),
+                    record.get("node"), record.get("detail", ""), record.get("data"),
+                ))
+            elif kind == "frame":
+                if raw_edges is None or record["edges"] != raw_edges:
+                    edges = tuple((dep, node) for dep, node in record["edges"])
+                    raw_edges = record["edges"]
+                ledger.frames.append(Frame(
+                    record["index"], dict(record["nodes"]), edges, record["revision"],
+                ))
+            elif kind == "usage":
+                ledger.usage_records.append(UsageRecord(
+                    record.get("ts", ""), record.get("kind", ""), record.get("check"),
+                    record.get("node"),
+                    TokenUsage(record.get("prompt", 0), record.get("completion", 0),
+                               record.get("cache_read", 0), record.get("cache_write", 0)),
+                    record.get("elapsed", 0.0),
+                ))
+            elif kind == "outcome":
+                ledger.outcome = Outcome(
+                    record["verdict"], record.get("reason"), record.get("wall_clock", 0.0),
+                    record.get("statement_count", 0), record.get("revision", 0),
+                )
+    except (AgentError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LedgerError(f"malformed ledger record: {exc!r}") from exc
     return ledger
 
 
@@ -316,7 +336,9 @@ def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
                 expected = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
                 if record["nodes"] != expected:
                     raise ReplayMismatch(f"frame {record['index']}: node states diverge")
-                if [list(e) for e in plan.edges()] != record["edges"]:
+                # Built for each frame and dropped at once: a copy kept for the
+                # frames of one structure costs more in garbage collection.
+                if record["edges"] != list(map(list, plan.edges())):
                     raise ReplayMismatch(f"frame {record['index']}: edges diverge")
                 if record["revision"] != plan.revision:
                     raise ReplayMismatch(f"frame {record['index']}: revision diverges")
@@ -371,8 +393,8 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("prompt", "completion", "cache_read", "cache_write"):
             value = Decimal(str(getattr(self, name)))
-            if value < 0:
-                raise LedgerError(f"negative rate for {name}")
+            if not value.is_finite() or value < 0:
+                raise LedgerError(f"rate for {name} must be finite and non-negative")
             object.__setattr__(self, name, value)
 
 
@@ -414,6 +436,8 @@ def aggregate_stats(ledgers: list[RunLedger]) -> RunStats:
     for ledger in ledgers:
         if ledger.outcome is None or ledger.outcome.verdict != "solved":
             raise UnsolvedIncluded(f"run {ledger.run_id} is not solved")
+        if ledger.outcome.statement_count < 1:
+            raise LedgerError(f"solved run {ledger.run_id} has no statements")
     hours = [ledger.outcome.wall_clock / 3600.0 for ledger in ledgers]
     stmts = [float(ledger.outcome.statement_count) for ledger in ledgers]
     ratios = [
@@ -448,9 +472,24 @@ def render_stats_row(stats: RunStats) -> str:
 TRACE_FORMATS = ("text", "dot")
 
 
-def _ordered_nodes(frame: Frame) -> list[tuple[int, str]]:
-    levels = depth_layout(frame)
-    return sorted((levels[node], node) for node in frame.node_states)
+_EDGE_LINES = {"text": "  edge {} {}", "dot": '  "{}" -> "{}";'}
+
+
+def _layouts(frames: list[Frame], fmt: str):
+    """Yield each frame with its nodes in (level, id) order and its rendered edge lines.
+
+    The layout depends only on the edges and the node set, so it is computed
+    again only when a frame's differ from the previous frame's.
+    """
+    edges: Any = None
+    node_ids: Any = None
+    for frame in frames:
+        if frame.edges != edges or frame.node_states.keys() != node_ids:
+            levels = depth_layout(frame)
+            edges, node_ids = frame.edges, frame.node_states.keys()
+            ordered = sorted((levels[node], node) for node in node_ids)
+            edge_lines = [_EDGE_LINES[fmt].format(dep, node) for dep, node in sorted(edges)]
+        yield frame, ordered, edge_lines
 
 
 def export_trace(ledger: RunLedger, fmt: str) -> str:
@@ -461,28 +500,26 @@ def export_trace(ledger: RunLedger, fmt: str) -> str:
         raise LedgerError("ledger has no frames to export")
     if fmt == "text":
         lines = ["prooftrace v1"]
-        for frame in ledger.frames:
+        for frame, ordered, edge_lines in _layouts(ledger.frames, fmt):
             lines.append(f"frame {frame.index} revision {frame.plan_revision}")
-            for level, node in _ordered_nodes(frame):
+            for level, node in ordered:
                 lines.append(f"  {level} {node} {frame.node_states[node]}")
-            for dep, node in sorted(frame.edges):
-                lines.append(f"  edge {dep} {node}")
+            lines.extend(edge_lines)
             lines.append("end")
         return "\n".join(lines) + "\n"
 
     chunks: list[str] = []
-    for frame in ledger.frames:
+    for frame, ordered, edge_lines in _layouts(ledger.frames, fmt):
         lines = [f"digraph frame{frame.index} {{"]
         lines.append('  rankdir=BT;')
         lines.append('  node [shape=box, style=filled];')
-        for level, node in _ordered_nodes(frame):
+        for level, node in ordered:
             status = frame.node_states[node]
             color = FRAME_COLORS[status]
             lines.append(
                 f'  "{node}" [class="{status}", fillcolor="{color}", label="{node}\\nL{level}"];'
             )
-        for dep, node in sorted(frame.edges):
-            lines.append(f'  "{dep}" -> "{node}";')
+        lines.extend(edge_lines)
         lines.append("}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"

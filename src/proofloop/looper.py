@@ -397,12 +397,14 @@ class _Run:
 
         diff, new_plan, invalidated = self._attempt(
             AgentTask(TaskKind.PLAN_REVISE, ctx, cause=cause), f"replanning at {node_id}", accept)
-        removed = set(self.plan.nodes) - set(new_plan.nodes)
+        stale = invalidated.union(diff.removes)
         self.plan = new_plan
         self.replans += 1
-        for stale in sorted(invalidated | removed):
-            self.ws.remove_node_source(stale)
-            self.node_diag.pop(stale, None)
+        # Only ids that have a file or a diagnostic need clearing.
+        for stale_id in sorted(stale & self.ws.node_files.keys()):
+            self.ws.remove_node_source(stale_id)
+        for stale_id in stale & self.node_diag.keys():
+            del self.node_diag[stale_id]
         self.ledger.record_event(
             EventKind.DIFF_APPLIED, node_id,
             f"cause={cause.value}: +{len(diff.adds)} -{len(diff.removes)} "

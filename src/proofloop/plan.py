@@ -141,8 +141,8 @@ class PlanDiff:
 class ProofPlan:
     """Immutable plan snapshot.  ``order`` is a topological sort of the ids.
 
-    The edge list depends only on the structure, so it is derived once when
-    the plan is built and handed on by status-only updates.
+    The edge list and the anchor id depend only on the structure, so they are
+    derived once when the plan is built and handed on by status-only updates.
     """
 
     nodes: dict[str, PlanNode]
@@ -150,19 +150,23 @@ class ProofPlan:
     revision: int = 0
     retired: frozenset[str] = field(default_factory=frozenset)
     _edges: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
+    _anchor_id: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self._edges is None:
             edges = tuple((dep, node_id) for node_id in self.order
                           for dep in self.nodes[node_id].deps)
             object.__setattr__(self, "_edges", edges)
+        if self._anchor_id is None:
+            anchor_id = next((node_id for node_id in self.order
+                              if self.nodes[node_id].anchor is not None), None)
+            object.__setattr__(self, "_anchor_id", anchor_id)
 
     @property
     def anchor_id(self) -> str:
-        for node_id in self.order:
-            if self.nodes[node_id].anchor is not None:
-                return node_id
-        raise AnchorError("plan has no anchor node")
+        if self._anchor_id is None:
+            raise AnchorError("plan has no anchor node")
+        return self._anchor_id
 
     @property
     def anchor(self) -> AnchorDecl:
@@ -214,7 +218,8 @@ def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str
     return tuple(order)
 
 
-def _validate_graph(nodes: dict[str, PlanNode]) -> None:
+def _validate_graph(nodes: dict[str, PlanNode]) -> str:
+    """Check for one anchor and no dangling deps; return the anchor id."""
     anchors = [node_id for node_id, node in nodes.items() if node.anchor is not None]
     if len(anchors) != 1:
         raise AnchorError(f"plan must have exactly one anchor, found {len(anchors)}")
@@ -222,6 +227,7 @@ def _validate_graph(nodes: dict[str, PlanNode]) -> None:
         for dep in node.deps:
             if dep not in nodes:
                 raise DanglingDepError(f"node {node.node_id} depends on unknown {dep}")
+    return anchors[0]
 
 
 def create_plan(nodes: list[PlanNode] | tuple[PlanNode, ...]) -> ProofPlan:
@@ -231,10 +237,10 @@ def create_plan(nodes: list[PlanNode] | tuple[PlanNode, ...]) -> ProofPlan:
         if node.node_id in node_map:
             raise PlanError(f"duplicate statement id {node.node_id}")
         node_map[node.node_id] = node
-    _validate_graph(node_map)
+    anchor_id = _validate_graph(node_map)
     sort_key = {node.node_id: i for i, node in enumerate(nodes)}
     order = _toposort(node_map, sort_key)
-    return ProofPlan(nodes=node_map, order=order, revision=0)
+    return ProofPlan(nodes=node_map, order=order, revision=0, _anchor_id=anchor_id)
 
 
 def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[str]]:
@@ -302,7 +308,7 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
         new_nodes[node.node_id] = node
 
     try:
-        _validate_graph(new_nodes)
+        new_anchor_id = _validate_graph(new_nodes)
     except PlanError as exc:
         raise RejectedDiff(str(exc)) from exc
 
@@ -340,6 +346,7 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
         order=order,
         revision=plan.revision + 1,
         retired=plan.retired | removes,
+        _anchor_id=new_anchor_id,
     )
     if new_plan.anchor.signature_text != plan.anchor.signature_text:
         raise RejectedDiff("anchor signature changed")
@@ -353,7 +360,7 @@ def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:
     nodes = dict(plan.nodes)
     nodes[node_id] = nodes[node_id].with_status(status)
     return ProofPlan(nodes=nodes, order=plan.order, revision=plan.revision,
-                     retired=plan.retired, _edges=plan._edges)
+                     retired=plan.retired, _edges=plan._edges, _anchor_id=plan._anchor_id)
 
 
 def next_open_statement(plan: ProofPlan) -> str | None:
@@ -488,7 +495,8 @@ def plan_from_text(text: str) -> ProofPlan:
         rest = reader.expect("node")
         nodes.append(_parse_node_block(reader, rest))
     plan = create_plan(nodes)
-    return ProofPlan(nodes=plan.nodes, order=plan.order, revision=revision, retired=retired)
+    return ProofPlan(nodes=plan.nodes, order=plan.order, revision=revision, retired=retired,
+                     _edges=plan._edges, _anchor_id=plan._anchor_id)
 
 
 def diff_to_text(diff: PlanDiff) -> str:

@@ -151,6 +151,45 @@ def splitter_fixture(cycles: int) -> Fixture:
     return builder.fixture
 
 
+def replan_fixture(statements: int, splits: int) -> Fixture:
+    """A chain-like DAG whose only source, S0, is split ``splits`` times.
+
+    Statement i > 0 depends on S(i-1), and every third one also on S(i-2).
+    Each round S0 builds with a sorry, passes the math check and fails the
+    decomposition check; the diff adds helper Xk, points S0 at every helper so
+    far, and the helper then closes.  Every third diff also restates the
+    previous helper, which reopens and closes again.  The last round hits the
+    replan limit when the run is configured with ``replan_limit=splits``.
+    """
+    ids = [f"S{i}" for i in range(statements)]
+    nodes = [mk_node(ids[0])]
+    for i in range(1, statements):
+        deps = (ids[i - 1],) + ((ids[i - 2],) if i % 3 == 0 and i > 1 else ())
+        anchor = anchor_decl("Main") if i == statements - 1 else None
+        nodes.append(mk_node(ids[i], deps, anchor=anchor))
+    builder = FixtureBuilder()
+    builder.initial(PlanDiff(adds=tuple(nodes), cause=DiffCause.INITIAL_PLAN))
+    helpers: list[str] = []
+    for k in range(1, splits + 2):
+        builder.lean(ids[0], sorried_src(ids[0]))
+        builder.check(ids[0], CheckKind.MATH, True)
+        builder.check(ids[0], CheckKind.DECOMPOSITION, False, "split")
+        if k > splits:
+            break
+        rewrites = []
+        if k % 3 == 0:
+            rewrites.append(NodeRewrite(helpers[-1], f"restated {helpers[-1]}", "", ()))
+            builder.lean(helpers[-1], clean_src(helpers[-1]))
+            builder.check(helpers[-1], CheckKind.FAITHFULNESS, True)
+        helpers.append(f"X{k}")
+        rewrites.append(NodeRewrite(ids[0], f"statement {ids[0]}", "", tuple(helpers)))
+        builder.revise(ids[0], PlanDiff(adds=(mk_node(helpers[-1]),), rewrites=tuple(rewrites),
+                                        cause=DiffCause.DECOMPOSITION_SPLIT))
+        builder.lean(helpers[-1], clean_src(helpers[-1]))
+        builder.check(helpers[-1], CheckKind.FAITHFULNESS, True)
+    return builder.fixture
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles.
 
@@ -189,6 +228,40 @@ def oracle_levels(node_ids: list[str], edges: list[tuple[str, str]]) -> dict[str
         if not moved:
             return levels
     raise AssertionError("relaxation did not converge; graph is cyclic")
+
+
+_ORACLE_COLORS = {"formalized": "#3B5B92", "not-yet": "#B4B7BD", "failing": "#B65F45"}
+
+
+def oracle_trace(frames, fmt: str) -> str:
+    """Render each frame on its own from docs/formats.md, with relaxation levels.
+
+    Levels count only edges between nodes of the frame; every edge is listed.
+    """
+    blocks = []
+    for frame in frames:
+        inside = [(dep, node) for dep, node in frame.edges
+                  if dep in frame.node_states and node in frame.node_states]
+        levels = oracle_levels(list(frame.node_states), inside)
+        nodes = sorted(frame.node_states, key=lambda node: (levels[node], node))
+        edges = sorted(frame.edges)
+        if fmt == "text":
+            block = [f"frame {frame.index} revision {frame.plan_revision}"]
+            block += [f"  {levels[n]} {n} {frame.node_states[n]}" for n in nodes]
+            block += [f"  edge {dep} {node}" for dep, node in edges]
+            blocks.append("\n".join(block + ["end"]))
+        else:
+            block = [f"digraph frame{frame.index} {{", "  rankdir=BT;",
+                     "  node [shape=box, style=filled];"]
+            for n in nodes:
+                status = frame.node_states[n]
+                block.append(f'  "{n}" [class="{status}", fillcolor="{_ORACLE_COLORS[status]}",'
+                             f' label="{n}\\nL{levels[n]}"];')
+            block += [f'  "{dep}" -> "{node}";' for dep, node in edges]
+            blocks.append("\n".join(block + ["}"]))
+    if fmt == "text":
+        return "\n".join(["prooftrace v1"] + blocks) + "\n"
+    return "\n\n".join(blocks) + "\n"
 
 
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")

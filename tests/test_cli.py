@@ -406,6 +406,51 @@ def fault_trace_cyclic_frame(tmp_path):
     return ["trace", str(path)]
 
 
+def fault_trace_cyclic_frame_after_a_valid_one(tmp_path):
+    nodes = {"a": "not-yet", "b": "not-yet"}
+    path = write_records(
+        tmp_path / "ledger.jsonl",
+        {"rec": "run", "version": 1, "run_id": "r"},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": nodes, "edges": [["a", "b"]]},
+        {"rec": "frame", "index": 1, "revision": 0, "nodes": nodes,
+         "edges": [["a", "b"], ["b", "a"]]},
+    )
+    return ["trace", str(path)]
+
+
+def ledger_with_usage_prompt(command, prompt):
+    def make_args(tmp_path):
+        path = write_records(
+            tmp_path / "ledger.jsonl",
+            {"rec": "run", "version": 1, "run_id": "r"},
+            {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": "formalized"},
+             "edges": []},
+            {"rec": "usage", "kind": "lean", "prompt": prompt},
+            {"rec": "outcome", "verdict": "solved", "wall_clock": 60.0,
+             "statement_count": 1, "revision": 0},
+        )
+        return [command, str(path)]
+    return make_args
+
+
+def fault_stats_solved_without_statements(tmp_path):
+    path = write_records(
+        tmp_path / "ledger.jsonl",
+        {"rec": "run", "version": 1, "run_id": "r"},
+        {"rec": "outcome", "verdict": "solved", "wall_clock": 60.0,
+         "statement_count": 0, "revision": 0},
+    )
+    return ["stats", str(path)]
+
+
+def run_with_rates(rates):
+    def make_args(tmp_path):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps(rates), encoding="utf-8")
+        return simple_run_args(tmp_path, "--rates", str(path))
+    return make_args
+
+
 def fault_stats_missing_ledger(tmp_path):
     return ["stats", str(tmp_path / "none.jsonl")]
 
@@ -433,7 +478,18 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_trace_not_a_run_ledger, 2, id="trace-not-a-run-ledger"),
     pytest.param(fault_trace_frame_without_edges, 2, id="trace-frame-without-edges"),
     pytest.param(fault_trace_cyclic_frame, 2, id="trace-cyclic-frame"),
+    pytest.param(fault_trace_cyclic_frame_after_a_valid_one, 2,
+                 id="trace-cyclic-frame-after-a-valid-one"),
+    pytest.param(ledger_with_usage_prompt("trace", "x"), 2, id="trace-non-numeric-usage"),
+    pytest.param(ledger_with_usage_prompt("stats", "x"), 2, id="stats-non-numeric-usage"),
+    pytest.param(ledger_with_usage_prompt("stats", -1), 2, id="stats-negative-usage"),
+    pytest.param(fault_stats_solved_without_statements, 2,
+                 id="stats-solved-without-statements"),
     pytest.param(fault_stats_missing_ledger, 2, id="stats-missing-ledger"),
+    pytest.param(run_with_rates({"prompt": "abc"}), 2, id="run-non-numeric-rate"),
+    pytest.param(run_with_rates({"prompt": "NaN"}), 2, id="run-nan-rate"),
+    pytest.param(run_with_rates({"cache_write": "Infinity"}), 2, id="run-infinite-rate"),
+    pytest.param(run_with_rates([15, 75]), 2, id="run-rates-not-an-object"),
 ])
 def test_exit_code_of_each_fault(tmp_path, capsys, make_args, code):
     args = make_args(tmp_path)

@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import statistics
 from decimal import Decimal
@@ -5,12 +7,13 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import anchor_decl, chain_plan, mk_node, oracle_levels
+from helpers import anchor_decl, chain_plan, mk_node, oracle_levels, oracle_trace
 from proofloop.agents import TokenUsage
 from proofloop.ledger import (
     CostModel,
     EmptyInput,
     EventKind,
+    FRAME_STATUS,
     Frame,
     LedgerClosed,
     LedgerError,
@@ -29,7 +32,19 @@ from proofloop.ledger import (
     render_stats_row,
     verify_replay,
 )
-from proofloop.plan import CycleError, Status, create_plan, set_status
+from proofloop.plan import (
+    CycleError,
+    DiffCause,
+    NodeRewrite,
+    PlanDiff,
+    PlanError,
+    Status,
+    apply_diff,
+    create_plan,
+    diff_to_text,
+    plan_to_text,
+    set_status,
+)
 
 
 def frame_of(nodes: dict[str, str], edges: list[tuple[str, str]], index: int = 0) -> Frame:
@@ -215,6 +230,10 @@ class TestStats:
         assert stats.mean_min_per_stmt == pytest.approx(
             statistics.mean([60 / 6, 120 / 4]))
 
+    def test_solved_run_without_statements_is_a_ledger_error(self):
+        with pytest.raises(LedgerError, match="no statements"):
+            aggregate_stats([solved_ledger(1, 2), solved_ledger(1, 0)])
+
     def test_errors(self):
         with pytest.raises(EmptyInput):
             aggregate_stats([])
@@ -299,3 +318,209 @@ class TestReplayVerification:
         records[2]["nodes"]["A"] = "formalized"  # corrupt the frame
         with pytest.raises(ReplayMismatch):
             verify_replay(records)
+
+
+# ---------------------------------------------------------------------------
+# Work shared between frames of one structure must not change what is written,
+# checked or rendered for any single frame.
+
+ID_CHARS = "aβ∀é_'\"\\\x01😀9"
+STATUSES = [Status.OPEN, Status.FAILING, Status.CLOSED]
+
+
+def expected_frame_line(plan, index: int) -> str:
+    """The frame record built from scratch, as one JSON line."""
+    return json.dumps({
+        "rec": "frame", "index": index, "revision": plan.revision,
+        "nodes": {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
+        "edges": [[dep, nid] for nid in plan.order for dep in plan.nodes[nid].deps],
+    }, ensure_ascii=False)
+
+
+def draw_plan(data, ids):
+    nodes = []
+    for i, node_id in enumerate(ids):
+        deps = tuple(dep for dep in ids[:i] if data.draw(st.booleans()))
+        anchor = anchor_decl("T") if i == len(ids) - 1 else None
+        nodes.append(mk_node(node_id, deps, anchor=anchor))
+    return create_plan(nodes)
+
+
+class TestFrameWriter:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_frame_line_equals_json_dumps_of_its_record(self, data):
+        ids = data.draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3),
+                                 min_size=1, max_size=6, unique=True))
+        plan = draw_plan(data, ids)
+        sink = io.StringIO()
+        ledger = RunLedger("r", _sink=sink)
+        expected = []
+
+        def snapshot():
+            ledger.snapshot_frame(plan)
+            expected.append(expected_frame_line(plan, len(expected)))
+
+        snapshot()
+        steps = data.draw(st.lists(st.sampled_from(["status", "status", "add", "rewrite",
+                                                    "rebuild"]), max_size=8))
+        for step in steps:
+            order = list(plan.order)
+            if step == "status":
+                node_id = data.draw(st.sampled_from(order))
+                plan = set_status(plan, node_id, data.draw(st.sampled_from(STATUSES)))
+            elif step == "add":
+                new_id = data.draw(st.text(ID_CHARS, min_size=1, max_size=4))
+                deps = tuple(dep for dep in order if data.draw(st.booleans()))
+                try:
+                    plan, _ = apply_diff(plan, PlanDiff(adds=(mk_node(new_id, deps),)))
+                except PlanError:
+                    continue
+            elif step == "rewrite":
+                position = data.draw(st.integers(0, len(order) - 1))
+                node = plan.nodes[order[position]]
+                deps = tuple(dep for dep in order[:position] if data.draw(st.booleans()))
+                plan, _ = apply_diff(plan, PlanDiff(rewrites=(
+                    NodeRewrite(node.node_id, node.informal, node.sketch, deps),)))
+            else:  # a different structure at revision 0, as a second plan would be
+                plan = draw_plan(data, order)
+            snapshot()
+        lines = sink.getvalue().splitlines()
+        assert lines == expected
+        assert [json.loads(line) for line in lines] == [json.loads(line) for line in expected]
+
+
+def three_closes_ledger(path):
+    """Plan A <- B <- C <- D, close A, a diff that adds E under D, close B and C.
+
+    Frames 1, 4 and 5 each follow a frame of the same revision.
+    """
+    ledger = open_ledger("r", path)
+    plan = chain_plan(["A", "B", "C", "D"])
+    ledger.record_event(EventKind.PLAN_CREATED, "D", "", {"plan": plan_to_text(plan)})
+    ledger.snapshot_frame(plan)
+    plan = set_status(plan, "A", Status.CLOSED)
+    ledger.record_event(EventKind.NODE_CLOSED, "A")
+    ledger.snapshot_frame(plan)
+    diff = PlanDiff(adds=(mk_node("E", ("B",)),),
+                    rewrites=(NodeRewrite("D", "statement D", "", ("C", "E")),),
+                    cause=DiffCause.DECOMPOSITION_SPLIT)
+    plan, invalidated = apply_diff(plan, diff)
+    ledger.record_event(EventKind.DIFF_APPLIED, "D", "", {
+        "diff": diff_to_text(diff), "invalidated": sorted(invalidated)})
+    ledger.snapshot_frame(plan)
+    for node_id in ("B", "C"):
+        plan = set_status(plan, node_id, Status.CLOSED)
+        ledger.record_event(EventKind.NODE_CLOSED, node_id)
+        ledger.snapshot_frame(plan)
+    ledger.record_outcome(Outcome("unfinished", "time-budget", 1.0, 5, 1))
+    return read_ledger_records(path)
+
+
+class TestReplayChecksEveryFrame:
+    MID_REVISION = [1, 3, 4]
+
+    def frames_of(self, records):
+        return [record for record in records if record["rec"] == "frame"]
+
+    def test_the_ledger_replays_and_has_mid_revision_frames(self, tmp_path):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        frames = self.frames_of(records)
+        assert verify_replay(records) == (5, 1)
+        for index in self.MID_REVISION:
+            assert frames[index]["revision"] == frames[index - 1]["revision"]
+            assert frames[index]["edges"] == frames[index - 1]["edges"]
+
+    @pytest.mark.parametrize("index", MID_REVISION)
+    @pytest.mark.parametrize("tamper", ["drop-edge", "add-edge", "swap-edge", "status"])
+    def test_an_altered_mid_revision_frame_is_named(self, tmp_path, index, tamper):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        frame = self.frames_of(records)[index]
+        if tamper == "drop-edge":
+            frame["edges"] = frame["edges"][:-1]
+        elif tamper == "add-edge":
+            frame["edges"] = frame["edges"] + [["A", "D"]]
+        elif tamper == "swap-edge":
+            frame["edges"] = [[node, dep] for dep, node in frame["edges"]]
+        else:
+            frame["nodes"] = {**frame["nodes"], "D": "formalized"}
+        with pytest.raises(ReplayMismatch, match=f"^frame {index}: "):
+            verify_replay(records)
+
+
+class TestTraceReusesLayoutsByContent:
+    def hand_built(self) -> RunLedger:
+        """One revision whose structure changes and changes back, and a node set
+        that changes under the same edges, in every combination of shared and
+        equal-but-distinct edge tuples."""
+        chain = (("a", "b"), ("b", "c"))
+        three = {"a": "not-yet", "b": "not-yet", "c": "not-yet"}
+        frames = [
+            ({**three}, chain),
+            ({**three, "b": "formalized"}, tuple(list(chain))),
+            ({**three, "b": "failing"}, (("a", "c"),)),
+            ({**three, "c": "formalized"}, chain),
+            ({**three, "β": "not-yet"}, chain),
+            ({"a": "formalized", "b": "not-yet"}, chain),
+            ({"b": "formalized", "a": "not-yet"}, chain),
+            ({"b": "formalized", "a": "not-yet"}, (("b", "a"),)),
+            ({"a": "not-yet"}, ()),
+            ({"a": "not-yet", "b": "not-yet"}, ()),
+            ({**three}, chain),
+        ]
+        ledger = RunLedger("r")
+        for index, (nodes, edges) in enumerate(frames):
+            ledger.frames.append(Frame(index, nodes, edges, 4 if index < 9 else 5))
+        return ledger
+
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    def test_export_equals_a_per_frame_oracle(self, fmt):
+        ledger = self.hand_built()
+        assert export_trace(ledger, fmt) == oracle_trace(ledger.frames, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    def test_the_same_frames_loaded_from_a_file_export_like_the_oracle(self, tmp_path, fmt):
+        frames = self.hand_built().frames
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in [
+            {"rec": "run", "version": 1, "run_id": "r"},
+            *({"rec": "frame", "index": f.index, "revision": f.plan_revision,
+               "nodes": f.node_states, "edges": [list(e) for e in f.edges]} for f in frames),
+        ]), encoding="utf-8")
+        loaded = load_ledger(path)
+        assert loaded.frames == frames
+        assert export_trace(loaded, fmt) == oracle_trace(frames, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    def test_a_cyclic_frame_after_a_valid_one_with_the_same_nodes(self, fmt):
+        ledger = RunLedger("r")
+        nodes = {"a": "not-yet", "b": "not-yet"}
+        ledger.frames.append(Frame(0, dict(nodes), (("a", "b"),), 0))
+        ledger.frames.append(Frame(1, dict(nodes), (("a", "b"), ("b", "a")), 0))
+        with pytest.raises(CycleError):
+            export_trace(ledger, fmt)
+
+
+class TestLoadShapes:
+    def test_consecutive_equal_edge_lists_share_one_tuple(self, tmp_path):
+        three_closes_ledger(tmp_path / "run.jsonl")
+        frames = load_ledger(tmp_path / "run.jsonl").frames
+        assert frames[1].edges is frames[0].edges
+        assert frames[2].edges != frames[1].edges
+        assert frames[4].edges is frames[3].edges is frames[2].edges
+
+    @pytest.mark.parametrize("record", [
+        {"rec": "usage", "prompt": "x"},
+        {"rec": "usage", "prompt": -1},
+        {"rec": "event", "kind": "NoSuchKind"},
+        {"rec": "event"},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": 5, "edges": []},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": {}, "edges": [["a"]]},
+        {"rec": "outcome"},
+    ])
+    def test_a_record_of_the_wrong_shape_is_a_ledger_error(self, tmp_path, record):
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps({"rec": "run", "version": 1}) + "\n"
+                        + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(LedgerError, match="malformed ledger record"):
+            load_ledger(path)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import proofloop.leanenv as leanenv
+import proofloop.ledger as ledger_mod
+import proofloop.plan as plan_mod
 from helpers import (
     REPO_ROOT,
     FixtureBuilder,
@@ -16,6 +18,7 @@ from helpers import (
     error_src,
     main_clean_src,
     mk_node,
+    replan_fixture,
     single_node_fixture,
     sorried_src,
     splitter_fixture,
@@ -27,8 +30,14 @@ from proofloop.agents import (
     ScriptedBackend,
     TaskKind,
 )
-from proofloop.leanenv import BuildReport, SimVerifier
-from proofloop.ledger import EventKind, read_ledger_records, verify_replay
+from proofloop.leanenv import BuildReport, SimVerifier, Workspace
+from proofloop.ledger import (
+    EventKind,
+    export_trace,
+    load_ledger,
+    read_ledger_records,
+    verify_replay,
+)
 from proofloop.looper import (
     InputError,
     LoopConfig,
@@ -534,6 +543,114 @@ class TestLinearBuildGuard:
         assert ledger.outcome.statement_count == statements
         assert scans <= 3 * statements
         assert reread == []
+
+
+class TestStructureWorkGuard:
+    """Counts the work done per plan structure on a small replan-shaped run."""
+
+    STATEMENTS = 40
+    SPLITS = 6
+    RESTATED = SPLITS // 3  # every third diff restates a closed helper
+
+    def run_replan(self, tmp_path):
+        outcome, ledger, ledger_path = run_fixture(
+            tmp_path, replan_fixture(self.STATEMENTS, self.SPLITS),
+            config=cfg(replan_limit=self.SPLITS))
+        assert outcome.reason is StopReason.REPLAN_LIMIT
+        assert len(ledger.frames) == 1 + 2 * self.SPLITS + self.RESTATED
+        assert [event.node_id for event in ledger.events
+                if event.kind is EventKind.DIFF_APPLIED] == ["S0"] * self.SPLITS
+        return ledger_path, ledger
+
+    def test_trace_lays_out_each_distinct_structure_once(self, tmp_path, monkeypatch):
+        ledger_path, _ = self.run_replan(tmp_path)
+        frames = load_ledger(ledger_path).frames
+        structures = sum(1 for i, frame in enumerate(frames)
+                         if i == 0 or frame.edges != frames[i - 1].edges
+                         or frame.node_states.keys() != frames[i - 1].node_states.keys())
+        assert structures == 1 + self.SPLITS < len(frames)
+        calls = 0
+        real_layout = ledger_mod.depth_layout
+
+        def counting_layout(frame):
+            nonlocal calls
+            calls += 1
+            return real_layout(frame)
+
+        monkeypatch.setattr(ledger_mod, "depth_layout", counting_layout)
+        for fmt in ("text", "dot"):
+            calls = 0
+            export_trace(load_ledger(ledger_path), fmt)
+            assert calls == structures
+
+    def test_the_writer_serialises_edges_once_per_revision(self, tmp_path, monkeypatch):
+        serialised = 0
+        real_dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            nonlocal serialised
+            if isinstance(obj, list) or (isinstance(obj, dict) and "edges" in obj):
+                serialised += 1
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        ledger_path, ledger = self.run_replan(tmp_path)
+        monkeypatch.undo()
+        revisions = {frame.plan_revision for frame in ledger.frames}
+        assert serialised == len(revisions) == 1 + self.SPLITS
+        assert verify_replay(read_ledger_records(ledger_path)) == (len(ledger.frames),
+                                                                   self.SPLITS)
+
+    def test_anchor_id_does_not_iterate_the_order(self, tmp_path, monkeypatch):
+        iterations = 0
+
+        class CountingOrder(tuple):
+            def __iter__(self):
+                nonlocal iterations
+                iterations += 1
+                return super().__iter__()
+
+        real_toposort = plan_mod._toposort
+        monkeypatch.setattr(plan_mod, "_toposort",
+                            lambda *args: CountingOrder(real_toposort(*args)))
+        real_anchor_id = plan_mod.ProofPlan.anchor_id
+        lookups = []
+
+        def counted_anchor_id(plan):
+            before = iterations
+            anchor_id = real_anchor_id.fget(plan)
+            lookups.append(iterations - before)
+            return anchor_id
+
+        monkeypatch.setattr(plan_mod.ProofPlan, "anchor_id", property(counted_anchor_id))
+        self.run_replan(tmp_path)
+        assert len(lookups) >= 3 * self.SPLITS
+        assert set(lookups) == {0}
+
+    def test_replanning_removes_only_files_that_exist(self, tmp_path, monkeypatch):
+        writes: list[str] = []
+        removes: list[str] = []
+        real_write = Workspace.write_node_source
+        real_remove = Workspace.remove_node_source
+
+        def counting_write(ws, node_id, *args, **kwargs):
+            writes.append(node_id)
+            return real_write(ws, node_id, *args, **kwargs)
+
+        def counting_remove(ws, node_id):
+            removes.append(node_id)
+            return real_remove(ws, node_id)
+
+        monkeypatch.setattr(Workspace, "write_node_source", counting_write)
+        monkeypatch.setattr(Workspace, "remove_node_source", counting_remove)
+        self.run_replan(tmp_path)
+        # Each diff invalidates the split root and every statement under it, but
+        # only the root has a file; a restated helper has one too.
+        assert removes == [stale for k in range(1, self.SPLITS + 1)
+                           for stale in ["S0"] + ([f"X{k - 1}"] if k % 3 == 0 else [])]
+        assert len(writes) == 2 * self.SPLITS + 1 + self.RESTATED
+        on_disk = sorted(path.stem for path in (tmp_path / "ws").rglob("*.lean"))
+        assert on_disk == ["S0"] + sorted(f"X{k}" for k in range(1, self.SPLITS + 1))
 
 
 def load_bench_tracing():
