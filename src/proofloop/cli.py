@@ -245,8 +245,7 @@ def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, st
         if not decl:
             found = find_anchor(text)
             return found.decl_name, found.signature_text
-        sig = extract_signature_text(text, decl)
-        return decl, sig.normalized
+        return decl, extract_signature_text(text, decl).normalized
     sidecar = workspace_dir / ANCHOR_FILE
     if sidecar.is_file():
         data = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -262,20 +261,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     verifier = _make_verifier(opts)
     verifier.ensure_available()
     decl, signature = _load_anchor(args, workspace_dir)
-    ws = Workspace(root_dir=workspace_dir)
-    for path in sorted(workspace_dir.rglob("*.lean")):
-        rel = str(path.relative_to(workspace_dir))
-        node_id = path.stem
-        ws.node_files[node_id] = rel
-    target_rel = None
-    for node_id, rel in ws.node_files.items():
+    ws = Workspace(root_dir=workspace_dir, node_files={
+        path.stem: str(path.relative_to(workspace_dir))
+        for path in sorted(workspace_dir.rglob("*.lean"))})
+    # The target is the first file that declares the anchored name.
+    for rel in ws.node_files.values():
         try:
             extract_signature_text((workspace_dir / rel).read_text(encoding="utf-8"), decl)
-            target_rel = rel
-            break
         except VerifierError:
             continue
-    ws.target_file = target_rel or ""
+        ws.target_file = rel
+        break
     report = audit_verdict(ws, signature, decl, verifier, _permitted(opts))
     _emit({
         "command": "audit",

@@ -8,10 +8,12 @@ be replayed on a laptop in seconds.  In-loop sim builds evaluate the text the
 workspace wrote, cached per file by content; the final audit (and
 ``proofloop audit``) reads every file from disk.
 
-The forbidden-token scanner understands Lean comment and string syntax: line
-comments, nested block comments and escaped string literals never produce
-occurrences, and identifiers that merely contain a token (``sorryFree``) are
-not flagged.
+The scanner, the signature extractor and the sim directives read Lean source
+through :mod:`proofloop.lexer`.  The scanner flags identifiers in code, never
+comments or literals: a name part ``sorry``, ``admit`` or ``axiom`` (not
+``sorryFree`` or ``αsorry``) and the kernel-bypass option
+``debug.skipKernelTC``.  The axiom audit takes only the listing for exactly
+the audited name.
 """
 
 from __future__ import annotations
@@ -19,19 +21,16 @@ from __future__ import annotations
 import re
 import shutil
 import subprocess
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-FORBIDDEN_TOKENS = ("sorry", "admit", "axiom")
+from .lexer import BLOCK, COMMENT, FORBIDDEN_TOKENS, IDENT, OTHER, forbidden_word, tokenize
+
 DEFAULT_PERMITTED_AXIOMS = frozenset({"propext", "Quot.sound", "Classical.choice"})
 SORRY_AXIOM = "sorryAx"
 
 DECL_KEYWORDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "proposition")
-
-_IDENT_CHARS = "_'"
-
-# Whole-word `sorry` against masked source; ident chars match _is_ident_char.
-SORRY_TOKEN_RE = re.compile(r"(?<![A-Za-z0-9_'])sorry(?![A-Za-z0-9_'])")
 
 
 class VerifierError(Exception):
@@ -150,145 +149,67 @@ def normalize_signature(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Comment/string masking and the forbidden-token scanner.
-
-def mask_lean_source(text: str, mask_strings: bool = True) -> str:
-    """Replace comment (and optionally string) content with spaces.
-
-    Newlines survive so line numbers stay valid.  Block comments nest; string
-    escapes (backslash) never terminate a literal early.
-    """
-    out = list(text)
-    i = 0
-    n = len(text)
-
-    def blank(a: int, b: int) -> None:
-        for j in range(a, b):
-            if out[j] != "\n":
-                out[j] = " "
-
-    while i < n:
-        ch = text[i]
-        if ch == "-" and text.startswith("--", i):
-            start = i
-            while i < n and text[i] != "\n":
-                i += 1
-            blank(start, i)
-        elif ch == "/" and text.startswith("/-", i):
-            start = i
-            depth = 1
-            i += 2
-            while i < n and depth:
-                if text.startswith("/-", i):
-                    depth += 1
-                    i += 2
-                elif text.startswith("-/", i):
-                    depth -= 1
-                    i += 2
-                else:
-                    i += 1
-            blank(start, i)
-        elif ch == '"':
-            start = i
-            i += 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if text[i] == '"':
-                    i += 1
-                    break
-                i += 1
-            if mask_strings:
-                blank(start, i)
-        else:
-            i += 1
-    return "".join(out)
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _IDENT_CHARS
-
+# The forbidden-token scanner and declaration headers, read through the lexer.
 
 def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
-    """Whole-word sorry/admit/axiom occurrences outside comments and strings."""
-    masked = mask_lean_source(text, mask_strings=True)
-    hits: list[tuple[str, str, int]] = []
-    pattern = re.compile("|".join(FORBIDDEN_TOKENS))
-    for match in pattern.finditer(masked):
-        start, end = match.start(), match.end()
-        if start > 0 and _is_ident_char(masked[start - 1]):
-            continue
-        if end < len(masked) and _is_ident_char(masked[end]):
-            continue
-        line = masked.count("\n", 0, start) + 1
-        hits.append((match.group(0), filename, line))
-    return hits
+    """``(word, filename, line)`` for each forbidden identifier in code (see the module doc)."""
+    if not any(word in text for word in (*FORBIDDEN_TOKENS, "skipKernelTC")):
+        return []  # every forbidden identifier holds one of these words
+    return [(word, filename, line) for kind, token, line in tokenize(text)
+            if kind == IDENT and (word := forbidden_word(token))]
 
 
-# ---------------------------------------------------------------------------
-# Declaration signature extraction.
+def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int]]:
+    """Token indices ``(keyword, name)`` of each declaration keyword followed by a name."""
+    heads: list[tuple[int, int]] = []
+    keyword = -1
+    for i, (kind, token, _) in enumerate(tokens):
+        if kind == IDENT:
+            if keyword >= 0 and token not in DECL_KEYWORDS:
+                heads.append((keyword, i))
+            keyword = i if token in DECL_KEYWORDS else -1
+        elif not (kind in (COMMENT, BLOCK) or (kind == OTHER and token.isspace())):
+            keyword = -1
+    return heads
 
-_OPEN_BRACKETS = "([{⦃⟨«"
-_CLOSE_BRACKETS = ")]}⦄⟩»"
+
+_OPEN_BRACKETS = frozenset("([{⦃⟨")
+_CLOSE_BRACKETS = frozenset(")]}⦄⟩")
 
 
 def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
     """Pull the header of ``decl_name`` out of Lean source text.
 
-    The header runs from the declaration keyword through the ``:=`` (or end of
-    the statement) and splits into binders and conclusion at the first
-    bracket-depth-zero colon.  Comments are stripped first; bracket punctuation
-    inside binders survives intact.
+    The header runs from the keyword to the first ``:=`` outside brackets (or
+    the end of the text) and splits into binders and conclusion at the first
+    colon outside brackets.  Comments read as spaces; literals are opaque.
     """
-    masked = mask_lean_source(text, mask_strings=False)
-    keyword_alt = "|".join(DECL_KEYWORDS)
-    pattern = re.compile(
-        rf"(?:^|(?<=[\s,;({{\[]))({keyword_alt})\s+({re.escape(decl_name)})(?![A-Za-z0-9_'])",
-    )
-    matches = list(pattern.finditer(masked))
-    if not matches:
+    tokens = list(tokenize(text))
+    heads = [(kw, name) for kw, name in declaration_heads(tokens) if tokens[name][1] == decl_name]
+    if not heads:
         raise DeclNotFound(f"declaration {decl_name} not found")
-    if len(matches) > 1:
+    if len(heads) > 1:
         raise ParseAmbiguity(f"multiple declarations named {decl_name}")
-    match = matches[0]
-    keyword = match.group(1)
-    i = match.end()
-    n = len(masked)
-    depth = 0
-    colon_at = -1
-    end_at = n
-    in_string = False
-    while i < n:
-        ch = masked[i]
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-            i += 1
-            continue
-        if ch == '"':
-            in_string = True
-            i += 1
-            continue
-        if ch in _OPEN_BRACKETS:
+    keyword, name = heads[0]
+    items: list[str] = []  # code one character per item, comments as a space, the rest whole
+    for kind, token, _ in tokens[name + 1:]:
+        items.extend(token if kind == OTHER else [" " if kind in (COMMENT, BLOCK) else token])
+    depth, colon, end = 0, -1, len(items)
+    for i, item in enumerate(items):
+        if item in _OPEN_BRACKETS:
             depth += 1
-        elif ch in _CLOSE_BRACKETS:
+        elif item in _CLOSE_BRACKETS:
             depth -= 1
-        elif depth == 0:
-            if masked.startswith(":=", i):
-                end_at = i
+        elif depth == 0 and item == ":":
+            if items[i + 1:i + 2] == ["="]:
+                end = i
                 break
-            if ch == ":" and colon_at < 0:
-                colon_at = i
-        i += 1
-    if colon_at < 0 or colon_at >= end_at:
+            if colon < 0:
+                colon = i
+    if colon < 0:
         raise DeclNotFound(f"declaration {decl_name} has no type ascription")
-    binders = normalize_signature(masked[match.end():colon_at])
-    conclusion = normalize_signature(masked[colon_at + 1:end_at])
-    return DeclSignature(keyword, decl_name, binders, conclusion)
+    return DeclSignature(tokens[keyword][1], decl_name, normalize_signature("".join(items[:colon])),
+                         normalize_signature("".join(items[colon + 1:end])))
 
 
 def signature_match(anchor_signature: str, decl_name: str, ws: Workspace) -> bool:
@@ -303,7 +224,20 @@ def signature_match(anchor_signature: str, decl_name: str, ws: Workspace) -> boo
 # ---------------------------------------------------------------------------
 # Simulated verifier: deterministic rule table plus in-source directives.
 
-_SIM_DIRECTIVE = re.compile(r"^\s*--\s*sim:\s*(key|error|axioms)\s*(.*?)\s*$", re.MULTILINE)
+def sim_directives(text: str) -> dict[str, list[str]]:
+    """``-- sim: <word> <arg>`` line comments that start their line, by word, in order."""
+    directives: dict[str, list[str]] = {}
+    line_start = True  # only whitespace since the last newline
+    for kind, token, _ in tokenize(text) if "sim:" in text else ():
+        rest = token[2:].lstrip()
+        if kind == COMMENT and line_start and rest.startswith("sim:"):
+            rest = rest[4:].lstrip()
+            for word in ("key", "error", "axioms"):
+                if rest.startswith(word):
+                    directives.setdefault(word, []).append(rest[len(word):].strip())
+        _, newline, after = token.rpartition("\n")
+        line_start = kind == OTHER and not after.strip() and (line_start or newline == "\n")
+    return directives
 
 
 @dataclass(frozen=True)
@@ -393,9 +327,7 @@ class SimVerifier:
         ws.root_dir.mkdir(parents=True, exist_ok=True)
 
     def _build_file(self, rel: str, text: str) -> _FileBuild:
-        directives: dict[str, list[str]] = {}
-        for match in _SIM_DIRECTIVE.finditer(text):
-            directives.setdefault(match.group(1), []).append(match.group(2))
+        directives = sim_directives(text)
         declared = frozenset(name for spec in directives.get("axioms", []) for name in spec.split())
         if "key" in directives:
             key = directives["key"][0]
@@ -436,16 +368,11 @@ class SimVerifier:
             errors.extend(result.errors)
             sites.extend(result.sites)
         self._built = built
-        compiled = not errors
-        clean = compiled and not sites
-        return BuildReport(clean, tuple(sites), "\n".join(errors), 0.0, compiled)
+        return BuildReport(not errors and not sites, tuple(sites), "\n".join(errors), 0.0, not errors)
 
     def audit_axioms(self, ws: Workspace, decl_name: str) -> set[str]:
-        axioms: set[str] = set()
-        for node_id in sorted(ws.node_files):
-            rel = ws.node_files[node_id]
-            axioms |= self._build_file(rel, (ws.root_dir / rel).read_text(encoding="utf-8")).axioms
-        return axioms
+        texts = {rel: (ws.root_dir / rel).read_text(encoding="utf-8") for rel in ws.node_files.values()}
+        return set().union(*(self._build_file(rel, text).axioms for rel, text in texts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +399,13 @@ def parse_build_output(output: str) -> tuple[list[str], list[tuple[str, int]]]:
 
 
 def parse_axioms_output(output: str, decl_name: str) -> set[str]:
-    for match in _AXIOM_LIST.finditer(output):
-        if match.group(1).split(".")[-1] == decl_name.split(".")[-1] or match.group(1) == decl_name:
-            items = [item.strip() for item in match.group(2).split(",")]
-            return {item for item in items if item}
-    for match in _AXIOM_NONE.finditer(output):
-        if match.group(1).split(".")[-1] == decl_name.split(".")[-1] or match.group(1) == decl_name:
-            return set()
-    raise DriverFail(f"axiom listing for {decl_name} not found in driver output")
+    """The axioms listed for exactly ``decl_name``; anything but one listing is a DriverFail."""
+    listings = [{item.strip() for item in match.group(2).split(",")} - {""}
+                for match in _AXIOM_LIST.finditer(output) if match.group(1) == decl_name]
+    listings += [set() for match in _AXIOM_NONE.finditer(output) if match.group(1) == decl_name]
+    if len(listings) != 1:
+        raise DriverFail(f"{len(listings)} axiom listings for {decl_name} in driver output")
+    return listings[0]
 
 
 _LAKEFILE = """name = "proofws"
@@ -538,8 +464,6 @@ class RealVerifier:
             raise BuildTimeout(f"build exceeded {self.build_timeout}s") from exc
 
     def build(self, ws: Workspace) -> BuildReport:
-        import time
-
         self._refresh_root_module(ws)
         start = time.monotonic()
         proc = self._run(ws, ["build"])
@@ -549,9 +473,7 @@ class RealVerifier:
         if proc.returncode != 0 and not errors:
             errors = [f"error: lake build exited with status {proc.returncode}"]
         compiled = proc.returncode == 0 and not errors
-        clean = compiled and not sites
-        diagnostics = "\n".join(errors)
-        return BuildReport(clean, tuple(sites), diagnostics, elapsed, compiled)
+        return BuildReport(compiled and not sites, tuple(sites), "\n".join(errors), elapsed, compiled)
 
     def audit_axioms(self, ws: Workspace, decl_name: str) -> set[str]:
         imports = sorted(
@@ -581,11 +503,9 @@ def audit_verdict(
     """Compose forbidden-token scan, signature check and axiom audit."""
     details: list[str] = []
     try:
-        hits: list[tuple[str, str, int]] = []
-        for rel in sorted(ws.node_files.values()):
-            text = (ws.root_dir / rel).read_text(encoding="utf-8")
-            hits.extend(scan_forbidden_text(text, rel))
-        forbidden = tuple(hits)
+        forbidden = tuple(
+            hit for rel in sorted(ws.node_files.values())
+            for hit in scan_forbidden_text((ws.root_dir / rel).read_text(encoding="utf-8"), rel))
     except OSError as exc:
         return AuditReport(frozenset(), (), False, False, f"scan failed: {exc}")
     if forbidden:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 
 from .agents import (
@@ -36,17 +36,16 @@ from .agents import (
 )
 from .leanenv import (
     BuildReport,
-    DECL_KEYWORDS,
     DEFAULT_PERMITTED_AXIOMS,
-    SORRY_TOKEN_RE,
     VerifierError,
     Workspace,
     audit_verdict,
+    declaration_heads,
     extract_signature_text,
-    mask_lean_source,
     normalize_signature,
 )
 from .ledger import EventKind, Outcome, RunLedger, open_ledger, utc_now_iso
+from .lexer import IDENT, OTHER, forbidden_word, tokenize
 from .plan import (
     AnchorDecl,
     DiffCause,
@@ -161,31 +160,29 @@ _REPLAN_STEPS = {
 # ---------------------------------------------------------------------------
 # Anchor extraction from the input file.
 
-_DECL_RE = re.compile(
-    r"(?:^|(?<=\s))(%s)\s+([A-Za-z_][A-Za-z0-9_.']*)" % "|".join(DECL_KEYWORDS)
-)
-
-
 def find_anchor(text: str) -> AnchorDecl:
     """Locate the first sorry-bearing declaration and capture its header."""
-    masked = mask_lean_source(text, mask_strings=True)
-    sorry = SORRY_TOKEN_RE.search(masked)
+    tokens = list(tokenize(text))
+    sorry = next((i for i, (kind, token, _) in enumerate(tokens)
+                  if kind == IDENT and forbidden_word(token) == "sorry"), None)
     if sorry is None:
         raise InputError("input contains no sorry declaration")
-    decls = [m for m in _DECL_RE.finditer(masked) if m.start() < sorry.start()]
-    if not decls:
+    heads = declaration_heads(tokens)
+    names = [name for keyword, name in heads if keyword < sorry]
+    if not names:
         raise InputError("found a sorry outside any declaration")
-    target = decls[-1]
-    name = target.group(2)
+    target = names[-1]
     try:
-        sig = extract_signature_text(text, name)
+        sig = extract_signature_text(text, tokens[target][1])
     except VerifierError as exc:
         raise InputError(f"cannot extract target signature: {exc}") from exc
-    assign = masked.find(":=", target.end())
-    next_decl = _DECL_RE.search(masked, sorry.end())
-    body_end = next_decl.start() if next_decl else len(text)
-    body = text[assign if assign >= 0 else target.end():body_end]
-    return AnchorDecl(name, sig.normalized, body)
+    # The body runs from the first `:=` after the name to the next declaration after the sorry.
+    offsets = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
+    start = next((offsets[i] + token.index(":=") for i, (kind, token, _)
+                  in enumerate(tokens[target + 1:], target + 1)
+                  if kind == OTHER and ":=" in token), offsets[target + 1])
+    end = next((offsets[keyword] for keyword, _ in heads if keyword > sorry), len(text))
+    return AnchorDecl(sig.name, sig.normalized, text[start:end])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .lexer import IDENT, forbidden_word, tokenize
+
 
 class PlanError(Exception):
     """Base class for plan construction and mutation errors."""
@@ -58,9 +60,6 @@ class DiffCause(str, Enum):
 # Statement ids appear in space-separated lists of the text format.
 _ID_RE = re.compile(r"^\S+$")
 
-# Whole-word `sorry`, treating Lean identifier characters as word characters.
-_SORRY_RE = re.compile(r"(?<![A-Za-z0-9_'!?])sorry(?![A-Za-z0-9_'!?])")
-
 
 def _check_id(node_id: str) -> str:
     if not isinstance(node_id, str) or not _ID_RE.match(node_id):
@@ -79,7 +78,8 @@ class AnchorDecl:
     def __post_init__(self) -> None:
         if not self.signature_text.strip():
             raise AnchorError("anchor signature text must be non-empty")
-        if not _SORRY_RE.search(self.original_body):
+        if not any(kind == IDENT and forbidden_word(token) == "sorry"
+                   for kind, token, _ in tokenize(self.original_body)):
             raise AnchorError("anchor body must contain a sorry token")
 
 

@@ -264,75 +264,134 @@ def oracle_trace(frames, fmt: str) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
+def _oracle_letter_like(ch: str) -> bool:
+    cp = ord(ch)
+    return ((0x3B1 <= cp <= 0x3C9 and cp != 0x3BB) or (0x391 <= cp <= 0x3A9 and cp not in (0x3A0, 0x3A3))
+            or 0x3CA <= cp <= 0x3FB or 0x1F00 <= cp <= 0x1FFE or 0x2100 <= cp <= 0x214F
+            or 0x1D49C <= cp <= 0x1D59F)
+
+
+def _oracle_id_first(ch: str) -> bool:
+    return ch.isascii() and (ch.isalpha() or ch == "_") or _oracle_letter_like(ch)
+
+
+def _oracle_id_rest(ch: str) -> bool:
+    cp = ord(ch)
+    return (_oracle_id_first(ch) or ch in "0123456789'" or 0x2080 <= cp <= 0x2089
+            or 0x2090 <= cp <= 0x209C or 0x1D62 <= cp <= 0x1D6A)
+
+
+def _oracle_name_part(text: str, i: int) -> int:
+    """End of the identifier part starting at ``i``, or -1 if none starts there."""
+    n = len(text)
+    if i < n and text[i] == "«":
+        close = text.find("»", i + 1)
+        return -1 if close < 0 else close + 1
+    if i < n and _oracle_id_first(text[i]):
+        i += 1
+        while i < n and _oracle_id_rest(text[i]):
+            i += 1
+        return i
+    return -1
+
+
+def _oracle_char_literal(text: str, i: int) -> int:
+    """End of the char literal opening at ``text[i] == "'"``, or -1 if none does."""
+    n = len(text)
+    if i + 1 >= n:
+        return -1
+    if text[i + 1] != "\\":
+        ends = [i + 2]
+    else:
+        j = i + 2
+        ends = []
+        if text.startswith("u{", j):
+            k = j + 2
+            while k < n and text[k] in "0123456789abcdefABCDEF":
+                k += 1
+            if k < n and text[k] == "}":
+                ends.append(k + 1)
+        for letter, width in (("u", 4), ("x", 2)):
+            digits = text[j + 1:j + 1 + width]
+            if (text.startswith(letter, j) and len(digits) == width
+                    and all(d in "0123456789abcdefABCDEF" for d in digits)):
+                ends.append(j + 1 + width)
+        if j < n:
+            ends.append(j + 1)
+    for end in ends:
+        if end < n and text[end] == "'":
+            return end + 1
+    return -1
+
+
+def _oracle_raw_hashes(text: str, i: int) -> int:
+    """How many ``#`` the raw string opening at ``text[i] == "r"`` uses, or -1 if none opens."""
+    hashes = 0
+    while text.startswith("#", i + 1 + hashes):
+        hashes += 1
+    return hashes if text.startswith('"', i + 1 + hashes) else -1
 
 
 def oracle_scan(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
-    """Character automaton reference for the forbidden-token scanner."""
-    tokens = ("sorry", "admit", "axiom")
+    """Character automaton reference for the forbidden-token scanner.
+
+    Covers line and nested block comments, strings with escapes, raw strings
+    with any number of ``#``, char literals, ``«»`` names and dotted Lean
+    identifiers; ``!`` and ``?`` end an identifier.  An identifier is flagged
+    once: as ``debug.skipKernelTC``, or for its first dot-separated part that
+    is a forbidden word, with ``«»`` removed.
+    """
+    forbidden = ("sorry", "admit", "axiom")
     hits = []
     n = len(text)
     i = 0
     line = 1
-    state = "code"
-    depth = 0
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            if state == "line-comment":
-                state = "code"
-            i += 1
-            continue
-        if state == "code":
-            if text.startswith("--", i):
-                state = "line-comment"
-                i += 2
-                continue
-            if text.startswith("/-", i):
-                state = "block-comment"
-                depth = 1
-                i += 2
-                continue
-            if ch == '"':
-                state = "string"
+        start = i
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
                 i += 1
-                continue
-            for token in tokens:
-                if text.startswith(token, i):
-                    before = text[i - 1] if i > 0 else " "
-                    after = text[i + len(token)] if i + len(token) < n else " "
-                    if before not in IDENT_CHARS and after not in IDENT_CHARS:
-                        hits.append((token, filename, line))
-                        i += len(token)
+        elif text.startswith("/-", i):
+            depth = 1
+            i += 2
+            while i < n and depth:
+                if text.startswith("/-", i):
+                    depth += 1
+                    i += 2
+                elif text.startswith("-/", i):
+                    depth -= 1
+                    i += 2
+                else:
+                    i += 1
+        elif ch == "r" and _oracle_raw_hashes(text, i) >= 0:
+            close = '"' + "#" * _oracle_raw_hashes(text, i)
+            end = text.find(close, i + len(close) + 1)
+            i = n if end < 0 else end + len(close)
+        elif ch == '"':
+            i += 1
+            while i < n and text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+            i = min(i + 1, n)
+        elif ch == "'":
+            end = _oracle_char_literal(text, i)
+            i = i + 1 if end < 0 else end
+        elif _oracle_name_part(text, i) >= 0:
+            i = _oracle_name_part(text, i)
+            while i < n and text[i] == "." and _oracle_name_part(text, i + 1) >= 0:
+                i = _oracle_name_part(text, i + 1)
+            name = text[start:i].replace("«", "").replace("»", "")
+            parts = name.split(".")
+            if name == "debug.skipKernelTC":
+                hits.append((name, filename, line))
+            else:
+                for part in parts:
+                    if part in forbidden:
+                        hits.append((part, filename, line))
                         break
-            else:
-                i += 1
-            continue
-        if state == "line-comment":
+        else:
             i += 1
-            continue
-        if state == "block-comment":
-            if text.startswith("/-", i):
-                depth += 1
-                i += 2
-            elif text.startswith("-/", i):
-                depth -= 1
-                i += 2
-                if depth == 0:
-                    state = "code"
-            else:
-                i += 1
-            continue
-        if state == "string":
-            if ch == "\\":
-                i += 2
-            elif ch == '"':
-                state = "code"
-                i += 1
-            else:
-                i += 1
-            continue
+        line += text.count("\n", start, i)
     return hits
 
 
@@ -399,34 +458,45 @@ def random_diff(rng: random.Random, plan: ProofPlan) -> PlanDiff:
                     DiffCause.DECOMPOSITION_SPLIT)
 
 
+LEAN_WORDS = ["sorry", "admit", "axiom", "sorryFree", "unsorry", "sorry'", "axiom_of_choice",
+              "admitted", "theorem", "foo", "rfl", "x1", "αsorry", "sorry?", "sorry!", "sorry₁",
+              "x.sorry", "sorry.x", "«sorry»", "«a b».admit", "debug.skipKernelTC", "λsorry",
+              "2sorry", "h'", "r"]
+LEAN_LITERALS = ["'\"'", "'\\''", "'\\u{22}'", "'\\x22'", "'a'", "'\\\\'", "r\"sorry\"",
+                 'r#"a"b sorry"#', 'r##"x"#sorry"##', '"a\\" sorry"', '"\\\\"']
+
+
 def random_lean_file(rng: random.Random) -> str:
-    """Token soup mixing keywords, lookalikes, comments and strings."""
-    words = ["sorry", "admit", "axiom", "sorryFree", "unsorry", "sorry'",
-             "axiom_of_choice", "admitted", "theorem", "foo", "rfl", "x1"]
+    """Token soup mixing keywords, lookalikes, comments, strings and literals."""
+    words = LEAN_WORDS
     pieces: list[str] = []
     for _ in range(rng.randint(5, 60)):
         roll = rng.random()
         if roll < 0.45:
             pieces.append(rng.choice(words))
             pieces.append(rng.choice([" ", " ", "\n", " (", ") ", ".", ", "]))
-        elif roll < 0.60:
+        elif roll < 0.55:
             pieces.append("-- " + " ".join(rng.choices(words, k=rng.randint(1, 4))) + "\n")
-        elif roll < 0.75:
+        elif roll < 0.67:
             inner = " ".join(rng.choices(words, k=rng.randint(1, 4)))
             if rng.random() < 0.4:
                 inner += " /- " + rng.choice(words) + " -/ "
             pieces.append("/- " + inner + " -/")
-        elif roll < 0.9:
+        elif roll < 0.79:
             body = " ".join(rng.choices(words, k=rng.randint(1, 3)))
             if rng.random() < 0.3:
                 body += "\\\" " + rng.choice(words)
             if rng.random() < 0.2:
                 body += "\\\\"
             pieces.append('"' + body + '"')
+        elif roll < 0.92:
+            pieces.append(rng.choice(LEAN_LITERALS) + rng.choice([" ", "\n", ""]))
         else:
             pieces.append("\n")
     if rng.random() < 0.1:
         pieces.append("/- unterminated " + rng.choice(words))
     if rng.random() < 0.1:
         pieces.append('"unterminated ' + rng.choice(words))
+    if rng.random() < 0.1:
+        pieces.append('r#"unterminated ' + rng.choice(words))
     return "".join(pieces)

@@ -1,5 +1,6 @@
 import random
 import shutil
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import oracle_scan, random_lean_file
+from proofloop.lexer import BLOCK, COMMENT, IDENT, OTHER, STRING, tokenize
 from proofloop.leanenv import (
     DEFAULT_PERMITTED_AXIOMS,
     DeclNotFound,
@@ -18,7 +20,6 @@ from proofloop.leanenv import (
     Workspace,
     audit_verdict,
     extract_signature_text,
-    mask_lean_source,
     normalize_signature,
     parse_axioms_output,
     parse_build_output,
@@ -274,6 +275,10 @@ class TestSimVerifier:
         ws = _ws_with(tmp_path, {"a": "theorem a : True := by\n  sorry\n"})
         assert verifier.audit_axioms(ws, "a") == {"sorryAx"}
 
+    def test_directive_inside_a_block_comment_is_ignored(self, tmp_path):
+        ws = _ws_with(tmp_path, {"a": "/-\n-- sim: error boom\n-/\ntheorem a : True := trivial\n"})
+        assert SimVerifier().build(ws).clean
+
     def test_same_workspace_same_report(self, tmp_path):
         verifier = SimVerifier(parse_sim_rules(RULES_TEXT))
         ws = _ws_with(tmp_path, {"a": "-- sim: key has-sorry\n"})
@@ -320,6 +325,34 @@ class TestAuditVerdict:
     def test_tightened_permitted_set_fails_classical_proof(self, tmp_path):
         report = _audit(tmp_path, {"t": GOOD_TARGET}, permitted=frozenset({"propext"}))
         assert not report.passed
+
+    @pytest.mark.parametrize("literal", ["def q : Char := '\"'", 'def s : String := r#"a"b"#'])
+    def test_quote_inside_a_literal_does_not_hide_a_sorry(self, tmp_path, literal):
+        ws = _ws_with(tmp_path, {"Main": literal + "\ntheorem Main : True := sorry\n"},
+                      target="Main")
+        report = audit_verdict(ws, "theorem Main : True", "Main", SimVerifier())
+        assert report.signature_match
+        assert report.forbidden_occurrences == (("sorry", "Proofws/Main.lean", 2),)
+        assert "sorryAx" in report.axioms_used
+        assert not report.passed
+
+    def test_kernel_bypass_option_fails(self, tmp_path):
+        report = _audit(tmp_path, {"t": "set_option debug.skipKernelTC true in\n" + GOOD_TARGET})
+        assert report.forbidden_occurrences == (("debug.skipKernelTC", "Proofws/t.lean", 1),)
+        assert not report.passed
+
+    def test_native_decide_axiom_listing_fails_the_default_set(self, tmp_path):
+        class CapturedDriver(RealVerifier):
+            def _run(self, ws, args):
+                return subprocess.CompletedProcess(
+                    args, 0, "'t' depends on axioms: [propext, Lean.ofReduceBool]\n", "")
+
+        ws = _ws_with(tmp_path, {"t": GOOD_TARGET}, target="t")
+        report = audit_verdict(ws, ANCHOR_SIG, "t", CapturedDriver(), DEFAULT_PERMITTED_AXIOMS)
+        assert report.axioms_used == {"propext", "Lean.ofReduceBool"}
+        assert report.signature_match and not report.forbidden_occurrences
+        assert not report.passed
+        assert "Lean.ofReduceBool" in report.detail
 
 
 def _assembled_from_disk(root: Path) -> Workspace:
@@ -435,7 +468,7 @@ class TestRealModeParsers:
         assert "unknown identifier" in errors[0]
 
     def test_axiom_listing(self):
-        axioms = parse_axioms_output(AXIOM_OUTPUT_SOME, "MainTheorem")
+        axioms = parse_axioms_output(AXIOM_OUTPUT_SOME, "BurnsidePrimeDegreeTheorem.MainTheorem")
         assert axioms == {"propext", "Classical.choice", "Quot.sound"}
 
     def test_axiom_listing_empty(self):
@@ -446,6 +479,27 @@ class TestRealModeParsers:
 
         with pytest.raises(DriverFail):
             parse_axioms_output("nothing useful\n", "t")
+
+    def test_axiom_listing_matches_the_exact_name(self):
+        output = ("'Bar.main' depends on axioms: [propext]\n"
+                  "'Foo.main' depends on axioms: [propext, sorryAx]\n")
+        assert parse_axioms_output(output, "Foo.main") == {"propext", "sorryAx"}
+        assert parse_axioms_output(output, "Bar.main") == {"propext"}
+
+    def test_axiom_listing_for_a_last_segment_only_is_missing(self):
+        from proofloop.leanenv import DriverFail
+
+        with pytest.raises(DriverFail):
+            parse_axioms_output(AXIOM_OUTPUT_SOME, "MainTheorem")
+        with pytest.raises(DriverFail):
+            parse_axioms_output("'Foo.tiny' does not depend on any axioms\n", "tiny")
+
+    def test_two_listings_for_one_name_are_ambiguous(self):
+        from proofloop.leanenv import DriverFail
+
+        with pytest.raises(DriverFail):
+            parse_axioms_output("'t' depends on axioms: [propext]\n"
+                                "'t' does not depend on any axioms\n", "t")
 
 
 @pytest.mark.skipif(shutil.which("lake") is None, reason="Lean toolchain not on PATH")
@@ -460,15 +514,19 @@ class TestRealToolchainSmoke:
         assert verifier.audit_axioms(ws, "tiny") == set()
 
 
-class TestMasking:
-    def test_mask_preserves_length_and_newlines(self):
-        text = "a -- c\nb /- x\ny -/ z \"s\" w\n"
-        masked = mask_lean_source(text)
-        assert len(masked) == len(text)
-        assert masked.count("\n") == text.count("\n")
+class TestTokenizerCoversMaskingCases:
+    """The cases the comment/string masker was tested on, on the tokenizer."""
 
-    def test_keep_strings_mode(self):
+    def test_tokens_cover_the_text_and_keep_line_numbers(self):
+        text = "a -- c\nb /- x\ny -/ z \"s\" w\n"
+        tokens = list(tokenize(text))
+        assert "".join(token for _, token, _ in tokens) == text
+        assert [(kind, token, line) for kind, token, line in tokens if kind != OTHER] == [
+            (IDENT, "a", 1), (COMMENT, "-- c", 1), (IDENT, "b", 2), (BLOCK, "/- x\ny -/", 2),
+            (IDENT, "z", 3), (STRING, '"s"', 3), (IDENT, "w", 3)]
+
+    def test_strings_and_comments_are_told_apart(self):
         text = 'def x := "keep" -- drop\n'
-        masked = mask_lean_source(text, mask_strings=False)
-        assert '"keep"' in masked
-        assert "drop" not in masked
+        kinds = {token: kind for kind, token, _ in tokenize(text)}
+        assert kinds['"keep"'] == STRING
+        assert kinds["-- drop"] == COMMENT

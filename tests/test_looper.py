@@ -95,6 +95,15 @@ class TestFindAnchor:
         with pytest.raises(InputError):
             find_anchor("sorry\n")
 
+    def test_unicode_identifier_ending_in_sorry_is_not_a_sorry(self):
+        with pytest.raises(InputError, match="no sorry"):
+            find_anchor("theorem t : True := αsorry\n")
+
+    def test_sorry_after_a_quote_char_literal_is_found(self):
+        anchor = find_anchor("def q : Char := '\"'\ntheorem Main : True := sorry\n")
+        assert anchor.decl_name == "Main"
+        assert anchor.original_body == ":= sorry\n"
+
 
 class TestRouting:
     def clean_report(self):

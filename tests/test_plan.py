@@ -120,6 +120,12 @@ class TestCreatePlan:
         # Identifier containing the word is not a sorry token.
         with pytest.raises(AnchorError):
             AnchorDecl("t", "theorem t : True", ":= sorryFree")
+        with pytest.raises(AnchorError):
+            AnchorDecl("t", "theorem t : True", ":= trivial -- sorry")
+
+    def test_anchor_body_sorry_may_carry_a_suffix(self):
+        # `!` and `?` never hide a forbidden word, as in the scanner.
+        assert AnchorDecl("t", "theorem t : True", ":= sorry?").original_body == ":= sorry?"
 
 
 def full_rewrite(plan, node_id, deps=None):
