@@ -25,7 +25,8 @@ from string import Template
 
 import requests
 
-from .plan import DiffCause, PlanDiff, PlanError, ProofPlan, diff_from_text, diff_to_text
+from .plan import (DiffCause, LineReader, PlanDiff, PlanError, ProofPlan, diff_from_text,
+                   diff_to_text)
 
 logger = logging.getLogger(__name__)
 
@@ -128,19 +129,22 @@ class LeanOutcome:
     source: str
 
 
+# The payload type each task kind answers with.
+PAYLOAD_TYPES = {
+    TaskKind.PLAN_INITIAL: PlanDiff,
+    TaskKind.PLAN_REVISE: PlanDiff,
+    TaskKind.LEAN_WORK: LeanOutcome,
+    TaskKind.CHECK: CheckVerdict,
+}
+
+
 @dataclass(frozen=True)
 class AgentResult:
     kind: TaskKind
     payload: PlanDiff | LeanOutcome | CheckVerdict
 
     def __post_init__(self) -> None:
-        expected = {
-            TaskKind.PLAN_INITIAL: PlanDiff,
-            TaskKind.PLAN_REVISE: PlanDiff,
-            TaskKind.LEAN_WORK: LeanOutcome,
-            TaskKind.CHECK: CheckVerdict,
-        }[self.kind]
-        if not isinstance(self.payload, expected):
+        if not isinstance(self.payload, PAYLOAD_TYPES[self.kind]):
             raise AgentError(f"payload {type(self.payload).__name__} does not match {self.kind.value} task")
 
     @property
@@ -245,8 +249,12 @@ class Fixture:
 
     def add(self, entry: FixtureEntry) -> None:
         slot = (entry.key, entry.occurrence)
+        label = f"{entry.key.label()}#{entry.occurrence}"
         if slot in self.entries:
-            raise FixtureParse(f"duplicate fixture entry {entry.key.label()}#{entry.occurrence}")
+            raise FixtureParse(f"duplicate fixture entry {label}")
+        if not isinstance(entry.payload, PAYLOAD_TYPES[entry.key.kind]):
+            raise FixtureParse(f"{label}: payload {type(entry.payload).__name__} does not match"
+                               f" {entry.key.kind.value} task")
         self.entries[slot] = entry
 
 
@@ -269,106 +277,59 @@ class ScriptedBackend:
 
 def parse_fixture(text: str) -> Fixture:
     """Parse the fixture-file format described in docs/formats.md."""
+    reader = LineReader(text, "fixture", FixtureParse)
+    reader.header("fixture")
     fixture = Fixture()
-    lines = text.splitlines()
-    i = 0
-
-    def skip_blank(j: int) -> int:
-        while j < len(lines) and (not lines[j].strip() or lines[j].lstrip().startswith("#")):
-            j += 1
-        return j
-
-    i = skip_blank(i)
-    if i >= len(lines) or lines[i].strip() != "fixture v1":
-        raise FixtureParse("not a fixture v1 document")
-    i += 1
-    while True:
-        i = skip_blank(i)
-        if i >= len(lines):
-            break
-        header = lines[i].strip().split()
-        if header[0] != "entry":
-            raise FixtureParse(f"line {i + 1}: expected 'entry', got {lines[i]!r}")
-        try:
-            kind = TaskKind(header[1])
-        except ValueError as exc:
-            raise FixtureParse(f"line {i + 1}: unknown task kind {header[1]!r}") from exc
-        fields = header[2:]
-        check_kind: CheckKind | None = None
+    while reader.peek() is not None:
+        kind_word, *fields = reader.expect("entry").split() or [""]
+        kind = reader.member(TaskKind, kind_word, "task kind")
+        check_kind = None
         if kind is TaskKind.CHECK:
-            if not fields:
-                raise FixtureParse(f"line {i + 1}: check entry missing check kind")
-            raw = fields.pop(0)
-            try:
-                check_kind = CheckKind(raw)
-            except ValueError as exc:
-                raise FixtureParse(f"line {i + 1}: unknown check kind {raw!r}") from exc
-        node_id: str | None = None
-        occurrence = 1
-        if fields and not fields[0].isdigit():
-            node_id = fields.pop(0)
-        if fields:
-            occurrence = int(fields.pop(0))
-        i += 1
+            check_kind = reader.member(CheckKind, fields.pop(0) if fields else "", "check kind")
+        node_id = fields.pop(0) if fields and not fields[0].isdigit() else None
+        occurrence = reader.ints(" ".join(fields), 1)[0] if fields else 1
 
         usage = TokenUsage()
         payload: PlanDiff | LeanOutcome | CheckVerdict | None = None
-        while True:
-            i = skip_blank(i)
-            if i >= len(lines):
-                raise FixtureParse("unexpected end of fixture inside entry")
-            line = lines[i].strip()
-            if line == "end":
-                i += 1
-                break
-            if line.startswith("usage "):
-                counts = [int(x) for x in line.split()[1:]]
-                if len(counts) != 4:
-                    raise FixtureParse(f"line {i + 1}: usage needs four counts")
-                usage = TokenUsage(*counts)
-                i += 1
-            elif line.startswith("verdict "):
-                rest = line[len("verdict "):].strip()
-                word, _, note = rest.partition(" ")
-                if word not in ("pass", "fail"):
-                    raise FixtureParse(f"line {i + 1}: verdict must be pass or fail")
+        while (line := reader.take()) != "end":
+            word, _, rest = line.partition(" ")
+            if word == "usage":
+                if len(rest.split()) != 4:
+                    reader.fail("usage needs four counts")
+                usage = TokenUsage(*reader.ints(rest))
+            elif word == "verdict":
+                verdict, _, note = rest.strip().partition(" ")
+                if verdict not in ("pass", "fail"):
+                    reader.fail("verdict must be pass or fail")
                 note = note.strip()
                 if note.startswith('"'):
                     try:
                         note = json.loads(note)
-                    except ValueError as exc:
-                        raise FixtureParse(f"line {i + 1}: bad verdict note") from exc
-                payload = CheckVerdict(word == "pass", note)
-                i += 1
-            elif line.startswith("payload "):
-                parts = line.split()
-                if len(parts) != 3 or "<<" not in parts[2]:
-                    raise FixtureParse(f"line {i + 1}: bad payload header")
-                payload_type = parts[1]
-                marker = parts[2].split("<<", 1)[1]
-                i += 1
-                body: list[str] = []
-                while i < len(lines) and lines[i] != marker:
-                    body.append(lines[i])
-                    i += 1
-                if i >= len(lines):
-                    raise FixtureParse(f"payload heredoc missing terminator {marker!r}")
-                i += 1
-                body_text = "\n".join(body) + ("\n" if body else "")
-                if payload_type == "diff":
+                    except ValueError:
+                        reader.fail("bad verdict note")
+                payload = CheckVerdict(verdict == "pass", note)
+            elif word == "payload":
+                parts = rest.split()
+                if len(parts) != 2 or not parts[1].startswith("<<"):
+                    reader.fail("bad payload header")
+                body = reader.raw_until(parts[1][2:])
+                if parts[0] == "diff":
                     try:
-                        payload = diff_from_text(body_text)
+                        payload = diff_from_text(body)
                     except PlanError as exc:
-                        raise FixtureParse(f"bad diff payload: {exc}") from exc
-                elif payload_type == "source":
-                    payload = LeanOutcome(source=body_text)
+                        reader.fail(f"bad diff payload: {exc}")
+                elif parts[0] == "source":
+                    payload = LeanOutcome(source=body)
                 else:
-                    raise FixtureParse(f"unknown payload type {payload_type!r}")
+                    reader.fail(f"unknown payload type {parts[0]!r}")
             else:
-                raise FixtureParse(f"line {i + 1}: unexpected line {line!r}")
+                reader.fail(f"unexpected line {line!r}")
         if payload is None:
-            raise FixtureParse("entry has no payload or verdict")
-        fixture.add(FixtureEntry(FixtureKey(kind, check_kind, node_id), occurrence, payload, usage))
+            reader.fail("entry has no payload or verdict")
+        try:
+            fixture.add(FixtureEntry(FixtureKey(kind, check_kind, node_id), occurrence, payload, usage))
+        except FixtureParse as exc:
+            reader.fail(str(exc))
     return fixture
 
 
@@ -398,7 +359,8 @@ def fixture_to_text(fixture: Fixture) -> str:
             out.append(f"verdict {word}{note}")
         elif isinstance(payload, LeanOutcome):
             out.append("payload source <<LEAN-EOF")
-            out.append(payload.source.rstrip("\n"))
+            if payload.source:  # the heredoc keeps every line, blank ones at the end too
+                out.append(payload.source.removesuffix("\n"))
             out.append("LEAN-EOF")
         else:
             out.append("payload diff <<DIFF-EOF")
@@ -470,10 +432,9 @@ def parse_verdict_payload(body: str) -> CheckVerdict:
 class LiveBackend:
     """Single-endpoint HTTP client; each invoke is one independent request."""
 
-    def __init__(self, config: LiveConfig, session: requests.Session | None = None,
-                 sleep=time.sleep):
+    def __init__(self, config: LiveConfig, sleep=time.sleep):
         self.config = config
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self._sleep = sleep
         self._prompts: dict[tuple[TaskKind, CheckKind | None], Template] = {}
 

@@ -9,11 +9,11 @@ workspace wrote, cached per file by content; the final audit (and
 ``proofloop audit``) reads every file from disk.
 
 The scanner, the signature extractor and the sim directives read Lean source
-through :mod:`proofloop.lexer`.  The scanner flags identifiers in code, never
-comments or literals: a name part ``sorry``, ``admit`` or ``axiom`` (not
-``sorryFree`` or ``αsorry``) and the kernel-bypass option
-``debug.skipKernelTC``.  The axiom audit takes only the listing for exactly
-the audited name.
+through :mod:`proofloop.lexer`.  The scanner flags identifiers in code (the
+``{…}`` parts of strings included), never comments or literals: a name part
+``sorry``, ``admit`` or ``axiom`` (not ``sorryFree`` or ``αsorry``) and the
+kernel-bypass option ``debug.skipKernelTC``.  The axiom audit takes only the
+listing for exactly the audited name, and fails when a file does not build.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lexer import BLOCK, COMMENT, FORBIDDEN_TOKENS, IDENT, OTHER, forbidden_word, tokenize
+from .lexer import (BLOCK, COMMENT, FORBIDDEN_TOKENS, IDENT, OTHER, forbidden_words, tokenize,
+                    unterminated)
+from .plan import LineReader
 
 DEFAULT_PERMITTED_AXIOMS = frozenset({"propext", "Quot.sound", "Classical.choice"})
 SORRY_AXIOM = "sorryAx"
@@ -155,8 +157,7 @@ def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str
     """``(word, filename, line)`` for each forbidden identifier in code (see the module doc)."""
     if not any(word in text for word in (*FORBIDDEN_TOKENS, "skipKernelTC")):
         return []  # every forbidden identifier holds one of these words
-    return [(word, filename, line) for kind, token, line in tokenize(text)
-            if kind == IDENT and (word := forbidden_word(token))]
+    return [(word, filename, line) for _, word, line in forbidden_words(tokenize(text))]
 
 
 def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int]]:
@@ -250,38 +251,25 @@ class SimRule:
 
 def parse_sim_rules(text: str) -> dict[str, SimRule]:
     """Parse the rule-table format described in docs/formats.md."""
+    reader = LineReader(text, "sim rules", SimRuleError)
+    reader.header("simrules")
     rules: dict[str, SimRule] = {}
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "simrules v1":
-        raise SimRuleError("not a simrules v1 document")
-    i = 1
-    while i < len(lines):
-        if not lines[i].startswith("rule "):
-            raise SimRuleError(f"expected 'rule', got {lines[i]!r}")
-        key = lines[i].split(None, 1)[1]
-        i += 1
-        clean = True
-        sorry_lines: tuple[int, ...] = ()
-        diagnostics = ""
-        axioms: frozenset[str] = frozenset()
-        while i < len(lines) and lines[i] != "end":
-            word, _, rest = lines[i].partition(" ")
+    while reader.peek() is not None:
+        key = reader.expect("rule") or reader.fail("rule needs a key")
+        fields: dict = {}
+        while (line := reader.take()) != "end":
+            word, _, rest = line.partition(" ")
             if word == "clean":
-                clean = rest.strip() == "true"
+                fields["clean"] = rest.strip() == "true"
             elif word == "sorries":
-                sorry_lines = tuple(int(x) for x in rest.split())
+                fields["sorry_lines"] = tuple(reader.ints(rest))
             elif word == "diagnostics":
-                diagnostics = rest.strip()
+                fields["diagnostics"] = rest.strip()
             elif word == "axioms":
-                axioms = frozenset(rest.split())
+                fields["axioms"] = frozenset(rest.split())
             else:
-                raise SimRuleError(f"unknown rule field {word!r}")
-            i += 1
-        if i >= len(lines):
-            raise SimRuleError(f"rule {key} missing 'end'")
-        i += 1
-        rules[key] = SimRule(clean, sorry_lines, diagnostics, axioms)
+                reader.fail(f"unknown rule field {word!r}")
+        rules[key] = SimRule(**fields)
     return rules
 
 
@@ -329,6 +317,10 @@ class SimVerifier:
     def _build_file(self, rel: str, text: str) -> _FileBuild:
         directives = sim_directives(text)
         declared = frozenset(name for spec in directives.get("axioms", []) for name in spec.split())
+        open_kind = unterminated(text)
+        if open_kind:
+            literal = "comment" if open_kind == BLOCK else "string literal"
+            return _FileBuild(text, (f"{rel}: error: unterminated {literal}",), (), declared)
         if "key" in directives:
             key = directives["key"][0]
             rule = self.rules.get(key)
@@ -371,8 +363,13 @@ class SimVerifier:
         return BuildReport(not errors and not sites, tuple(sites), "\n".join(errors), 0.0, not errors)
 
     def audit_axioms(self, ws: Workspace, decl_name: str) -> set[str]:
-        texts = {rel: (ws.root_dir / rel).read_text(encoding="utf-8") for rel in ws.node_files.values()}
-        return set().union(*(self._build_file(rel, text).axioms for rel, text in texts.items()))
+        """Axioms of every file on disk; any file that does not build fails the audit, as in Lean."""
+        builds = [self._build_file(rel, (ws.root_dir / rel).read_text(encoding="utf-8"))
+                  for rel in ws.node_files.values()]
+        errors = [error for build in builds for error in build.errors]
+        if errors:
+            raise DriverFail("workspace does not build: " + "; ".join(errors))
+        return set().union(*(build.axioms for build in builds))
 
 
 # ---------------------------------------------------------------------------

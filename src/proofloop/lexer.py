@@ -5,9 +5,10 @@ back to the input; ``line`` is the 1-based line a token starts on.  Kinds:
 ``COMMENT`` (``--`` up to the newline), ``BLOCK`` (nested ``/- … -/``),
 ``STRING`` (escaped ``"…"``, or raw ``r#"…"#`` with any number of ``#``),
 ``CHAR`` (``'a'``, ``'\\''``, ``'\\u{3b1}'``), ``IDENT`` (a dot-qualified name
-whose parts are identifiers or ``«…»``) and ``OTHER`` (runs of the rest).  An
-unterminated block comment or string runs to the end of the text; a ``'`` or
-``«`` that opens no complete literal or name is ``OTHER``.
+whose parts are identifiers or ``«…»``) and ``OTHER`` (runs of the rest; each
+brace is a token of its own).  An unterminated block comment or string runs to
+the end of the text, and :func:`unterminated` reports it; a ``'`` or ``«``
+that opens no complete literal or name is ``OTHER``.
 
 Identifier characters are Lean's ``isIdFirst``/``isIdRest``: ASCII letters,
 ``_`` and Lean's letter-like ranges start one; digits, ``'`` and subscripts may
@@ -15,13 +16,14 @@ follow.  ``!`` and ``?``, which Lean also allows, end an identifier here, so
 they never hide a forbidden word: ``sorry?`` reads as ``sorry``.  With ``«»``
 removed, an identifier spells the kernel-bypass option ``debug.skipKernelTC``
 if it is that name, and otherwise its first dot-separated part that is
-``sorry``, ``admit`` or ``axiom``, if any.
+``sorry``, ``admit`` or ``axiom``, if any; :func:`forbidden_words` finds
+those in code, the ``{…}`` parts of strings included.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 COMMENT = "comment"
 BLOCK = "block"
@@ -49,9 +51,11 @@ _TOKEN = re.compile(
     rf"|(?P<{COMMENT}>--[^\n]*)"
     rf"|(?P<{BLOCK}>/-)"
     rf"|(?P<{CHAR}>'(?:\\(?:u\{{[0-9A-Fa-f]*\}}|u[0-9A-Fa-f]{{4}}|x[0-9A-Fa-f]{{2}}|[\s\S])|[^\\])')"
-    rf"|(?P<{OTHER}>[^{_ID_FIRST}\-/\"'«]+|[\s\S])"
+    rf"|(?P<{OTHER}>[^{_ID_FIRST}\-/\"'«{{}}]+|[\s\S])"
 )
 _BLOCK_DELIM = re.compile(r"/-|-/")
+_CLOSED_STRING = re.compile(r'r(#*)"[\s\S]*"\1|"(?:[^"\\]|\\[\s\S])*"')
+_ESCAPE_OR_BRACE = re.compile(r"\\[\s\S]?|\{")
 
 
 def tokenize(text: str) -> Iterator[tuple[str, str, int]]:
@@ -71,6 +75,46 @@ def tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         yield kind, token, line
         line += token.count("\n")
         pos = end
+
+
+def unterminated(text: str) -> str | None:
+    """``BLOCK`` or ``STRING`` if ``text`` ends inside a block comment or string left open."""
+    if '"' not in text and "/-" not in text:
+        return None  # every block comment and string holds one of these
+    *_, (kind, token, _) = tokenize(text)
+    delims = _BLOCK_DELIM.findall(token) if kind == BLOCK else []
+    if delims.count("/-") > delims.count("-/") or kind == STRING and not _CLOSED_STRING.fullmatch(token):
+        return kind
+    return None
+
+
+def forbidden_words(tokens: Iterable[tuple[str, str, int]]) -> Iterator[tuple[int, str, int]]:
+    """``(index, word, line)`` for each forbidden identifier in code among ``tokens``.
+
+    Each ``{…}`` part of a ``"…"`` string is code too, as in Lean's interpolated
+    strings: outside the parts ``\\`` escapes one character, and a part ends
+    at the ``}`` that closes it in code (not in a comment or literal) or with
+    the string.  ``index`` is the position of the token that holds the word.
+    """
+    for i, (kind, token, line) in enumerate(tokens):
+        if kind == IDENT and (word := forbidden_word(token)):
+            yield i, word, line
+        elif kind == STRING and token[0] == '"' and "{" in token:
+            stop = len(token) - 1 if _CLOSED_STRING.fullmatch(token) else len(token)
+            pos = 1
+            while m := _ESCAPE_OR_BRACE.search(token, pos, stop):
+                pos = m.end()
+                if m.group() != "{":
+                    continue
+                part, depth = [], 1
+                for sub in tokenize(token[pos:stop]):
+                    depth += (sub[1] == "{") - (sub[1] == "}") if sub[0] == OTHER else 0
+                    if not depth:
+                        break
+                    part.append(sub)
+                first = line + token.count("\n", 0, pos) - 1
+                yield from ((i, word, first + at) for _, word, at in forbidden_words(part))
+                pos += sum(len(text) for _, text, _ in part) + 1
 
 
 def forbidden_word(ident: str) -> str | None:

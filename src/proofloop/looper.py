@@ -45,7 +45,7 @@ from .leanenv import (
     normalize_signature,
 )
 from .ledger import EventKind, Outcome, RunLedger, open_ledger, utc_now_iso
-from .lexer import IDENT, OTHER, forbidden_word, tokenize
+from .lexer import OTHER, forbidden_words, tokenize
 from .plan import (
     AnchorDecl,
     DiffCause,
@@ -163,8 +163,7 @@ _REPLAN_STEPS = {
 def find_anchor(text: str) -> AnchorDecl:
     """Locate the first sorry-bearing declaration and capture its header."""
     tokens = list(tokenize(text))
-    sorry = next((i for i, (kind, token, _) in enumerate(tokens)
-                  if kind == IDENT and forbidden_word(token) == "sorry"), None)
+    sorry = next((i for i, word, _ in forbidden_words(tokens) if word == "sorry"), None)
     if sorry is None:
         raise InputError("input contains no sorry declaration")
     heads = declaration_heads(tokens)

@@ -18,8 +18,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NoReturn, TypeVar
 
-from .lexer import IDENT, forbidden_word, tokenize
+from .lexer import forbidden_words, tokenize
 
 
 class PlanError(Exception):
@@ -78,8 +79,7 @@ class AnchorDecl:
     def __post_init__(self) -> None:
         if not self.signature_text.strip():
             raise AnchorError("anchor signature text must be non-empty")
-        if not any(kind == IDENT and forbidden_word(token) == "sorry"
-                   for kind, token, _ in tokenize(self.original_body)):
+        if not any(word == "sorry" for _, word, _ in forbidden_words(tokenize(self.original_body))):
             raise AnchorError("anchor body must contain a sorry token")
 
 
@@ -383,22 +383,18 @@ def is_complete(plan: ProofPlan) -> bool:
 # Text serialization.  Line-oriented, one node per record, lossless.
 # See docs/formats.md for the grammar.
 
-_PLAN_HEADER = "proofplan v1"
-_DIFF_HEADER = "plandiff v1"
-
-
 def _q(text: str) -> str:
     return json.dumps(text, ensure_ascii=False)
 
 
-def _node_lines(node: PlanNode) -> list[str]:
-    lines = [
-        f"node {node.node_id}",
-        f"informal {_q(node.informal)}",
-        f"sketch {_q(node.sketch)}",
-        ("deps " + " ".join(node.deps)).rstrip(),
-        f"status {node.status.value}",
-    ]
+def _statement_lines(head: str, informal: str, sketch: str, deps: tuple[str, ...]) -> list[str]:
+    """A node or rewrite block up to its ``deps`` line; :func:`_statement` reads it back."""
+    return [head, f"informal {_q(informal)}", f"sketch {_q(sketch)}", " ".join(("deps", *deps))]
+
+
+def _node_lines(node: PlanNode, keyword: str = "node") -> list[str]:
+    lines = _statement_lines(f"{keyword} {node.node_id}", node.informal, node.sketch, node.deps)
+    lines.append(f"status {node.status.value}")
     if node.anchor is not None:
         a = node.anchor
         lines.append(f"anchor {_q(a.decl_name)} {_q(a.signature_text)} {_q(a.original_body)}")
@@ -407,7 +403,7 @@ def _node_lines(node: PlanNode) -> list[str]:
 
 
 def plan_to_text(plan: ProofPlan) -> str:
-    lines = [_PLAN_HEADER, f"revision {plan.revision}"]
+    lines = ["proofplan v1", f"revision {plan.revision}"]
     if plan.retired:
         lines.append("retired " + " ".join(sorted(plan.retired)))
     for node_id in plan.order:
@@ -415,11 +411,27 @@ def plan_to_text(plan: ProofPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LineReader:
-    def __init__(self, text: str, what: str):
-        self.lines = text.splitlines()
+_E = TypeVar("_E", bound=Enum)
+
+
+class LineReader:
+    """Reads one of the v1 line formats (plan, diff, fixture, sim rules).
+
+    Outside heredocs, blank lines and lines starting with ``#`` are skipped and
+    lines are read stripped.  ``pos`` counts the lines consumed, so every error,
+    raised as ``error`` with ``"<what> line <n>: <msg>"``, names the last line
+    consumed (the line after the last one at the end of the text).
+    """
+
+    def __init__(self, text: str, what: str, error: type[Exception] = PlanError):
+        # Only "\n" ends a line: str.splitlines would also split a JSON string at U+2028.
+        self.lines = text.removesuffix("\n").split("\n") if text else []
         self.pos = 0
         self.what = what
+        self.error = error
+
+    def fail(self, msg: str) -> NoReturn:
+        raise self.error(f"{self.what} line {self.pos}: {msg}")
 
     def peek(self) -> str | None:
         while self.pos < len(self.lines):
@@ -431,19 +443,46 @@ class _LineReader:
 
     def take(self) -> str:
         line = self.peek()
-        if line is None:
-            raise PlanError(f"unexpected end of {self.what}")
         self.pos += 1
+        if line is None:
+            self.fail(f"unexpected end of {self.what}")
         return line
 
     def expect(self, keyword: str) -> str:
         line = self.take()
         if line != keyword and not line.startswith(keyword + " "):
-            raise PlanError(f"{self.what}: expected {keyword!r}, got {line!r}")
+            self.fail(f"expected {keyword!r}, got {line!r}")
         return line[len(keyword):].strip()
 
+    def header(self, name: str) -> None:
+        if self.take() != f"{name} v1":
+            self.fail(f"not a {name} v1 document")
 
-def _parse_json_fields(rest: str, count: int, what: str) -> list[str]:
+    def raw_until(self, marker: str) -> str:
+        """The lines after the last one consumed, as written, up to a line equal to ``marker``."""
+        try:
+            end = self.lines.index(marker, self.pos)
+        except ValueError:
+            self.fail(f"heredoc missing terminator {marker!r}")
+        body = self.lines[self.pos:end]
+        self.pos = end + 1
+        return "".join(line + "\n" for line in body)
+
+    def member(self, enum: type[_E], raw: str, what: str) -> _E:
+        try:
+            return enum(raw)
+        except ValueError:
+            self.fail(f"unknown {what} {raw!r}")
+
+    def ints(self, text: str, count: int | None = None) -> list[int]:
+        """The space-separated non-negative integers of ``text``, ``count`` of them if given."""
+        words = text.split()
+        if count not in (None, len(words)) or not all(w.isascii() and w.isdigit() for w in words):
+            self.fail(f"expected {count or 'only'} non-negative integers, got {text!r}")
+        return [int(word) for word in words]
+
+
+def _json_fields(reader: LineReader, rest: str, count: int) -> list[str]:
     decoder = json.JSONDecoder()
     out = []
     idx = 0
@@ -452,99 +491,84 @@ def _parse_json_fields(rest: str, count: int, what: str) -> list[str]:
             idx += 1
         try:
             value, idx = decoder.raw_decode(rest, idx)
-        except ValueError as exc:
-            raise PlanError(f"{what}: bad quoted field in {rest!r}") from exc
+        except ValueError:
+            reader.fail(f"bad quoted field in {rest!r}")
         if not isinstance(value, str):
-            raise PlanError(f"{what}: expected string field")
+            reader.fail("expected string field")
         out.append(value)
     return out
 
 
-def _parse_node_block(reader: _LineReader, header_rest: str) -> PlanNode:
-    node_id = header_rest
-    informal = _parse_json_fields(reader.expect("informal"), 1, reader.what)[0]
-    sketch = _parse_json_fields(reader.expect("sketch"), 1, reader.what)[0]
-    deps = tuple(reader.expect("deps").split())
-    raw = reader.expect("status")
-    try:
-        status = Status(raw)
-    except ValueError as exc:
-        raise PlanError(f"{reader.what}: unknown status {raw!r}") from exc
+def _statement(reader: LineReader) -> tuple[str, str, tuple[str, ...]]:
+    """The ``informal``, ``sketch`` and ``deps`` lines of a node or rewrite block."""
+    informal = _json_fields(reader, reader.expect("informal"), 1)[0]
+    sketch = _json_fields(reader, reader.expect("sketch"), 1)[0]
+    return informal, sketch, tuple(reader.expect("deps").split())
+
+
+def _node_block(reader: LineReader, node_id: str) -> PlanNode:
+    informal, sketch, deps = _statement(reader)
+    status = reader.member(Status, reader.expect("status"), "status")
     anchor = None
     line = reader.take()
     if line.startswith("anchor "):
-        name, sig, body = _parse_json_fields(line[len("anchor "):], 3, reader.what)
-        anchor = AnchorDecl(name, sig, body)
+        anchor = _json_fields(reader, line[len("anchor "):], 3)
         line = reader.take()
     if line != "end":
-        raise PlanError(f"{reader.what}: expected 'end', got {line!r}")
-    return PlanNode(node_id, informal, sketch, deps, status, anchor)
+        reader.fail(f"expected 'end', got {line!r}")
+    try:
+        return PlanNode(node_id, informal, sketch, deps, status, anchor and AnchorDecl(*anchor))
+    except PlanError as exc:
+        reader.fail(str(exc))
 
 
 def plan_from_text(text: str) -> ProofPlan:
-    reader = _LineReader(text, "plan")
-    if reader.take() != _PLAN_HEADER:
-        raise PlanError("not a proofplan v1 document")
-    revision = int(reader.expect("revision"))
-    retired: frozenset[str] = frozenset()
-    line = reader.peek()
-    if line is not None and line.startswith("retired"):
-        retired = frozenset(reader.take().split()[1:])
+    reader = LineReader(text, "plan")
+    reader.header("proofplan")
+    revision = reader.ints(reader.expect("revision"), 1)[0]
+    has_retired = (reader.peek() or "").startswith("retired")
+    retired = frozenset(reader.expect("retired").split() if has_retired else ())
     nodes: list[PlanNode] = []
     while reader.peek() is not None:
-        rest = reader.expect("node")
-        nodes.append(_parse_node_block(reader, rest))
+        nodes.append(_node_block(reader, reader.expect("node")))
     plan = create_plan(nodes)
     return ProofPlan(nodes=plan.nodes, order=plan.order, revision=revision, retired=retired,
                      _edges=plan._edges, _anchor_id=plan._anchor_id)
 
 
 def diff_to_text(diff: PlanDiff) -> str:
-    lines = [_DIFF_HEADER, f"cause {diff.cause.value}"]
+    lines = ["plandiff v1", f"cause {diff.cause.value}"]
     for node in diff.adds:
-        block = _node_lines(node)
-        block[0] = f"add {node.node_id}"
-        lines.extend(block)
-    for node_id in diff.removes:
-        lines.append(f"remove {node_id}")
-    for rewrite in diff.rewrites:
-        lines.append(f"rewrite {rewrite.node_id}")
-        lines.append(f"informal {_q(rewrite.informal)}")
-        lines.append(f"sketch {_q(rewrite.sketch)}")
-        lines.append(("deps " + " ".join(rewrite.deps)).rstrip())
+        lines.extend(_node_lines(node, "add"))
+    lines.extend(f"remove {node_id}" for node_id in diff.removes)
+    for r in diff.rewrites:
+        lines.extend(_statement_lines(f"rewrite {r.node_id}", r.informal, r.sketch, r.deps))
         lines.append("end")
     return "\n".join(lines) + "\n"
 
 
 def diff_from_text(text: str) -> PlanDiff:
-    reader = _LineReader(text, "diff")
-    if reader.take() != _DIFF_HEADER:
-        raise PlanError("not a plandiff v1 document")
-    raw_cause = reader.expect("cause")
-    try:
-        cause = DiffCause(raw_cause)
-    except ValueError as exc:
-        raise PlanError(f"diff: unknown cause {raw_cause!r}") from exc
+    reader = LineReader(text, "diff")
+    reader.header("plandiff")
+    cause = reader.member(DiffCause, reader.expect("cause"), "cause")
     adds: list[PlanNode] = []
     removes: list[str] = []
     rewrites: list[NodeRewrite] = []
-    while True:
-        line = reader.peek()
-        if line is None:
-            break
-        if line.startswith("add "):
-            reader.take()
-            adds.append(_parse_node_block(reader, line[4:].strip()))
-        elif line.startswith("remove "):
-            removes.append(reader.take().split(None, 1)[1])
-        elif line.startswith("rewrite "):
-            node_id = reader.take().split(None, 1)[1]
-            informal = _parse_json_fields(reader.expect("informal"), 1, "diff")[0]
-            sketch = _parse_json_fields(reader.expect("sketch"), 1, "diff")[0]
-            deps = tuple(reader.expect("deps").split())
+    while (line := reader.peek()) is not None:
+        word, _, node_id = reader.take().partition(" ")
+        node_id = node_id.strip()
+        if word == "add":
+            adds.append(_node_block(reader, node_id))
+        elif word == "remove" and node_id:
+            removes.append(node_id)
+        elif word == "rewrite":
+            informal, sketch, deps = _statement(reader)
             if reader.take() != "end":
-                raise PlanError("diff: rewrite block missing 'end'")
-            rewrites.append(NodeRewrite(node_id, informal, sketch, deps))
+                reader.fail("rewrite block missing 'end'")
+            try:
+                rewrites.append(NodeRewrite(node_id, informal, sketch, deps))
+            except PlanError as exc:
+                reader.fail(str(exc))
         else:
-            raise PlanError(f"diff: unexpected line {line!r}")
+            reader.fail(f"unexpected line {line!r}")
     return PlanDiff(tuple(adds), tuple(removes), tuple(rewrites), cause)

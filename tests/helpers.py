@@ -332,20 +332,20 @@ def _oracle_raw_hashes(text: str, i: int) -> int:
     return hashes if text.startswith('"', i + 1 + hashes) else -1
 
 
-def oracle_scan(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
-    """Character automaton reference for the forbidden-token scanner.
+def _oracle_walk(text: str, filename: str, in_part: bool) -> tuple[list, int, bool]:
+    """Read ``text`` as code: the forbidden hits, where reading stopped, and whether
+    the text ends inside an open block comment or string.
 
-    Covers line and nested block comments, strings with escapes, raw strings
-    with any number of ``#``, char literals, ``«»`` names and dotted Lean
-    identifiers; ``!`` and ``?`` end an identifier.  An identifier is flagged
-    once: as ``debug.skipKernelTC``, or for its first dot-separated part that
-    is a forbidden word, with ``«»`` removed.
+    With ``in_part`` the text is the rest of an interpolation part, and reading
+    stops at the ``}`` that closes it (braces count only in code).
     """
     forbidden = ("sorry", "admit", "axiom")
     hits = []
     n = len(text)
     i = 0
     line = 1
+    braces = 0
+    left_open = False
     while i < n:
         ch = text[i]
         start = i
@@ -364,15 +364,28 @@ def oracle_scan(text: str, filename: str = "<memory>") -> list[tuple[str, str, i
                     i += 2
                 else:
                     i += 1
+            left_open = depth > 0
         elif ch == "r" and _oracle_raw_hashes(text, i) >= 0:
             close = '"' + "#" * _oracle_raw_hashes(text, i)
             end = text.find(close, i + len(close) + 1)
             i = n if end < 0 else end + len(close)
+            left_open = end < 0
         elif ch == '"':
-            i += 1
-            while i < n and text[i] != '"':
-                i += 2 if text[i] == "\\" else 1
-            i = min(i + 1, n)
+            close = i + 1
+            while close < n and text[close] != '"':
+                close += 2 if text[close] == "\\" else 1
+            stop = min(close, n)
+            j = i + 1
+            while j < stop:  # each unescaped { opens a part that is read as code
+                if text[j] == "{":
+                    part_hits, used, _ = _oracle_walk(text[j + 1:stop], filename, True)
+                    first = line + text.count("\n", start, j + 1) - 1
+                    hits += [(word, name, first + at) for word, name, at in part_hits]
+                    j += used + 2
+                else:
+                    j += 2 if text[j] == "\\" else 1
+            i = close + 1 if close < n else n
+            left_open = close >= n
         elif ch == "'":
             end = _oracle_char_literal(text, i)
             i = i + 1 if end < 0 else end
@@ -389,10 +402,33 @@ def oracle_scan(text: str, filename: str = "<memory>") -> list[tuple[str, str, i
                     if part in forbidden:
                         hits.append((part, filename, line))
                         break
+        elif in_part and ch in "{}":
+            braces += 1 if ch == "{" else -1
+            if braces < 0:
+                return hits, i, False
+            i += 1
         else:
             i += 1
         line += text.count("\n", start, i)
-    return hits
+    return hits, i, left_open
+
+
+def oracle_scan(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
+    """Character automaton reference for the forbidden-token scanner.
+
+    Covers line and nested block comments, strings with escapes, raw strings
+    with any number of ``#``, char literals, ``«»`` names and dotted Lean
+    identifiers; ``!`` and ``?`` end an identifier.  An identifier is flagged
+    once: as ``debug.skipKernelTC``, or for its first dot-separated part that
+    is a forbidden word, with ``«»`` removed.  Each ``{…}`` part of a ``"…"``
+    string is read as code, up to its closing brace or the end of the string.
+    """
+    return _oracle_walk(text, filename, False)[0]
+
+
+def oracle_unterminated(text: str) -> bool:
+    """True if ``text`` ends inside a block comment or string that never closes."""
+    return _oracle_walk(text, "<memory>", False)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +499,14 @@ LEAN_WORDS = ["sorry", "admit", "axiom", "sorryFree", "unsorry", "sorry'", "axio
               "x.sorry", "sorry.x", "«sorry»", "«a b».admit", "debug.skipKernelTC", "λsorry",
               "2sorry", "h'", "r"]
 LEAN_LITERALS = ["'\"'", "'\\''", "'\\u{22}'", "'\\x22'", "'a'", "'\\\\'", "r\"sorry\"",
-                 'r#"a"b sorry"#', 'r##"x"#sorry"##', '"a\\" sorry"', '"\\\\"']
+                 'r#"a"b sorry"#', 'r##"x"#sorry"##', '"a\\" sorry"', '"\\\\"',
+                 's!"{(sorry : Nat)}"', '"a {x} sorry"', '"\\{sorry}"', '"{ \'}\' ++ admit }"',
+                 '"{ /- } -/ sorry}"', '"{f {a} axiom} sorry"', '"}{sorry"', '"{\\"sorry\\"}"',
+                 'r"{sorry}"', 'm!"a\n{b\nsorry}"']
 
 
 def random_lean_file(rng: random.Random) -> str:
-    """Token soup mixing keywords, lookalikes, comments, strings and literals."""
+    """Token soup mixing keywords, lookalikes, comments, strings (some interpolated) and literals."""
     words = LEAN_WORDS
     pieces: list[str] = []
     for _ in range(rng.randint(5, 60)):
@@ -488,7 +527,10 @@ def random_lean_file(rng: random.Random) -> str:
                 body += "\\\" " + rng.choice(words)
             if rng.random() < 0.2:
                 body += "\\\\"
-            pieces.append('"' + body + '"')
+            if rng.random() < 0.3:  # an interpolation part, maybe with nesting or left open
+                part = " ".join(rng.choices(words + ["{", "}", "'}'", "/- } -/"], k=rng.randint(1, 4)))
+                body += rng.choice(["{", "{", "\\{"]) + part + rng.choice(["}", "}", ""])
+            pieces.append(rng.choice(['"', '"', 's!"']) + body + '"')
         elif roll < 0.92:
             pieces.append(rng.choice(LEAN_LITERALS) + rng.choice([" ", "\n", ""]))
         else:

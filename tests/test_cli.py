@@ -196,6 +196,24 @@ class TestAuditCommand:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("helper", [
+        "-- sim: error boom\ntheorem Helper : True := trivial\n",
+        "/- unterminated\ntheorem Main2 : True := sorry\n",
+        'def s : String := "unterminated\ntheorem Main2 : True := sorry\n',
+    ], ids=["error-directive", "unterminated-comment", "unterminated-string"])
+    def test_a_helper_that_does_not_build_fails_the_sim_audit(self, tmp_path, capsys, helper):
+        anchor = tmp_path / "in.lean"
+        anchor.write_text("theorem Main : True := by\n  sorry\n", encoding="utf-8")
+        ws = tmp_path / "ws"
+        ws.mkdir()
+        (ws / "Main.lean").write_text("theorem Main : True := trivial\n", encoding="utf-8")
+        (ws / "Helper.lean").write_text(helper, encoding="utf-8")
+        code = main(["audit", str(ws), "--anchor", str(anchor), "--verifier", "sim"])
+        summary = summary_of(capsys)
+        assert code == 1
+        assert summary["pass"] is False and summary["signature_match"] is True
+        assert "axiom audit failed" in summary["detail"]
+
     def test_workspace_without_anchor_information(self, tmp_path, capsys):
         bare = tmp_path / "bare"
         bare.mkdir()
@@ -325,6 +343,33 @@ def fault_bad_fixture(tmp_path):
     args = simple_run_args(tmp_path)
     (tmp_path / "simple.fx").write_text("not a fixture\n", encoding="utf-8")
     return args
+
+
+def burnside_fixture_with(tmp_path, edit):
+    """Burnside run arguments whose fixture is the shipped one passed through ``edit``."""
+    fixture = tmp_path / "agents.fx"
+    fixture.write_text(edit((BURNSIDE_DIR / "agents.fx").read_text(encoding="utf-8")),
+                       encoding="utf-8")
+    args = burnside_args(tmp_path)
+    args[args.index("--fixture") + 1] = str(fixture)
+    return args
+
+
+def verdict_in_the_first_lean_entry(text):
+    start = text.index("entry lean ")
+    header_end = text.index("\n", start)
+    return text[:header_end] + "\nverdict pass" + text[text.index("\nend\n", start):]
+
+
+def negative_usage_in_the_first_entry(text):
+    start = text.index("\nusage ") + 1
+    return text[:start] + "usage -1 0 0 0" + text[text.index("\n", start):]
+
+
+def fault_bad_sim_rules(tmp_path):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("simrules v1\nrule k\nsorries three\nend\n", encoding="utf-8")
+    return burnside_args(tmp_path, "--sim-rules", str(rules))
 
 
 def fault_bad_config_value(tmp_path):
@@ -461,6 +506,11 @@ def fault_audit_real_verifier(tmp_path):
 
 @pytest.mark.parametrize("make_args, code", [
     pytest.param(fault_bad_fixture, 2, id="run-bad-fixture"),
+    pytest.param(lambda tmp_path: burnside_fixture_with(tmp_path, verdict_in_the_first_lean_entry),
+                 2, id="run-fixture-payload-of-the-wrong-kind"),
+    pytest.param(lambda tmp_path: burnside_fixture_with(tmp_path, negative_usage_in_the_first_entry),
+                 2, id="run-fixture-negative-usage"),
+    pytest.param(fault_bad_sim_rules, 2, id="run-bad-sim-rules"),
     pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--wall-clock", "soon"), 2,
                  id="run-bad-wall-clock"),
     pytest.param(fault_bad_config_value, 2, id="run-bad-config-value"),

@@ -275,6 +275,17 @@ class TestSimVerifier:
         ws = _ws_with(tmp_path, {"a": "theorem a : True := by\n  sorry\n"})
         assert verifier.audit_axioms(ws, "a") == {"sorryAx"}
 
+    @pytest.mark.parametrize("text, literal", [
+        ("theorem a : True := trivial\n/- open", "comment"),
+        ('theorem a : True := trivial\ndef s := "open', "string literal"),
+        ("-- sim: key clean-v3\n/- open", "comment"),
+    ])
+    def test_an_unterminated_literal_fails_the_build(self, tmp_path, text, literal):
+        verifier = SimVerifier(parse_sim_rules(RULES_TEXT))
+        report = verifier.build(_ws_with(tmp_path, {"a": text}))
+        assert not report.compiled and not report.clean
+        assert report.diagnostics == f"Proofws/a.lean: error: unterminated {literal}"
+
     def test_directive_inside_a_block_comment_is_ignored(self, tmp_path):
         ws = _ws_with(tmp_path, {"a": "/-\n-- sim: error boom\n-/\ntheorem a : True := trivial\n"})
         assert SimVerifier().build(ws).clean
@@ -333,6 +344,24 @@ class TestAuditVerdict:
         report = audit_verdict(ws, "theorem Main : True", "Main", SimVerifier())
         assert report.signature_match
         assert report.forbidden_occurrences == (("sorry", "Proofws/Main.lean", 2),)
+        assert "sorryAx" in report.axioms_used
+        assert not report.passed
+
+    @pytest.mark.parametrize("helper", [
+        "-- sim: error boom\ntheorem h : True := trivial\n",
+        "/- unterminated\ntheorem Main2 : True := sorry\n",
+        'def s := "unterminated\ntheorem Main2 : True := sorry\n',
+    ], ids=["error-directive", "unterminated-comment", "unterminated-string"])
+    def test_a_file_that_does_not_build_fails_the_axiom_audit(self, tmp_path, helper):
+        report = _audit(tmp_path, {"t": GOOD_TARGET, "h": helper})
+        assert report.signature_match and not report.forbidden_occurrences
+        assert not report.passed
+        assert report.detail.startswith("axiom audit failed: workspace does not build: Proofws/h.lean")
+
+    def test_an_interpolated_sorry_fails_the_audit(self, tmp_path):
+        report = _audit(tmp_path, {"t": GOOD_TARGET,
+                                   "h": 'def s : String := s!"{(sorry : Nat)}"\n'})
+        assert report.forbidden_occurrences == (("sorry", "Proofws/h.lean", 1),)
         assert "sorryAx" in report.axioms_used
         assert not report.passed
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import LEAN_LITERALS, LEAN_WORDS, oracle_scan
+from helpers import LEAN_LITERALS, LEAN_WORDS, oracle_scan, oracle_unterminated
 from proofloop.leanenv import (
     DEFAULT_PERMITTED_AXIOMS,
     SimVerifier,
@@ -25,6 +25,7 @@ from proofloop.lexer import (
     STRING,
     forbidden_word,
     tokenize,
+    unterminated,
 )
 from proofloop.looper import InputError, find_anchor
 from proofloop.plan import AnchorDecl, AnchorError
@@ -70,6 +71,15 @@ class TestTokenClasses:
         assert kinds('x "a\n sorry') == [(IDENT, "x"), (STRING, '"a\n sorry')]
         assert kinds('x "a\\') == [(IDENT, "x"), (STRING, '"a\\')]
 
+    @pytest.mark.parametrize("text, kind", [
+        ("x /- a\n sorry", BLOCK), ("/- a /- b -/ c", BLOCK), ("/- a -/ /- b", BLOCK),
+        ('x "a\n sorry', STRING), ('"a\\', STRING), ('"a\\"', STRING), ('r#"a"', STRING),
+        ('r"', STRING), ("/- a -/", None), ("/- a /- b -/ c -/", None), ('"a\\""', None),
+        ('r#"a"#', None), ('"a" x', None), ("'\"' x", None), ("-- /- \"", None), ("x", None),
+    ])
+    def test_unterminated_names_the_literal_left_open(self, text, kind):
+        assert unterminated(text) == kind
+
     def test_lone_quote_and_guillemet_are_punctuation(self):
         assert kinds("'ab «c d") == [(IDENT, "ab"), (IDENT, "c"), (IDENT, "d")]
 
@@ -110,6 +120,31 @@ class TestKernelBypass:
         assert scan_forbidden_text('def s := "debug.skipKernelTC"\n') == []
 
 
+class TestInterpolatedStrings:
+    def test_a_sorry_inside_an_interpolation_is_code(self):
+        text = 'theorem t : True := by\n  have := s!"{(sorry : Nat)}"\n  trivial\n'
+        assert scan_forbidden_text(text) == [("sorry", "<memory>", 2)]
+
+    def test_parts_report_their_own_lines(self):
+        text = 'def s := m!"a\n{b\n  sorry} {admit}\nc"\n'
+        assert scan_forbidden_text(text) == [("sorry", "<memory>", 3), ("admit", "<memory>", 3)]
+
+    @pytest.mark.parametrize("text", ['"a sorry {x}"', '"\\{sorry}"', 'r"{sorry}"',
+                                      '"{x} sorry"', '"{ /- {} -/ x } sorry"'])
+    def test_literal_text_outside_the_parts_is_not_code(self, text):
+        assert scan_forbidden_text(text) == []
+
+    @pytest.mark.parametrize("text", ['"{ \'}\' ++ sorry }"', '"{ /- } -/ sorry }"',
+                                      '"{f {a} sorry}"', '"{sorry"'])
+    def test_a_part_ends_at_the_brace_that_closes_it_in_code(self, text):
+        assert scan_forbidden_text(text) == [("sorry", "<memory>", 1)]
+
+    def test_anchor_and_input_checks_see_an_interpolated_sorry(self):
+        body = ':= by\n  have := s!"{(sorry : Nat)}"\n  trivial\n'
+        assert AnchorDecl("t", "theorem t : True", body).original_body == body
+        assert find_anchor("theorem t : True " + body).decl_name == "t"
+
+
 # ---------------------------------------------------------------------------
 # Generated files mixing every lexical class.
 
@@ -145,6 +180,11 @@ class TestTokenizerProperties:
         assert scan_forbidden_text(text, "h.lean") == oracle_scan(text, "h.lean")
 
     @given(lean_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_unterminated_matches_the_oracle(self, text):
+        assert (unterminated(text) is not None) == oracle_unterminated(text)
+
+    @given(lean_texts)
     @settings(max_examples=120, deadline=None)
     def test_sim_audit_passes_iff_the_oracle_finds_nothing(self, text):
         text = text.replace("sim:", "sim")
@@ -154,7 +194,7 @@ class TestTokenizerProperties:
             ws.write_node_source("h", text)
             report = audit_verdict(ws, "theorem t : True", "t", SimVerifier(),
                                    DEFAULT_PERMITTED_AXIOMS)
-        assert report.passed == (oracle_scan(text) == [])
+        assert report.passed == (oracle_scan(text) == [] and not oracle_unterminated(text))
 
     @given(lean_texts)
     @settings(max_examples=400, deadline=None)
