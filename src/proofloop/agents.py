@@ -20,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, count
 from pathlib import Path
 from string import Template
 
@@ -358,10 +359,14 @@ def fixture_to_text(fixture: Fixture) -> str:
             note = f" {json.dumps(payload.note, ensure_ascii=False)}" if payload.note else ""
             out.append(f"verdict {word}{note}")
         elif isinstance(payload, LeanOutcome):
-            out.append("payload source <<LEAN-EOF")
+            # The first of LEAN-EOF, LEAN-EOF-1, ... that is not a line of the source.
+            lines = set(payload.source.split("\n"))
+            markers = chain(["LEAN-EOF"], (f"LEAN-EOF-{i}" for i in count(1)))
+            marker = next(m for m in markers if m not in lines)
+            out.append(f"payload source <<{marker}")
             if payload.source:  # the heredoc keeps every line, blank ones at the end too
                 out.append(payload.source.removesuffix("\n"))
-            out.append("LEAN-EOF")
+            out.append(marker)
         else:
             out.append("payload diff <<DIFF-EOF")
             out.append(diff_to_text(payload).rstrip("\n"))

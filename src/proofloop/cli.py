@@ -43,6 +43,7 @@ from .ledger import (
     LedgerError,
     ReplayMismatch,
     ZERO_RATES,
+    Verdict,
     aggregate_stats,
     cost,
     export_trace,
@@ -51,7 +52,7 @@ from .ledger import (
     render_stats_row,
     verify_replay,
 )
-from .looper import ANCHOR_FILE, InputError, LoopConfig, Verdict, find_anchor, run
+from .looper import ANCHOR_FILE, InputError, LoopConfig, find_anchor, run
 from .plan import PlanError
 
 logger = logging.getLogger("proofloop")
@@ -223,9 +224,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "command": "run",
         "verdict": outcome.verdict.value,
         "reason": outcome.reason.value if outcome.reason else None,
-        "plan_size": ledger.outcome.statement_count if ledger.outcome else 0,
+        "plan_size": outcome.statement_count,
         "revision": outcome.final_plan_revision,
-        "wall_clock": round(ledger.outcome.wall_clock, 3) if ledger.outcome else 0.0,
+        "wall_clock": round(outcome.wall_clock, 3),
         "frames": len(ledger.frames),
         "usage": {"prompt": total.prompt, "completion": total.completion,
                   "cache_read": total.cache_read, "cache_write": total.cache_write},
@@ -261,9 +262,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     verifier = _make_verifier(opts)
     verifier.ensure_available()
     decl, signature = _load_anchor(args, workspace_dir)
-    ws = Workspace(root_dir=workspace_dir, node_files={
-        path.stem: str(path.relative_to(workspace_dir))
-        for path in sorted(workspace_dir.rglob("*.lean"))})
+    # Keyed by path: files in different directories may share a stem.
+    rels = [str(path.relative_to(workspace_dir)) for path in sorted(workspace_dir.rglob("*.lean"))]
+    ws = Workspace(root_dir=workspace_dir, node_files=dict(zip(rels, rels)))
     # The target is the first file that declares the anchored name.
     for rel in ws.node_files.values():
         try:

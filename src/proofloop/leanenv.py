@@ -80,10 +80,14 @@ class Workspace:
     written: dict[str, str] = field(default_factory=dict, repr=False)
 
     def _rel_path(self, node_id: str) -> str:
-        safe = re.sub(r"[^A-Za-z0-9_]", "_", node_id)
-        if not safe or safe[0].isdigit():
-            safe = "N" + safe
-        return f"{self.files_dir}/{safe}.lean"
+        """``<files_dir>/<id>.lean`` for an id that is a module name; any other id is
+        ``Encoded/x<hex of its UTF-8 bytes>.lean``, so no two ids share a file."""
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", node_id):
+            return f"{self.files_dir}/{node_id}.lean"
+        # A path part per 200 hex digits keeps each name within the 255-byte limit.
+        hexed = node_id.encode("utf-8").hex()
+        parts = "/".join(f"x{hexed[i:i + 200]}" for i in range(0, len(hexed), 200))
+        return f"{self.files_dir}/Encoded/{parts}.lean"
 
     def write_node_source(self, node_id: str, text: str, is_target: bool = False) -> None:
         rel = self.node_files.get(node_id) or self._rel_path(node_id)
@@ -129,11 +133,19 @@ class DeclSignature:
     name: str
     binders_and_hypotheses: str
     conclusion: str
+    namespace: str = ""  # the enclosing namespace blocks, dot-joined
 
     @property
     def normalized(self) -> str:
         parts = [self.keyword, self.name, self.binders_and_hypotheses, ":", self.conclusion]
         return normalize_signature(" ".join(p for p in parts if p))
+
+    @property
+    def qualified_name(self) -> str:
+        """The full name Lean gives the declaration, as ``#print axioms`` lists it."""
+        if self.name.startswith("_root_."):
+            return self.name[len("_root_."):]
+        return f"{self.namespace}.{self.name}" if self.namespace else self.name
 
 
 @dataclass(frozen=True)
@@ -160,15 +172,33 @@ def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str
     return [(word, filename, line) for _, word, line in forbidden_words(tokenize(text))]
 
 
-def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int]]:
-    """Token indices ``(keyword, name)`` of each declaration keyword followed by a name."""
-    heads: list[tuple[int, int]] = []
+def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int, str]]:
+    """``(keyword, name, namespace)`` for each declaration keyword followed by a name: two
+    token indices and the enclosing ``namespace`` blocks, dot-joined (``""`` at top level).
+    ``section`` and ``end`` take a name only on their own line (see docs/formats.md)."""
+    heads: list[tuple[int, int, str]] = []
+    scopes: list[str] = []  # per open scope: its namespace part, or "" for the others
     keyword = -1
+    opener = ""  # a namespace, section or end whose name may follow
     for i, (kind, token, _) in enumerate(tokens):
+        if opener and not (kind == OTHER and token.isspace()
+                           and (opener == "namespace" or "\n" not in token)):
+            parts = token.split(".") if kind == IDENT else []
+            if opener == "end":
+                del scopes[max(len(scopes) - max(len(parts), 1), 0):]
+            else:
+                scopes.extend(parts if opener == "namespace" else [""] * max(len(parts), 1))
+            opener = ""
+            if parts:
+                continue
         if kind == IDENT:
             if keyword >= 0 and token not in DECL_KEYWORDS:
-                heads.append((keyword, i))
+                heads.append((keyword, i, ".".join(part for part in scopes if part)))
             keyword = i if token in DECL_KEYWORDS else -1
+            if token in ("namespace", "section", "end"):
+                opener = token
+            elif token == "mutual":
+                scopes.append("")
         elif not (kind in (COMMENT, BLOCK) or (kind == OTHER and token.isspace())):
             keyword = -1
     return heads
@@ -186,12 +216,12 @@ def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
     colon outside brackets.  Comments read as spaces; literals are opaque.
     """
     tokens = list(tokenize(text))
-    heads = [(kw, name) for kw, name in declaration_heads(tokens) if tokens[name][1] == decl_name]
+    heads = [head for head in declaration_heads(tokens) if tokens[head[1]][1] == decl_name]
     if not heads:
         raise DeclNotFound(f"declaration {decl_name} not found")
     if len(heads) > 1:
         raise ParseAmbiguity(f"multiple declarations named {decl_name}")
-    keyword, name = heads[0]
+    keyword, name, namespace = heads[0]
     items: list[str] = []  # code one character per item, comments as a space, the rest whole
     for kind, token, _ in tokens[name + 1:]:
         items.extend(token if kind == OTHER else [" " if kind in (COMMENT, BLOCK) else token])
@@ -210,7 +240,7 @@ def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
     if colon < 0:
         raise DeclNotFound(f"declaration {decl_name} has no type ascription")
     return DeclSignature(tokens[keyword][1], decl_name, normalize_signature("".join(items[:colon])),
-                         normalize_signature("".join(items[colon + 1:end])))
+                         normalize_signature("".join(items[colon + 1:end])), namespace)
 
 
 def signature_match(anchor_signature: str, decl_name: str, ws: Workspace) -> bool:
@@ -439,13 +469,14 @@ class RealVerifier:
         )
         (ws.root_dir / ws.files_dir).mkdir(parents=True, exist_ok=True)
 
+    @staticmethod
+    def _imports(ws: Workspace) -> str:
+        """An import line for the Lean module of each workspace file, sorted."""
+        modules = sorted(rel.removesuffix(".lean").replace("/", ".") for rel in ws.node_files.values())
+        return "".join(f"import {module}\n" for module in modules)
+
     def _refresh_root_module(self, ws: Workspace) -> None:
-        imports = sorted(
-            rel[len(ws.files_dir) + 1 : -len(".lean")].replace("/", ".")
-            for rel in ws.node_files.values()
-        )
-        text = "".join(f"import {ws.files_dir}.{mod}\n" for mod in imports)
-        (ws.root_dir / f"{ws.files_dir}.lean").write_text(text, encoding="utf-8")
+        (ws.root_dir / f"{ws.files_dir}.lean").write_text(self._imports(ws), encoding="utf-8")
 
     def _run(self, ws: Workspace, args: list[str]) -> subprocess.CompletedProcess[str]:
         lake = self._require_toolchain()
@@ -473,18 +504,15 @@ class RealVerifier:
         return BuildReport(compiled and not sites, tuple(sites), "\n".join(errors), elapsed, compiled)
 
     def audit_axioms(self, ws: Workspace, decl_name: str) -> set[str]:
-        imports = sorted(
-            rel[: -len(".lean")].replace("/", ".") for rel in ws.node_files.values()
-        )
-        driver = "".join(f"import {mod}\n" for mod in imports)
-        driver += f"\n#print axioms {decl_name}\n"
-        driver_path = ws.root_dir / "AxiomAudit.lean"
-        driver_path.write_text(driver, encoding="utf-8")
+        """Axioms of the target's declaration, printed under its namespace-qualified name."""
+        name = extract_signature_text(ws.read_target(), decl_name).qualified_name
+        driver = self._imports(ws) + f"\n#print axioms {name}\n"
+        (ws.root_dir / "AxiomAudit.lean").write_text(driver, encoding="utf-8")
         proc = self._run(ws, ["env", "lean", "AxiomAudit.lean"])
         output = proc.stdout + "\n" + proc.stderr
         if proc.returncode != 0:
             raise DriverFail(f"axiom driver failed: {output.strip()[:500]}")
-        return parse_axioms_output(output, decl_name)
+        return parse_axioms_output(output, name)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,25 @@ class EventKind(str, Enum):
     BUDGET_STOP = "BudgetStop"
 
 
+# The status each node-status event sets, for the loop and verify_replay alike.
+STATUS_EVENTS = {
+    EventKind.NODE_CLOSED: Status.CLOSED,
+    EventKind.NODE_FAILING: Status.FAILING,
+}
+
+
+class Verdict(str, Enum):
+    SOLVED = "solved"
+    UNFINISHED = "unfinished"
+
+
+class StopReason(str, Enum):
+    TIME_BUDGET = "time-budget"
+    REPLAN_LIMIT = "replan-limit"
+    BACKEND_FAILURE = "backend-failure"
+    AUDIT_FAIL = "audit-fail"
+
+
 # Frame status vocabulary mirrors the trace legend, not the plan enum.
 FRAME_STATUS = {
     Status.CLOSED: "formalized",
@@ -94,6 +113,12 @@ class Frame:
     plan_revision: int
 
 
+def frame_of(plan: ProofPlan, index: int) -> Frame:
+    """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan."""
+    return Frame(index, {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
+                 plan.edges(), plan.revision)
+
+
 @dataclass(frozen=True)
 class UsageRecord:
     ts: str
@@ -106,11 +131,19 @@ class UsageRecord:
 
 @dataclass(frozen=True)
 class Outcome:
-    verdict: str  # "solved" | "unfinished"
-    reason: str | None
+    """How a run ended; verdict and reason are coerced to their enums."""
+
+    verdict: Verdict
+    reason: StopReason | None
     wall_clock: float
     statement_count: int
-    revision: int
+    final_plan_revision: int  # the record's "revision"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verdict", Verdict(self.verdict))
+        object.__setattr__(self, "reason", None if self.reason is None else StopReason(self.reason))
+        if (self.verdict is Verdict.SOLVED) == (self.reason is not None):
+            raise ValueError("solved outcomes carry no reason; unfinished ones must")
 
 
 @dataclass
@@ -158,12 +191,7 @@ class RunLedger:
     def snapshot_frame(self, plan: ProofPlan) -> None:
         if self._closed:
             raise LedgerClosed("ledger already closed")
-        frame = Frame(
-            index=len(self.frames),
-            node_states={nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
-            edges=plan.edges(),
-            plan_revision=plan.revision,
-        )
+        frame = frame_of(plan, len(self.frames))
         self.frames.append(frame)
         if self._sink is None:
             return
@@ -197,7 +225,7 @@ class RunLedger:
         self._emit({
             "rec": "outcome", "verdict": outcome.verdict, "reason": outcome.reason,
             "wall_clock": outcome.wall_clock, "statement_count": outcome.statement_count,
-            "revision": outcome.revision,
+            "revision": outcome.final_plan_revision,
             "usage_total": {
                 "prompt": total.prompt, "completion": total.completion,
                 "cache_read": total.cache_read, "cache_write": total.cache_write,
@@ -323,26 +351,24 @@ def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
                         raise ReplayMismatch(
                             f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
                             f"!= recorded {data.get('invalidated')}")
-                elif kind == EventKind.NODE_CLOSED.value and plan is not None:
-                    plan = set_status(plan, node, Status.CLOSED)
-                elif kind == EventKind.NODE_FAILING.value and plan is not None:
-                    plan = set_status(plan, node, Status.FAILING)
+                elif kind in STATUS_EVENTS and plan is not None:
+                    plan = set_status(plan, node, STATUS_EVENTS[kind])
                 elif (kind == EventKind.CHECK_FAIL.value and plan is not None
                       and record.get("detail", "").startswith("audit:")):
                     plan = set_status(plan, node, Status.OPEN)
             elif rec == "frame":
                 if plan is None:
                     raise ReplayMismatch("frame recorded before any plan was created")
-                expected = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
-                if record["nodes"] != expected:
+                expected = frame_of(plan, frames_checked)
+                if record["nodes"] != expected.node_states:
                     raise ReplayMismatch(f"frame {record['index']}: node states diverge")
                 # Built for each frame and dropped at once: a copy kept for the
                 # frames of one structure costs more in garbage collection.
-                if record["edges"] != list(map(list, plan.edges())):
+                if record["edges"] != list(map(list, expected.edges)):
                     raise ReplayMismatch(f"frame {record['index']}: edges diverge")
-                if record["revision"] != plan.revision:
+                if record["revision"] != expected.plan_revision:
                     raise ReplayMismatch(f"frame {record['index']}: revision diverges")
-                if record["index"] != frames_checked:
+                if record["index"] != expected.index:
                     raise ReplayMismatch(f"frame index {record['index']} out of sequence")
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -434,7 +460,7 @@ def aggregate_stats(ledgers: list[RunLedger]) -> RunStats:
     if not ledgers:
         raise EmptyInput("no ledgers to aggregate")
     for ledger in ledgers:
-        if ledger.outcome is None or ledger.outcome.verdict != "solved":
+        if ledger.outcome is None or ledger.outcome.verdict is not Verdict.SOLVED:
             raise UnsolvedIncluded(f"run {ledger.run_id} is not solved")
         if ledger.outcome.statement_count < 1:
             raise LedgerError(f"solved run {ledger.run_id} has no statements")

@@ -44,7 +44,9 @@ from .leanenv import (
     extract_signature_text,
     normalize_signature,
 )
-from .ledger import EventKind, Outcome, RunLedger, open_ledger, utc_now_iso
+from .ledger import (
+    STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger, utc_now_iso,
+)
 from .lexer import OTHER, forbidden_words, tokenize
 from .plan import (
     AnchorDecl,
@@ -69,30 +71,6 @@ ANCHOR_FILE = ".proofloop-anchor.json"
 
 class InputError(Exception):
     """The input file is unusable (unreadable, or no sorry declaration)."""
-
-
-class Verdict(str, Enum):
-    SOLVED = "solved"
-    UNFINISHED = "unfinished"
-
-
-class StopReason(str, Enum):
-    TIME_BUDGET = "time-budget"
-    REPLAN_LIMIT = "replan-limit"
-    BACKEND_FAILURE = "backend-failure"
-    AUDIT_FAIL = "audit-fail"
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    verdict: Verdict
-    reason: StopReason | None
-    final_plan_revision: int
-
-    def __post_init__(self) -> None:
-        solved = self.verdict is Verdict.SOLVED
-        if solved == (self.reason is not None):
-            raise ValueError("solved outcomes carry no reason; unfinished ones must")
 
 
 @dataclass(frozen=True)
@@ -167,7 +145,7 @@ def find_anchor(text: str) -> AnchorDecl:
     if sorry is None:
         raise InputError("input contains no sorry declaration")
     heads = declaration_heads(tokens)
-    names = [name for keyword, name in heads if keyword < sorry]
+    names = [name for keyword, name, _ in heads if keyword < sorry]
     if not names:
         raise InputError("found a sorry outside any declaration")
     target = names[-1]
@@ -180,7 +158,7 @@ def find_anchor(text: str) -> AnchorDecl:
     start = next((offsets[i] + token.index(":=") for i, (kind, token, _)
                   in enumerate(tokens[target + 1:], target + 1)
                   if kind == OTHER and ":=" in token), offsets[target + 1])
-    end = next((offsets[keyword] for keyword, _ in heads if keyword > sorry), len(text))
+    end = next((offsets[keyword] for keyword, _, _ in heads if keyword > sorry), len(text))
     return AnchorDecl(sig.name, sig.normalized, text[start:end])
 
 
@@ -195,6 +173,9 @@ class _Stop(Exception):
 
 
 class _Run:
+    # The run's plan; None until the initial plan is accepted, then set only by _commit.
+    plan: ProofPlan | None = None
+
     def __init__(self, input_file: Path, backend, verifier, config: LoopConfig,
                  workspace_dir: Path, ledger_path: Path | None, run_id: str | None):
         try:
@@ -219,9 +200,6 @@ class _Run:
         self.ws = Workspace(root_dir=workspace_dir)
         verifier.init_workspace(self.ws)
         self._write_anchor_sidecar()
-        self.plan: ProofPlan | None = None
-        self.replans = 0
-        self.anchor_node_id: str | None = None
         self.node_diag: dict[str, str] = {}
         self.started = time.monotonic()
 
@@ -277,25 +255,15 @@ class _Run:
 
     # -- plan bookkeeping ----------------------------------------------------
 
-    def _frame(self) -> None:
-        assert self.plan is not None
-        self.ledger.snapshot_frame(self.plan)
+    def _commit(self, plan: ProofPlan) -> None:
+        """Make ``plan`` the run's plan and record its frame; every plan change comes here."""
+        self.plan = plan
+        self.ledger.snapshot_frame(plan)
 
-    def _set_status(self, node_id: str, status: Status) -> None:
-        assert self.plan is not None
-        self.plan = set_status(self.plan, node_id, status)
-
-    def _close_node(self, node_id: str) -> None:
-        self._set_status(node_id, Status.CLOSED)
-        self.ledger.record_event(EventKind.NODE_CLOSED, node_id, "faithfulness passed")
-        self._frame()
-
-    def _mark_failing(self, node_id: str) -> None:
-        assert self.plan is not None
-        if self.plan.nodes[node_id].status is not Status.FAILING:
-            self._set_status(node_id, Status.FAILING)
-            self.ledger.record_event(EventKind.NODE_FAILING, node_id, "compile budget exhausted")
-            self._frame()
+    def _status_event(self, kind: EventKind, node_id: str, detail: str) -> None:
+        """Record ``kind`` for ``node_id`` and commit the status ``STATUS_EVENTS`` gives it."""
+        self.ledger.record_event(kind, node_id, detail)
+        self._commit(set_status(self.plan, node_id, STATUS_EVENTS[kind]))
 
     # -- phases ----------------------------------------------------------------
 
@@ -317,14 +285,12 @@ class _Run:
             return plan
 
         plan = self._attempt(AgentTask(TaskKind.PLAN_INITIAL, ctx), "initial planning", accept)
-        self.plan = plan
-        self.anchor_node_id = plan.anchor_id
         self.ledger.record_event(
             EventKind.PLAN_CREATED, plan.anchor_id,
             f"initial plan with {len(plan.nodes)} statements",
             data={"plan": plan_to_text(plan)},
         )
-        self._frame()
+        self._commit(plan)
 
     def lean_cycle(self, node_id: str) -> tuple[str, BuildReport]:
         """Invoke-write-build until the build compiles or the budget runs out."""
@@ -337,7 +303,7 @@ class _Run:
                                    build_errors=self.node_diag.get(node_id))
             source = self._attempt(AgentTask(TaskKind.LEAN_WORK, ctx), f"lean work on {node_id}",
                                    lambda result: result.lean.source)
-            self.ws.write_node_source(node_id, source, is_target=node_id == self.anchor_node_id)
+            self.ws.write_node_source(node_id, source, is_target=node_id == self.plan.anchor_id)
             self.gate(f"build for {node_id}")
             try:
                 report = self.verifier.build(self.ws)
@@ -364,7 +330,8 @@ class _Run:
             return source, report
         self.ledger.record_event(EventKind.BUILD_SORRIES, node_id,
                                  f"exhausted compile budget ({attempt} attempts)")
-        self._mark_failing(node_id)
+        if self.plan.nodes[node_id].status is not Status.FAILING:
+            self._status_event(EventKind.NODE_FAILING, node_id, "compile budget exhausted")
         return source, report
 
     def check(self, kind: CheckKind, node_id: str, source: str,
@@ -381,7 +348,8 @@ class _Run:
 
     def replan(self, cause: DiffCause, node_id: str) -> None:
         assert self.plan is not None
-        if self.replans >= self.config.replan_limit:
+        # Every accepted diff is one revision, so the revision counts the replans.
+        if self.plan.revision >= self.config.replan_limit:
             raise _Stop(StopReason.REPLAN_LIMIT,
                         f"replan limit of {self.config.replan_limit} reached")
         ctx = assemble_context(self.plan, node_id,
@@ -394,8 +362,6 @@ class _Run:
         diff, new_plan, invalidated = self._attempt(
             AgentTask(TaskKind.PLAN_REVISE, ctx, cause=cause), f"replanning at {node_id}", accept)
         stale = invalidated.union(diff.removes)
-        self.plan = new_plan
-        self.replans += 1
         # Only ids that have a file or a diagnostic need clearing.
         for stale_id in sorted(stale & self.ws.node_files.keys()):
             self.ws.remove_node_source(stale_id)
@@ -408,12 +374,12 @@ class _Run:
             data={"diff": diff_to_text(diff),
                   "invalidated": sorted(invalidated), "cause": cause.value},
         )
-        self._frame()
+        self._commit(new_plan)
         self.ledger.record_event(EventKind.RESTART, None,
                                  "selection restarts from the top of the plan")
 
     def success_exit(self) -> bool:
-        assert self.plan is not None and self.anchor_node_id is not None
+        assert self.plan is not None
         try:
             report = audit_verdict(self.ws, self.anchor.signature_text,
                                    self.anchor.decl_name, self.verifier,
@@ -422,12 +388,12 @@ class _Run:
             raise _Stop(StopReason.BACKEND_FAILURE, f"final audit: {exc}") from exc
         if report.passed:
             self.ledger.record_event(
-                EventKind.CHECK_PASS, self.anchor_node_id,
+                EventKind.CHECK_PASS, self.plan.anchor_id,
                 "audit: pass; axioms=" + (",".join(sorted(report.axioms_used)) or "(none)"))
-            self.ledger.record_event(EventKind.SUCCESS_EXIT, self.anchor_node_id,
+            self.ledger.record_event(EventKind.SUCCESS_EXIT, self.plan.anchor_id,
                                      "anchored target closed with original signature")
             return True
-        self.ledger.record_event(EventKind.CHECK_FAIL, self.anchor_node_id,
+        self.ledger.record_event(EventKind.CHECK_FAIL, self.plan.anchor_id,
                                  f"audit: {report.detail}")
         return False
 
@@ -437,11 +403,11 @@ class _Run:
             if is_complete(self.plan):
                 if self.success_exit():
                     return
-                if self.replans >= self.config.replan_limit:
+                if self.plan.revision >= self.config.replan_limit:
                     raise _Stop(StopReason.AUDIT_FAIL, "final audit failed with no replans left")
-                self._set_status(self.anchor_node_id, Status.OPEN)
-                self._frame()
-                self.replan(DiffCause.FAITHFULNESS_FAIL, self.anchor_node_id)
+                # The audit-fail reopen: verify_replay mirrors it on the audit CheckFail.
+                self._commit(set_status(self.plan, self.plan.anchor_id, Status.OPEN))
+                self.replan(DiffCause.FAITHFULNESS_FAIL, self.plan.anchor_id)
                 continue
             node_id = next_open_statement(self.plan)
             assert node_id is not None
@@ -452,35 +418,32 @@ class _Run:
                 step = route_check_verdict(
                     kind, self.check(kind, node_id, source, report.diagnostics or None))
             if step is NextStep.CLOSE_AND_ADVANCE:
-                self._close_node(node_id)
+                self._status_event(EventKind.NODE_CLOSED, node_id, "faithfulness passed")
             elif step in _REPLAN_STEPS:
                 self.replan(_REPLAN_STEPS[step], node_id)
             # RETRY_SAME_NODE: the same node is selected again next iteration.
 
-    def execute(self) -> tuple[RunOutcome, RunLedger]:
+    def execute(self) -> tuple[Outcome, RunLedger]:
+        verdict, reason = Verdict.SOLVED, None
         try:
             self.gate("initial planning")
             self.initial_plan()
             self.main_loop()
-            outcome = RunOutcome(Verdict.SOLVED, None, self.plan.revision)
         except _Stop as stop:
             self.ledger.record_event(EventKind.BUDGET_STOP, None,
                                      f"{stop.reason.value}: {stop.detail}")
-            revision = self.plan.revision if self.plan else 0
-            outcome = RunOutcome(Verdict.UNFINISHED, stop.reason, revision)
+            verdict, reason = Verdict.UNFINISHED, stop.reason
         self.ledger.record_outcome(Outcome(
-            verdict=outcome.verdict.value,
-            reason=outcome.reason.value if outcome.reason else None,
-            wall_clock=self.elapsed(),
+            verdict, reason, self.elapsed(),
             statement_count=len(self.plan.nodes) if self.plan else 0,
-            revision=outcome.final_plan_revision,
+            final_plan_revision=self.plan.revision if self.plan else 0,
         ))
-        return outcome, self.ledger
+        return self.ledger.outcome, self.ledger
 
 
 def run(input_file: Path, backend, verifier, config: LoopConfig, *,
         workspace_dir: Path, ledger_path: Path | None = None,
-        run_id: str | None = None) -> tuple[RunOutcome, RunLedger]:
-    """Run the full loop on one input file; see the module docstring."""
+        run_id: str | None = None) -> tuple[Outcome, RunLedger]:
+    """Run the full loop on one input file; return the ledger's outcome and the ledger."""
     state = _Run(input_file, backend, verifier, config, workspace_dir, ledger_path, run_id)
     return state.execute()

@@ -214,6 +214,18 @@ class TestAuditCommand:
         assert summary["pass"] is False and summary["signature_match"] is True
         assert "axiom audit failed" in summary["detail"]
 
+    def test_files_that_share_a_stem_are_all_audited(self, tmp_path, capsys):
+        anchor = tmp_path / "in.lean"
+        anchor.write_text("theorem Main : True := by\n  sorry\n", encoding="utf-8")
+        ws = tmp_path / "ws"
+        (ws / "A").mkdir(parents=True)
+        (ws / "Main.lean").write_text("theorem Main : True := trivial\n", encoding="utf-8")
+        (ws / "A" / "Main.lean").write_text("theorem h : True := sorry\n", encoding="utf-8")
+        code = main(["audit", str(ws), "--anchor", str(anchor), "--verifier", "sim"])
+        summary = summary_of(capsys)
+        assert code == 1
+        assert summary["forbidden"] == [["sorry", "A/Main.lean", 1]]
+
     def test_workspace_without_anchor_information(self, tmp_path, capsys):
         bare = tmp_path / "bare"
         bare.mkdir()

@@ -65,9 +65,10 @@ def plans_and_diffs(draw):
 
 source_lines = st.lists(st.one_of(
     st.sampled_from(["#check Nat", "# x", "", "  ", "  # y", "theorem t : True := trivial",
-                     "end", "payload source <<LEAN-EOF", "  sorry"]),
+                     "end", "payload source <<LEAN-EOF", "  sorry",
+                     "LEAN-EOF", "LEAN-EOF-1", "LEAN-EOF-2", "DIFF-EOF"]),
     st.text(alphabet=st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
-            max_size=8).filter(lambda line: line != "LEAN-EOF"),
+            max_size=8),
 ), max_size=8)
 
 
@@ -136,6 +137,14 @@ class TestSharedLineRules:
         text = fixture_to_text(fixture)
         assert parse_fixture(text).entries[(key, 1)].payload.source == source
         assert fixture_to_text(parse_fixture(text)) == text
+
+    def test_a_source_line_equal_to_the_marker_gets_the_next_marker(self):
+        fixture = Fixture()
+        key = FixtureKey(TaskKind.LEAN_WORK, None, "n")
+        fixture.add(FixtureEntry(key, 1, LeanOutcome("a\nLEAN-EOF\nb\nLEAN-EOF-1\n")))
+        text = fixture_to_text(fixture)
+        assert "payload source <<LEAN-EOF-2\n" in text
+        assert parse_fixture(text) == fixture
 
     def test_a_json_string_holding_a_line_separator_round_trips(self):
         plan = create_plan([PlanNode("a", "one\u2028two\x85three", "s\x1c"),

@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_scan, random_lean_file
+from helpers import BURNSIDE_DIR, oracle_scan, random_lean_file
 from proofloop.lexer import BLOCK, COMMENT, IDENT, OTHER, STRING, tokenize
+from proofloop.looper import find_anchor
 from proofloop.leanenv import (
     DEFAULT_PERMITTED_AXIOMS,
+    BuildTimeout,
     DeclNotFound,
+    DriverFail,
     ParseAmbiguity,
     RealVerifier,
     SimRule,
@@ -388,7 +391,8 @@ def _assembled_from_disk(root: Path) -> Workspace:
     """A workspace over every .lean file under ``root``, as ``proofloop audit`` builds it."""
     ws = Workspace(root_dir=root)
     for path in sorted(root.rglob("*.lean")):
-        ws.node_files[path.stem] = str(path.relative_to(root))
+        rel = str(path.relative_to(root))
+        ws.node_files[rel] = rel
     return ws
 
 
@@ -559,3 +563,168 @@ class TestTokenizerCoversMaskingCases:
         kinds = {token: kind for kind, token, _ in tokenize(text)}
         assert kinds['"keep"'] == STRING
         assert kinds["-- drop"] == COMMENT
+
+
+# Ids that are Lean module names, some that the old sanitising map sent to a
+# shared file, and any other non-blank text.
+node_ids = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True),
+    st.text(alphabet="a1N_-.é", min_size=1, max_size=3),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+            min_size=1, max_size=8),
+    st.text(alphabet="a-é", min_size=95, max_size=205),  # one or two path parts
+).filter(lambda node_id: not any(ch.isspace() for ch in node_id))
+
+
+class TestWorkspaceFiles:
+    def test_module_name_ids_keep_their_file_name(self, tmp_path):
+        ws = Workspace(root_dir=tmp_path)
+        for node_id in ("Thm_MainTheorem", "Lem_A", "_x", "a1"):
+            ws.write_node_source(node_id, "")
+            assert ws.node_files[node_id] == f"Proofws/{node_id}.lean"
+
+    def test_other_ids_are_hex_encoded_in_their_own_directory(self, tmp_path):
+        ws = Workspace(root_dir=tmp_path)
+        ws.write_node_source("a-b", "")
+        ws.write_node_source("1x", "")
+        assert ws.node_files == {"a-b": "Proofws/Encoded/x612d62.lean",
+                                 "1x": "Proofws/Encoded/x3178.lean"}
+
+    def test_a_long_id_is_split_into_path_parts_of_200_hex_digits(self, tmp_path):
+        ws = Workspace(root_dir=tmp_path)
+        ws.write_node_source("a-" * 70, "-- long\n")  # 140 bytes, 280 hex digits
+        hexed = ("a-" * 70).encode().hex()
+        assert ws.node_files["a-" * 70] == f"Proofws/Encoded/x{hexed[:200]}/x{hexed[200:]}.lean"
+        assert (tmp_path / ws.node_files["a-" * 70]).read_text() == "-- long\n"
+
+    @pytest.mark.parametrize("first, second", [("a-b", "a_b"), ("a.b", "a_b"), ("a-b", "a.b"),
+                                               ("1x", "N1x")])
+    def test_ids_the_old_map_merged_keep_their_own_files(self, tmp_path, first, second):
+        ws = Workspace(root_dir=tmp_path)
+        ws.write_node_source(first, "-- first\n")
+        ws.write_node_source(second, "-- second\n")
+        assert ws.node_files[first] != ws.node_files[second]
+        ws.remove_node_source(first)
+        assert (tmp_path / ws.node_files[second]).read_text() == "-- second\n"
+
+    @given(node_ids, node_ids)
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_ids_get_distinct_files(self, first, second):
+        with tempfile.TemporaryDirectory() as tmp:
+            ws = Workspace(root_dir=Path(tmp))
+            ws.write_node_source(first, "-- first\n")
+            ws.write_node_source(second, "-- second\n")
+            if first != second:
+                assert ws.node_files[first] != ws.node_files[second]
+                assert (Path(tmp) / ws.node_files[first]).read_text() == "-- first\n"
+            assert (Path(tmp) / ws.node_files[second]).read_text() == "-- second\n"
+
+
+BURNSIDE_SOLVED = (BURNSIDE_DIR / "input.lean").read_text(encoding="utf-8").replace(
+    "  sorry", "  exact dichotomy_core htrans hp")
+
+
+class TestQualifiedName:
+    @pytest.mark.parametrize("text, name, qualified", [
+        (BURNSIDE_SOLVED, "MainTheorem", "BurnsidePrimeDegreeTheorem.MainTheorem"),
+        ("theorem t : True := trivial\n", "t", "t"),
+        ("namespace A.B\ntheorem t : True := trivial\nend A.B\n", "t", "A.B.t"),
+        ("namespace A\nnamespace B\nend B\ntheorem t : True := trivial\nend A\n", "t", "A.t"),
+        ("namespace A.B\nend B\ntheorem t : True := trivial\n", "t", "A.t"),
+        ("namespace A\nsection S\ntheorem t : True := trivial\nend S\nend A\n", "t", "A.t"),
+        ("namespace A\nend A\ntheorem t : True := trivial\n", "t", "t"),
+        ("section\nnamespace A\nend A\nend\ntheorem t : True := trivial\n", "t", "t"),
+        ("namespace A\nmutual\ntheorem t : True := trivial\nend\nend A\n", "t", "A.t"),
+        ("namespace A\ntheorem B.t : True := trivial\n", "B.t", "A.B.t"),
+        ("namespace A\ntheorem _root_.t : True := trivial\nend A\n", "_root_.t", "t"),
+        ("namespace A -- note\n/- namespace B -/\ntheorem t : True := trivial\n", "t", "A.t"),
+        ('-- namespace B\ndef s := "namespace C"\ntheorem t : True := trivial\n', "t", "t"),
+        ("namespace\n  A\nsection\nS\ntheorem t : True := trivial\n", "t", "A.t"),
+    ])
+    def test_the_enclosing_namespaces_qualify_the_name(self, text, name, qualified):
+        assert extract_signature_text(text, name).qualified_name == qualified
+
+    def test_the_namespace_does_not_enter_the_signature(self):
+        sig = extract_signature_text("namespace A\ntheorem t : True := trivial\nend A\n", "t")
+        assert sig.normalized == "theorem t : True"
+
+
+def _stub_lake(tmp_path: Path, body: str) -> str:
+    """A ``lake`` that runs ``body`` as a shell script, in the workspace directory."""
+    path = tmp_path / "stub-lake"
+    path.write_text("#!/bin/sh\n" + body, encoding="utf-8")
+    path.chmod(0o755)
+    return str(path)
+
+
+class TestRealVerifierWithStubLake:
+    """The subprocess side of the real verifier, with a shell script standing in for lake."""
+
+    def workspace(self, tmp_path, verifier, sources) -> Workspace:
+        ws = Workspace(root_dir=tmp_path / "ws")
+        verifier.init_workspace(ws)
+        for node_id, text in sources.items():
+            ws.write_node_source(node_id, text, is_target=node_id == "Main")
+        return ws
+
+    def test_init_and_build_write_the_lakefile_and_root_module(self, tmp_path):
+        verifier = RealVerifier(_stub_lake(tmp_path, 'echo "$@" > lake-args\n'), 30)
+        ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n",
+                                                 "a-b": "theorem ab : True := trivial\n"})
+        assert (ws.root_dir / "lakefile.toml").read_text() == (
+            'name = "proofws"\ndefaultTargets = ["Proofws"]\n\n[[lean_lib]]\nname = "Proofws"\n')
+        report = verifier.build(ws)
+        assert report.clean and report.compiled and report.diagnostics == ""
+        assert (ws.root_dir / "Proofws.lean").read_text() == (
+            "import Proofws.Encoded.x612d62\nimport Proofws.Main\n")
+        assert (ws.root_dir / "lake-args").read_text() == "build\n"
+
+    def test_build_output_is_parsed_into_sorry_sites_and_errors(self, tmp_path):
+        verifier = RealVerifier(_stub_lake(tmp_path, f"cat <<'OUT'\n{LAKE_OUTPUT}OUT\nexit 1\n"), 30)
+        report = verifier.build(self.workspace(tmp_path, verifier, {"Main": ""}))
+        assert report.sorry_sites == (("././Proofws/Lem_A.lean", 3),)
+        assert report.diagnostics.splitlines() == [
+            "error: Proofws/Lem_B.lean:5:10: unknown identifier 'frobnicate'",
+            "error: Lean exited with code 1"]
+        assert not report.compiled and not report.clean
+
+    def test_a_sorry_warning_alone_compiles_but_is_not_clean(self, tmp_path):
+        warning = "warning: Proofws/Main.lean:1:8: declaration uses 'sorry'"
+        verifier = RealVerifier(_stub_lake(tmp_path, f'echo "{warning}"\n'), 30)
+        report = verifier.build(self.workspace(tmp_path, verifier, {"Main": ""}))
+        assert report.compiled and not report.clean
+        assert report.sorry_sites == (("Proofws/Main.lean", 1),)
+
+    def test_a_failed_build_without_an_error_line_is_still_an_error(self, tmp_path):
+        verifier = RealVerifier(_stub_lake(tmp_path, "echo 'info: building'\nexit 3\n"), 30)
+        report = verifier.build(self.workspace(tmp_path, verifier, {"Main": ""}))
+        assert not report.compiled
+        assert report.diagnostics == "error: lake build exited with status 3"
+
+    def test_a_build_past_the_timeout_raises(self, tmp_path):
+        verifier = RealVerifier(_stub_lake(tmp_path, "exec sleep 5\n"), 0.2)
+        with pytest.raises(BuildTimeout):
+            verifier.build(self.workspace(tmp_path, verifier, {"Main": ""}))
+
+    def test_a_failing_driver_is_a_driver_failure(self, tmp_path):
+        verifier = RealVerifier(_stub_lake(
+            tmp_path, "echo 'AxiomAudit.lean:1:0: error: unknown module' >&2\nexit 1\n"), 30)
+        ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n"})
+        with pytest.raises(DriverFail, match="unknown module"):
+            verifier.audit_axioms(ws, "Main")
+
+    def test_a_namespaced_target_is_audited_under_its_full_name(self, tmp_path):
+        # Like Lean, the stub lists axioms only for a name that resolves at the top level.
+        full = "BurnsidePrimeDegreeTheorem.MainTheorem"
+        verifier = RealVerifier(_stub_lake(tmp_path, (
+            f"if grep -qx '#print axioms {full}' AxiomAudit.lean; then\n"
+            f"  echo \"'{full}' depends on axioms: [propext, Classical.choice, Quot.sound]\"\n"
+            "else\n  echo 'AxiomAudit.lean:3:15: error: unknown constant' >&2; exit 1\nfi\n")), 30)
+        ws = self.workspace(tmp_path, verifier, {"Main": BURNSIDE_SOLVED,
+                                                 "Lem_A": "theorem a : True := trivial\n"})
+        anchor = find_anchor((BURNSIDE_DIR / "input.lean").read_text(encoding="utf-8"))
+        report = audit_verdict(ws, anchor.signature_text, anchor.decl_name, verifier)
+        assert (ws.root_dir / "AxiomAudit.lean").read_text() == (
+            f"import Proofws.Lem_A\nimport Proofws.Main\n\n#print axioms {full}\n")
+        assert report.passed, report.detail
+        assert report.axioms_used == {"propext", "Classical.choice", "Quot.sound"}

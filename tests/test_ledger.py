@@ -20,8 +20,10 @@ from proofloop.ledger import (
     Outcome,
     ReplayMismatch,
     RunLedger,
+    StopReason,
     UnsolvedIncluded,
     UnsupportedFormat,
+    Verdict,
     aggregate_stats,
     cost,
     depth_layout,
@@ -132,8 +134,23 @@ class TestLedgerFile:
         loaded = load_ledger(path)
         assert loaded.run_id == "r7"
         assert loaded.usage_total == TokenUsage(3, 4, 5, 6)
-        assert loaded.outcome.reason == "time-budget"
+        assert loaded.outcome.reason is StopReason.TIME_BUDGET
+        assert loaded.outcome.verdict is Verdict.UNFINISHED
+        assert loaded.outcome.final_plan_revision == 2
         assert loaded.events[0].kind is EventKind.BUDGET_STOP
+
+    @pytest.mark.parametrize("verdict, reason", [
+        ("solved", "time-budget"), ("unfinished", None), ("done", None),
+        ("unfinished", "out-of-coffee"),
+    ])
+    def test_load_rejects_an_outcome_the_run_cannot_write(self, tmp_path, verdict, reason):
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps({"rec": "run", "version": 1, "run_id": "r"}) + "\n"
+                        + json.dumps({"rec": "outcome", "verdict": verdict, "reason": reason,
+                                      "wall_clock": 1.0, "statement_count": 1, "revision": 0})
+                        + "\n", encoding="utf-8")
+        with pytest.raises(LedgerError, match="malformed ledger record"):
+            load_ledger(path)
 
 
 class TestDepthLayout:

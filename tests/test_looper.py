@@ -33,6 +33,7 @@ from proofloop.agents import (
 from proofloop.leanenv import BuildReport, SimVerifier, Workspace
 from proofloop.ledger import (
     EventKind,
+    Outcome,
     export_trace,
     load_ledger,
     read_ledger_records,
@@ -42,7 +43,6 @@ from proofloop.looper import (
     InputError,
     LoopConfig,
     NextStep,
-    RunOutcome,
     StopReason,
     Verdict,
     find_anchor,
@@ -135,14 +135,15 @@ class TestRouting:
 class TestOutcomeInvariants:
     def test_solved_carries_no_reason(self):
         with pytest.raises(ValueError):
-            RunOutcome(Verdict.SOLVED, StopReason.TIME_BUDGET, 0)
+            Outcome(Verdict.SOLVED, StopReason.TIME_BUDGET, 0.0, 0, 0)
         with pytest.raises(ValueError):
-            RunOutcome(Verdict.UNFINISHED, None, 0)
+            Outcome(Verdict.UNFINISHED, None, 0.0, 0, 0)
 
 
 class TestSingleNodeRun:
     def test_solves_and_audits(self, tmp_path):
         outcome, ledger, _ = run_fixture(tmp_path, single_node_fixture())
+        assert outcome is ledger.outcome
         assert outcome.verdict is Verdict.SOLVED
         assert ledger.outcome.statement_count == 1
         kinds = [e.kind for e in ledger.events]
@@ -176,7 +177,8 @@ class TestBudgets:
     def test_zero_wall_clock_stops_before_planning(self, tmp_path):
         outcome, ledger, _ = run_fixture(tmp_path, single_node_fixture(),
                                          cfg(wall_clock_budget=0.0))
-        assert outcome == RunOutcome(Verdict.UNFINISHED, StopReason.TIME_BUDGET, 0)
+        assert (outcome.verdict, outcome.reason, outcome.final_plan_revision) == (
+            Verdict.UNFINISHED, StopReason.TIME_BUDGET, 0)
         kinds = {e.kind for e in ledger.events}
         assert kinds == {EventKind.BUDGET_STOP}
         assert ledger.outcome.statement_count == 0
@@ -193,7 +195,8 @@ class TestBudgets:
     def test_replan_limit_counts_accepted_replans_exactly(self, tmp_path):
         outcome, ledger, _ = run_fixture(tmp_path, splitter_fixture(cycles=6),
                                          cfg(replan_limit=3))
-        assert outcome == RunOutcome(Verdict.UNFINISHED, StopReason.REPLAN_LIMIT, 3)
+        assert (outcome.verdict, outcome.reason, outcome.final_plan_revision) == (
+            Verdict.UNFINISHED, StopReason.REPLAN_LIMIT, 3)
         diffs = [e for e in ledger.events if e.kind is EventKind.DIFF_APPLIED]
         assert len(diffs) == 3
         assert ledger.events[-1].kind is EventKind.BUDGET_STOP
@@ -440,7 +443,8 @@ class TestAuditFailRecovery:
         builder.lean("Main", self.bad_axiom_src())
         builder.check("Main", CheckKind.FAITHFULNESS, True)
         outcome, ledger, _ = run_fixture(tmp_path, builder.fixture, cfg(replan_limit=1))
-        assert outcome == RunOutcome(Verdict.UNFINISHED, StopReason.AUDIT_FAIL, 1)
+        assert (outcome.verdict, outcome.reason, outcome.final_plan_revision) == (
+            Verdict.UNFINISHED, StopReason.AUDIT_FAIL, 1)
 
 
 class TestEventStreamProperties:
