@@ -28,6 +28,7 @@ from .agents import (
     load_fixture,
 )
 from .leanenv import (
+    AUDIT_DRIVER,
     DEFAULT_PERMITTED_AXIOMS,
     RealVerifier,
     SimVerifier,
@@ -262,9 +263,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     verifier = _make_verifier(opts)
     verifier.ensure_available()
     decl, signature = _load_anchor(args, workspace_dir)
-    # Keyed by path: files in different directories may share a stem.
-    rels = [str(path.relative_to(workspace_dir)) for path in sorted(workspace_dir.rglob("*.lean"))]
-    ws = Workspace(root_dir=workspace_dir, node_files=dict(zip(rels, rels)))
+    ws = Workspace(root_dir=workspace_dir)
+    # Every Lean file but the audit driver, the root module and Lake's package
+    # sources; keyed by path, as files in different directories may share a stem.
+    generated = {AUDIT_DRIVER, f"{ws.files_dir}.lean"}
+    for path in sorted(workspace_dir.rglob("*.lean")):
+        rel = path.relative_to(workspace_dir)
+        if str(rel) not in generated and rel.parts[0] != ".lake":
+            ws.node_files[str(rel)] = str(rel)
     # The target is the first file that declares the anchored name.
     for rel in ws.node_files.values():
         try:

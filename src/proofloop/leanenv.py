@@ -31,6 +31,7 @@ from .plan import LineReader
 
 DEFAULT_PERMITTED_AXIOMS = frozenset({"propext", "Quot.sound", "Classical.choice"})
 SORRY_AXIOM = "sorryAx"
+AUDIT_DRIVER = "AxiomAudit.lean"  # the real verifier's axiom driver, at the workspace root
 
 DECL_KEYWORDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "proposition")
 
@@ -507,8 +508,8 @@ class RealVerifier:
         """Axioms of the target's declaration, printed under its namespace-qualified name."""
         name = extract_signature_text(ws.read_target(), decl_name).qualified_name
         driver = self._imports(ws) + f"\n#print axioms {name}\n"
-        (ws.root_dir / "AxiomAudit.lean").write_text(driver, encoding="utf-8")
-        proc = self._run(ws, ["env", "lean", "AxiomAudit.lean"])
+        (ws.root_dir / AUDIT_DRIVER).write_text(driver, encoding="utf-8")
+        proc = self._run(ws, ["env", "lean", AUDIT_DRIVER])
         output = proc.stdout + "\n" + proc.stderr
         if proc.returncode != 0:
             raise DriverFail(f"axiom driver failed: {output.strip()[:500]}")

@@ -5,6 +5,11 @@ multi-hour run stays inspectable live and a crash loses at most the in-flight
 line.  Frames snapshot node statuses and edges after every plan mutation and
 every status change; the trace exporter turns them into a layered text or DOT
 rendering.  Replay determinism is defined modulo timestamp fields.
+
+On disk (version 2) a frame on the previous frame's structure, the same node
+order and edges, is a delta that lists only the statuses that changed; every
+other frame is a keyframe that holds the whole graph.  A version 1 ledger is a
+version 2 ledger made only of keyframes.
 """
 
 from __future__ import annotations
@@ -42,6 +47,19 @@ class EmptyInput(LedgerError):
 
 class UnsolvedIncluded(LedgerError):
     pass
+
+
+LEDGER_VERSION = 2
+READABLE_VERSIONS = (1, 2)  # a version 1 ledger has no delta frames
+
+
+def _check_header(records: list[dict[str, Any]], source: object) -> None:
+    """A ledger opens with a run header of a version this reader knows."""
+    if not records or records[0].get("rec") != "run":
+        raise LedgerError(f"{source} is not a run ledger")
+    version = records[0].get("version")
+    if type(version) is not int or version not in READABLE_VERSIONS:
+        raise LedgerError(f"{source}: unsupported ledger version {version!r}")
 
 
 class EventKind(str, Enum):
@@ -157,10 +175,10 @@ class RunLedger:
     outcome: Outcome | None = None
     _sink: IO[str] | None = None
     _closed: bool = False
-    # The last structure's edge list and its JSON text: a plan hands the same
-    # edges object to every frame of one revision, so it is serialised once.
-    _edges_json: tuple[tuple[tuple[str, str], ...], str] = field(
-        default=((), "[]"), repr=False, compare=False)
+    # The node order and edges of the last frame written, which decide whether
+    # the next one is a delta; a plan hands them on unchanged through set_status.
+    _structure: tuple[tuple[str, ...], tuple[tuple[str, str], ...]] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def usage_total(self) -> TokenUsage:
@@ -195,13 +213,21 @@ class RunLedger:
         self.frames.append(frame)
         if self._sink is None:
             return
-        if frame.edges is not self._edges_json[0]:
-            self._edges_json = (frame.edges, json.dumps([list(e) for e in frame.edges],
-                                                        ensure_ascii=False))
-        # "edges" is the record's last key, so its text goes before the closing brace.
+        structure = (plan.order, frame.edges)
+        if structure == self._structure:  # a delta: only the statuses that changed
+            previous = self.frames[-2].node_states
+            self._emit({"rec": "frame", "index": frame.index, "revision": frame.plan_revision,
+                        "nodes": {nid: status for nid, status in frame.node_states.items()
+                                  if previous[nid] != status}})
+            return
+        # A keyframe, the whole graph.  "edges" is the record's last key, so its
+        # text goes before the closing brace; the two parts are encoded one after
+        # the other, so the edge lists are not alive while the node map is.
+        self._structure = structure
         head = json.dumps({"rec": "frame", "index": frame.index, "revision": frame.plan_revision,
                            "nodes": frame.node_states}, ensure_ascii=False)
-        self._sink.write(f'{head[:-1]}, "edges": {self._edges_json[1]}}}\n')
+        edges = json.dumps([list(edge) for edge in frame.edges], ensure_ascii=False)
+        self._sink.write(f'{head[:-1]}, "edges": {edges}}}\n')
         self._sink.flush()
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
@@ -243,7 +269,7 @@ def open_ledger(run_id: str, path: Path | None = None, meta: dict[str, Any] | No
         path.parent.mkdir(parents=True, exist_ok=True)
         sink = path.open("w", encoding="utf-8")
     ledger = RunLedger(run_id=run_id, _sink=sink)
-    header = {"rec": "run", "version": 1, "run_id": run_id}
+    header = {"rec": "run", "version": LEDGER_VERSION, "run_id": run_id}
     if meta:
         header.update(meta)
     ledger._emit(header)
@@ -275,15 +301,15 @@ def read_ledger_records(path: Path) -> list[dict[str, Any]]:
 def load_ledger(path: Path) -> RunLedger:
     """Load a ledger; a record of the wrong shape is a :class:`LedgerError`.
 
-    Consecutive frames with equal edge lists share one edges tuple.
+    A frame record with ``edges`` is a keyframe.  One without is a delta: it
+    takes the previous frame's statuses, with the listed ones replaced, and
+    shares its edges tuple, as do consecutive keyframes with equal edge lists.
     """
     records = read_ledger_records(path)
-    if not records or records[0].get("rec") != "run":
-        raise LedgerError(f"{path} is not a run ledger")
+    _check_header(records, path)
     ledger = RunLedger(run_id=records[0].get("run_id", ""))
     ledger._closed = True
     raw_edges: Any = None
-    edges: tuple[tuple[str, str], ...] = ()
     try:
         for record in records[1:]:
             kind = record.get("rec")
@@ -293,12 +319,20 @@ def load_ledger(path: Path) -> RunLedger:
                     record.get("node"), record.get("detail", ""), record.get("data"),
                 ))
             elif kind == "frame":
-                if raw_edges is None or record["edges"] != raw_edges:
-                    edges = tuple((dep, node) for dep, node in record["edges"])
-                    raw_edges = record["edges"]
-                ledger.frames.append(Frame(
-                    record["index"], dict(record["nodes"]), edges, record["revision"],
-                ))
+                if "edges" in record:
+                    nodes = dict(record["nodes"])
+                    if raw_edges is None or record["edges"] != raw_edges:
+                        edges = tuple((dep, node) for dep, node in record["edges"])
+                        raw_edges = record["edges"]
+                elif not ledger.frames:
+                    raise LedgerError(f"frame {record['index']}: a delta with no frame before it")
+                else:
+                    nodes = dict(ledger.frames[-1].node_states)
+                    if not record["nodes"].keys() <= nodes.keys():
+                        raise LedgerError(f"frame {record['index']}: a delta names an unknown node")
+                    nodes.update(record["nodes"])
+                    edges = ledger.frames[-1].edges
+                ledger.frames.append(Frame(record["index"], nodes, edges, record["revision"]))
             elif kind == "usage":
                 ledger.usage_records.append(UsageRecord(
                     record.get("ts", ""), record.get("kind", ""), record.get("check"),
@@ -324,16 +358,22 @@ class ReplayMismatch(LedgerError):
 def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
     """Re-execute the ledger's diffs and check every frame against them.
 
+    A keyframe must hold the replayed graph; a delta must follow a frame of
+    the same structure and list exactly the statuses that changed since it.
     Returns (frames checked, diffs applied); raises :class:`ReplayMismatch`
     on the first inconsistent frame or invalidation set and :class:`LedgerError`
-    on a malformed record.  A CheckFail event with an ``audit:`` detail reopens
-    the anchor node, mirroring the loop.
+    on a malformed record, a missing run header or an unknown version.  A
+    CheckFail event with an ``audit:`` detail reopens the anchor node,
+    mirroring the loop.
     """
     plan: ProofPlan | None = None
+    previous: Frame | None = None  # the last frame checked
+    structure: Any = None  # the node order and edges it was checked on
     frames_checked = 0
     diffs_applied = 0
+    _check_header(records, "the replayed ledger")
     try:
-        for record in records:
+        for record in records[1:]:
             rec = record.get("rec")
             if rec == "event":
                 kind = record.get("kind")
@@ -360,47 +400,82 @@ def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
                 if plan is None:
                     raise ReplayMismatch("frame recorded before any plan was created")
                 expected = frame_of(plan, frames_checked)
-                if record["nodes"] != expected.node_states:
-                    raise ReplayMismatch(f"frame {record['index']}: node states diverge")
-                # Built for each frame and dropped at once: a copy kept for the
-                # frames of one structure costs more in garbage collection.
-                if record["edges"] != list(map(list, expected.edges)):
-                    raise ReplayMismatch(f"frame {record['index']}: edges diverge")
+                if "edges" in record:
+                    if record["nodes"] != expected.node_states:
+                        raise ReplayMismatch(f"frame {record['index']}: node states diverge")
+                    # Built for each keyframe and dropped at once: a copy kept for
+                    # later keyframes costs more in garbage collection.
+                    if record["edges"] != list(map(list, expected.edges)):
+                        raise ReplayMismatch(f"frame {record['index']}: edges diverge")
+                else:
+                    _check_delta(record, previous, structure == (plan.order, expected.edges),
+                                 expected)
                 if record["revision"] != expected.plan_revision:
                     raise ReplayMismatch(f"frame {record['index']}: revision diverges")
                 if record["index"] != expected.index:
                     raise ReplayMismatch(f"frame index {record['index']} out of sequence")
+                previous, structure = expected, (plan.order, expected.edges)
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc
     return frames_checked, diffs_applied
 
 
+def _check_delta(record: dict[str, Any], previous: Frame | None, same_structure: bool,
+                 expected: Frame) -> None:
+    """A delta frame record must list exactly the statuses that changed since ``previous``."""
+    name = f"frame {record['index']}"
+    if previous is None:
+        raise ReplayMismatch(f"{name}: a delta with no frame before it")
+    if not same_structure:
+        raise ReplayMismatch(f"{name}: a delta after a structure change")
+    changes = record["nodes"]
+    unknown = [nid for nid in changes if nid not in expected.node_states]
+    if unknown:
+        raise ReplayMismatch(f"{name}: the delta names unknown node {unknown[0]!r}")
+    unchanged = [nid for nid, status in changes.items() if previous.node_states[nid] == status]
+    if unchanged:
+        raise ReplayMismatch(f"{name}: the delta lists the unchanged status of {unchanged[0]!r}")
+    states = dict(previous.node_states)
+    states.update(changes)
+    if states != expected.node_states:
+        raise ReplayMismatch(f"{name}: node states diverge")
+
+
 # ---------------------------------------------------------------------------
 # Layered layout: level 0 for dep-free nodes, else one above the deepest dep.
 
 def depth_layout(frame: Frame) -> dict[str, int]:
-    deps: dict[str, list[str]] = {node: [] for node in frame.node_states}
+    """Levels in one pass, Kahn-style: a node is placed once all its in-frame deps are,
+    each placement lifting its dependents; a cycle leaves nodes unplaced."""
+    nodes = frame.node_states
+    levels = dict.fromkeys(nodes, 0)
+    waiting = dict.fromkeys(nodes, 0)  # in-frame deps not yet placed
+    dependents: dict[str, list[str]] = {node: [] for node in nodes}
     for dep, node in frame.edges:
-        if node in deps and dep in frame.node_states:
-            deps[node].append(dep)
-    levels: dict[str, int] = {}
-    visiting: dict[str, None] = {}  # the current path, in order
-
-    def level_of(node: str) -> int:
-        if node in levels:
-            return levels[node]
-        if node in visiting:
-            path = list(visiting)
-            raise CycleError(path[path.index(node):] + [node])
-        visiting[node] = None
-        value = 0 if not deps[node] else 1 + max(level_of(d) for d in deps[node])
-        del visiting[node]
-        levels[node] = value
-        return value
-
-    for node in frame.node_states:
-        level_of(node)
+        if node in nodes and dep in nodes:
+            waiting[node] += 1
+            dependents[dep].append(node)
+    placed = [node for node, count in waiting.items() if not count]
+    for dep in placed:  # grows as nodes become ready
+        above = levels[dep] + 1
+        for node in dependents[dep]:
+            if levels[node] < above:
+                levels[node] = above
+            waiting[node] -= 1
+            if not waiting[node]:
+                placed.append(node)
+    if len(placed) < len(nodes):
+        # Each unplaced node has an unplaced dep: follow them until one repeats.
+        unplaced_dep = {node: dep for dep, node in frame.edges
+                        if waiting.get(node) and waiting.get(dep)}
+        path: dict[str, None] = {}
+        node = next(node for node, count in waiting.items() if count)
+        while node not in path:
+            path[node] = None
+            node = unplaced_dep[node]
+        walked = list(path)
+        raise CycleError(walked[walked.index(node):] + [node])
     return levels
 
 

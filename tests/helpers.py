@@ -230,6 +230,23 @@ def oracle_levels(node_ids: list[str], edges: list[tuple[str, str]]) -> dict[str
     raise AssertionError("relaxation did not converge; graph is cyclic")
 
 
+def expand_deltas(records: list[dict]) -> list[dict]:
+    """The ledger records with every delta frame written out as the full frame it
+    stands for, as a version 1 writer records it: the previous frame's statuses
+    with the listed ones replaced, and its edges."""
+    out: list[dict] = []
+    full: dict | None = None
+    for record in records:
+        if record.get("rec") == "frame":
+            if "edges" not in record:
+                assert full is not None, "a delta with no frame before it"
+                record = {**record, "nodes": {**full["nodes"], **record["nodes"]},
+                          "edges": full["edges"]}
+            full = record
+        out.append(record)
+    return out
+
+
 _ORACLE_COLORS = {"formalized": "#3B5B92", "not-yet": "#B4B7BD", "failing": "#B65F45"}
 
 

@@ -226,6 +226,28 @@ class TestAuditCommand:
         assert code == 1
         assert summary["forbidden"] == [["sorry", "A/Main.lean", 1]]
 
+    def test_a_real_audit_imports_only_the_run_files(self, tmp_path, capsys, monkeypatch):
+        workspace = solved_run(tmp_path) / "workspace"
+        capsys.readouterr()
+        # What a real run leaves beside the node files: the root module and Lake's packages.
+        (workspace / "Proofws.lean").write_text("import Proofws.Main\n", encoding="utf-8")
+        package = workspace / ".lake" / "packages" / "dep" / "Dep.lean"
+        package.parent.mkdir(parents=True)
+        package.write_text("theorem dep : True := sorry\n", encoding="utf-8")
+        lake = tmp_path / "toolchain" / "bin" / "lake"
+        lake.parent.mkdir(parents=True)
+        lake.write_text("#!/bin/sh\necho \"'Main' does not depend on any axioms\"\n",
+                        encoding="utf-8")
+        lake.chmod(0o755)
+        monkeypatch.setenv("PROOFLOOP_TOOLCHAIN_ROOT", str(tmp_path / "toolchain"))
+        for _ in range(2):  # the second audit finds the first one's driver
+            code = main(["audit", str(workspace), "--verifier", "real"])
+            summary = summary_of(capsys)
+            assert code == 0, summary
+            assert summary["forbidden"] == []
+            assert (workspace / "AxiomAudit.lean").read_text(encoding="utf-8") == (
+                "import Proofws.Main\n\n#print axioms Main\n")
+
     def test_workspace_without_anchor_information(self, tmp_path, capsys):
         bare = tmp_path / "bare"
         bare.mkdir()
@@ -442,9 +464,23 @@ def replay_of_diff(diff):
     return make_args
 
 
+def ledger_of_version(command, version):
+    def make_args(tmp_path):
+        ledger_path = solved_run(tmp_path) / "ledger.jsonl"
+        records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+        records[0]["version"] = version
+        write_records(ledger_path, *records)
+        return [command, str(ledger_path)]
+    return make_args
+
+
 def fault_trace_not_a_run_ledger(tmp_path):
     path = write_records(tmp_path / "ledger.jsonl", {"rec": "frame"})
     return ["trace", str(path)]
+
+
+def fault_replay_not_a_run_ledger(tmp_path):
+    return ["replay", fault_trace_not_a_run_ledger(tmp_path)[1]]
 
 
 def fault_trace_frame_without_edges(tmp_path):
@@ -537,7 +573,11 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_replay_mismatch, 1, id="replay-mismatch"),
     pytest.param(replay_of_diff("not a diff"), 2, id="replay-unparseable-diff"),
     pytest.param(replay_of_diff(5), 2, id="replay-diff-of-the-wrong-type"),
+    pytest.param(ledger_of_version("replay", 3), 2, id="replay-version-3"),
+    pytest.param(ledger_of_version("trace", 3), 2, id="trace-version-3"),
+    pytest.param(ledger_of_version("stats", 3), 2, id="stats-version-3"),
     pytest.param(fault_trace_not_a_run_ledger, 2, id="trace-not-a-run-ledger"),
+    pytest.param(fault_replay_not_a_run_ledger, 2, id="replay-not-a-run-ledger"),
     pytest.param(fault_trace_frame_without_edges, 2, id="trace-frame-without-edges"),
     pytest.param(fault_trace_cyclic_frame, 2, id="trace-cyclic-frame"),
     pytest.param(fault_trace_cyclic_frame_after_a_valid_one, 2,

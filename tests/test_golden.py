@@ -9,10 +9,10 @@ import json
 
 import pytest
 
-from helpers import BURNSIDE_DIR
+from helpers import BURNSIDE_DIR, expand_deltas
 from proofloop.agents import ScriptedBackend, load_fixture
 from proofloop.leanenv import SimVerifier, Workspace, audit_verdict, load_sim_rules
-from proofloop.ledger import export_trace
+from proofloop.ledger import export_trace, load_ledger, read_ledger_records
 from proofloop.looper import LoopConfig, find_anchor, run
 
 GOLDEN_DIR = BURNSIDE_DIR / "golden"
@@ -68,3 +68,18 @@ def test_trace_export_matches_golden_bytes(solved_state):
     head_lines = trace.splitlines()[:60]
     golden_head = (GOLDEN_DIR / "trace-head.txt").read_text(encoding="utf-8")
     assert "\n".join(head_lines) + "\n" == golden_head
+
+
+def test_the_ledger_file_and_its_expanded_twin_load_to_the_golden_trace(solved_state, tmp_path):
+    _, ws, ledger = solved_state
+    path = ws.root_dir.parent / "ledger.jsonl"
+    records = read_ledger_records(path)
+    twin = tmp_path / "expanded.jsonl"
+    twin.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                            for r in expand_deltas(records)), encoding="utf-8")
+    assert any(r["rec"] == "frame" and "edges" not in r for r in records)
+    golden = (GOLDEN_DIR / "trace-full.txt").read_text(encoding="utf-8")
+    for source in (path, twin):
+        loaded = load_ledger(source)
+        assert loaded.frames == ledger.frames
+        assert export_trace(loaded, "text") == golden

@@ -3,12 +3,18 @@ import json
 import random
 import statistics
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import anchor_decl, chain_plan, mk_node, oracle_levels, oracle_trace
-from proofloop.agents import TokenUsage
+from helpers import (
+    SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_levels, oracle_trace,
+    replan_fixture,
+)
+from proofloop.agents import ScriptedBackend, TokenUsage
+from proofloop.leanenv import SimVerifier
+from proofloop.looper import LoopConfig, run
 from proofloop.ledger import (
     CostModel,
     EmptyInput,
@@ -187,8 +193,25 @@ class TestDepthLayout:
             for i in range(count):
                 for j in rng.sample(range(i), min(i, rng.randint(0, 3))):
                     edges.append((ids[j], ids[i]))
-            frame = frame_of({n: "not-yet" for n in ids}, edges)
-            assert depth_layout(frame) == oracle_levels(ids, edges)
+            # The topological order, its reverse and a shuffle: one result for any order.
+            shuffled = rng.sample(ids, count)
+            for order in (ids, ids[::-1], shuffled):
+                frame = frame_of({n: "not-yet" for n in order}, rng.sample(edges, len(edges)))
+                assert depth_layout(frame) == oracle_levels(ids, edges)
+
+    @pytest.mark.parametrize("order", ["cab", "abc", "bca"])
+    def test_a_cycle_below_a_dependent_is_reported_closed(self, order):
+        frame = frame_of({n: "not-yet" for n in order}, [("a", "b"), ("b", "a"), ("b", "c")])
+        with pytest.raises(CycleError) as exc:
+            depth_layout(frame)
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b"} and len(cycle) == 3
+
+    def test_a_self_dependency_is_a_cycle(self):
+        frame = frame_of({"a": "not-yet", "b": "not-yet"}, [("a", "b"), ("b", "b")])
+        with pytest.raises(CycleError) as exc:
+            depth_layout(frame)
+        assert exc.value.cycle == ["b", "b"]
 
 
 RATES = CostModel(Decimal("15"), Decimal("75"), Decimal("1.50"), Decimal("18.75"))
@@ -345,12 +368,27 @@ ID_CHARS = "aβ∀é_'\"\\\x01😀9"
 STATUSES = [Status.OPEN, Status.FAILING, Status.CLOSED]
 
 
-def expected_frame_line(plan, index: int) -> str:
-    """The frame record built from scratch, as one JSON line."""
+def keyframe_line(plan, index: int) -> str:
+    """The full frame record built from scratch, as one JSON line: a keyframe, and
+    every frame of a version 1 ledger."""
     return json.dumps({
         "rec": "frame", "index": index, "revision": plan.revision,
         "nodes": {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
         "edges": [[dep, nid] for nid in plan.order for dep in plan.nodes[nid].deps],
+    }, ensure_ascii=False)
+
+
+def expected_frame_line(plan, previous, index: int) -> str:
+    """The version 2 frame line: a delta when ``previous`` has the same node order
+    and deps, listing the nodes whose status differs; otherwise a keyframe."""
+    same = previous is not None and previous.order == plan.order and all(
+        previous.nodes[nid].deps == plan.nodes[nid].deps for nid in plan.order)
+    if not same:
+        return keyframe_line(plan, index)
+    return json.dumps({
+        "rec": "frame", "index": index, "revision": plan.revision,
+        "nodes": {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order
+                  if plan.nodes[nid].status != previous.nodes[nid].status},
     }, ensure_ascii=False)
 
 
@@ -372,11 +410,13 @@ class TestFrameWriter:
         plan = draw_plan(data, ids)
         sink = io.StringIO()
         ledger = RunLedger("r", _sink=sink)
-        expected = []
+        expected, v1_lines, plans = [], [], [None]
 
         def snapshot():
             ledger.snapshot_frame(plan)
-            expected.append(expected_frame_line(plan, len(expected)))
+            expected.append(expected_frame_line(plan, plans[-1], len(expected)))
+            v1_lines.append(keyframe_line(plan, len(v1_lines)))
+            plans.append(plan)
 
         snapshot()
         steps = data.draw(st.lists(st.sampled_from(["status", "status", "add", "rewrite",
@@ -405,6 +445,9 @@ class TestFrameWriter:
         lines = sink.getvalue().splitlines()
         assert lines == expected
         assert [json.loads(line) for line in lines] == [json.loads(line) for line in expected]
+        # Written out in full, the deltas give the version 1 ledger line for line.
+        expanded = expand_deltas([json.loads(line) for line in lines])
+        assert [json.dumps(record, ensure_ascii=False) for record in expanded] == v1_lines
 
 
 def three_closes_ledger(path):
@@ -444,24 +487,49 @@ class TestReplayChecksEveryFrame:
         records = three_closes_ledger(tmp_path / "run.jsonl")
         frames = self.frames_of(records)
         assert verify_replay(records) == (5, 1)
-        for index in self.MID_REVISION:
-            assert frames[index]["revision"] == frames[index - 1]["revision"]
-            assert frames[index]["edges"] == frames[index - 1]["edges"]
+        full = self.frames_of(expand_deltas(records))
+        for index, frame in enumerate(frames):
+            if index in self.MID_REVISION:
+                assert frame["revision"] == frames[index - 1]["revision"]
+                assert "edges" not in frame and len(frame["nodes"]) == 1
+                assert full[index]["edges"] == full[index - 1]["edges"]
+            else:
+                assert frame == full[index]
+        assert verify_replay(expand_deltas(records)) == (5, 1)
 
     @pytest.mark.parametrize("index", MID_REVISION)
-    @pytest.mark.parametrize("tamper", ["drop-edge", "add-edge", "swap-edge", "status"])
+    @pytest.mark.parametrize("tamper", ["drop-change", "spurious-change", "unknown-id",
+                                        "drop-edge", "add-edge", "swap-edge", "status"])
     def test_an_altered_mid_revision_frame_is_named(self, tmp_path, index, tamper):
         records = three_closes_ledger(tmp_path / "run.jsonl")
         frame = self.frames_of(records)[index]
-        if tamper == "drop-edge":
-            frame["edges"] = frame["edges"][:-1]
-        elif tamper == "add-edge":
-            frame["edges"] = frame["edges"] + [["A", "D"]]
-        elif tamper == "swap-edge":
-            frame["edges"] = [[node, dep] for dep, node in frame["edges"]]
+        full = self.frames_of(expand_deltas(records))[index]
+        if tamper == "drop-change":
+            frame["nodes"] = {}
+        elif tamper == "spurious-change":  # D is open in every frame
+            frame["nodes"] = {**frame["nodes"], "D": "not-yet"}
+        elif tamper == "unknown-id":
+            frame["nodes"] = {**frame["nodes"], "Z": "formalized"}
+        elif tamper.endswith("-edge"):  # the full frame, with an altered edges list
+            frame["nodes"] = full["nodes"]
+            frame["edges"] = {
+                "drop-edge": full["edges"][:-1],
+                "add-edge": full["edges"] + [["A", "D"]],
+                "swap-edge": [[node, dep] for dep, node in full["edges"]],
+            }[tamper]
         else:
             frame["nodes"] = {**frame["nodes"], "D": "formalized"}
         with pytest.raises(ReplayMismatch, match=f"^frame {index}: "):
+            verify_replay(records)
+
+    @pytest.mark.parametrize("index, named", [(0, "no frame before it"),
+                                              (2, "after a structure change")])
+    def test_a_delta_on_a_new_structure_is_named(self, tmp_path, index, named):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        frame = self.frames_of(records)[index]
+        del frame["edges"]
+        frame["nodes"] = {}
+        with pytest.raises(ReplayMismatch, match=f"^frame {index}: a delta .*{named}"):
             verify_replay(records)
 
 
@@ -541,3 +609,111 @@ class TestLoadShapes:
                         + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(LedgerError, match="malformed ledger record"):
             load_ledger(path)
+
+    def test_a_delta_loads_as_the_frame_it_stands_for(self, tmp_path):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        twin = tmp_path / "expanded.jsonl"
+        twin.write_text("".join(json.dumps(r) + "\n" for r in expand_deltas(records)),
+                        encoding="utf-8")
+        frames = load_ledger(tmp_path / "run.jsonl").frames
+        assert frames == load_ledger(twin).frames
+        assert [f.node_states["C"] for f in frames] == ["not-yet"] * 4 + ["formalized"]
+
+    KEYFRAME = {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": "not-yet"}, "edges": []}
+
+    @pytest.mark.parametrize("frames", [
+        [{"rec": "frame", "index": 0, "revision": 0, "nodes": {}}],
+        [KEYFRAME, {"rec": "frame", "index": 1, "revision": 0, "nodes": {"Z": "formalized"}}],
+        [KEYFRAME, {"rec": "frame", "index": 1, "revision": 0, "nodes": ["a"]}],
+        [KEYFRAME, {"rec": "frame", "index": 1, "revision": 0}],
+    ], ids=["delta-first", "unknown-id", "nodes-not-an-object", "no-nodes"])
+    def test_a_delta_of_the_wrong_shape_is_a_ledger_error(self, tmp_path, frames):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in [
+            {"rec": "run", "version": 2}, *frames]), encoding="utf-8")
+        with pytest.raises(LedgerError):
+            load_ledger(path)
+
+
+class TestLedgerVersion:
+    def test_a_new_ledger_is_version_2(self, tmp_path):
+        open_ledger("r", tmp_path / "run.jsonl")
+        assert read_ledger_records(tmp_path / "run.jsonl")[0]["version"] == 2
+
+    @pytest.mark.parametrize("version", [3, 0, "2", 2.0, True, None])
+    def test_an_unknown_version_is_a_ledger_error(self, tmp_path, version):
+        path = tmp_path / "run.jsonl"
+        records = three_closes_ledger(path)
+        records[0]["version"] = version
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with pytest.raises(LedgerError, match="unsupported ledger version") as exc:
+            verify_replay(read_ledger_records(path))
+        assert not isinstance(exc.value, ReplayMismatch)
+        with pytest.raises(LedgerError, match="unsupported ledger version"):
+            load_ledger(path)
+
+    def test_records_without_a_run_header_do_not_replay(self, tmp_path):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        with pytest.raises(LedgerError, match="is not a run ledger"):
+            verify_replay(records[1:])
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_versions_1_and_2_are_read(self, tmp_path, version):
+        path = tmp_path / "run.jsonl"
+        records = three_closes_ledger(path)
+        records[0]["version"] = version
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert verify_replay(read_ledger_records(path)) == (5, 1)
+        assert len(load_ledger(path).frames) == 5
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+V1_LEDGER = DATA_DIR / "v1-replan-4x3.jsonl"
+TIMING_FIELDS = ("ts", "elapsed", "wall_clock", "started")
+
+
+def without_timing(records):
+    """Records minus the timing fields and the header's version."""
+    return [{key: value for key, value in record.items()
+             if key not in TIMING_FIELDS and not (record["rec"] == "run" and key == "version")}
+            for record in records]
+
+
+class TestVersion1Ledger:
+    """A ledger the version 1 writer recorded (every frame in full), with its traces:
+    ``replan_fixture(4, 3)`` on ``SIMPLE_INPUT`` with the replan limit 3."""
+
+    def run_it_today(self, tmp_path):
+        (tmp_path / "input.lean").write_text(SIMPLE_INPUT, encoding="utf-8")
+        config = LoopConfig(wall_clock_budget=60.0, compile_budget=2, replan_limit=3,
+                            check_retry_limit=2)
+        run(tmp_path / "input.lean", ScriptedBackend(replan_fixture(4, 3)), SimVerifier({}),
+            config, workspace_dir=tmp_path / "ws", ledger_path=tmp_path / "ledger.jsonl")
+        return tmp_path / "ledger.jsonl"
+
+    def test_it_replays_and_traces_as_when_it_was_written(self):
+        records = read_ledger_records(V1_LEDGER)
+        assert records[0]["version"] == 1
+        assert all("edges" in r for r in records if r["rec"] == "frame")
+        assert verify_replay(records) == (8, 3)
+        ledger = load_ledger(V1_LEDGER)
+        for fmt in ("text", "dot"):
+            written = (DATA_DIR / f"v1-replan-4x3.trace.{'txt' if fmt == 'text' else fmt}")
+            assert export_trace(ledger, fmt) == written.read_text(encoding="utf-8")
+
+    def test_the_same_run_today_writes_it_with_deltas(self, tmp_path):
+        path = self.run_it_today(tmp_path)
+        records = read_ledger_records(path)
+        old = read_ledger_records(V1_LEDGER)
+        assert records[0]["version"] == 2
+        assert without_timing(expand_deltas(records)) == without_timing(old)
+        # Every keyframe line is the version 1 line of the same frame.
+        old_lines = [line for line in V1_LEDGER.read_text(encoding="utf-8").splitlines()
+                     if line.startswith('{"rec": "frame"')]
+        new_lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+                     if line.startswith('{"rec": "frame"')]
+        keyframes = [i for i, line in enumerate(new_lines) if '"edges": ' in line]
+        assert keyframes == [0, 1, 3, 5]
+        assert [new_lines[i] for i in keyframes] == [old_lines[i] for i in keyframes]
+        assert path.stat().st_size < V1_LEDGER.stat().st_size
+        assert load_ledger(path).frames == load_ledger(V1_LEDGER).frames
