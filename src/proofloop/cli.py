@@ -292,10 +292,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    path = Path(args.ledger)
-    records = read_ledger_records(path)
-    try:
-        frames, diffs = verify_replay(records)
+    try:  # records are read as replay goes, so the first fault in the file decides
+        frames, diffs = verify_replay(read_ledger_records(Path(args.ledger)))
     except ReplayMismatch as exc:
         _emit({"command": "replay", "consistent": False, "error": str(exc)})
         return EXIT_UNFINISHED

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Iterable, Iterator
 
 from .agents import AgentError, TokenUsage
 from .plan import (
@@ -53,11 +54,11 @@ LEDGER_VERSION = 2
 READABLE_VERSIONS = (1, 2)  # a version 1 ledger has no delta frames
 
 
-def _check_header(records: list[dict[str, Any]], source: object) -> None:
+def _check_header(header: dict[str, Any] | None, source: object) -> None:
     """A ledger opens with a run header of a version this reader knows."""
-    if not records or records[0].get("rec") != "run":
+    if header is None or header.get("rec") != "run":
         raise LedgerError(f"{source} is not a run ledger")
-    version = records[0].get("version")
+    version = header.get("version")
     if type(version) is not int or version not in READABLE_VERSIONS:
         raise LedgerError(f"{source}: unsupported ledger version {version!r}")
 
@@ -102,6 +103,7 @@ FRAME_STATUS = {
     Status.OPEN: "not-yet",
     Status.FAILING: "failing",
 }
+_STATUSES = {status: status for status in FRAME_STATUS.values()}  # one string per status
 
 FRAME_COLORS = {
     "formalized": "#3B5B92",
@@ -135,6 +137,50 @@ def frame_of(plan: ProofPlan, index: int) -> Frame:
     """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan."""
     return Frame(index, {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
                  plan.edges(), plan.revision)
+
+
+def read_frame(record: dict[str, Any], previous: Frame | None,
+               shared: dict | None = None) -> Frame:
+    """The frame a frame record stands for: the one reader of frame records.
+
+    A record without ``edges`` is a delta, ``previous`` with the listed statuses
+    replaced.  A record of the wrong shape is a LedgerError that names the frame.
+    Given ``shared``, one table per read, keyframes share ids and (dep, node) pairs.
+    """
+    index, revision, nodes = record.get("index"), record.get("revision"), record.get("nodes")
+    try:
+        if type(index) is not int or type(revision) is not int:
+            raise ValueError("index and revision must be integers")
+        if not isinstance(nodes, dict):
+            raise ValueError("nodes is not an object")
+        statuses = list(map(_STATUSES.__getitem__, nodes.values()))
+        if "edges" not in record:
+            if previous is None:
+                raise ValueError("a delta with no frame before it")
+            if not nodes.keys() <= previous.node_states.keys():
+                raise ValueError(f"the delta names a node not in frame {previous.index}")
+            states = dict(previous.node_states)
+            states.update(zip(nodes, statuses))
+            return Frame(index, states, previous.edges, revision)
+        raw = record["edges"]
+        if type(raw) is not list or not set(map(type, raw)) <= {list}:
+            raise ValueError("edges is not a list of lists")
+        pairs = tuple(map(tuple, raw))
+        "".join(chain.from_iterable(pairs))  # a TypeError: an id that is not a string
+        if not set(map(len, pairs)) <= {2}:
+            raise ValueError("an edge is not a [dep, node] pair")
+    except KeyError as exc:
+        fault = f"unknown status {exc}"
+    except TypeError:
+        fault = "a status or an edge id is not a string"
+    except ValueError as exc:
+        fault = str(exc)
+    else:
+        if shared is not None:
+            nodes = dict(zip(map(shared.setdefault, nodes, nodes), statuses))
+            pairs = tuple(map(shared.setdefault, pairs, pairs))
+        return Frame(index, nodes, pairs, revision)
+    raise LedgerError(f"malformed ledger record: frame {index!r}: {fault}")
 
 
 @dataclass(frozen=True)
@@ -276,10 +322,9 @@ def open_ledger(run_id: str, path: Path | None = None, meta: dict[str, Any] | No
     return ledger
 
 
-def read_ledger_records(path: Path) -> list[dict[str, Any]]:
-    """Read JSON-line records.  Only the final line may fail to parse (an in-flight
-    record); any other bad line, or one that is not an object, is a LedgerError."""
-    records: list[dict[str, Any]] = []
+def read_ledger_records(path: Path) -> Iterator[dict[str, Any]]:
+    """Yield JSON-line records one by one.  Only the final line may fail to parse (an
+    in-flight record); any other bad line, or a non-object, is a LedgerError when reached."""
     unparsed: str | None = None  # an error only if another record follows
     with path.open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
@@ -294,24 +339,23 @@ def read_ledger_records(path: Path) -> list[dict[str, Any]]:
                 continue
             if not isinstance(record, dict):
                 raise LedgerError(f"{path}: line {number} is not a JSON object")
-            records.append(record)
-    return records
+            yield record
 
 
 def load_ledger(path: Path) -> RunLedger:
     """Load a ledger; a record of the wrong shape is a :class:`LedgerError`.
 
-    A frame record with ``edges`` is a keyframe.  One without is a delta: it
-    takes the previous frame's statuses, with the listed ones replaced, and
-    shares its edges tuple, as do consecutive keyframes with equal edge lists.
+    Frame records are read by :func:`read_frame`, with one table shared by
+    every frame of the ledger.
     """
     records = read_ledger_records(path)
-    _check_header(records, path)
-    ledger = RunLedger(run_id=records[0].get("run_id", ""))
+    header = next(records, None)
+    _check_header(header, path)
+    ledger = RunLedger(run_id=header.get("run_id", ""))
     ledger._closed = True
-    raw_edges: Any = None
+    shared: dict = {}
     try:
-        for record in records[1:]:
+        for record in records:
             kind = record.get("rec")
             if kind == "event":
                 ledger.events.append(LoopEvent(
@@ -319,20 +363,8 @@ def load_ledger(path: Path) -> RunLedger:
                     record.get("node"), record.get("detail", ""), record.get("data"),
                 ))
             elif kind == "frame":
-                if "edges" in record:
-                    nodes = dict(record["nodes"])
-                    if raw_edges is None or record["edges"] != raw_edges:
-                        edges = tuple((dep, node) for dep, node in record["edges"])
-                        raw_edges = record["edges"]
-                elif not ledger.frames:
-                    raise LedgerError(f"frame {record['index']}: a delta with no frame before it")
-                else:
-                    nodes = dict(ledger.frames[-1].node_states)
-                    if not record["nodes"].keys() <= nodes.keys():
-                        raise LedgerError(f"frame {record['index']}: a delta names an unknown node")
-                    nodes.update(record["nodes"])
-                    edges = ledger.frames[-1].edges
-                ledger.frames.append(Frame(record["index"], nodes, edges, record["revision"]))
+                ledger.frames.append(read_frame(
+                    record, ledger.frames[-1] if ledger.frames else None, shared))
             elif kind == "usage":
                 ledger.usage_records.append(UsageRecord(
                     record.get("ts", ""), record.get("kind", ""), record.get("check"),
@@ -355,25 +387,27 @@ class ReplayMismatch(LedgerError):
     pass
 
 
-def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
-    """Re-execute the ledger's diffs and check every frame against them.
+def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
+    """Re-execute the ledger's diffs and check every frame against them, keeping
+    only the replayed plan and the last frame.
 
-    A keyframe must hold the replayed graph; a delta must follow a frame of
-    the same structure and list exactly the statuses that changed since it.
-    Returns (frames checked, diffs applied); raises :class:`ReplayMismatch`
-    on the first inconsistent frame or invalidation set and :class:`LedgerError`
-    on a malformed record, a missing run header or an unknown version.  A
-    CheckFail event with an ``audit:`` detail reopens the anchor node,
-    mirroring the loop.
+    Each frame read by :func:`read_frame` must be the replayed plan's; a delta
+    must follow a frame of the same structure and list exactly the statuses that
+    changed since it.  Returns (frames checked, diffs applied); the first fault
+    in ``records`` raises :class:`ReplayMismatch` (a frame or invalidation set
+    that differs) or :class:`LedgerError` (a malformed record, a missing header,
+    an unknown version).  A CheckFail event with an ``audit:`` detail reopens
+    the anchor node, mirroring the loop.
     """
+    records = iter(records)
+    _check_header(next(records, None), "the replayed ledger")
     plan: ProofPlan | None = None
     previous: Frame | None = None  # the last frame checked
     structure: Any = None  # the node order and edges it was checked on
     frames_checked = 0
     diffs_applied = 0
-    _check_header(records, "the replayed ledger")
     try:
-        for record in records[1:]:
+        for record in records:
             rec = record.get("rec")
             if rec == "event":
                 kind = record.get("kind")
@@ -397,49 +431,33 @@ def verify_replay(records: list[dict[str, Any]]) -> tuple[int, int]:
                       and record.get("detail", "").startswith("audit:")):
                     plan = set_status(plan, node, Status.OPEN)
             elif rec == "frame":
-                if plan is None:
+                expected = None if plan is None else frame_of(plan, frames_checked)
+                delta = "edges" not in record
+                if delta and (previous is None or structure != (plan.order, expected.edges)):
+                    raise ReplayMismatch(f"frame {record.get('index')!r}: a delta " + (
+                        "with no frame before it" if previous is None
+                        else "after a structure change"))
+                frame = read_frame(record, previous)
+                if expected is None:
                     raise ReplayMismatch("frame recorded before any plan was created")
-                expected = frame_of(plan, frames_checked)
-                if "edges" in record:
-                    if record["nodes"] != expected.node_states:
-                        raise ReplayMismatch(f"frame {record['index']}: node states diverge")
-                    # Built for each keyframe and dropped at once: a copy kept for
-                    # later keyframes costs more in garbage collection.
-                    if record["edges"] != list(map(list, expected.edges)):
-                        raise ReplayMismatch(f"frame {record['index']}: edges diverge")
-                else:
-                    _check_delta(record, previous, structure == (plan.order, expected.edges),
-                                 expected)
-                if record["revision"] != expected.plan_revision:
-                    raise ReplayMismatch(f"frame {record['index']}: revision diverges")
-                if record["index"] != expected.index:
-                    raise ReplayMismatch(f"frame index {record['index']} out of sequence")
+                unchanged = delta and [nid for nid, status in record["nodes"].items()
+                                       if previous.node_states[nid] == status]
+                if unchanged:
+                    raise ReplayMismatch(f"frame {frame.index}: the delta lists the unchanged "
+                                         f"status of {unchanged[0]!r}")
+                if frame.node_states != expected.node_states:
+                    raise ReplayMismatch(f"frame {frame.index}: node states diverge")
+                if frame.edges != expected.edges:
+                    raise ReplayMismatch(f"frame {frame.index}: edges diverge")
+                if frame.plan_revision != expected.plan_revision:
+                    raise ReplayMismatch(f"frame {frame.index}: revision diverges")
+                if frame.index != expected.index:
+                    raise ReplayMismatch(f"frame index {frame.index} out of sequence")
                 previous, structure = expected, (plan.order, expected.edges)
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc
     return frames_checked, diffs_applied
-
-
-def _check_delta(record: dict[str, Any], previous: Frame | None, same_structure: bool,
-                 expected: Frame) -> None:
-    """A delta frame record must list exactly the statuses that changed since ``previous``."""
-    name = f"frame {record['index']}"
-    if previous is None:
-        raise ReplayMismatch(f"{name}: a delta with no frame before it")
-    if not same_structure:
-        raise ReplayMismatch(f"{name}: a delta after a structure change")
-    changes = record["nodes"]
-    unknown = [nid for nid in changes if nid not in expected.node_states]
-    if unknown:
-        raise ReplayMismatch(f"{name}: the delta names unknown node {unknown[0]!r}")
-    unchanged = [nid for nid, status in changes.items() if previous.node_states[nid] == status]
-    if unchanged:
-        raise ReplayMismatch(f"{name}: the delta lists the unchanged status of {unchanged[0]!r}")
-    states = dict(previous.node_states)
-    states.update(changes)
-    if states != expected.node_states:
-        raise ReplayMismatch(f"{name}: node states diverge")
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +612,25 @@ def _layouts(frames: list[Frame], fmt: str):
 
 
 def export_trace(ledger: RunLedger, fmt: str) -> str:
-    """Render every frame; deterministic ordering by (level, node id)."""
+    """Render every frame; deterministic ordering by (level, node id).  Each frame's
+    lines are joined as it is rendered, so only its lines live next to the text."""
     if fmt not in TRACE_FORMATS:
         raise UnsupportedFormat(f"unsupported trace format {fmt!r}")
     if not ledger.frames:
         raise LedgerError("ledger has no frames to export")
     if fmt == "text":
-        lines = ["prooftrace v1"]
+        chunks = ["prooftrace v1"]
         for frame, ordered, edge_lines in _layouts(ledger.frames, fmt):
-            lines.append(f"frame {frame.index} revision {frame.plan_revision}")
-            for level, node in ordered:
-                lines.append(f"  {level} {node} {frame.node_states[node]}")
-            lines.extend(edge_lines)
+            states = frame.node_states
+            lines = [f"frame {frame.index} revision {frame.plan_revision}"]
+            lines += [f"  {level} {node} {states[node]}" for level, node in ordered]
+            lines += edge_lines
             lines.append("end")
-        return "\n".join(lines) + "\n"
+            chunks.append("\n".join(lines))
+        chunks[-1] += "\n"
+        return "\n".join(chunks)
 
-    chunks: list[str] = []
+    chunks = []
     for frame, ordered, edge_lines in _layouts(ledger.frames, fmt):
         lines = [f"digraph frame{frame.index} {{"]
         lines.append('  rankdir=BT;')
@@ -623,4 +644,5 @@ def export_trace(ledger: RunLedger, fmt: str) -> str:
         lines.extend(edge_lines)
         lines.append("}")
         chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
+    chunks[-1] += "\n"
+    return "\n\n".join(chunks)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 from proofloop.agents import (
     CheckKind,
@@ -245,6 +246,14 @@ def expand_deltas(records: list[dict]) -> list[dict]:
             full = record
         out.append(record)
     return out
+
+
+def oracle_frames(records: list[dict]) -> list[SimpleNamespace]:
+    """The frames a ledger's records stand for, read without the ledger module:
+    every frame record of ``expand_deltas(records)``, its edges as tuples."""
+    return [SimpleNamespace(index=r["index"], plan_revision=r["revision"], node_states=r["nodes"],
+                            edges=[tuple(edge) for edge in r["edges"]])
+            for r in expand_deltas(records) if r.get("rec") == "frame"]
 
 
 _ORACLE_COLORS = {"formalized": "#3B5B92", "not-yet": "#B4B7BD", "failing": "#B65F45"}

@@ -102,7 +102,7 @@ def test_criterion_1_burnside_replay(burnside_run):
     closes = [e for e in events if e.kind is EventKind.NODE_CLOSED]
     assert closes[-1].node_id == "Thm_MainTheorem"
 
-    records = read_ledger_records(ledger_path)
+    records = list(read_ledger_records(ledger_path))
     frames, diffs = verify_replay(records)
     assert frames == len(ledger.frames) and diffs == 6
 

@@ -526,6 +526,30 @@ def ledger_with_usage_prompt(command, prompt):
     return make_args
 
 
+# Edits to the two frames of a solved simple run (a keyframe, then a delta) that
+# leave a record of the wrong shape, and the commands that read frames.
+MALFORMED_FRAMES = {
+    "keyframe-unknown-status": lambda key, delta: key["nodes"].update(Main="bogus-status"),
+    "keyframe-nodes-not-an-object": lambda key, delta: key.update(nodes=[["Main", "not-yet"]]),
+    "delta-unknown-status": lambda key, delta: delta["nodes"].update(Main="bogus-status"),
+    "edge-not-a-pair": lambda key, delta: key.update(edges=[["Main"]]),
+    "index-not-an-integer": lambda key, delta: key.update(index="0"),
+    "revision-not-an-integer": lambda key, delta: delta.update(revision=0.0),
+}
+FRAME_READERS = {"replay": ["replay"], "trace-text": ["trace"],
+                 "trace-dot": ["trace", "--format", "dot"], "stats": ["stats"]}
+
+
+def malformed_frame(reader, edit):
+    def make_args(tmp_path):
+        ledger_path = solved_run(tmp_path) / "ledger.jsonl"
+        records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+        edit(*(r for r in records if r["rec"] == "frame"))
+        write_records(ledger_path, *records)
+        return [reader[0], str(ledger_path), *reader[1:]]
+    return make_args
+
+
 def fault_stats_solved_without_statements(tmp_path):
     path = write_records(
         tmp_path / "ledger.jsonl",
@@ -588,6 +612,8 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_stats_solved_without_statements, 2,
                  id="stats-solved-without-statements"),
     pytest.param(fault_stats_missing_ledger, 2, id="stats-missing-ledger"),
+    *(pytest.param(malformed_frame(reader, edit), 2, id=f"{name}-{fault}")
+      for name, reader in FRAME_READERS.items() for fault, edit in MALFORMED_FRAMES.items()),
     pytest.param(run_with_rates({"prompt": "abc"}), 2, id="run-non-numeric-rate"),
     pytest.param(run_with_rates({"prompt": "NaN"}), 2, id="run-nan-rate"),
     pytest.param(run_with_rates({"cache_write": "Infinity"}), 2, id="run-infinite-rate"),
@@ -613,6 +639,38 @@ class TestLedgerSoundness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 11" in captured.err
+
+    @pytest.mark.parametrize("reader", FRAME_READERS.values(), ids=FRAME_READERS)
+    def test_every_reader_names_a_malformed_frame(self, tmp_path, capsys, reader):
+        args = malformed_frame(reader, MALFORMED_FRAMES["keyframe-unknown-status"])(tmp_path)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "frame 0: unknown status 'bogus-status'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mismatch_first, code", [(True, 1), (False, 2)],
+                             ids=["mismatch-then-corrupt-line", "corrupt-line-then-mismatch"])
+    def test_the_first_fault_in_file_order_decides_the_replay_exit_code(
+            self, tmp_path, capsys, mismatch_first, code):
+        assert main(burnside_args(tmp_path)) == 0
+        capsys.readouterr()
+        ledger_path = tmp_path / "out" / "ledger.jsonl"
+        lines = ledger_path.read_text(encoding="utf-8").splitlines()
+        frame_lines = [i for i, line in enumerate(lines) if line.startswith('{"rec": "frame"')]
+        at = frame_lines[3]
+        record = json.loads(lines[at])
+        assert record["index"] == 3 and at < 39 < len(lines) - 1
+        node, status = next(iter(record["nodes"].items()))
+        record["nodes"][node] = "failing" if status != "failing" else "not-yet"
+        lines[at] = json.dumps(record)
+        corrupt = 39 if mismatch_first else at - 1
+        lines[corrupt] = lines[corrupt][:len(lines[corrupt]) // 2]
+        ledger_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", str(ledger_path)]) == code
+        captured = capsys.readouterr()
+        if mismatch_first:
+            assert json.loads(captured.out)["error"].startswith("frame 3: ")
+        else:
+            assert captured.out == "" and f"line {corrupt + 1} " in captured.err
 
     def test_trace_and_stats_reject_a_record_that_is_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"

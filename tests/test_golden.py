@@ -73,7 +73,7 @@ def test_trace_export_matches_golden_bytes(solved_state):
 def test_the_ledger_file_and_its_expanded_twin_load_to_the_golden_trace(solved_state, tmp_path):
     _, ws, ledger = solved_state
     path = ws.root_dir.parent / "ledger.jsonl"
-    records = read_ledger_records(path)
+    records = list(read_ledger_records(path))
     twin = tmp_path / "expanded.jsonl"
     twin.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
                             for r in expand_deltas(records)), encoding="utf-8")

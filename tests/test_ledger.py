@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import random
 import statistics
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_levels, oracle_trace,
-    replan_fixture,
+    BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_frames,
+    oracle_levels, oracle_trace, replan_fixture,
 )
-from proofloop.agents import ScriptedBackend, TokenUsage
-from proofloop.leanenv import SimVerifier
+from proofloop.agents import ScriptedBackend, TokenUsage, load_fixture
+from proofloop.leanenv import SimVerifier, load_sim_rules
 from proofloop.looper import LoopConfig, run
 from proofloop.ledger import (
     CostModel,
@@ -93,10 +95,10 @@ class TestLedgerFile:
         ledger = open_ledger("r1", path)
         ledger.record_event(EventKind.PLAN_CREATED, None, "start")
         ledger.snapshot_frame(chain_plan(["A"]))
-        first = read_ledger_records(path)
+        first = list(read_ledger_records(path))
         ledger.record_event(EventKind.NODE_CLOSED, "A")
         ledger.record_outcome(Outcome("solved", None, 2.0, 1, 0))
-        final = read_ledger_records(path)
+        final = list(read_ledger_records(path))
         assert final[:len(first)] == first
         assert len(final) > len(first)
 
@@ -107,7 +109,7 @@ class TestLedgerFile:
         ledger.record_outcome(Outcome("solved", None, 2.0, 1, 0))
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"rec": "event", "kind": "Nod')
-        records = read_ledger_records(path)
+        records = list(read_ledger_records(path))
         assert records[-1]["rec"] == "outcome"
 
     def test_corrupt_line_before_the_last_is_an_error(self, tmp_path):
@@ -119,7 +121,7 @@ class TestLedgerFile:
         lines[1] = lines[1][:len(lines[1]) // 2]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(LedgerError, match="line 2"):
-            read_ledger_records(path)
+            list(read_ledger_records(path))
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "7", "null"])
     def test_a_line_that_is_not_an_object_is_an_error(self, tmp_path, line):
@@ -129,7 +131,7 @@ class TestLedgerFile:
         with path.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
         with pytest.raises(LedgerError, match="not a JSON object"):
-            read_ledger_records(path)
+            list(read_ledger_records(path))
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -353,7 +355,7 @@ class TestReplayVerification:
         ledger.record_event(EventKind.PLAN_CREATED, None, "", {"plan": plan_to_text(plan)})
         ledger.snapshot_frame(plan)
         ledger.record_outcome(Outcome("solved", None, 1.0, 2, 0))
-        records = read_ledger_records(path)
+        records = list(read_ledger_records(path))
         assert verify_replay(records) == (1, 0)
         records[2]["nodes"]["A"] = "formalized"  # corrupt the frame
         with pytest.raises(ReplayMismatch):
@@ -474,7 +476,7 @@ def three_closes_ledger(path):
         ledger.record_event(EventKind.NODE_CLOSED, node_id)
         ledger.snapshot_frame(plan)
     ledger.record_outcome(Outcome("unfinished", "time-budget", 1.0, 5, 1))
-    return read_ledger_records(path)
+    return list(read_ledger_records(path))
 
 
 class TestReplayChecksEveryFrame:
@@ -519,8 +521,12 @@ class TestReplayChecksEveryFrame:
             }[tamper]
         else:
             frame["nodes"] = {**frame["nodes"], "D": "formalized"}
-        with pytest.raises(ReplayMismatch, match=f"^frame {index}: "):
+        # A delta that names an unknown id stands for no frame: a malformed record.
+        malformed = tamper == "unknown-id"
+        prefix = "malformed ledger record: " if malformed else ""
+        with pytest.raises(LedgerError, match=f"^{prefix}frame {index}: ") as exc:
             verify_replay(records)
+        assert isinstance(exc.value, ReplayMismatch) is not malformed
 
     @pytest.mark.parametrize("index, named", [(0, "no frame before it"),
                                               (2, "after a structure change")])
@@ -602,6 +608,14 @@ class TestLoadShapes:
         {"rec": "frame", "index": 0, "revision": 0, "nodes": 5, "edges": []},
         {"rec": "frame", "index": 0, "revision": 0, "nodes": {}, "edges": [["a"]]},
         {"rec": "outcome"},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": "bogus"}, "edges": []},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": ["not-yet"]}, "edges": []},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": [["a", "not-yet"]], "edges": []},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": {}, "edges": ["ab"]},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": {}, "edges": [["a", 5]]},
+        {"rec": "frame", "index": 0, "revision": 0, "nodes": {}, "edges": {"a": "b"}},
+        {"rec": "frame", "index": "0", "revision": 0, "nodes": {}, "edges": []},
+        {"rec": "frame", "index": 0, "revision": 0.0, "nodes": {}, "edges": []},
     ])
     def test_a_record_of_the_wrong_shape_is_a_ledger_error(self, tmp_path, record):
         path = tmp_path / "run.jsonl"
@@ -609,6 +623,27 @@ class TestLoadShapes:
                         + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(LedgerError, match="malformed ledger record"):
             load_ledger(path)
+
+    @pytest.mark.parametrize("index, edit", [
+        (0, lambda frame: frame["nodes"].update(A="bogus-status")),
+        (0, lambda frame: frame.update(nodes=list(frame["nodes"].items()))),
+        (0, lambda frame: frame.update(edges=[edge + ["C"] for edge in frame["edges"]])),
+        (0, lambda frame: frame.update(revision=True)),
+        (1, lambda frame: frame["nodes"].update(A="closed")),
+        (1, lambda frame: frame.update(index=1.5)),
+        (1, lambda frame: frame["nodes"].update(Z="formalized")),
+    ], ids=["keyframe-unknown-status", "keyframe-nodes-a-list", "keyframe-edges-of-three",
+            "keyframe-revision-true", "delta-unknown-status", "delta-index-1.5",
+            "delta-unknown-id"])
+    def test_replay_and_load_reject_the_same_malformed_frames(self, tmp_path, index, edit):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        edit([r for r in records if r["rec"] == "frame"][index])
+        path = tmp_path / "edited.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        for read in (lambda: verify_replay(read_ledger_records(path)), lambda: load_ledger(path)):
+            with pytest.raises(LedgerError, match="^malformed ledger record: frame ") as exc:
+                read()
+            assert not isinstance(exc.value, ReplayMismatch)
 
     def test_a_delta_loads_as_the_frame_it_stands_for(self, tmp_path):
         records = three_closes_ledger(tmp_path / "run.jsonl")
@@ -631,14 +666,14 @@ class TestLoadShapes:
         path = tmp_path / "run.jsonl"
         path.write_text("".join(json.dumps(record) + "\n" for record in [
             {"rec": "run", "version": 2}, *frames]), encoding="utf-8")
-        with pytest.raises(LedgerError):
+        with pytest.raises(LedgerError, match=f"^malformed ledger record: frame {len(frames) - 1}: "):
             load_ledger(path)
 
 
 class TestLedgerVersion:
     def test_a_new_ledger_is_version_2(self, tmp_path):
         open_ledger("r", tmp_path / "run.jsonl")
-        assert read_ledger_records(tmp_path / "run.jsonl")[0]["version"] == 2
+        assert next(read_ledger_records(tmp_path / "run.jsonl"))["version"] == 2
 
     @pytest.mark.parametrize("version", [3, 0, "2", 2.0, True, None])
     def test_an_unknown_version_is_a_ledger_error(self, tmp_path, version):
@@ -679,20 +714,28 @@ def without_timing(records):
             for record in records]
 
 
+def replan_ledger(directory: Path, statements: int, splits: int) -> Path:
+    """The ledger of ``replan_fixture(statements, splits)`` on ``SIMPLE_INPUT``, run
+    with the replan limit ``splits``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "input.lean").write_text(SIMPLE_INPUT, encoding="utf-8")
+    config = LoopConfig(wall_clock_budget=60.0, compile_budget=2, replan_limit=splits,
+                        check_retry_limit=2)
+    run(directory / "input.lean", ScriptedBackend(replan_fixture(statements, splits)),
+        SimVerifier({}), config, workspace_dir=directory / "ws",
+        ledger_path=directory / "ledger.jsonl")
+    return directory / "ledger.jsonl"
+
+
 class TestVersion1Ledger:
     """A ledger the version 1 writer recorded (every frame in full), with its traces:
     ``replan_fixture(4, 3)`` on ``SIMPLE_INPUT`` with the replan limit 3."""
 
     def run_it_today(self, tmp_path):
-        (tmp_path / "input.lean").write_text(SIMPLE_INPUT, encoding="utf-8")
-        config = LoopConfig(wall_clock_budget=60.0, compile_budget=2, replan_limit=3,
-                            check_retry_limit=2)
-        run(tmp_path / "input.lean", ScriptedBackend(replan_fixture(4, 3)), SimVerifier({}),
-            config, workspace_dir=tmp_path / "ws", ledger_path=tmp_path / "ledger.jsonl")
-        return tmp_path / "ledger.jsonl"
+        return replan_ledger(tmp_path, 4, 3)
 
     def test_it_replays_and_traces_as_when_it_was_written(self):
-        records = read_ledger_records(V1_LEDGER)
+        records = list(read_ledger_records(V1_LEDGER))
         assert records[0]["version"] == 1
         assert all("edges" in r for r in records if r["rec"] == "frame")
         assert verify_replay(records) == (8, 3)
@@ -703,8 +746,8 @@ class TestVersion1Ledger:
 
     def test_the_same_run_today_writes_it_with_deltas(self, tmp_path):
         path = self.run_it_today(tmp_path)
-        records = read_ledger_records(path)
-        old = read_ledger_records(V1_LEDGER)
+        records = list(read_ledger_records(path))
+        old = list(read_ledger_records(V1_LEDGER))
         assert records[0]["version"] == 2
         assert without_timing(expand_deltas(records)) == without_timing(old)
         # Every keyframe line is the version 1 line of the same frame.
@@ -717,3 +760,57 @@ class TestVersion1Ledger:
         assert [new_lines[i] for i in keyframes] == [old_lines[i] for i in keyframes]
         assert path.stat().st_size < V1_LEDGER.stat().st_size
         assert load_ledger(path).frames == load_ledger(V1_LEDGER).frames
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def written_ledgers(tmp_path_factory):
+    """Ledgers the loop writes: Burnside, and replan_fixture(200, splits) for 8 and 32 splits."""
+    base = tmp_path_factory.mktemp("written")
+    run(BURNSIDE_DIR / "input.lean", ScriptedBackend(load_fixture(BURNSIDE_DIR / "agents.fx")),
+        SimVerifier(load_sim_rules(BURNSIDE_DIR / "sim-rules.txt")), LoopConfig(),
+        workspace_dir=base / "burnside" / "ws", ledger_path=base / "burnside" / "ledger.jsonl")
+    ledgers = {"burnside": base / "burnside" / "ledger.jsonl", "v1-replan-4x3": V1_LEDGER}
+    for splits in (8, 32):
+        ledgers[f"replan-200x{splits}"] = replan_ledger(base / f"replan{splits}", 200, splits)
+    return ledgers
+
+
+class TestStreamingReaders:
+    @pytest.mark.parametrize("fmt", ["text", "dot"])
+    @pytest.mark.parametrize("name", ["burnside", "replan-200x8", "v1-replan-4x3"])
+    def test_a_written_ledger_exports_like_the_oracle_of_its_records(self, written_ledgers,
+                                                                      name, fmt):
+        path = written_ledgers[name]
+        expected = oracle_trace(oracle_frames(list(read_ledger_records(path))), fmt)
+        assert export_trace(load_ledger(path), fmt) == expected
+
+    def test_loaded_frames_share_ids_statuses_and_pairs(self, written_ledgers):
+        frames = load_ledger(written_ledgers["replan-200x8"]).frames
+        for values in (lambda f: f.node_states, lambda f: f.node_states.values(),
+                       lambda f: f.edges):
+            objects = [value for frame in frames for value in values(frame)]
+            assert len({id(value) for value in objects}) == len(set(objects))
+
+    def test_replay_memory_does_not_grow_with_the_ledger(self, written_ledgers):
+        peaks = {}
+        for splits in (8, 32):
+            path = written_ledgers[f"replan-200x{splits}"]
+            result, peaks[splits] = traced_peak(lambda: verify_replay(read_ledger_records(path)))
+            assert result[1] == splits
+        assert peaks[32] <= 1.5 * peaks[8]
+
+    @pytest.mark.parametrize("splits", [8, 32])
+    def test_trace_memory_is_bounded_by_its_text(self, written_ledgers, splits):
+        path = written_ledgers[f"replan-200x{splits}"]
+        text, peak = traced_peak(lambda: export_trace(load_ledger(path), "text"))
+        assert peak <= 8 * len(text)
