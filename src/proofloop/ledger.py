@@ -6,10 +6,10 @@ line.  Frames snapshot node statuses and edges after every plan mutation and
 every status change; the trace exporter turns them into a layered text or DOT
 rendering.  Replay determinism is defined modulo timestamp fields.
 
-On disk (version 2) a frame on the previous frame's structure, the same node
-order and edges, is a delta that lists only the statuses that changed; every
-other frame is a keyframe that holds the whole graph.  A version 1 ledger is a
-version 2 ledger made only of keyframes.
+On disk (version 3) the first frame is a keyframe that holds the whole graph;
+every later frame is a delta of the statuses and, after a diff, the structure
+that changed (see :func:`frame_record`).  Version 2 wrote a keyframe at every
+structure change and version 1 only keyframes; both read as version 3.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress, filterfalse, repeat
+from operator import ne
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
@@ -50,8 +51,8 @@ class UnsolvedIncluded(LedgerError):
     pass
 
 
-LEDGER_VERSION = 2
-READABLE_VERSIONS = (1, 2)  # a version 1 ledger has no delta frames
+LEDGER_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)  # version 1 has no deltas, version 2 only status deltas
 
 
 def _check_header(header: dict[str, Any] | None, source: object) -> None:
@@ -139,13 +140,53 @@ def frame_of(plan: ProofPlan, index: int) -> Frame:
                  plan.edges(), plan.revision)
 
 
+def frame_record(previous: Frame | None, frame: Frame) -> dict[str, Any]:
+    """The record that stands for ``frame`` after ``previous``: the one derivation of a
+    frame record, for the writer and replay alike.
+
+    With no frame before it, a keyframe.  Otherwise a delta: ``nodes`` holds the new
+    ids and changed statuses in plan order; ``removed`` the dropped ids, ``after`` each
+    id whose predecessor in the node order changed and ``deps`` each id whose
+    dependency list changed, each only when not empty.
+    """
+    record = {"rec": "frame", "index": frame.index, "revision": frame.plan_revision}
+    if previous is None:
+        return {**record, "nodes": frame.node_states, "edges": list(map(list, frame.edges))}
+    old, new = previous.node_states, frame.node_states
+    if frame.edges == previous.edges and list(new) == list(old):  # the statuses alone changed
+        return {**record, "nodes": _changed(new, old)}
+    after = dict(zip(new, [None, *new]))  # an id is never its own predecessor
+    changes = {"nodes": _changed(new, old, repeat(None)),
+               "removed": list(filterfalse(new.__contains__, old)),
+               "after": _changed(after, dict(zip(old, [None, *old])), after),
+               "deps": {nid: [dep for dep, _ in pairs] for nid, pairs in _changed(
+                   _edges_by_node(frame), _edges_by_node(previous), repeat([])).items()}}
+    return {**record, **{key: value for key, value in changes.items() if value or key == "nodes"}}
+
+
+def _changed(new: dict, old: dict, defaults: Iterable | None = None) -> dict:
+    """The items of ``new`` whose value differs from ``old``'s, in order; without
+    ``defaults`` both have one key order, with it a key ``old`` lacks meets its default."""
+    olds = old.values() if defaults is None else map(old.get, new, defaults)
+    return {key: new[key] for key in compress(new, map(ne, olds, new.values()))}
+
+
+def _edges_by_node(frame: Frame) -> dict[str, list[tuple[str, str]]]:
+    """Each id's edges, its (dep, id) pairs in edge order."""
+    edges: dict[str, list[tuple[str, str]]] = {nid: [] for nid in frame.node_states}
+    for pair in frame.edges:
+        edges[pair[1]].append(pair)
+    return edges
+
+
 def read_frame(record: dict[str, Any], previous: Frame | None,
                shared: dict | None = None) -> Frame:
     """The frame a frame record stands for: the one reader of frame records.
 
-    A record without ``edges`` is a delta, ``previous`` with the listed statuses
-    replaced.  A record of the wrong shape is a LedgerError that names the frame.
-    Given ``shared``, one table per read, keyframes share ids and (dep, node) pairs.
+    A record without ``edges`` is a delta on ``previous`` (see :func:`frame_record`).
+    A record of the wrong shape, or an edge that names an id outside its frame, is a
+    LedgerError that names the frame.  Given ``shared``, one table per read, frames
+    share ids and (dep, node) pairs.
     """
     index, revision, nodes = record.get("index"), record.get("revision"), record.get("nodes")
     try:
@@ -153,34 +194,64 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
             raise ValueError("index and revision must be integers")
         if not isinstance(nodes, dict):
             raise ValueError("nodes is not an object")
-        statuses = list(map(_STATUSES.__getitem__, nodes.values()))
-        if "edges" not in record:
-            if previous is None:
-                raise ValueError("a delta with no frame before it")
-            if not nodes.keys() <= previous.node_states.keys():
+        statuses = dict(zip(nodes, map(_STATUSES.__getitem__, nodes.values())))
+        if "edges" in record:
+            raw = record["edges"]
+            if type(raw) is not list or set(map(type, raw)) - {list} or set(map(len, raw)) - {2}:
+                raise ValueError("edges is not a list of [dep, node] pairs")
+            states, pairs = statuses, tuple(map(tuple, raw))
+        elif previous is None:
+            raise ValueError("a delta with no frame before it")
+        elif record.keys().isdisjoint(("removed", "after", "deps")):  # statuses only
+            if not statuses.keys() <= previous.node_states.keys():
                 raise ValueError(f"the delta names a node not in frame {previous.index}")
-            states = dict(previous.node_states)
-            states.update(zip(nodes, statuses))
-            return Frame(index, states, previous.edges, revision)
-        raw = record["edges"]
-        if type(raw) is not list or not set(map(type, raw)) <= {list}:
-            raise ValueError("edges is not a list of lists")
-        pairs = tuple(map(tuple, raw))
-        "".join(chain.from_iterable(pairs))  # a TypeError: an id that is not a string
-        if not set(map(len, pairs)) <= {2}:
-            raise ValueError("an edge is not a [dep, node] pair")
+            return Frame(index, {**previous.node_states, **statuses}, previous.edges, revision)
+        else:
+            states, pairs = _restructure(record, previous, statuses)
+        if not set(chain.from_iterable(pairs)) <= states.keys():
+            raise ValueError("an edge names an id outside the frame")
     except KeyError as exc:
         fault = f"unknown status {exc}"
     except TypeError:
-        fault = "a status or an edge id is not a string"
+        fault = "an id or a status is not a string"
     except ValueError as exc:
         fault = str(exc)
     else:
         if shared is not None:
-            nodes = dict(zip(map(shared.setdefault, nodes, nodes), statuses))
+            states = dict(zip(map(shared.setdefault, states, states), states.values()))
             pairs = tuple(map(shared.setdefault, pairs, pairs))
-        return Frame(index, nodes, pairs, revision)
+        return Frame(index, states, pairs, revision)
     raise LedgerError(f"malformed ledger record: frame {index!r}: {fault}")
+
+
+def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, str]):
+    """The statuses and edges of a delta that changes the structure of ``previous``:
+    the node order is rebuilt from the predecessor links, the edges from the deps."""
+    removed, after, new_deps = map(record.get, ("removed", "after", "deps"), ([], {}, {}))
+    if type(removed) is not list or type(after) is not dict or type(new_deps) is not dict:
+        raise ValueError("removed is not a list, or after or deps is not an object")
+    gone = set(removed)
+    if not gone <= previous.node_states.keys():
+        raise ValueError("removed names an unknown id")
+    order = list(previous.node_states)
+    pred = {nid: p for nid, p in zip(order, [None, *order]) if nid not in gone}
+    if not statuses.keys() - pred.keys() <= after.keys() <= pred.keys() | statuses.keys():
+        raise ValueError("after names an unknown or removed id, or misses a new one")
+    pred.update(after)
+    # An id after an unknown id, or after the same id as another, is left out of the chain.
+    follower = dict(zip(pred.values(), pred))
+    ordered, nid = [], follower.get(None)
+    while nid is not None:
+        ordered.append(nid)
+        nid = follower.get(nid)
+    if len(ordered) < len(pred):
+        raise ValueError("the predecessor links do not form one chain")
+    if not set(map(type, new_deps.values())) <= {list} or not new_deps.keys() <= pred.keys():
+        raise ValueError("deps is not an object of lists of the frame's ids")
+    edges = _edges_by_node(previous)  # the pairs a survivor keeps, shared with previous
+    edges.update({nid: [(dep, nid) for dep in deps] for nid, deps in new_deps.items()})
+    states = {nid: statuses.get(nid) or previous.node_states[nid] for nid in ordered}
+    return states, tuple(chain.from_iterable(map(edges.get, ordered, repeat(()))))
 
 
 @dataclass(frozen=True)
@@ -221,10 +292,6 @@ class RunLedger:
     outcome: Outcome | None = None
     _sink: IO[str] | None = None
     _closed: bool = False
-    # The node order and edges of the last frame written, which decide whether
-    # the next one is a delta; a plan hands them on unchanged through set_status.
-    _structure: tuple[tuple[str, ...], tuple[tuple[str, str], ...]] | None = field(
-        default=None, repr=False, compare=False)
 
     @property
     def usage_total(self) -> TokenUsage:
@@ -256,25 +323,8 @@ class RunLedger:
         if self._closed:
             raise LedgerClosed("ledger already closed")
         frame = frame_of(plan, len(self.frames))
+        self._emit(frame_record(self.frames[-1] if self.frames else None, frame))
         self.frames.append(frame)
-        if self._sink is None:
-            return
-        structure = (plan.order, frame.edges)
-        if structure == self._structure:  # a delta: only the statuses that changed
-            previous = self.frames[-2].node_states
-            self._emit({"rec": "frame", "index": frame.index, "revision": frame.plan_revision,
-                        "nodes": {nid: status for nid, status in frame.node_states.items()
-                                  if previous[nid] != status}})
-            return
-        # A keyframe, the whole graph.  "edges" is the record's last key, so its
-        # text goes before the closing brace; the two parts are encoded one after
-        # the other, so the edge lists are not alive while the node map is.
-        self._structure = structure
-        head = json.dumps({"rec": "frame", "index": frame.index, "revision": frame.plan_revision,
-                           "nodes": frame.node_states}, ensure_ascii=False)
-        edges = json.dumps([list(edge) for edge in frame.edges], ensure_ascii=False)
-        self._sink.write(f'{head[:-1]}, "edges": {edges}}}\n')
-        self._sink.flush()
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
                      usage: TokenUsage, elapsed: float) -> None:
@@ -391,19 +441,17 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     """Re-execute the ledger's diffs and check every frame against them, keeping
     only the replayed plan and the last frame.
 
-    Each frame read by :func:`read_frame` must be the replayed plan's; a delta
-    must follow a frame of the same structure and list exactly the statuses that
-    changed since it.  Returns (frames checked, diffs applied); the first fault
-    in ``records`` raises :class:`ReplayMismatch` (a frame or invalidation set
-    that differs) or :class:`LedgerError` (a malformed record, a missing header,
-    an unknown version).  A CheckFail event with an ``audit:`` detail reopens
-    the anchor node, mirroring the loop.
+    Each frame record, read by :func:`read_frame`, must equal :func:`frame_record`
+    of the last frame (of none, for a keyframe) and the replayed plan's frame.
+    Returns (frames checked, diffs applied); the first fault in ``records`` raises
+    :class:`ReplayMismatch` (a frame or invalidation set that differs) or
+    :class:`LedgerError` (a malformed record, a missing header, an unknown version).
+    A CheckFail event with an ``audit:`` detail reopens the anchor node, as the loop does.
     """
     records = iter(records)
     _check_header(next(records, None), "the replayed ledger")
     plan: ProofPlan | None = None
     previous: Frame | None = None  # the last frame checked
-    structure: Any = None  # the node order and edges it was checked on
     frames_checked = 0
     diffs_applied = 0
     try:
@@ -431,29 +479,21 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                       and record.get("detail", "").startswith("audit:")):
                     plan = set_status(plan, node, Status.OPEN)
             elif rec == "frame":
-                expected = None if plan is None else frame_of(plan, frames_checked)
                 delta = "edges" not in record
-                if delta and (previous is None or structure != (plan.order, expected.edges)):
-                    raise ReplayMismatch(f"frame {record.get('index')!r}: a delta " + (
-                        "with no frame before it" if previous is None
-                        else "after a structure change"))
-                frame = read_frame(record, previous)
-                if expected is None:
-                    raise ReplayMismatch("frame recorded before any plan was created")
-                unchanged = delta and [nid for nid, status in record["nodes"].items()
-                                       if previous.node_states[nid] == status]
-                if unchanged:
-                    raise ReplayMismatch(f"frame {frame.index}: the delta lists the unchanged "
-                                         f"status of {unchanged[0]!r}")
-                if frame.node_states != expected.node_states:
-                    raise ReplayMismatch(f"frame {frame.index}: node states diverge")
-                if frame.edges != expected.edges:
-                    raise ReplayMismatch(f"frame {frame.index}: edges diverge")
-                if frame.plan_revision != expected.plan_revision:
-                    raise ReplayMismatch(f"frame {frame.index}: revision diverges")
-                if frame.index != expected.index:
-                    raise ReplayMismatch(f"frame index {frame.index} out of sequence")
-                previous, structure = expected, (plan.order, expected.edges)
+                if delta and previous is None:
+                    raise ReplayMismatch(f"frame {record.get('index')!r}: a delta "
+                                         "with no frame before it")
+                expected = None if plan is None else frame_of(plan, frames_checked)
+                written = expected and frame_record(previous if delta else None, expected)
+                # Equal records differ only if an integer is written as a float or a bool.
+                if record != written or {type(record["index"]), type(record["revision"])} != {int}:
+                    read_frame(record, previous)  # a malformed record is a LedgerError
+                    if written is None:
+                        raise ReplayMismatch("frame recorded before any plan was created")
+                    key = next(key for key in (*written, *record)
+                               if record.get(key) != written.get(key))
+                    raise ReplayMismatch(f"frame {record['index']}: {key!r} differs from replay")
+                previous = expected
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc

@@ -233,16 +233,37 @@ def oracle_levels(node_ids: list[str], edges: list[tuple[str, str]]) -> dict[str
 
 def expand_deltas(records: list[dict]) -> list[dict]:
     """The ledger records with every delta frame written out as the full frame it
-    stands for, as a version 1 writer records it: the previous frame's statuses
-    with the listed ones replaced, and its edges."""
+    stands for, as a version 1 writer records it.
+
+    A delta keeps the previous frame's order and edges unless it changes the
+    structure.  Then its node order is found by looking up, one step at a time,
+    the one id that follows the last one placed, and its edges list each id's deps
+    in that order, the listed ``deps`` in place of the previous frame's.
+    """
     out: list[dict] = []
     full: dict | None = None
     for record in records:
+        if record.get("rec") == "frame" and "edges" not in record:
+            assert full is not None, "a delta with no frame before it"
+            nodes = {**full["nodes"], **record["nodes"]}
+            order, edges = list(full["nodes"]), full["edges"]
+            if record.keys() & {"removed", "after", "deps"}:
+                removed = record.get("removed", [])
+                before = dict(zip(order, [None] + order))
+                before.update(record.get("after", {}))
+                order = [None]
+                while len(order) <= len(nodes) - len(removed):
+                    order.append(next(nid for nid, pred in before.items()
+                                      if pred == order[-1] and nid not in removed))
+                del order[0]
+                deps: dict = {nid: [] for nid in nodes}
+                for dep, nid in edges:
+                    deps[nid].append(dep)
+                deps.update(record.get("deps", {}))
+                edges = [[dep, nid] for nid in order for dep in deps[nid]]
+            record = {"rec": "frame", "index": record["index"], "revision": record["revision"],
+                      "nodes": {nid: nodes[nid] for nid in order}, "edges": edges}
         if record.get("rec") == "frame":
-            if "edges" not in record:
-                assert full is not None, "a delta with no frame before it"
-                record = {**record, "nodes": {**full["nodes"], **record["nodes"]},
-                          "edges": full["edges"]}
             full = record
         out.append(record)
     return out

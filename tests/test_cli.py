@@ -535,6 +535,7 @@ MALFORMED_FRAMES = {
     "edge-not-a-pair": lambda key, delta: key.update(edges=[["Main"]]),
     "index-not-an-integer": lambda key, delta: key.update(index="0"),
     "revision-not-an-integer": lambda key, delta: delta.update(revision=0.0),
+    "edge-outside-the-frame": lambda key, delta: key.update(edges=[["ghost", "Main"]]),
 }
 FRAME_READERS = {"replay": ["replay"], "trace-text": ["trace"],
                  "trace-dot": ["trace", "--format", "dot"], "stats": ["stats"]}
@@ -546,6 +547,37 @@ def malformed_frame(reader, edit):
         records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
         edit(*(r for r in records if r["rec"] == "frame"))
         write_records(ledger_path, *records)
+        return [reader[0], str(ledger_path), *reader[1:]]
+    return make_args
+
+
+# Edits to the first delta of the Burnside ledger that changes the structure: two
+# new lemmas, each placed after another id, with new dependency lists.
+MALFORMED_DELTAS = {
+    "delta-removes-an-unknown-id": lambda delta: delta.update(removed=["ghost"]),
+    "delta-places-an-unknown-id": lambda delta: delta["after"].update(ghost=None),
+    "delta-places-after-a-removed-id": lambda delta: delta.update(
+        removed=[delta["after"][next(iter(delta["after"]))]]),
+    "delta-two-ids-follow-one": lambda delta: delta["after"].update(
+        {key: next(iter(delta["after"].values())) for key in delta["after"]}),
+    "delta-links-not-one-chain": lambda delta: delta["after"].update(  # the last id of all
+        {next(iter(delta["after"])): "Thm_MainTheorem"}),
+    "delta-removed-not-a-list": lambda delta: delta.update(removed="ghost"),
+    "delta-deps-not-an-object": lambda delta: delta.update(deps=[]),
+    "delta-dep-outside-the-frame": lambda delta: delta["deps"].update(
+        {next(iter(delta["deps"])): ["ghost"]}),
+}
+_BURNSIDE_LEDGER: list[str] = []  # the text of one Burnside run's ledger, read once
+
+
+def structure_delta(reader, edit):
+    def make_args(tmp_path):
+        if not _BURNSIDE_LEDGER:
+            assert main(burnside_args(tmp_path / "burnside")) == 0
+            _BURNSIDE_LEDGER.append((tmp_path / "burnside" / "out" / "ledger.jsonl").read_text())
+        records = [json.loads(line) for line in _BURNSIDE_LEDGER[0].splitlines()]
+        edit(next(r for r in records if r["rec"] == "frame" and "after" in r))
+        ledger_path = write_records(tmp_path / "ledger.jsonl", *records)
         return [reader[0], str(ledger_path), *reader[1:]]
     return make_args
 
@@ -597,9 +629,9 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_replay_mismatch, 1, id="replay-mismatch"),
     pytest.param(replay_of_diff("not a diff"), 2, id="replay-unparseable-diff"),
     pytest.param(replay_of_diff(5), 2, id="replay-diff-of-the-wrong-type"),
-    pytest.param(ledger_of_version("replay", 3), 2, id="replay-version-3"),
-    pytest.param(ledger_of_version("trace", 3), 2, id="trace-version-3"),
-    pytest.param(ledger_of_version("stats", 3), 2, id="stats-version-3"),
+    pytest.param(ledger_of_version("replay", 4), 2, id="replay-version-4"),
+    pytest.param(ledger_of_version("trace", 4), 2, id="trace-version-4"),
+    pytest.param(ledger_of_version("stats", 4), 2, id="stats-version-4"),
     pytest.param(fault_trace_not_a_run_ledger, 2, id="trace-not-a-run-ledger"),
     pytest.param(fault_replay_not_a_run_ledger, 2, id="replay-not-a-run-ledger"),
     pytest.param(fault_trace_frame_without_edges, 2, id="trace-frame-without-edges"),
@@ -614,6 +646,10 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_stats_missing_ledger, 2, id="stats-missing-ledger"),
     *(pytest.param(malformed_frame(reader, edit), 2, id=f"{name}-{fault}")
       for name, reader in FRAME_READERS.items() for fault, edit in MALFORMED_FRAMES.items()),
+    *(pytest.param(structure_delta(reader, edit), 2, id=f"{name}-{fault}")
+      for name, reader in FRAME_READERS.items() for fault, edit in MALFORMED_DELTAS.items()),
+    pytest.param(structure_delta(["replay"], lambda delta: delta.pop("deps")), 1,
+                 id="replay-delta-omits-deps"),
     pytest.param(run_with_rates({"prompt": "abc"}), 2, id="run-non-numeric-rate"),
     pytest.param(run_with_rates({"prompt": "NaN"}), 2, id="run-nan-rate"),
     pytest.param(run_with_rates({"cache_write": "Infinity"}), 2, id="run-infinite-rate"),

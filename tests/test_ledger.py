@@ -5,6 +5,7 @@ import random
 import statistics
 import tracemalloc
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_frames,
-    oracle_levels, oracle_trace, replan_fixture,
+    oracle_levels, oracle_trace, random_dag_plan, random_diff, replan_fixture,
 )
 from proofloop.agents import ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import SimVerifier, load_sim_rules
@@ -36,8 +37,11 @@ from proofloop.ledger import (
     cost,
     depth_layout,
     export_trace,
+    frame_of as ledger_frame_of,
+    frame_record,
     load_ledger,
     open_ledger,
+    read_frame,
     read_ledger_records,
     render_stats_row,
     verify_replay,
@@ -381,17 +385,25 @@ def keyframe_line(plan, index: int) -> str:
 
 
 def expected_frame_line(plan, previous, index: int) -> str:
-    """The version 2 frame line: a delta when ``previous`` has the same node order
-    and deps, listing the nodes whose status differs; otherwise a keyframe."""
-    same = previous is not None and previous.order == plan.order and all(
-        previous.nodes[nid].deps == plan.nodes[nid].deps for nid in plan.order)
-    if not same:
+    """The version 3 frame line: a keyframe first, then deltas that list the new ids
+    and changed statuses in plan order and, when not empty, the removed ids, the ids
+    whose predecessor in the node order changed and the ids whose deps changed."""
+    if previous is None:
         return keyframe_line(plan, index)
-    return json.dumps({
+    old = previous.nodes
+    old_pred = {nid: previous.order[i - 1] if i else None for i, nid in enumerate(previous.order)}
+    record = {
         "rec": "frame", "index": index, "revision": plan.revision,
         "nodes": {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order
-                  if plan.nodes[nid].status != previous.nodes[nid].status},
-    }, ensure_ascii=False)
+                  if nid not in old or plan.nodes[nid].status != old[nid].status},
+        "removed": [nid for nid in previous.order if nid not in plan.nodes],
+        "after": {nid: plan.order[i - 1] if i else None for i, nid in enumerate(plan.order)
+                  if nid not in old_pred or old_pred[nid] != (plan.order[i - 1] if i else None)},
+        "deps": {nid: list(plan.nodes[nid].deps) for nid in plan.order
+                 if plan.nodes[nid].deps != (old[nid].deps if nid in old else ())},
+    }
+    return json.dumps({key: value for key, value in record.items()
+                       if value or key not in ("removed", "after", "deps")}, ensure_ascii=False)
 
 
 def draw_plan(data, ids):
@@ -452,6 +464,39 @@ class TestFrameWriter:
         assert [json.dumps(record, ensure_ascii=False) for record in expanded] == v1_lines
 
 
+class TestFrameRecord:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_a_random_diff_reads_back_and_replays(self, seed):
+        """After random diffs, ``read_frame(frame_record(previous, frame), previous)`` is
+        the new plan's frame, node order included, and replay accepts the records."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, 12)
+        previous = ledger_frame_of(plan, 0)
+        records = [{"rec": "run", "version": 3},
+                   {"rec": "event", "kind": "PlanCreated", "data": {"plan": plan_to_text(plan)}},
+                   frame_record(None, previous)]
+        frames = [previous]
+        for _ in range(4):
+            diff = random_diff(rng, plan)
+            try:
+                plan, invalidated = apply_diff(plan, diff)
+            except PlanError:
+                continue
+            frame = ledger_frame_of(plan, len(frames))
+            record = json.loads(json.dumps(frame_record(previous, frame)))
+            read = read_frame(record, previous)
+            assert read == frame
+            assert list(read.node_states) == list(frame.node_states)
+            records += [{"rec": "event", "kind": "DiffApplied", "data": {
+                "diff": diff_to_text(diff), "invalidated": sorted(invalidated)}}, record]
+            previous = frame
+            frames.append(frame)
+        assert verify_replay(records) == (len(frames), len(frames) - 1)
+        assert [(list(f.node_states.items()), f.edges) for f in oracle_frames(records)] == [
+            (list(f.node_states.items()), list(f.edges)) for f in frames]
+
+
 def three_closes_ledger(path):
     """Plan A <- B <- C <- D, close A, a diff that adds E under D, close B and C.
 
@@ -490,13 +535,16 @@ class TestReplayChecksEveryFrame:
         frames = self.frames_of(records)
         assert verify_replay(records) == (5, 1)
         full = self.frames_of(expand_deltas(records))
-        for index, frame in enumerate(frames):
+        assert frames[0] == full[0]  # the one keyframe
+        for index, frame in enumerate(frames[1:], 1):
+            assert "edges" not in frame
             if index in self.MID_REVISION:
                 assert frame["revision"] == frames[index - 1]["revision"]
-                assert "edges" not in frame and len(frame["nodes"]) == 1
+                assert len(frame) == 4 and len(frame["nodes"]) == 1
                 assert full[index]["edges"] == full[index - 1]["edges"]
-            else:
-                assert frame == full[index]
+        # The diff adds E between C and D and gives E and D new deps; no status changes.
+        assert frames[2] == {"rec": "frame", "index": 2, "revision": 1, "nodes": {"E": "not-yet"},
+                             "after": {"E": "C", "D": "E"}, "deps": {"E": ["B"], "D": ["C", "E"]}}
         assert verify_replay(expand_deltas(records)) == (5, 1)
 
     @pytest.mark.parametrize("index", MID_REVISION)
@@ -528,15 +576,76 @@ class TestReplayChecksEveryFrame:
             verify_replay(records)
         assert isinstance(exc.value, ReplayMismatch) is not malformed
 
-    @pytest.mark.parametrize("index, named", [(0, "no frame before it"),
-                                              (2, "after a structure change")])
+    @pytest.mark.parametrize("index, named", [(0, "a delta with no frame before it"),
+                                              (2, "'nodes' differs from replay$")])
     def test_a_delta_on_a_new_structure_is_named(self, tmp_path, index, named):
         records = three_closes_ledger(tmp_path / "run.jsonl")
         frame = self.frames_of(records)[index]
-        del frame["edges"]
+        for key in ("edges", "after", "deps"):
+            frame.pop(key, None)
         frame["nodes"] = {}
-        with pytest.raises(ReplayMismatch, match=f"^frame {index}: a delta .*{named}"):
+        with pytest.raises(ReplayMismatch, match=f"^frame {index}: {named}"):
             verify_replay(records)
+
+    # Edits to frame 2, the delta of the diff that puts E between C and D.
+    MISSTATED = {
+        "no-deps": lambda frame: frame.pop("deps"),
+        "deps-of-D-unchanged": lambda frame: frame["deps"].update(D=["C"]),
+        "no-deps-of-E": lambda frame: frame["deps"].pop("E"),
+        "E-first": lambda frame: frame.update(after={"E": None, "A": "E"}),
+        "removes-D": lambda frame: frame.update(removed=["D"], after={"E": "C"},
+                                                deps={"E": ["B"]}),
+        "removes-A": lambda frame: frame.update(removed=["A"], after={"B": None, **frame["after"]},
+                                                deps={"B": [], **frame["deps"]}),
+    }
+
+    @pytest.mark.parametrize("edit", MISSTATED.values(), ids=MISSTATED)
+    def test_a_delta_that_omits_or_misstates_a_structure_change_is_named(self, tmp_path, edit):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        edit(self.frames_of(records)[2])
+        load_ledger_of(tmp_path / "edited.jsonl", records)  # a well-formed delta
+        with pytest.raises(ReplayMismatch, match="^frame 2: '(removed|after|deps)' differs"):
+            verify_replay(records)
+
+    MALFORMED = {
+        "removed-unknown": (lambda frame: frame.update(removed=["Z"]), "removed names an unknown"),
+        "removed-and-in-nodes": (lambda frame: frame.update(removed=["E"]), "removed names an"),
+        "after-names-unknown": (lambda frame: frame["after"].update(Z="A"), "after names an"),
+        "after-names-removed": (lambda frame: frame.update(removed=["A"], after={"A": None}),
+                                "after names an unknown or removed id"),
+        "new-id-not-placed": (lambda frame: frame["nodes"].update(Z="not-yet"),
+                              "after names an unknown or removed id, or misses a new one"),
+        "new-id-without-after": (lambda frame: frame["after"].pop("E"), "misses a new one"),
+        "after-follows-unknown": (lambda frame: frame["after"].update(E="Z"), "not form one chain"),
+        "follows-removed": (lambda frame: frame.update(removed=["A"]), "not form one chain"),
+        "two-follow-one": (lambda frame: frame["after"].pop("D"), "not form one chain"),
+        "not-one-chain": (lambda frame: frame["after"].update(A="D"), "not form one chain"),
+        "deps-unknown": (lambda frame: frame["deps"].update(Z=[]), "deps is not an object of"),
+        "deps-outside": (lambda frame: frame["deps"].update(D=["Z"]), "an edge names an id outside"),
+        "removed-not-a-list": (lambda frame: frame.update(removed="A"), "removed is not a list"),
+        "after-not-an-object": (lambda frame: frame.update(after=[["E", "C"]]), "after or deps"),
+        "after-not-a-string": (lambda frame: frame["after"].update(E=5), "not form one chain"),
+        "after-a-list": (lambda frame: frame["after"].update(E=["C"]), "an id or a status is not"),
+        "deps-not-a-list": (lambda frame: frame["deps"].update(D="C"), "deps is not an object of"),
+        "dep-not-a-string": (lambda frame: frame["deps"].update(D=[5]), "an edge names an id out"),
+        "dep-a-list": (lambda frame: frame["deps"].update(D=[["C"]]), "an id or a status is not"),
+    }
+
+    @pytest.mark.parametrize("edit, fault", MALFORMED.values(), ids=MALFORMED)
+    def test_a_malformed_structure_delta_is_a_ledger_error(self, tmp_path, edit, fault):
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        edit(self.frames_of(records)[2])
+        path = tmp_path / "edited.jsonl"
+        for read in (lambda: verify_replay(records), lambda: load_ledger_of(path, records)):
+            with pytest.raises(LedgerError, match=f"^malformed ledger record: frame 2: .*{fault}") \
+                    as exc:
+                read()
+            assert not isinstance(exc.value, ReplayMismatch)
+
+
+def load_ledger_of(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return load_ledger(path)
 
 
 class TestTraceReusesLayoutsByContent:
@@ -571,16 +680,25 @@ class TestTraceReusesLayoutsByContent:
 
     @pytest.mark.parametrize("fmt", ["text", "dot"])
     def test_the_same_frames_loaded_from_a_file_export_like_the_oracle(self, tmp_path, fmt):
+        """Every frame whose edges stay inside it; an edge that leaves its frame is a
+        malformed record in a file."""
         frames = self.hand_built().frames
+        inside = [f for f in frames if set(chain.from_iterable(f.edges)) <= f.node_states.keys()]
+        assert [f.index for f in frames if f not in inside] == [5, 6]
         path = tmp_path / "run.jsonl"
-        path.write_text("".join(json.dumps(record) + "\n" for record in [
-            {"rec": "run", "version": 1, "run_id": "r"},
-            *({"rec": "frame", "index": f.index, "revision": f.plan_revision,
-               "nodes": f.node_states, "edges": [list(e) for e in f.edges]} for f in frames),
-        ]), encoding="utf-8")
-        loaded = load_ledger(path)
-        assert loaded.frames == frames
-        assert export_trace(loaded, fmt) == oracle_trace(frames, fmt)
+        for written in (inside, frames):
+            path.write_text("".join(json.dumps(record) + "\n" for record in [
+                {"rec": "run", "version": 1, "run_id": "r"},
+                *({"rec": "frame", "index": f.index, "revision": f.plan_revision,
+                   "nodes": f.node_states, "edges": [list(e) for e in f.edges]} for f in written),
+            ]), encoding="utf-8")
+            if written is frames:
+                with pytest.raises(LedgerError, match="frame 5: an edge names an id outside"):
+                    load_ledger(path)
+                continue
+            loaded = load_ledger(path)
+            assert loaded.frames == inside
+            assert export_trace(loaded, fmt) == oracle_trace(inside, fmt)
 
     @pytest.mark.parametrize("fmt", ["text", "dot"])
     def test_a_cyclic_frame_after_a_valid_one_with_the_same_nodes(self, fmt):
@@ -671,11 +789,11 @@ class TestLoadShapes:
 
 
 class TestLedgerVersion:
-    def test_a_new_ledger_is_version_2(self, tmp_path):
+    def test_a_new_ledger_is_version_3(self, tmp_path):
         open_ledger("r", tmp_path / "run.jsonl")
-        assert next(read_ledger_records(tmp_path / "run.jsonl"))["version"] == 2
+        assert next(read_ledger_records(tmp_path / "run.jsonl"))["version"] == 3
 
-    @pytest.mark.parametrize("version", [3, 0, "2", 2.0, True, None])
+    @pytest.mark.parametrize("version", [4, 0, "2", 2.0, "3", 3.0, True, None])
     def test_an_unknown_version_is_a_ledger_error(self, tmp_path, version):
         path = tmp_path / "run.jsonl"
         records = three_closes_ledger(path)
@@ -704,6 +822,7 @@ class TestLedgerVersion:
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 V1_LEDGER = DATA_DIR / "v1-replan-4x3.jsonl"
+V2_LEDGER = DATA_DIR / "v2-replan-4x3.jsonl"
 TIMING_FIELDS = ("ts", "elapsed", "wall_clock", "started")
 
 
@@ -738,28 +857,52 @@ class TestVersion1Ledger:
         records = list(read_ledger_records(V1_LEDGER))
         assert records[0]["version"] == 1
         assert all("edges" in r for r in records if r["rec"] == "frame")
-        assert verify_replay(records) == (8, 3)
-        ledger = load_ledger(V1_LEDGER)
-        for fmt in ("text", "dot"):
-            written = (DATA_DIR / f"v1-replan-4x3.trace.{'txt' if fmt == 'text' else fmt}")
-            assert export_trace(ledger, fmt) == written.read_text(encoding="utf-8")
+        assert_replays_and_traces_as_written(V1_LEDGER)
 
     def test_the_same_run_today_writes_it_with_deltas(self, tmp_path):
         path = self.run_it_today(tmp_path)
         records = list(read_ledger_records(path))
         old = list(read_ledger_records(V1_LEDGER))
-        assert records[0]["version"] == 2
+        assert records[0]["version"] == 3
         assert without_timing(expand_deltas(records)) == without_timing(old)
-        # Every keyframe line is the version 1 line of the same frame.
-        old_lines = [line for line in V1_LEDGER.read_text(encoding="utf-8").splitlines()
-                     if line.startswith('{"rec": "frame"')]
-        new_lines = [line for line in path.read_text(encoding="utf-8").splitlines()
-                     if line.startswith('{"rec": "frame"')]
-        keyframes = [i for i, line in enumerate(new_lines) if '"edges": ' in line]
-        assert keyframes == [0, 1, 3, 5]
-        assert [new_lines[i] for i in keyframes] == [old_lines[i] for i in keyframes]
-        assert path.stat().st_size < V1_LEDGER.stat().st_size
+        # The one keyframe is the version 1 line of frame 0, and every status delta
+        # is the version 2 line of the same frame.
+        v1_lines, v2_lines, new_lines = ([line for line in ledger.read_text(encoding="utf-8")
+                                          .splitlines() if line.startswith('{"rec": "frame"')]
+                                         for ledger in (V1_LEDGER, V2_LEDGER, path))
+        assert [i for i, line in enumerate(new_lines) if '"edges": ' in line] == [0]
+        assert new_lines[0] == v1_lines[0]
+        structure = [i for i, line in enumerate(new_lines) if '"after": ' in line]
+        assert structure == [1, 3, 5]
+        assert [line for i, line in enumerate(new_lines) if i not in structure] == [
+            line for i, line in enumerate(v2_lines) if i not in structure]
+        assert path.stat().st_size < V2_LEDGER.stat().st_size < V1_LEDGER.stat().st_size
         assert load_ledger(path).frames == load_ledger(V1_LEDGER).frames
+        assert load_ledger(path).frames == load_ledger(V2_LEDGER).frames
+
+
+class TestVersion2Ledger:
+    """A ledger the version 2 writer recorded (a keyframe at every structure change,
+    status deltas otherwise) for the same run as the version 1 ledger."""
+
+    def test_it_replays_and_traces_as_when_it_was_written(self):
+        records = list(read_ledger_records(V2_LEDGER))
+        assert records[0]["version"] == 2
+        frames = [r for r in records if r["rec"] == "frame"]
+        assert [i for i, r in enumerate(frames) if "edges" in r] == [0, 1, 3, 5]
+        assert not any(r.keys() & {"removed", "after", "deps"} for r in frames)
+        assert_replays_and_traces_as_written(V2_LEDGER)
+        assert without_timing(expand_deltas(records)) == without_timing(
+            list(read_ledger_records(V1_LEDGER)))
+
+
+def assert_replays_and_traces_as_written(path: Path) -> None:
+    """The ledger replays to 8 frames and 3 diffs, and traces to its checked-in traces."""
+    assert verify_replay(read_ledger_records(path)) == (8, 3)
+    ledger = load_ledger(path)
+    for fmt, suffix in (("text", "txt"), ("dot", "dot")):
+        written = path.with_name(path.name.replace(".jsonl", f".trace.{suffix}"))
+        assert export_trace(ledger, fmt) == written.read_text(encoding="utf-8")
 
 
 def traced_peak(fn):
@@ -779,7 +922,8 @@ def written_ledgers(tmp_path_factory):
     run(BURNSIDE_DIR / "input.lean", ScriptedBackend(load_fixture(BURNSIDE_DIR / "agents.fx")),
         SimVerifier(load_sim_rules(BURNSIDE_DIR / "sim-rules.txt")), LoopConfig(),
         workspace_dir=base / "burnside" / "ws", ledger_path=base / "burnside" / "ledger.jsonl")
-    ledgers = {"burnside": base / "burnside" / "ledger.jsonl", "v1-replan-4x3": V1_LEDGER}
+    ledgers = {"burnside": base / "burnside" / "ledger.jsonl", "v1-replan-4x3": V1_LEDGER,
+               "v2-replan-4x3": V2_LEDGER}
     for splits in (8, 32):
         ledgers[f"replan-200x{splits}"] = replan_ledger(base / f"replan{splits}", 200, splits)
     return ledgers
@@ -787,19 +931,31 @@ def written_ledgers(tmp_path_factory):
 
 class TestStreamingReaders:
     @pytest.mark.parametrize("fmt", ["text", "dot"])
-    @pytest.mark.parametrize("name", ["burnside", "replan-200x8", "v1-replan-4x3"])
+    @pytest.mark.parametrize("name", ["burnside", "replan-200x8", "v1-replan-4x3",
+                                      "v2-replan-4x3"])
     def test_a_written_ledger_exports_like_the_oracle_of_its_records(self, written_ledgers,
                                                                       name, fmt):
         path = written_ledgers[name]
         expected = oracle_trace(oracle_frames(list(read_ledger_records(path))), fmt)
         assert export_trace(load_ledger(path), fmt) == expected
 
+    @pytest.mark.parametrize("name", ["burnside", "replan-200x8", "v1-replan-4x3",
+                                      "v2-replan-4x3"])
+    def test_loaded_frames_equal_the_oracle_frames(self, written_ledgers, name):
+        path = written_ledgers[name]
+        oracle = oracle_frames(list(read_ledger_records(path)))
+        loaded = load_ledger(path).frames
+        assert [(f.index, f.plan_revision, list(f.node_states.items()), list(f.edges))
+                for f in loaded] == [(f.index, f.plan_revision, list(f.node_states.items()),
+                                      f.edges) for f in oracle]
+
     def test_loaded_frames_share_ids_statuses_and_pairs(self, written_ledgers):
-        frames = load_ledger(written_ledgers["replan-200x8"]).frames
-        for values in (lambda f: f.node_states, lambda f: f.node_states.values(),
-                       lambda f: f.edges):
-            objects = [value for frame in frames for value in values(frame)]
-            assert len({id(value) for value in objects}) == len(set(objects))
+        for name in ("replan-200x8", "v2-replan-4x3"):  # one keyframe, and one at each diff
+            frames = load_ledger(written_ledgers[name]).frames
+            for values in (lambda f: f.node_states, lambda f: f.node_states.values(),
+                           lambda f: f.edges):
+                objects = [value for frame in frames for value in values(frame)]
+                assert len({id(value) for value in objects}) == len(set(objects))
 
     def test_replay_memory_does_not_grow_with_the_ledger(self, written_ledgers):
         peaks = {}
