@@ -37,7 +37,7 @@ class AgentError(Exception):
 
 
 class BackendUnavailable(AgentError):
-    """Transport-level failure that survived the retry policy."""
+    """Transport-level failure that survived every attempt."""
 
 
 class MalformedResponse(AgentError):
@@ -147,21 +147,6 @@ class AgentResult:
     def __post_init__(self) -> None:
         if not isinstance(self.payload, PAYLOAD_TYPES[self.kind]):
             raise AgentError(f"payload {type(self.payload).__name__} does not match {self.kind.value} task")
-
-    @property
-    def diff(self) -> PlanDiff:
-        assert isinstance(self.payload, PlanDiff)
-        return self.payload
-
-    @property
-    def lean(self) -> LeanOutcome:
-        assert isinstance(self.payload, LeanOutcome)
-        return self.payload
-
-    @property
-    def verdict(self) -> CheckVerdict:
-        assert isinstance(self.payload, CheckVerdict)
-        return self.payload
 
 
 def assemble_context(
@@ -394,21 +379,10 @@ _PROMPT_FILES = {
     (TaskKind.CHECK, CheckKind.FAITHFULNESS): "check_faithfulness.txt",
 }
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    backoff_base: float = 2.0
-
-
-@dataclass(frozen=True)
-class LiveConfig:
-    endpoint: str
-    model: str
-    auth_env: str = "PROOFLOOP_API_TOKEN"
-    retry: RetryPolicy = RetryPolicy()
-    prompt_dir: Path | None = None
-    request_timeout: float = 120.0
+PROMPT_DIR = Path(__file__).parent / "prompts"
+TOKEN_ENV = "PROOFLOOP_API_TOKEN"
+RETRY_WAITS = (2.0, 4.0)  # seconds before the second and the third (last) attempt
+REQUEST_TIMEOUT = 120.0  # seconds
 
 
 def extract_payload(text: str, kind: TaskKind) -> str:
@@ -437,25 +411,25 @@ def parse_verdict_payload(body: str) -> CheckVerdict:
 class LiveBackend:
     """Single-endpoint HTTP client; each invoke is one independent request."""
 
-    def __init__(self, config: LiveConfig, sleep=time.sleep):
-        self.config = config
+    def __init__(self, endpoint: str, model: str, sleep=time.sleep):
+        self.endpoint = endpoint
+        self.model = model
         self.session = requests.Session()
         self._sleep = sleep
         self._prompts: dict[tuple[TaskKind, CheckKind | None], Template] = {}
 
     def token(self) -> str:
         """The auth token from the environment; raises :class:`AuthError` if unset."""
-        token = os.environ.get(self.config.auth_env, "")
+        token = os.environ.get(TOKEN_ENV, "")
         if not token:
-            raise AuthError(f"auth token not set in ${self.config.auth_env}")
+            raise AuthError(f"auth token not set in ${TOKEN_ENV}")
         return token
 
     def _template(self, kind: TaskKind, check_kind: CheckKind | None) -> Template:
         slot = (kind, check_kind)
         if slot not in self._prompts:
             name = _PROMPT_FILES[slot]
-            base = self.config.prompt_dir or Path(__file__).parent / "prompts"
-            self._prompts[slot] = Template((base / name).read_text(encoding="utf-8"))
+            self._prompts[slot] = Template((PROMPT_DIR / name).read_text(encoding="utf-8"))
         return self._prompts[slot]
 
     def _render_prompt(self, task: AgentTask) -> str:
@@ -474,15 +448,15 @@ class LiveBackend:
     def _post(self, body: dict) -> dict:
         token = self.token()
         last_error: Exception | None = None
-        for attempt in range(1, self.config.retry.attempts + 1):
-            if attempt > 1:
-                self._sleep(self.config.retry.backoff_base * 2 ** (attempt - 2))
+        for attempt, wait in enumerate((0.0, *RETRY_WAITS), start=1):
+            if wait:
+                self._sleep(wait)
             try:
                 response = self.session.post(
-                    self.config.endpoint,
+                    self.endpoint,
                     json=body,
                     headers={"Authorization": f"Bearer {token}"},
-                    timeout=self.config.request_timeout,
+                    timeout=REQUEST_TIMEOUT,
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -500,11 +474,11 @@ class LiveBackend:
                 return response.json()
             except ValueError as exc:
                 raise MalformedResponse(f"response body is not JSON: {exc}") from exc
-        raise BackendUnavailable(f"transport failed after {self.config.retry.attempts} attempts: {last_error}")
+        raise BackendUnavailable(f"transport failed after {attempt} attempts: {last_error}")
 
     def invoke(self, task: AgentTask) -> tuple[AgentResult, TokenUsage]:
         data = self._post({
-            "model": self.config.model,
+            "model": self.model,
             "prompt": self._render_prompt(task),
             "metadata": {
                 "kind": task.kind.value,

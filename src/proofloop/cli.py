@@ -11,8 +11,10 @@ the environment, never from a flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -23,13 +25,13 @@ from .agents import (
     AuthError,
     FixtureParse,
     LiveBackend,
-    LiveConfig,
     ScriptedBackend,
     load_fixture,
 )
 from .leanenv import (
     AUDIT_DRIVER,
     DEFAULT_PERMITTED_AXIOMS,
+    FILES_DIR,
     RealVerifier,
     SimVerifier,
     ToolchainMissing,
@@ -73,17 +75,19 @@ class UsageError(Exception):
 
 
 def parse_duration(text: str) -> float:
-    """Accept '4h', '90m', '10s', '1h30m', or a bare number of seconds."""
+    """Accept '4h', '90m', '10s', '1h30m', or a bare number of seconds; never nan or inf."""
     text = text.strip()
     try:
-        return float(text)
+        total = float(text)
     except ValueError:
-        pass
-    match = _DURATION_RE.match(text)
-    if not match or not any(match.groups()):
-        raise UsageError(f"cannot parse duration {text!r}")
-    hours, minutes, seconds = match.groups()
-    return float(hours or 0) * 3600 + float(minutes or 0) * 60 + float(seconds or 0)
+        match = _DURATION_RE.match(text)
+        if not match or not any(match.groups()):
+            raise UsageError(f"cannot parse duration {text!r}") from None
+        hours, minutes, seconds = match.groups()
+        total = float(hours or 0) * 3600 + float(minutes or 0) * 60 + float(seconds or 0)
+    if not math.isfinite(total):
+        raise UsageError(f"duration {text!r} is not finite")
+    return total
 
 
 def _emit(summary: dict) -> None:
@@ -102,6 +106,8 @@ class _Options:
                 self.config = json.loads(Path(config_path).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
+            if not isinstance(self.config, dict):
+                raise UsageError(f"config file {config_path} is not a JSON object")
 
     def get(self, name: str, default=None):
         value = getattr(self.args, name, None)
@@ -148,7 +154,7 @@ def _make_backend(opts: _Options):
         model = opts.get("model")
         if not endpoint or not model:
             raise UsageError("live backend needs --endpoint and --model")
-        backend = LiveBackend(LiveConfig(endpoint=str(endpoint), model=str(model)))
+        backend = LiveBackend(str(endpoint), str(model))
         backend.token()  # missing credentials are an environment error, not a failed run
         return backend
     raise UsageError(f"unknown backend {backend!r}")
@@ -266,7 +272,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     ws = Workspace(root_dir=workspace_dir)
     # Every Lean file but the audit driver, the root module and Lake's package
     # sources; keyed by path, as files in different directories may share a stem.
-    generated = {AUDIT_DRIVER, f"{ws.files_dir}.lean"}
+    generated = {AUDIT_DRIVER, f"{FILES_DIR}.lean"}
     for path in sorted(workspace_dir.rglob("*.lean")):
         rel = path.relative_to(workspace_dir)
         if str(rel) not in generated and rel.parts[0] != ".lake":
@@ -315,19 +321,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     stats = aggregate_stats([load_ledger(Path(p)) for p in args.ledgers])
-    row = render_stats_row(stats)
-    _emit({
-        "command": "stats", "runs": stats.runs, "row": row,
-        "mean_time_h": round(stats.mean_time_h, 6),
-        "std_time_h": round(stats.std_time_h, 6),
-        "median_time_h": round(stats.median_time_h, 6),
-        "min_time_h": round(stats.min_time_h, 6),
-        "max_time_h": round(stats.max_time_h, 6),
-        "mean_statements": round(stats.mean_statements, 6),
-        "std_statements": round(stats.std_statements, 6),
-        "mean_min_per_stmt": round(stats.mean_min_per_stmt, 6),
-        "std_min_per_stmt": round(stats.std_min_per_stmt, 6),
-    })
+    fields = {name: round(value, 6) for name, value in dataclasses.asdict(stats).items()
+              if name != "runs"}
+    _emit({"command": "stats", "runs": stats.runs, "row": render_stats_row(stats), **fields})
     return EXIT_OK
 
 
@@ -340,21 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default=os.environ.get("PROOFLOOP_LOG", "INFO"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the loop on a .lean file")
+    # The options run and audit share: the verifier, the permitted axioms and a config file.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--permit", action="append", help="permitted axiom (repeatable)")
+    shared.add_argument("--verifier", choices=["sim", "real"])
+    shared.add_argument("--sim-rules", dest="sim_rules", help="rule table for the sim verifier")
+    shared.add_argument("--build-timeout", dest="build_timeout",
+                        help="per-build timeout for the real verifier (default 20m)")
+    shared.add_argument("--config", help="JSON config file")
+
+    p_run = sub.add_parser("run", parents=[shared], help="run the loop on a .lean file")
     p_run.add_argument("file")
     p_run.add_argument("--backend", choices=["scripted", "live"])
     p_run.add_argument("--fixture", help="fixture file for the scripted backend")
-    p_run.add_argument("--verifier", choices=["sim", "real"])
-    p_run.add_argument("--sim-rules", dest="sim_rules", help="rule table for the sim verifier")
-    p_run.add_argument("--build-timeout", dest="build_timeout",
-                       help="per-build timeout for the real verifier (default 20m)")
     p_run.add_argument("--wall-clock", dest="wall_clock", help="e.g. 4h, 30m, 10s")
     p_run.add_argument("--compile-budget", dest="compile_budget", type=int)
     p_run.add_argument("--replan-limit", dest="replan_limit", type=int)
     p_run.add_argument("--check-retry-limit", dest="check_retry_limit", type=int)
-    p_run.add_argument("--permit", action="append", help="permitted axiom (repeatable)")
     p_run.add_argument("--out", help="output directory (ledger + workspace)")
-    p_run.add_argument("--config", help="JSON config file")
     p_run.add_argument("--rates", help="JSON cost-model rates file")
     p_run.add_argument("--endpoint", help="live backend endpoint URL")
     p_run.add_argument("--model", help="live backend model name")
@@ -362,15 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--run-id", dest="run_id")
     p_run.set_defaults(func=cmd_run)
 
-    p_audit = sub.add_parser("audit", help="audit a workspace against the solved condition")
+    p_audit = sub.add_parser("audit", parents=[shared],
+                             help="audit a workspace against the solved condition")
     p_audit.add_argument("workspace")
     p_audit.add_argument("--decl", help="target declaration name")
     p_audit.add_argument("--anchor", help=".lean file carrying the original declaration")
-    p_audit.add_argument("--permit", action="append")
-    p_audit.add_argument("--verifier", choices=["sim", "real"])
-    p_audit.add_argument("--sim-rules", dest="sim_rules")
-    p_audit.add_argument("--build-timeout", dest="build_timeout")
-    p_audit.add_argument("--config")
     p_audit.set_defaults(func=cmd_audit)
 
     p_replay = sub.add_parser("replay", help="re-execute a ledger's diffs and verify frames")

@@ -32,6 +32,7 @@ from .plan import LineReader
 DEFAULT_PERMITTED_AXIOMS = frozenset({"propext", "Quot.sound", "Classical.choice"})
 SORRY_AXIOM = "sorryAx"
 AUDIT_DRIVER = "AxiomAudit.lean"  # the real verifier's axiom driver, at the workspace root
+FILES_DIR = "Proofws"  # the Lake library holding the node files, and its root module's name
 
 DECL_KEYWORDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "proposition")
 
@@ -73,7 +74,6 @@ class Workspace:
     """On-disk home of one run's Lean sources; one file per written node."""
 
     root_dir: Path
-    files_dir: str = "Proofws"
     target_file: str = ""
     node_files: dict[str, str] = field(default_factory=dict)
     # Text each path last received from write_node_source; paths placed in
@@ -81,14 +81,14 @@ class Workspace:
     written: dict[str, str] = field(default_factory=dict, repr=False)
 
     def _rel_path(self, node_id: str) -> str:
-        """``<files_dir>/<id>.lean`` for an id that is a module name; any other id is
+        """``Proofws/<id>.lean`` for an id that is a module name; any other id is
         ``Encoded/x<hex of its UTF-8 bytes>.lean``, so no two ids share a file."""
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", node_id):
-            return f"{self.files_dir}/{node_id}.lean"
+            return f"{FILES_DIR}/{node_id}.lean"
         # A path part per 200 hex digits keeps each name within the 255-byte limit.
         hexed = node_id.encode("utf-8").hex()
         parts = "/".join(f"x{hexed[i:i + 200]}" for i in range(0, len(hexed), 200))
-        return f"{self.files_dir}/Encoded/{parts}.lean"
+        return f"{FILES_DIR}/Encoded/{parts}.lean"
 
     def write_node_source(self, node_id: str, text: str, is_target: bool = False) -> None:
         rel = self.node_files.get(node_id) or self._rel_path(node_id)
@@ -453,22 +453,20 @@ class RealVerifier:
         self.lake_cmd = lake_cmd
         self.build_timeout = build_timeout
 
-    def _require_toolchain(self) -> str:
+    def ensure_available(self) -> str:
+        """The path of ``lake``; raises :class:`ToolchainMissing` if it is not found."""
         path = shutil.which(self.lake_cmd)
         if path is None:
             raise ToolchainMissing(f"{self.lake_cmd} not found on PATH")
         return path
 
-    def ensure_available(self) -> None:
-        self._require_toolchain()
-
     def init_workspace(self, ws: Workspace) -> None:
-        self._require_toolchain()
+        self.ensure_available()
         ws.root_dir.mkdir(parents=True, exist_ok=True)
         (ws.root_dir / "lakefile.toml").write_text(
-            _LAKEFILE.format(lib=ws.files_dir), encoding="utf-8"
+            _LAKEFILE.format(lib=FILES_DIR), encoding="utf-8"
         )
-        (ws.root_dir / ws.files_dir).mkdir(parents=True, exist_ok=True)
+        (ws.root_dir / FILES_DIR).mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def _imports(ws: Workspace) -> str:
@@ -477,10 +475,10 @@ class RealVerifier:
         return "".join(f"import {module}\n" for module in modules)
 
     def _refresh_root_module(self, ws: Workspace) -> None:
-        (ws.root_dir / f"{ws.files_dir}.lean").write_text(self._imports(ws), encoding="utf-8")
+        (ws.root_dir / f"{FILES_DIR}.lean").write_text(self._imports(ws), encoding="utf-8")
 
     def _run(self, ws: Workspace, args: list[str]) -> subprocess.CompletedProcess[str]:
-        lake = self._require_toolchain()
+        lake = self.ensure_available()
         try:
             return subprocess.run(
                 [lake, *args],

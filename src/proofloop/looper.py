@@ -83,7 +83,7 @@ class LoopConfig:
     stop_file: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.wall_clock_budget < 0:
+        if not self.wall_clock_budget >= 0:  # nan too: no elapsed time is >= nan
             raise ValueError("wall clock budget must be >= 0")
         for name in ("compile_budget", "replan_limit", "check_retry_limit"):
             if getattr(self, name) <= 0:
@@ -275,7 +275,7 @@ class _Run:
         )
 
         def accept(result) -> ProofPlan:
-            plan = create_plan(list(result.diff.adds))
+            plan = create_plan(list(result.payload.adds))
             anchor = plan.anchor
             if anchor.decl_name != self.anchor.decl_name:
                 raise PlanError("initial plan anchors a different declaration")
@@ -302,7 +302,7 @@ class _Run:
             ctx = assemble_context(self.plan, node_id, lean_source=source,
                                    build_errors=self.node_diag.get(node_id))
             source = self._attempt(AgentTask(TaskKind.LEAN_WORK, ctx), f"lean work on {node_id}",
-                                   lambda result: result.lean.source)
+                                   lambda result: result.payload.source)
             self.ws.write_node_source(node_id, source, is_target=node_id == self.plan.anchor_id)
             self.gate(f"build for {node_id}")
             try:
@@ -340,7 +340,7 @@ class _Run:
         ctx = assemble_context(self.plan, node_id, lean_source=source,
                                build_errors=errors, check_kind=kind)
         verdict = self._attempt(AgentTask(TaskKind.CHECK, ctx, check_kind=kind),
-                                f"{kind.value} check on {node_id}", lambda result: result.verdict)
+                                f"{kind.value} check on {node_id}", lambda result: result.payload)
         event = EventKind.CHECK_PASS if verdict.passed else EventKind.CHECK_FAIL
         detail = kind.value + (f": {verdict.note}" if verdict.note else "")
         self.ledger.record_event(event, node_id, detail)
@@ -356,8 +356,8 @@ class _Run:
                                build_errors=self.node_diag.get(node_id))
 
         def accept(result):
-            new_plan, invalidated = apply_diff(self.plan, result.diff)
-            return result.diff, new_plan, invalidated
+            new_plan, invalidated = apply_diff(self.plan, result.payload)
+            return result.payload, new_plan, invalidated
 
         diff, new_plan, invalidated = self._attempt(
             AgentTask(TaskKind.PLAN_REVISE, ctx, cause=cause), f"replanning at {node_id}", accept)

@@ -358,8 +358,8 @@ def test_criterion_9_live_path_scope(tmp_path, monkeypatch):
         # Retry: two transport failures, then success, exactly three requests.
         stub.responses.extend([(503, {}), (503, {}),
                                (200, ok_body("BEGIN-VERDICT\npass\nEND-VERDICT"))])
-        result, _ = backend_for(stub, attempts=3).invoke(check_task())
-        assert result.verdict.passed and len(stub.requests) == 3
+        result, _ = backend_for(stub).invoke(check_task())
+        assert result.payload.passed and len(stub.requests) == 3
 
         # Malformed payloads surface without transport retries.
         stub.requests.clear()
@@ -382,7 +382,7 @@ def test_criterion_9_live_path_scope(tmp_path, monkeypatch):
         stub.requests.clear()
         stub.responses.extend([(500, {})] * 3)
         with pytest.raises(BackendUnavailable):
-            backend_for(stub, attempts=3).invoke(check_task())
+            backend_for(stub).invoke(check_task())
     finally:
         stub.close()
 

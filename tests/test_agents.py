@@ -129,8 +129,8 @@ class TestScriptedBackend:
         fixture.add(FixtureEntry(key, 2, CheckVerdict(True, "second")))
         backend = ScriptedBackend(fixture)
         task = task_for(TaskKind.CHECK, "n", CheckKind.MATH)
-        assert invoke(backend, task).result.verdict.note == "first"
-        assert invoke(backend, task).result.verdict.note == "second"
+        assert invoke(backend, task).result.payload.note == "first"
+        assert invoke(backend, task).result.payload.note == "second"
         with pytest.raises(FixtureMiss):
             invoke(backend, task)
 
@@ -140,8 +140,8 @@ class TestScriptedBackend:
         seq2 = []
         for backend, out in ((ScriptedBackend(fixture), seq1),
                              (ScriptedBackend(fixture), seq2)):
-            out.append(invoke(backend, task_for(TaskKind.PLAN_INITIAL)).result.diff)
-            out.append(invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).result.lean)
+            out.append(invoke(backend, task_for(TaskKind.PLAN_INITIAL)).result.payload)
+            out.append(invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).result.payload)
         assert seq1 == seq2
 
     def test_empty_fixture_misses(self):
@@ -156,8 +156,8 @@ class TestScriptedBackend:
         fixture.add(FixtureEntry(FixtureKey(TaskKind.CHECK, CheckKind.FAITHFULNESS, "a"), 1,
                                  CheckVerdict(False, "faith-a")))
         backend = ScriptedBackend(fixture)
-        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.FAITHFULNESS)).result.verdict.note == "faith-a"
-        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.MATH)).result.verdict.note == "math-a"
+        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.FAITHFULNESS)).result.payload.note == "faith-a"
+        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.MATH)).result.payload.note == "math-a"
 
     def test_usage_and_elapsed_are_reported(self):
         fixture = Fixture()
@@ -214,15 +214,15 @@ class TestFixtureFormat:
         fixture = parse_fixture(FIXTURE_TEXT)
         assert len(fixture.entries) == 4
         backend = ScriptedBackend(fixture)
-        diff = invoke(backend, task_for(TaskKind.PLAN_INITIAL)).result.diff
+        diff = invoke(backend, task_for(TaskKind.PLAN_INITIAL)).result.payload
         assert diff.adds[0].node_id == "Main"
-        lean = invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).result.lean
+        lean = invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).result.payload
         assert lean.source == "theorem Main : True := trivial\n"
         verdict = invoke(backend, task_for(TaskKind.CHECK, "Main",
-                                           CheckKind.FAITHFULNESS)).result.verdict
+                                           CheckKind.FAITHFULNESS)).result.payload
         assert verdict.passed and verdict.note == "looks right"
         assert not invoke(backend, task_for(TaskKind.CHECK, "Main",
-                                            CheckKind.MATH)).result.verdict.passed
+                                            CheckKind.MATH)).result.payload.passed
 
     def test_round_trip(self):
         fixture = parse_fixture(FIXTURE_TEXT)

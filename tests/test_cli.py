@@ -50,7 +50,8 @@ class TestParseDuration:
     def test_accepted_forms(self, text, seconds):
         assert parse_duration(text) == seconds
 
-    @pytest.mark.parametrize("text", ["", "h", "4x", "one hour"])
+    @pytest.mark.parametrize("text", ["", "h", "4x", "one hour", "nan", "inf", "-Infinity", "1e400",
+                                      pytest.param("9" * 400 + "h", id="400-digit-hours")])
     def test_rejected_forms(self, text):
         with pytest.raises(UsageError):
             parse_duration(text)
@@ -406,10 +407,12 @@ def fault_bad_sim_rules(tmp_path):
     return burnside_args(tmp_path, "--sim-rules", str(rules))
 
 
-def fault_bad_config_value(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"compile_budget": "many"}), encoding="utf-8")
-    return simple_run_args(tmp_path, "--config", str(config))
+def run_with_config(config):
+    def make_args(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return simple_run_args(tmp_path, "--config", str(path))
+    return make_args
 
 
 def fault_locked_workspace(tmp_path):
@@ -617,7 +620,13 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_bad_sim_rules, 2, id="run-bad-sim-rules"),
     pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--wall-clock", "soon"), 2,
                  id="run-bad-wall-clock"),
-    pytest.param(fault_bad_config_value, 2, id="run-bad-config-value"),
+    pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--wall-clock", "nan"), 2,
+                 id="run-wall-clock-nan"),
+    pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--verifier", "real",
+                                                  "--build-timeout", "inf"), 2,
+                 id="run-build-timeout-inf"),
+    pytest.param(run_with_config({"compile_budget": "many"}), 2, id="run-bad-config-value"),
+    pytest.param(run_with_config(["wall_clock"]), 2, id="run-config-not-an-object"),
     pytest.param(fault_locked_workspace, 2, id="run-locked-workspace"),
     pytest.param(fault_input_without_sorry, 2, id="run-input-without-sorry"),
     pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--verifier", "real"), 3,

@@ -11,11 +11,11 @@ from proofloop.agents import (
     AuthError,
     BackendUnavailable,
     CheckKind,
+    CheckVerdict,
+    LeanOutcome,
     LiveBackend,
-    LiveConfig,
     LocalContext,
     MalformedResponse,
-    RetryPolicy,
     TaskKind,
     TokenUsage,
 )
@@ -24,10 +24,12 @@ TOKEN_ENV = "PROOFLOOP_API_TOKEN"
 
 
 class StubServer:
-    """Serves a scripted list of (status, body) responses and logs requests."""
+    """Serves a scripted list of (status, body) responses and logs requests.
+
+    A dict body is sent as JSON, a bytes body as it is."""
 
     def __init__(self):
-        self.responses: list[tuple[int, dict]] = []
+        self.responses: list[tuple[int, dict | bytes]] = []
         self.requests: list[dict] = []
         stub = self
 
@@ -41,7 +43,7 @@ class StubServer:
                 })
                 status, payload = (stub.responses.pop(0) if stub.responses
                                    else (500, {"error": "script exhausted"}))
-                data = json.dumps(payload).encode()
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -76,11 +78,17 @@ def _token(monkeypatch):
     monkeypatch.setenv(TOKEN_ENV, "test-token-123")
 
 
-def backend_for(stub: StubServer, attempts: int = 3) -> LiveBackend:
-    config = LiveConfig(endpoint=stub.url, model="test-model",
-                        retry=RetryPolicy(attempts=attempts, backoff_base=0.0),
-                        request_timeout=5.0)
-    return LiveBackend(config, sleep=lambda _s: None)
+def backend_for(stub: StubServer, slept: list[float] | None = None) -> LiveBackend:
+    """A backend on the stub that appends each wait between attempts to ``slept``."""
+    return LiveBackend(stub.url, "test-model", sleep=(slept if slept is not None else []).append)
+
+
+def refused_backend(slept: list[float], posts: list[dict]) -> LiveBackend:
+    """A backend on a closed local port that logs each POST's keyword arguments to ``posts``."""
+    backend = LiveBackend("http://127.0.0.1:9/v1/complete", "m", sleep=slept.append)
+    post = backend.session.post
+    backend.session.post = lambda url, **kwargs: posts.append(kwargs) or post(url, **kwargs)
+    return backend
 
 
 def check_task(node: str = "n1") -> AgentTask:
@@ -98,8 +106,7 @@ def test_canned_verdict_round_trips(stub):
         {"prompt_tokens": 120, "completion_tokens": 30,
          "cache_read_tokens": 400, "cache_write_tokens": 7})))
     result, usage = backend_for(stub).invoke(check_task())
-    assert result.verdict.passed
-    assert result.verdict.note == "looks sound"
+    assert result.payload == CheckVerdict(True, "looks sound")
     assert usage == TokenUsage(120, 30, 400, 7)
     assert stub.requests[0]["auth"] == "Bearer test-token-123"
     assert stub.requests[0]["body"]["model"] == "test-model"
@@ -119,25 +126,29 @@ def test_transport_failing_twice_then_succeeding_uses_three_attempts(stub):
         (503, {"error": "warming up"}),
         (200, ok_body("BEGIN-VERDICT\nfail\nEND-VERDICT")),
     ])
-    result, _ = backend_for(stub, attempts=3).invoke(check_task())
-    assert not result.verdict.passed
+    slept: list[float] = []
+    result, _ = backend_for(stub, slept).invoke(check_task())
+    assert not result.payload.passed
     assert len(stub.requests) == 3
+    assert slept == [2.0, 4.0]
 
 
 def test_retry_limit_exhaustion_raises_backend_unavailable(stub):
     stub.responses.extend([(500, {})] * 3)
-    with pytest.raises(BackendUnavailable):
-        backend_for(stub, attempts=3).invoke(check_task())
-    assert len(stub.requests) == 3
+    slept: list[float] = []
+    with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+        backend_for(stub, slept).invoke(check_task())
+    assert len(stub.requests) == 3  # the stub would answer a fourth with 500 too
+    assert slept == [2.0, 4.0]
 
 
 def test_connection_refused_raises_backend_unavailable():
-    config = LiveConfig(endpoint="http://127.0.0.1:9/v1/complete", model="m",
-                        retry=RetryPolicy(attempts=2, backoff_base=0.0),
-                        request_timeout=0.5)
-    backend = LiveBackend(config, sleep=lambda _s: None)
-    with pytest.raises(BackendUnavailable):
-        backend.invoke(check_task())
+    slept: list[float] = []
+    posts: list[dict] = []
+    with pytest.raises(BackendUnavailable, match="after 3 attempts"):
+        refused_backend(slept, posts).invoke(check_task())
+    assert [kwargs["timeout"] for kwargs in posts] == [120.0] * 3
+    assert slept == [2.0, 4.0]
 
 
 def test_missing_token_is_an_auth_error_before_any_request(stub, monkeypatch):
@@ -159,7 +170,7 @@ def test_lean_source_payload(stub):
         "BEGIN-LEAN-SOURCE\ntheorem t : True := trivial\nEND-LEAN-SOURCE")))
     task = AgentTask(TaskKind.LEAN_WORK, LocalContext(node_id="t", statement="s"))
     result, _ = backend_for(stub).invoke(task)
-    assert result.lean.source == "theorem t : True := trivial\n"
+    assert result.payload == LeanOutcome("theorem t : True := trivial\n")
 
 
 def test_diff_payload_parses_into_a_plan_diff(stub):
@@ -170,7 +181,7 @@ def test_diff_payload_parses_into_a_plan_diff(stub):
     stub.responses.append((200, ok_body(f"BEGIN-PLAN-DIFF\n{diff_text}\nEND-PLAN-DIFF")))
     task = AgentTask(TaskKind.PLAN_REVISE, LocalContext(node_id="n", statement="s"))
     result, _ = backend_for(stub).invoke(task)
-    assert result.diff.adds[0].node_id == "H"
+    assert result.payload.adds[0].node_id == "H"
 
 
 def test_unparseable_diff_payload_is_malformed(stub):
@@ -181,9 +192,15 @@ def test_unparseable_diff_payload_is_malformed(stub):
 
 
 def test_non_json_body_is_malformed(stub):
-    # The stub always sends JSON, so point at a handler response with bad text.
+    stub.responses.append((200, b"<html>gateway page</html>"))
+    with pytest.raises(MalformedResponse, match="not JSON"):
+        backend_for(stub).invoke(check_task())
+    assert len(stub.requests) == 1
+
+
+def test_verdict_word_other_than_pass_or_fail_is_malformed(stub):
     stub.responses.append((200, ok_body("BEGIN-VERDICT\nmaybe\nEND-VERDICT")))
-    with pytest.raises(MalformedResponse):
+    with pytest.raises(MalformedResponse, match="pass or fail"):
         backend_for(stub).invoke(check_task())
 
 

@@ -140,6 +140,13 @@ class TestOutcomeInvariants:
             Outcome(Verdict.UNFINISHED, None, 0.0, 0, 0)
 
 
+class TestLoopConfig:
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_a_wall_clock_budget_below_zero_or_nan_is_rejected(self, budget):
+        with pytest.raises(ValueError):
+            LoopConfig(wall_clock_budget=budget)
+
+
 class TestSingleNodeRun:
     def test_solves_and_audits(self, tmp_path):
         outcome, ledger, _ = run_fixture(tmp_path, single_node_fixture())
@@ -668,9 +675,9 @@ class TestStructureWorkGuard:
         assert on_disk == ["S0"] + sorted(f"X{k}" for k in range(1, self.SPLITS + 1))
 
 
-def load_bench_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -680,7 +687,7 @@ class TestBenchmarkTracerTargets:
     """The benchmark wraps names where the loop resolves them; a refactor must keep them."""
 
     def test_tracer_installs_and_uninstalls_on_every_target(self):
-        tracing = load_bench_tracing()
+        tracing = load_perfbench("tracing")
         originals = [(owner, attr, owner.__dict__[attr])
                      for owner, attr, _, _ in tracing._targets()]
         tracer = tracing.Tracer()
@@ -702,7 +709,7 @@ class TestBenchmarkTracerTargets:
             cause=DiffCause.FAITHFULNESS_FAIL))
         builder.lean("Main", main_clean_src())
         builder.check("Main", CheckKind.FAITHFULNESS, True)
-        tracing = load_bench_tracing()
+        tracing = load_perfbench("tracing")
         tracer = tracing.Tracer()
         tracer.install()
         try:
@@ -715,3 +722,15 @@ class TestBenchmarkTracerTargets:
                 "plan.apply_diff", "plan.serialize", "leanenv.build", "leanenv.scan",
                 "leanenv.write", "leanenv.audit", "ledger.event", "ledger.frame",
                 "ledger.usage"} - names == set()
+
+
+class TestBenchmarkRunContract:
+    """The benchmark checks each run on the ledger ``run()`` returns: its ``frames``,
+    ``events`` and ``usage_records``. A refactor must keep them."""
+
+    def test_one_burnside_iteration_passes_the_benchmark_checks(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))  # bench.py imports its siblings
+        bench = load_perfbench("bench").Bench(REPO_ROOT, "burnside", 701, tmp_path)
+        bench.iterate()
+        assert bench.failures == []
+        assert bench.attempted == 3  # run, replay and trace
