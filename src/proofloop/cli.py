@@ -30,7 +30,6 @@ from .agents import (
 )
 from .leanenv import (
     AUDIT_DRIVER,
-    DEFAULT_PERMITTED_AXIOMS,
     FILES_DIR,
     RealVerifier,
     SimVerifier,
@@ -94,92 +93,89 @@ def _emit(summary: dict) -> None:
     sys.stdout.write(json.dumps(summary, ensure_ascii=False, default=str) + "\n")
 
 
-class _Options:
-    """Flag > config file > environment resolution for one invocation."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict = {}
-        config_path = getattr(args, "config", None) or os.environ.get("PROOFLOOP_CONFIG")
-        if config_path:
-            try:
-                self.config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
-            if not isinstance(self.config, dict):
-                raise UsageError(f"config file {config_path} is not a JSON object")
-
-    def get(self, name: str, default=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.config:
-            return self.config[name]
-        env = os.environ.get("PROOFLOOP_" + name.upper())
-        if env is not None:
-            return env
-        return default
+def _reader(types: tuple, convert=lambda value: value, choices: tuple = ()):
+    """Read an option value of one of ``types`` (a bool is none of them) through ``convert``."""
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise UsageError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+        if choices and value not in choices:
+            raise UsageError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return convert(value)
+    return read
 
 
-def _permitted(opts: _Options) -> frozenset[str]:
-    permit = opts.get("permit")
-    if not permit:
-        return DEFAULT_PERMITTED_AXIOMS
-    if isinstance(permit, str):
-        return frozenset(permit.split())
-    return frozenset(permit)
+def _axioms(value: str | list) -> frozenset[str] | None:
+    names = value.split() if isinstance(value, str) else value
+    if not all(isinstance(name, str) for name in names):
+        raise UsageError(f"expected axiom names, got {value!r}")
+    return frozenset(names) or None  # empty means the default set
 
 
-def _loop_config(opts: _Options) -> LoopConfig:
-    stop_file = opts.get("stop_file")
-    return LoopConfig(
-        wall_clock_budget=parse_duration(str(opts.get("wall_clock", "4h"))),
-        compile_budget=int(opts.get("compile_budget", 8)),
-        replan_limit=int(opts.get("replan_limit", 64)),
-        check_retry_limit=int(opts.get("check_retry_limit", 2)),
-        permitted_axioms=_permitted(opts),
-        stop_file=Path(stop_file) if stop_file else None,
-    )
+# The reader of each option of run and audit, by dest; toolchain_root has no flag.
+OPTION_READERS = {
+    **dict.fromkeys(["wall_clock", "build_timeout"],
+                    _reader((str, int, float), lambda value: parse_duration(str(value)))),
+    **dict.fromkeys(["compile_budget", "replan_limit", "check_retry_limit"],
+                    _reader((str, int), int)),
+    **dict.fromkeys(["fixture", "sim_rules", "stop_file", "rates", "out", "toolchain_root"],
+                    _reader((str,), lambda value: Path(value) if value else None)),
+    **dict.fromkeys(["endpoint", "model", "run_id"], _reader((str,))),
+    "backend": _reader((str,), choices=("scripted", "live")),
+    "verifier": _reader((str,), choices=("sim", "real")),
+    "permit": _reader((str, list), _axioms),
+}
 
 
-def _make_backend(opts: _Options):
-    backend = str(opts.get("backend", "scripted"))
-    if backend == "scripted":
-        fixture_path = opts.get("fixture")
-        if not fixture_path:
-            raise UsageError("scripted backend needs --fixture")
-        return ScriptedBackend(load_fixture(Path(fixture_path)))
-    if backend == "live":
-        endpoint = opts.get("endpoint")
-        model = opts.get("model")
-        if not endpoint or not model:
+def _resolve(args: argparse.Namespace) -> None:
+    """Type each option: the flag, else the config file, else ``PROOFLOOP_<NAME>``, else None."""
+    config: dict = {}
+    config_path = args.config or os.environ.get("PROOFLOOP_CONFIG")
+    if config_path:
+        try:
+            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError(f"config file {config_path} is not a JSON object")
+    for name in [name for name in OPTION_READERS if hasattr(args, name)]:  # in a fixed order
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, os.environ.get("PROOFLOOP_" + name.upper()))
+        try:
+            setattr(args, name, None if value is None else OPTION_READERS[name](value))
+        except (UsageError, ValueError) as exc:
+            raise UsageError(f"{name}: {exc}") from None
+
+
+def _given(args: argparse.Namespace, **fields: str) -> dict:
+    """Keyword arguments from the options that are set; each keyword names its option."""
+    return {key: getattr(args, name) for key, name in fields.items()
+            if getattr(args, name) is not None}
+
+
+def _make_backend(args: argparse.Namespace):
+    if args.backend == "live":
+        if not args.endpoint or not args.model:
             raise UsageError("live backend needs --endpoint and --model")
-        backend = LiveBackend(str(endpoint), str(model))
+        backend = LiveBackend(args.endpoint, args.model)
         backend.token()  # missing credentials are an environment error, not a failed run
         return backend
-    raise UsageError(f"unknown backend {backend!r}")
+    if not args.fixture:
+        raise UsageError("scripted backend needs --fixture")
+    return ScriptedBackend(load_fixture(args.fixture))
 
 
-def _make_verifier(opts: _Options):
-    verifier = str(opts.get("verifier", "sim"))
-    if verifier == "sim":
-        rules_path = opts.get("sim_rules")
-        return SimVerifier(load_sim_rules(Path(rules_path) if rules_path else None))
-    if verifier == "real":
-        timeout = parse_duration(str(opts.get("build_timeout", "20m")))
-        lake = "lake"
-        toolchain_root = opts.get("toolchain_root")
-        if toolchain_root:
-            lake = str(Path(toolchain_root) / "bin" / "lake")
-        return RealVerifier(lake_cmd=lake, build_timeout=timeout)
-    raise UsageError(f"unknown verifier {verifier!r}")
+def _make_verifier(args: argparse.Namespace):
+    if args.verifier != "real":
+        return SimVerifier(load_sim_rules(args.sim_rules))
+    options = _given(args, build_timeout="build_timeout")
+    if args.toolchain_root:
+        options["lake_cmd"] = str(args.toolchain_root / "bin" / "lake")
+    return RealVerifier(**options)
 
 
-def _rates(opts: _Options) -> CostModel:
-    rates_path = opts.get("rates")
-    if not rates_path:
-        return ZERO_RATES
-    data = json.loads(Path(rates_path).read_text(encoding="utf-8"))
+def _rates(rates_path: Path) -> CostModel:
+    data = json.loads(rates_path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise UsageError(f"rates file {rates_path} is not a JSON object")
     try:
@@ -204,29 +200,28 @@ class _WorkspaceLock:
         return self
 
     def __exit__(self, *exc_info):
-        if self.path.exists():
-            self.path.unlink()
-        return False
+        self.path.unlink(missing_ok=True)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    opts = _Options(args)
     input_file = Path(args.file)
     if not input_file.is_file():
         raise UsageError(f"input file {input_file} does not exist")
-    out_dir = Path(opts.get("out", "proofloop-out"))
+    out_dir = args.out or Path("proofloop-out")
     workspace_dir = out_dir / "workspace"
     ledger_path = out_dir / "ledger.jsonl"
-    config = _loop_config(opts)
-    rates = _rates(opts)
-    backend = _make_backend(opts)
-    verifier = _make_verifier(opts)
+    config = LoopConfig(**_given(
+        args, wall_clock_budget="wall_clock", compile_budget="compile_budget",
+        replan_limit="replan_limit", check_retry_limit="check_retry_limit",
+        permitted_axioms="permit", stop_file="stop_file"))
+    rates = _rates(args.rates) if args.rates else ZERO_RATES
+    backend = _make_backend(args)
+    verifier = _make_verifier(args)
     with _WorkspaceLock(workspace_dir):
         outcome, ledger = run(input_file, backend, verifier, config,
                               workspace_dir=workspace_dir, ledger_path=ledger_path,
-                              run_id=opts.get("run_id"))
+                              run_id=args.run_id)
     total = ledger.usage_total
-    usd = cost(total, rates)
     _emit({
         "command": "run",
         "verdict": outcome.verdict.value,
@@ -235,9 +230,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "revision": outcome.final_plan_revision,
         "wall_clock": round(outcome.wall_clock, 3),
         "frames": len(ledger.frames),
-        "usage": {"prompt": total.prompt, "completion": total.completion,
-                  "cache_read": total.cache_read, "cache_write": total.cache_write},
-        "cost_usd": str(usd),
+        "usage": dataclasses.asdict(total),
+        "cost_usd": str(cost(total, rates)),
         "ledger": str(ledger_path),
         "workspace": str(workspace_dir),
     })
@@ -246,14 +240,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, str]:
     """Resolve (decl name, signature) from --anchor/--decl or the sidecar file."""
-    decl = getattr(args, "decl", None)
-    anchor_file = getattr(args, "anchor", None)
-    if anchor_file:
-        text = Path(anchor_file).read_text(encoding="utf-8")
-        if not decl:
+    if args.anchor:
+        text = Path(args.anchor).read_text(encoding="utf-8")
+        if not args.decl:
             found = find_anchor(text)
             return found.decl_name, found.signature_text
-        return decl, extract_signature_text(text, decl).normalized
+        return args.decl, extract_signature_text(text, args.decl).normalized
     sidecar = workspace_dir / ANCHOR_FILE
     if sidecar.is_file():
         data = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -262,11 +254,10 @@ def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, st
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    opts = _Options(args)
     workspace_dir = Path(args.workspace)
     if not workspace_dir.is_dir():
         raise UsageError(f"workspace {workspace_dir} does not exist")
-    verifier = _make_verifier(opts)
+    verifier = _make_verifier(args)
     verifier.ensure_available()
     decl, signature = _load_anchor(args, workspace_dir)
     ws = Workspace(root_dir=workspace_dir)
@@ -285,7 +276,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             continue
         ws.target_file = rel
         break
-    report = audit_verdict(ws, signature, decl, verifier, _permitted(opts))
+    report = audit_verdict(ws, signature, decl, verifier, **_given(args, permitted="permit"))
     _emit({
         "command": "audit",
         "pass": report.passed,
@@ -339,26 +330,26 @@ def build_parser() -> argparse.ArgumentParser:
     # The options run and audit share: the verifier, the permitted axioms and a config file.
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--permit", action="append", help="permitted axiom (repeatable)")
-    shared.add_argument("--verifier", choices=["sim", "real"])
-    shared.add_argument("--sim-rules", dest="sim_rules", help="rule table for the sim verifier")
-    shared.add_argument("--build-timeout", dest="build_timeout",
-                        help="per-build timeout for the real verifier (default 20m)")
+    shared.add_argument("--verifier", metavar="{sim,real}")
+    shared.add_argument("--sim-rules", help="rule table for the sim verifier")
+    shared.add_argument("--build-timeout", help="per-build timeout for the real verifier")
     shared.add_argument("--config", help="JSON config file")
+    shared.set_defaults(toolchain_root=None)  # a setting without a flag
 
     p_run = sub.add_parser("run", parents=[shared], help="run the loop on a .lean file")
     p_run.add_argument("file")
-    p_run.add_argument("--backend", choices=["scripted", "live"])
+    p_run.add_argument("--backend", metavar="{scripted,live}")
     p_run.add_argument("--fixture", help="fixture file for the scripted backend")
-    p_run.add_argument("--wall-clock", dest="wall_clock", help="e.g. 4h, 30m, 10s")
-    p_run.add_argument("--compile-budget", dest="compile_budget", type=int)
-    p_run.add_argument("--replan-limit", dest="replan_limit", type=int)
-    p_run.add_argument("--check-retry-limit", dest="check_retry_limit", type=int)
+    p_run.add_argument("--wall-clock", help="e.g. 4h, 30m, 10s")
+    p_run.add_argument("--compile-budget")
+    p_run.add_argument("--replan-limit")
+    p_run.add_argument("--check-retry-limit")
     p_run.add_argument("--out", help="output directory (ledger + workspace)")
     p_run.add_argument("--rates", help="JSON cost-model rates file")
     p_run.add_argument("--endpoint", help="live backend endpoint URL")
     p_run.add_argument("--model", help="live backend model name")
-    p_run.add_argument("--stop-file", dest="stop_file", help="cooperative cancellation file")
-    p_run.add_argument("--run-id", dest="run_id")
+    p_run.add_argument("--stop-file", help="cooperative cancellation file")
+    p_run.add_argument("--run-id")
     p_run.set_defaults(func=cmd_run)
 
     p_audit = sub.add_parser("audit", parents=[shared],
@@ -385,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr,
                         level=getattr(logging, str(args.log_level).upper(), logging.INFO),
                         format="%(levelname)s %(name)s: %(message)s", force=True)
@@ -394,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     # so the environment arm comes first; KeyError and ValueError come from option
     # values and ledger records of the wrong shape.
     try:
+        if args.command in ("run", "audit"):
+            _resolve(args)
         return args.func(args)
     except (ToolchainMissing, AuthError) as exc:
         logger.error("%s", exc)

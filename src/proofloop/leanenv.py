@@ -134,6 +134,7 @@ class DeclSignature:
     name: str
     binders_and_hypotheses: str
     conclusion: str
+    header_end: int  # the offset in the text where the header ends
     namespace: str = ""  # the enclosing namespace blocks, dot-joined
 
     @property
@@ -223,9 +224,10 @@ def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
     if len(heads) > 1:
         raise ParseAmbiguity(f"multiple declarations named {decl_name}")
     keyword, name, namespace = heads[0]
-    items: list[str] = []  # code one character per item, comments as a space, the rest whole
+    items: list[str] = []  # code one character per item, comments as spaces, the rest whole
     for kind, token, _ in tokens[name + 1:]:
-        items.extend(token if kind == OTHER else [" " if kind in (COMMENT, BLOCK) else token])
+        items.extend(token if kind == OTHER else [" " * len(token) if kind in (COMMENT, BLOCK)
+                                                  else token])
     depth, colon, end = 0, -1, len(items)
     for i, item in enumerate(items):
         if item in _OPEN_BRACKETS:
@@ -240,8 +242,9 @@ def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
                 colon = i
     if colon < 0:
         raise DeclNotFound(f"declaration {decl_name} has no type ascription")
+    header_end = sum(len(token) for _, token, _ in tokens[:name + 1]) + len("".join(items[:end]))
     return DeclSignature(tokens[keyword][1], decl_name, normalize_signature("".join(items[:colon])),
-                         normalize_signature("".join(items[colon + 1:end])), namespace)
+                         normalize_signature("".join(items[colon + 1:end])), header_end, namespace)
 
 
 def signature_match(anchor_signature: str, decl_name: str, ws: Workspace) -> bool:

@@ -301,16 +301,16 @@ class RunLedger:
         return total
 
     def _emit(self, record: dict[str, Any]) -> None:
+        """Write one record; every writer calls this before it changes the ledger in memory."""
+        if self._closed:
+            raise LedgerClosed("ledger already closed")
         if self._sink is not None:
             self._sink.write(json.dumps(record, ensure_ascii=False) + "\n")
             self._sink.flush()
 
     def record_event(self, kind: EventKind, node_id: str | None = None,
                      detail: str = "", data: dict[str, Any] | None = None) -> None:
-        if self._closed:
-            raise LedgerClosed("ledger already closed")
         event = LoopEvent(utc_now_iso(), kind, node_id, detail, data)
-        self.events.append(event)
         record: dict[str, Any] = {
             "rec": "event", "ts": event.ts, "kind": kind.value,
             "node": node_id, "detail": detail,
@@ -318,31 +318,25 @@ class RunLedger:
         if data is not None:
             record["data"] = data
         self._emit(record)
+        self.events.append(event)
 
     def snapshot_frame(self, plan: ProofPlan) -> None:
-        if self._closed:
-            raise LedgerClosed("ledger already closed")
         frame = frame_of(plan, len(self.frames))
         self._emit(frame_record(self.frames[-1] if self.frames else None, frame))
         self.frames.append(frame)
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
                      usage: TokenUsage, elapsed: float) -> None:
-        if self._closed:
-            raise LedgerClosed("ledger already closed")
         record = UsageRecord(utc_now_iso(), kind, check_kind, node_id, usage, elapsed)
-        self.usage_records.append(record)
         self._emit({
             "rec": "usage", "ts": record.ts, "kind": kind, "check": check_kind,
             "node": node_id, "prompt": usage.prompt, "completion": usage.completion,
             "cache_read": usage.cache_read, "cache_write": usage.cache_write,
             "elapsed": elapsed,
         })
+        self.usage_records.append(record)
 
     def record_outcome(self, outcome: Outcome) -> None:
-        if self._closed:
-            raise LedgerClosed("ledger already closed")
-        self.outcome = outcome
         total = self.usage_total
         self._emit({
             "rec": "outcome", "verdict": outcome.verdict, "reason": outcome.reason,
@@ -353,6 +347,7 @@ class RunLedger:
                 "cache_read": total.cache_read, "cache_write": total.cache_write,
             },
         })
+        self.outcome = outcome
         self._closed = True
         if self._sink is not None:
             self._sink.close()

@@ -19,7 +19,6 @@ import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from pathlib import Path
 
 from .agents import (
@@ -47,7 +46,7 @@ from .leanenv import (
 from .ledger import (
     STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger, utc_now_iso,
 )
-from .lexer import OTHER, forbidden_words, tokenize
+from .lexer import forbidden_words, tokenize
 from .plan import (
     AnchorDecl,
     DiffCause,
@@ -153,13 +152,10 @@ def find_anchor(text: str) -> AnchorDecl:
         sig = extract_signature_text(text, tokens[target][1])
     except VerifierError as exc:
         raise InputError(f"cannot extract target signature: {exc}") from exc
-    # The body runs from the first `:=` after the name to the next declaration after the sorry.
-    offsets = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
-    start = next((offsets[i] + token.index(":=") for i, (kind, token, _)
-                  in enumerate(tokens[target + 1:], target + 1)
-                  if kind == OTHER and ":=" in token), offsets[target + 1])
-    end = next((offsets[keyword] for keyword, _, _ in heads if keyword > sorry), len(text))
-    return AnchorDecl(sig.name, sig.normalized, text[start:end])
+    # The body runs from the end of the header to the next declaration after the sorry.
+    end = next((sum(len(token) for _, token, _ in tokens[:keyword])
+                for keyword, _, _ in heads if keyword > sorry), len(text))
+    return AnchorDecl(sig.name, sig.normalized, text[sig.header_end:end])
 
 
 # ---------------------------------------------------------------------------

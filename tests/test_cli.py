@@ -1,11 +1,14 @@
+import argparse
 import json
 
 import pytest
 
 from helpers import BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, mk_node, single_node_fixture
-from proofloop.agents import fixture_to_text
-from proofloop.cli import main, parse_duration, UsageError
+from proofloop.agents import ScriptedBackend, fixture_to_text, load_fixture
+from proofloop.cli import OPTION_READERS, build_parser, main, parse_duration, UsageError
+from proofloop.leanenv import SimVerifier, load_sim_rules
 from proofloop.ledger import Outcome, open_ledger
+from proofloop.looper import LoopConfig, run
 from proofloop.plan import create_plan, plan_to_text
 
 
@@ -147,6 +150,28 @@ class TestPrecedence:
         # The single-node fixture closes on the first attempt either way.
         assert main(simple_run_args(tmp_path)) == 0
         capsys.readouterr()
+
+
+class TestOptionReaders:
+    def test_unset_options_take_the_library_defaults(self, tmp_path, capsys):
+        assert main(burnside_args(tmp_path / "cli")) == 0
+        capsys.readouterr()
+        _, ledger = run(BURNSIDE_DIR / "input.lean",
+                        ScriptedBackend(load_fixture(BURNSIDE_DIR / "agents.fx")),
+                        SimVerifier(load_sim_rules(BURNSIDE_DIR / "sim-rules.txt")),
+                        LoopConfig(), workspace_dir=tmp_path / "lib" / "workspace")
+        header = json.loads((tmp_path / "cli" / "out" / "ledger.jsonl").read_text().split("\n")[0])
+        assert header["run_id"] == ledger.run_id
+
+    def test_each_option_of_run_and_audit_has_a_reader(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for command in ("run", "audit")
+                 for action in subparsers.choices[command]._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        options = dests - {"file", "workspace", "decl", "anchor", "config"}
+        assert options <= OPTION_READERS.keys(), "an option without a reader"
+        assert OPTION_READERS.keys() - {"toolchain_root"} <= options, "a reader without a flag"
 
 
 class TestAuditCommand:
@@ -627,6 +652,13 @@ def fault_audit_real_verifier(tmp_path):
                  id="run-build-timeout-inf"),
     pytest.param(run_with_config({"compile_budget": "many"}), 2, id="run-bad-config-value"),
     pytest.param(run_with_config(["wall_clock"]), 2, id="run-config-not-an-object"),
+    pytest.param(run_with_config({"permit": 5}), 2, id="run-config-permit-not-a-list"),
+    pytest.param(run_with_config({"sim_rules": 5}), 2, id="run-config-sim-rules-not-a-string"),
+    pytest.param(run_with_config({"compile_budget": True}), 2, id="run-config-budget-bool"),
+    pytest.param(run_with_config({"compile_budget": 3.7}), 2, id="run-config-budget-fraction"),
+    pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--build-timeout", "soon",
+                                                  "--verifier", "sim"), 2,
+                 id="run-build-timeout-malformed-under-sim"),
     pytest.param(fault_locked_workspace, 2, id="run-locked-workspace"),
     pytest.param(fault_input_without_sorry, 2, id="run-input-without-sorry"),
     pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--verifier", "real"), 3,

@@ -80,11 +80,36 @@ class TestRecording:
 
     def test_closed_ledger_rejects_writes(self):
         ledger = open_ledger("r1")
-        ledger.record_outcome(Outcome("solved", None, 1.0, 1, 0))
-        with pytest.raises(LedgerClosed):
-            ledger.record_event(EventKind.RESTART)
-        with pytest.raises(LedgerClosed):
-            ledger.snapshot_frame(chain_plan(["A"]))
+        ledger.record_event(EventKind.PLAN_CREATED)
+        ledger.snapshot_frame(chain_plan(["A"]))
+        ledger.record_usage("lean", None, "A", TokenUsage(10, 1, 0, 0), 0.1)
+        outcome = Outcome("solved", None, 1.0, 1, 0)
+        ledger.record_outcome(outcome)
+        state = (list(ledger.events), list(ledger.frames), list(ledger.usage_records))
+        writes = [
+            lambda: ledger.record_event(EventKind.RESTART),
+            lambda: ledger.snapshot_frame(chain_plan(["A", "B"])),
+            lambda: ledger.record_usage("check", "math", "A", TokenUsage(5, 2, 7, 0), 0.1),
+            lambda: ledger.record_outcome(Outcome("unfinished", "time-budget", 2.0, 1, 0)),
+        ]
+        for write in writes:
+            with pytest.raises(LedgerClosed):
+                write()
+            assert (ledger.events, ledger.frames, ledger.usage_records) == state
+            assert ledger.outcome is outcome
+
+    def test_a_record_the_sink_cannot_write_changes_nothing(self):
+        ledger = open_ledger("r1")
+        ledger._sink = io.StringIO()
+        ledger._sink.close()  # every write now raises ValueError
+        for write in (lambda: ledger.record_event(EventKind.RESTART),
+                      lambda: ledger.snapshot_frame(chain_plan(["A"])),
+                      lambda: ledger.record_usage("lean", None, "A", TokenUsage(1, 0, 0, 0), 0.1),
+                      lambda: ledger.record_outcome(Outcome("solved", None, 1.0, 1, 0))):
+            with pytest.raises(ValueError):
+                write()
+        assert (ledger.events, ledger.frames, ledger.usage_records, ledger.outcome) == (
+            [], [], [], None)
 
     def test_usage_total_sums_records(self):
         ledger = open_ledger("r1")

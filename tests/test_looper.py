@@ -104,6 +104,16 @@ class TestFindAnchor:
         assert anchor.decl_name == "Main"
         assert anchor.original_body == ":= sorry\n"
 
+    @pytest.mark.parametrize("text, signature", [
+        ("def f (n : Nat := 1) : Nat := by\n  sorry\n", "def f (n : Nat := 1) : Nat"),
+        ("theorem t /- a := b -/ (h : 1 = 1) : True := by\n  sorry\n",
+         "theorem t (h : 1 = 1) : True"),
+    ], ids=["default-value-in-a-binder", "comment-in-the-header"])
+    def test_the_body_starts_where_the_signature_ends(self, text, signature):
+        anchor = find_anchor(text)
+        assert anchor.signature_text == signature
+        assert anchor.original_body == ":= by\n  sorry\n"
+
 
 class TestRouting:
     def clean_report(self):
