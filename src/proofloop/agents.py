@@ -486,17 +486,16 @@ class LiveBackend:
                 "node": task.subject.node_id,
             },
         })
-        text = data.get("text")
-        if not isinstance(text, str):
-            raise MalformedResponse("response JSON has no 'text' field")
-        raw_usage = data.get("usage") or {}
-        usage = TokenUsage(
-            int(raw_usage.get("prompt_tokens", 0)),
-            int(raw_usage.get("completion_tokens", 0)),
-            int(raw_usage.get("cache_read_tokens", 0)),
-            int(raw_usage.get("cache_write_tokens", 0)),
-        )
-        body = extract_payload(text, task.kind)
+        if not isinstance(data, dict) or not isinstance(data.get("text"), str):
+            raise MalformedResponse("response JSON is not an object with a 'text' field")
+        raw_usage = {} if data.get("usage") is None else data["usage"]
+        counts = [raw_usage.get(f"{name}_tokens", 0) if isinstance(raw_usage, dict) else None
+                  for name in ("prompt", "completion", "cache_read", "cache_write")]
+        # bool is an int subclass, so ``true`` needs the exact type test.
+        if not all(type(count) is int and count >= 0 for count in counts):
+            raise MalformedResponse(f"usage counts are not non-negative integers: {raw_usage!r}")
+        usage = TokenUsage(*counts)
+        body = extract_payload(data["text"], task.kind)
         payload: PlanDiff | LeanOutcome | CheckVerdict
         if task.kind is TaskKind.CHECK:
             payload = parse_verdict_payload(body)

@@ -249,6 +249,9 @@ def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, st
     sidecar = workspace_dir / ANCHOR_FILE
     if sidecar.is_file():
         data = json.loads(sidecar.read_text(encoding="utf-8"))
+        if not (isinstance(data, dict)
+                and all(isinstance(data.get(key), str) for key in ("decl_name", "signature"))):
+            raise UsageError(f"{sidecar} must be an object with string decl_name and signature")
         return data["decl_name"], data["signature"]
     raise UsageError("no anchor information: pass --anchor FILE or audit a run workspace")
 

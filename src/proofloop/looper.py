@@ -18,7 +18,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
-from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 
 from .agents import (
@@ -35,6 +35,7 @@ from .agents import (
 )
 from .leanenv import (
     BuildReport,
+    DECL_KEYWORDS,
     DEFAULT_PERMITTED_AXIOMS,
     VerifierError,
     Workspace,
@@ -46,7 +47,7 @@ from .leanenv import (
 from .ledger import (
     STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger, utc_now_iso,
 )
-from .lexer import forbidden_words, tokenize
+from .lexer import IDENT, forbidden_words, tokenize
 from .plan import (
     AnchorDecl,
     DiffCause,
@@ -89,48 +90,15 @@ class LoopConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-class NextStep(str, Enum):
-    CHECK_FAITHFULNESS = "check-faithfulness"
-    CHECK_MATH = "check-math"
-    CLOSE_AND_ADVANCE = "close-and-advance"
-    CHECK_DECOMPOSITION = "check-decomposition"
-    RETRY_SAME_NODE = "retry-same-node"
-    REPLAN_FAITHFULNESS = "replan-faithfulness"
-    REPLAN_MATH = "replan-math"
-    REPLAN_SPLIT = "replan-split"
-
-
-def route_build_result(report: BuildReport) -> NextStep:
-    """Clean builds go to faithfulness; sorries or exhaustion go to math."""
-    if report.clean:
-        return NextStep.CHECK_FAITHFULNESS
-    return NextStep.CHECK_MATH
-
-
+# After a check verdict: the next check, the cause of a replan, Status.CLOSED to
+# close the node, or None to select the same node again.
 _CHECK_ROUTES = {
-    (CheckKind.FAITHFULNESS, True): NextStep.CLOSE_AND_ADVANCE,
-    (CheckKind.FAITHFULNESS, False): NextStep.REPLAN_FAITHFULNESS,
-    (CheckKind.MATH, True): NextStep.CHECK_DECOMPOSITION,
-    (CheckKind.MATH, False): NextStep.REPLAN_MATH,
-    (CheckKind.DECOMPOSITION, True): NextStep.RETRY_SAME_NODE,
-    (CheckKind.DECOMPOSITION, False): NextStep.REPLAN_SPLIT,
-}
-
-def route_check_verdict(kind: CheckKind, verdict: CheckVerdict) -> NextStep:
-    """Total routing table over (check kind, pass bit)."""
-    return _CHECK_ROUTES[(kind, verdict.passed)]
-
-
-# The actions the loop takes for the steps above; RETRY_SAME_NODE needs none.
-_CHECK_STEPS = {
-    NextStep.CHECK_FAITHFULNESS: CheckKind.FAITHFULNESS,
-    NextStep.CHECK_MATH: CheckKind.MATH,
-    NextStep.CHECK_DECOMPOSITION: CheckKind.DECOMPOSITION,
-}
-_REPLAN_STEPS = {
-    NextStep.REPLAN_FAITHFULNESS: DiffCause.FAITHFULNESS_FAIL,
-    NextStep.REPLAN_MATH: DiffCause.MATH_FAIL,
-    NextStep.REPLAN_SPLIT: DiffCause.DECOMPOSITION_SPLIT,
+    (CheckKind.FAITHFULNESS, True): Status.CLOSED,
+    (CheckKind.FAITHFULNESS, False): DiffCause.FAITHFULNESS_FAIL,
+    (CheckKind.MATH, True): CheckKind.DECOMPOSITION,
+    (CheckKind.MATH, False): DiffCause.MATH_FAIL,
+    (CheckKind.DECOMPOSITION, True): None,
+    (CheckKind.DECOMPOSITION, False): DiffCause.DECOMPOSITION_SPLIT,
 }
 
 
@@ -138,23 +106,29 @@ _REPLAN_STEPS = {
 # Anchor extraction from the input file.
 
 def find_anchor(text: str) -> AnchorDecl:
-    """Locate the first sorry-bearing declaration and capture its header."""
+    """Locate the first sorry and the declaration it lies in, and capture its header."""
     tokens = list(tokenize(text))
     sorry = next((i for i, word, _ in forbidden_words(tokens) if word == "sorry"), None)
     if sorry is None:
         raise InputError("input contains no sorry declaration")
-    heads = declaration_heads(tokens)
-    names = [name for keyword, name, _ in heads if keyword < sorry]
-    if not names:
+    keywords = [i for i, (kind, token, _) in enumerate(tokens[:sorry])
+                if kind == IDENT and token in DECL_KEYWORDS]
+    if not keywords:
         raise InputError("found a sorry outside any declaration")
-    target = names[-1]
+    heads = declaration_heads(tokens)
+    target = next((name for keyword, name, _ in heads if keyword == keywords[-1]), None)
+    if target is None:
+        raise InputError(f"the first sorry lies in an anonymous {tokens[keywords[-1]][1]}; "
+                         "only a named declaration can be the target")
     try:
         sig = extract_signature_text(text, tokens[target][1])
     except VerifierError as exc:
         raise InputError(f"cannot extract target signature: {exc}") from exc
+    starts = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
+    if starts[sorry] < sig.header_end:
+        raise InputError(f"the sorry of {sig.name} lies in its header, before any top-level :=")
     # The body runs from the end of the header to the next declaration after the sorry.
-    end = next((sum(len(token) for _, token, _ in tokens[:keyword])
-                for keyword, _, _ in heads if keyword > sorry), len(text))
+    end = next((starts[keyword] for keyword, _, _ in heads if keyword > sorry), len(text))
     return AnchorDecl(sig.name, sig.normalized, text[sig.header_end:end])
 
 
@@ -408,16 +382,14 @@ class _Run:
             node_id = next_open_statement(self.plan)
             assert node_id is not None
             source, report = self.lean_cycle(node_id)
-            step = route_build_result(report)
-            while step in _CHECK_STEPS:
-                kind = _CHECK_STEPS[step]
-                step = route_check_verdict(
-                    kind, self.check(kind, node_id, source, report.diagnostics or None))
-            if step is NextStep.CLOSE_AND_ADVANCE:
+            step = CheckKind.FAITHFULNESS if report.clean else CheckKind.MATH
+            while isinstance(step, CheckKind):
+                verdict = self.check(step, node_id, source, report.diagnostics or None)
+                step = _CHECK_ROUTES[step, verdict.passed]
+            if step is Status.CLOSED:
                 self._status_event(EventKind.NODE_CLOSED, node_id, "faithfulness passed")
-            elif step in _REPLAN_STEPS:
-                self.replan(_REPLAN_STEPS[step], node_id)
-            # RETRY_SAME_NODE: the same node is selected again next iteration.
+            elif step is not None:
+                self.replan(step, node_id)
 
     def execute(self) -> tuple[Outcome, RunLedger]:
         verdict, reason = Verdict.SOLVED, None

@@ -15,6 +15,11 @@ import pytest
 
 from helpers import (
     BURNSIDE_DIR,
+    SIMPLE_INPUT,
+    FixtureBuilder,
+    anchor_decl,
+    main_clean_src,
+    mk_node,
     oracle_invalidated,
     oracle_levels,
     oracle_scan,
@@ -22,11 +27,11 @@ from helpers import (
     random_diff,
     random_lean_file,
     single_node_fixture,
+    sorried_src,
     splitter_fixture,
 )
-from proofloop.agents import CheckKind, CheckVerdict, ScriptedBackend, TokenUsage, load_fixture
+from proofloop.agents import CheckKind, ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import (
-    BuildReport,
     DEFAULT_PERMITTED_AXIOMS,
     SimVerifier,
     Workspace,
@@ -48,14 +53,12 @@ from proofloop.ledger import (
 )
 from proofloop.looper import (
     LoopConfig,
-    NextStep,
     StopReason,
     Verdict,
-    route_build_result,
-    route_check_verdict,
+    _CHECK_ROUTES,
     run,
 )
-from proofloop.plan import apply_diff
+from proofloop.plan import DiffCause, PlanDiff, Status, apply_diff
 
 
 def report(number: int, label: str) -> None:
@@ -123,26 +126,34 @@ def test_criterion_1_burnside_replay(burnside_run):
     report(1, f"Burnside replay solved: 6->12->21->32, anchor last, {elapsed:.2f}s")
 
 
-def test_criterion_2_routing_totality():
-    clean = BuildReport(True, (), "", 0.0, True)
-    sorried = BuildReport(False, (("f", 1),), "", 0.0, True)
+def test_criterion_2_routing_totality(tmp_path):
+    input_file = tmp_path / "input.lean"
+    input_file.write_text(SIMPLE_INPUT, encoding="utf-8")
     transitions = []
-    assert route_build_result(clean) is NextStep.CHECK_FAITHFULNESS
-    transitions.append(("clean", NextStep.CHECK_FAITHFULNESS))
-    assert route_build_result(sorried) is NextStep.CHECK_MATH
-    transitions.append(("sorries", NextStep.CHECK_MATH))
+    for build, source, target in (("clean", main_clean_src(), CheckKind.FAITHFULNESS),
+                                  ("sorries", sorried_src("Main"), CheckKind.MATH)):
+        builder = FixtureBuilder()
+        builder.initial(PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),),
+                                 cause=DiffCause.INITIAL_PLAN))
+        builder.lean("Main", source)
+        for kind in CheckKind:
+            builder.check("Main", kind, False)
+        _, ledger = run(input_file, ScriptedBackend(builder.fixture), SimVerifier({}),
+                        LoopConfig(), workspace_dir=tmp_path / build)
+        first_check = next(e for e in ledger.events if e.kind is EventKind.CHECK_FAIL)
+        assert first_check.detail == target.value
+        transitions.append((build, target))
 
     expected = {
-        (CheckKind.FAITHFULNESS, True): NextStep.CLOSE_AND_ADVANCE,
-        (CheckKind.FAITHFULNESS, False): NextStep.REPLAN_FAITHFULNESS,
-        (CheckKind.MATH, True): NextStep.CHECK_DECOMPOSITION,
-        (CheckKind.MATH, False): NextStep.REPLAN_MATH,
-        (CheckKind.DECOMPOSITION, True): NextStep.RETRY_SAME_NODE,
-        (CheckKind.DECOMPOSITION, False): NextStep.REPLAN_SPLIT,
+        (CheckKind.FAITHFULNESS, True): Status.CLOSED,
+        (CheckKind.FAITHFULNESS, False): DiffCause.FAITHFULNESS_FAIL,
+        (CheckKind.MATH, True): CheckKind.DECOMPOSITION,
+        (CheckKind.MATH, False): DiffCause.MATH_FAIL,
+        (CheckKind.DECOMPOSITION, True): None,
+        (CheckKind.DECOMPOSITION, False): DiffCause.DECOMPOSITION_SPLIT,
     }
-    for (kind, passed), target in expected.items():
-        assert route_check_verdict(kind, CheckVerdict(passed)) is target
-        transitions.append((f"{kind.value}/{passed}", target))
+    assert _CHECK_ROUTES == expected
+    transitions.extend(expected.items())
     assert len(transitions) == 8
     report(2, "all 8 build/check transitions routed as specified")
 

@@ -447,16 +447,24 @@ def fault_locked_workspace(tmp_path):
     return args
 
 
-def fault_input_without_sorry(tmp_path):
-    args = simple_run_args(tmp_path)
-    (tmp_path / "input.lean").write_text("theorem t : True := trivial\n", encoding="utf-8")
-    return args
+def run_with_input(text):
+    def make_args(tmp_path):
+        args = simple_run_args(tmp_path)
+        (tmp_path / "input.lean").write_text(text, encoding="utf-8")
+        return args
+    return make_args
 
 
-def fault_audit_corrupt_sidecar(tmp_path):
-    workspace = solved_run(tmp_path) / "workspace"
-    (workspace / ".proofloop-anchor.json").write_text("{", encoding="utf-8")
-    return ["audit", str(workspace), "--verifier", "sim"]
+SORRY_IN_AN_EXAMPLE = "theorem a : True := trivial\n\nexample : 1 = 1 := by sorry\n"
+EQUATION_STYLE = "theorem t : Nat → Nat\n  | 0 => sorry\n  | n + 1 => n\n"
+
+
+def audit_with_sidecar(text):
+    def make_args(tmp_path):
+        workspace = solved_run(tmp_path) / "workspace"
+        (workspace / ".proofloop-anchor.json").write_text(text, encoding="utf-8")
+        return ["audit", str(workspace), "--verifier", "sim"]
+    return make_args
 
 
 def fault_audit_missing_anchor_file(tmp_path):
@@ -660,10 +668,16 @@ def fault_audit_real_verifier(tmp_path):
                                                   "--verifier", "sim"), 2,
                  id="run-build-timeout-malformed-under-sim"),
     pytest.param(fault_locked_workspace, 2, id="run-locked-workspace"),
-    pytest.param(fault_input_without_sorry, 2, id="run-input-without-sorry"),
+    pytest.param(run_with_input("theorem t : True := trivial\n"), 2,
+                 id="run-input-without-sorry"),
     pytest.param(lambda tmp_path: simple_run_args(tmp_path, "--verifier", "real"), 3,
                  marks=NO_LAKE, id="run-real-verifier"),
-    pytest.param(fault_audit_corrupt_sidecar, 2, id="audit-corrupt-sidecar"),
+    pytest.param(run_with_input(SORRY_IN_AN_EXAMPLE), 2, id="run-input-sorry-in-an-example"),
+    pytest.param(run_with_input(EQUATION_STYLE), 2, id="run-input-equation-style"),
+    pytest.param(audit_with_sidecar("{"), 2, id="audit-corrupt-sidecar"),
+    pytest.param(audit_with_sidecar('["Main"]'), 2, id="audit-sidecar-not-an-object"),
+    pytest.param(audit_with_sidecar('{"decl_name": 5, "signature": "theorem Main : True"}'), 2,
+                 id="audit-sidecar-name-not-a-string"),
     pytest.param(fault_audit_missing_anchor_file, 2, id="audit-missing-anchor-file"),
     pytest.param(fault_audit_without_anchor, 2, id="audit-without-anchor"),
     pytest.param(fault_audit_real_verifier, 3, marks=NO_LAKE, id="audit-real-verifier"),
@@ -702,6 +716,11 @@ def test_exit_code_of_each_fault(tmp_path, capsys, make_args, code):
     assert main(args) == code
     if code == 2:
         assert capsys.readouterr().out == ""
+
+
+def test_an_equation_style_input_is_refused_with_its_cause(tmp_path, capsys):
+    assert main(run_with_input(EQUATION_STYLE)(tmp_path)) == 2
+    assert "the sorry of t lies in its header, before any top-level :=" in capsys.readouterr().err
 
 
 class TestLedgerSoundness:

@@ -214,3 +214,32 @@ def test_prompt_templates_receive_context_fields(stub):
     prompt = stub.requests[0]["body"]["prompt"]
     assert "THE-STATEMENT" in prompt
     assert "THE-SOURCE" in prompt
+
+
+@pytest.mark.parametrize("body", [
+    b"[1, 2]",
+    b"-3",
+    b"1.7",
+    json.dumps({"text": "BEGIN-VERDICT\npass\nEND-VERDICT", "usage": [1]}).encode(),
+    json.dumps({"text": "BEGIN-VERDICT\npass\nEND-VERDICT",
+                "usage": {"prompt_tokens": "lots"}}).encode(),
+    json.dumps({"text": "BEGIN-VERDICT\npass\nEND-VERDICT",
+                "usage": {"completion_tokens": -1}}).encode(),
+    json.dumps({"text": "BEGIN-VERDICT\npass\nEND-VERDICT",
+                "usage": {"cache_read_tokens": 1.7}}).encode(),
+    json.dumps({"text": "BEGIN-VERDICT\npass\nEND-VERDICT",
+                "usage": {"cache_write_tokens": True}}).encode(),
+], ids=["list", "negative-number", "fraction", "usage-a-list", "count-a-string",
+        "count-negative", "count-a-fraction", "count-true"])
+def test_a_json_body_off_the_contract_is_malformed(stub, body):
+    stub.responses.append((200, body))
+    with pytest.raises(MalformedResponse):
+        backend_for(stub).invoke(check_task())
+    assert len(stub.requests) == 1
+
+
+def test_a_missing_usage_count_reads_zero(stub):
+    stub.responses.append((200, {"text": "BEGIN-VERDICT\npass\nEND-VERDICT",
+                                 "usage": {"prompt_tokens": 5}}))
+    _, usage = backend_for(stub).invoke(check_task())
+    assert usage == TokenUsage(5, 0, 0, 0)

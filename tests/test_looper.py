@@ -25,12 +25,11 @@ from helpers import (
 )
 from proofloop.agents import (
     CheckKind,
-    CheckVerdict,
     MalformedResponse,
     ScriptedBackend,
     TaskKind,
 )
-from proofloop.leanenv import BuildReport, SimVerifier, Workspace
+from proofloop.leanenv import SimVerifier, Workspace
 from proofloop.ledger import (
     EventKind,
     Outcome,
@@ -42,15 +41,13 @@ from proofloop.ledger import (
 from proofloop.looper import (
     InputError,
     LoopConfig,
-    NextStep,
     StopReason,
     Verdict,
+    _CHECK_ROUTES,
     find_anchor,
-    route_build_result,
-    route_check_verdict,
     run,
 )
-from proofloop.plan import DiffCause, NodeRewrite, PlanDiff
+from proofloop.plan import DiffCause, NodeRewrite, PlanDiff, Status
 
 
 def cfg(**kwargs) -> LoopConfig:
@@ -104,6 +101,18 @@ class TestFindAnchor:
         assert anchor.decl_name == "Main"
         assert anchor.original_body == ":= sorry\n"
 
+    @pytest.mark.parametrize("text", [
+        "theorem a : True := trivial\n\nexample : 1 = 1 := by sorry\n",
+        "theorem a : True := trivial\n\ninstance : Inhabited Nat := sorry\n",
+    ], ids=["example", "instance"])
+    def test_a_sorry_in_an_anonymous_declaration_is_refused(self, text):
+        with pytest.raises(InputError, match="anonymous"):
+            find_anchor(text)
+
+    def test_a_sorry_in_the_header_of_an_equation_style_declaration_is_refused(self):
+        with pytest.raises(InputError, match="sorry of t lies in its header"):
+            find_anchor("theorem t : Nat → Nat\n  | 0 => sorry\n  | n + 1 => n\n")
+
     @pytest.mark.parametrize("text, signature", [
         ("def f (n : Nat := 1) : Nat := by\n  sorry\n", "def f (n : Nat := 1) : Nat"),
         ("theorem t /- a := b -/ (h : 1 = 1) : True := by\n  sorry\n",
@@ -116,30 +125,67 @@ class TestFindAnchor:
 
 
 class TestRouting:
-    def clean_report(self):
-        return BuildReport(True, (), "", 0.0, True)
-
-    def sorried_report(self):
-        return BuildReport(False, (("f.lean", 3),), "", 0.0, True)
-
-    def exhausted_report(self):
-        return BuildReport(False, (), "error: no progress", 0.0, False)
-
-    def test_build_routing(self):
-        assert route_build_result(self.clean_report()) is NextStep.CHECK_FAITHFULNESS
-        assert route_build_result(self.sorried_report()) is NextStep.CHECK_MATH
-        assert route_build_result(self.exhausted_report()) is NextStep.CHECK_MATH
-
     @pytest.mark.parametrize("kind, passed, expected", [
-        (CheckKind.FAITHFULNESS, True, NextStep.CLOSE_AND_ADVANCE),
-        (CheckKind.FAITHFULNESS, False, NextStep.REPLAN_FAITHFULNESS),
-        (CheckKind.MATH, True, NextStep.CHECK_DECOMPOSITION),
-        (CheckKind.MATH, False, NextStep.REPLAN_MATH),
-        (CheckKind.DECOMPOSITION, True, NextStep.RETRY_SAME_NODE),
-        (CheckKind.DECOMPOSITION, False, NextStep.REPLAN_SPLIT),
+        (CheckKind.FAITHFULNESS, True, Status.CLOSED),
+        (CheckKind.FAITHFULNESS, False, DiffCause.FAITHFULNESS_FAIL),
+        (CheckKind.MATH, True, CheckKind.DECOMPOSITION),
+        (CheckKind.MATH, False, DiffCause.MATH_FAIL),
+        (CheckKind.DECOMPOSITION, True, None),
+        (CheckKind.DECOMPOSITION, False, DiffCause.DECOMPOSITION_SPLIT),
     ])
     def test_check_routing_is_total(self, kind, passed, expected):
-        assert route_check_verdict(kind, CheckVerdict(passed)) is expected
+        assert _CHECK_ROUTES[kind, passed] is expected
+
+    @pytest.mark.parametrize("sources, expected", [
+        ([main_clean_src()], CheckKind.FAITHFULNESS),
+        ([sorried_src("Main")], CheckKind.MATH),
+        ([error_src("Main", 1), error_src("Main", 2)], CheckKind.MATH),
+    ], ids=["clean", "sorried", "exhausted"])
+    def test_a_build_is_followed_by_its_first_check(self, tmp_path, sources, expected):
+        builder = FixtureBuilder()
+        builder.initial(PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),),
+                                 cause=DiffCause.INITIAL_PLAN))
+        for source in sources:
+            builder.lean("Main", source)
+        for kind in CheckKind:  # each fails, and the replan that follows finds no diff
+            builder.check("Main", kind, False)
+        _, ledger, _ = run_fixture(tmp_path, builder.fixture, cfg(compile_budget=len(sources)))
+        checks = [e.detail for e in ledger.events
+                  if e.kind in (EventKind.CHECK_PASS, EventKind.CHECK_FAIL)]
+        assert checks == [expected.value]
+
+    def test_each_failed_check_replans_with_its_own_cause(self, tmp_path):
+        builder = FixtureBuilder()
+        builder.initial(PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),),
+                                 cause=DiffCause.INITIAL_PLAN))
+        builder.lean("Main", main_clean_src())
+        builder.check("Main", CheckKind.FAITHFULNESS, False)
+        builder.revise("Main", PlanDiff(
+            rewrites=(NodeRewrite("Main", "statement Main v2", "", ()),),
+            cause=DiffCause.FAITHFULNESS_FAIL))
+        builder.lean("Main", sorried_src("Main"))
+        builder.check("Main", CheckKind.MATH, False)
+        builder.revise("Main", PlanDiff(
+            rewrites=(NodeRewrite("Main", "statement Main v3", "", ()),),
+            cause=DiffCause.MATH_FAIL))
+        builder.lean("Main", sorried_src("Main"))
+        builder.check("Main", CheckKind.MATH, True)
+        builder.check("Main", CheckKind.DECOMPOSITION, False)
+        builder.revise("Main", PlanDiff(
+            adds=(mk_node("H1"),),
+            rewrites=(NodeRewrite("Main", "statement Main v3", "", ("H1",)),),
+            cause=DiffCause.DECOMPOSITION_SPLIT))
+        builder.lean("H1", clean_src("H1"))
+        builder.check("H1", CheckKind.FAITHFULNESS, True)
+        builder.lean("Main", main_clean_src())
+        builder.check("Main", CheckKind.FAITHFULNESS, True)
+        outcome, ledger, ledger_path = run_fixture(tmp_path, builder.fixture)
+        assert outcome.verdict is Verdict.SOLVED
+        causes = ["faithfulness-fail", "math-fail", "decomposition-split"]
+        diffs = [e for e in ledger.events if e.kind is EventKind.DIFF_APPLIED]
+        assert [e.data["cause"] for e in diffs] == causes
+        assert [e.detail.split(":")[0] for e in diffs] == [f"cause={c}" for c in causes]
+        assert verify_replay(read_ledger_records(ledger_path)) == (len(ledger.frames), 3)
 
 
 class TestOutcomeInvariants:
