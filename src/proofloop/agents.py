@@ -18,9 +18,10 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, count
+from operator import add, attrgetter
 from pathlib import Path
 from string import Template
 
@@ -100,23 +101,28 @@ class AgentTask:
 
 @dataclass(frozen=True)
 class TokenUsage:
+    """Token counts; the fields are the token classes, in every format's order."""
+
     prompt: int = 0
     completion: int = 0
     cache_read: int = 0
     cache_write: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("prompt", "completion", "cache_read", "cache_write"):
-            if getattr(self, name) < 0:
-                raise AgentError(f"negative token count for {name}")
+        for name in TOKEN_CLASSES:
+            # bool is an int subclass, so ``true`` needs the exact type test.
+            if type(count := getattr(self, name)) is not int or count < 0:
+                raise AgentError(f"token count for {name} is not a non-negative integer: {count!r}")
 
     def __add__(self, other: TokenUsage) -> TokenUsage:
-        return TokenUsage(
-            self.prompt + other.prompt,
-            self.completion + other.completion,
-            self.cache_read + other.cache_read,
-            self.cache_write + other.cache_write,
-        )
+        return TokenUsage(*map(add, token_counts(self), token_counts(other)))
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(zip(TOKEN_CLASSES, token_counts(self)))
+
+
+TOKEN_CLASSES = tuple(f.name for f in fields(TokenUsage))
+token_counts = attrgetter(*TOKEN_CLASSES)  # a TokenUsage's counts, in class order
 
 
 @dataclass(frozen=True)
@@ -280,7 +286,7 @@ def parse_fixture(text: str) -> Fixture:
         while (line := reader.take()) != "end":
             word, _, rest = line.partition(" ")
             if word == "usage":
-                if len(rest.split()) != 4:
+                if len(rest.split()) != len(TOKEN_CLASSES):
                     reader.fail("usage needs four counts")
                 usage = TokenUsage(*reader.ints(rest))
             elif word == "verdict":
@@ -336,8 +342,7 @@ def fixture_to_text(fixture: Fixture) -> str:
         out.append("")
         out.append(" ".join(header))
         if entry.usage != TokenUsage():
-            u = entry.usage
-            out.append(f"usage {u.prompt} {u.completion} {u.cache_read} {u.cache_write}")
+            out.append(" ".join(["usage", *map(str, token_counts(entry.usage))]))
         payload = entry.payload
         if isinstance(payload, CheckVerdict):
             word = "pass" if payload.passed else "fail"
@@ -489,12 +494,11 @@ class LiveBackend:
         if not isinstance(data, dict) or not isinstance(data.get("text"), str):
             raise MalformedResponse("response JSON is not an object with a 'text' field")
         raw_usage = {} if data.get("usage") is None else data["usage"]
-        counts = [raw_usage.get(f"{name}_tokens", 0) if isinstance(raw_usage, dict) else None
-                  for name in ("prompt", "completion", "cache_read", "cache_write")]
-        # bool is an int subclass, so ``true`` needs the exact type test.
-        if not all(type(count) is int and count >= 0 for count in counts):
-            raise MalformedResponse(f"usage counts are not non-negative integers: {raw_usage!r}")
-        usage = TokenUsage(*counts)
+        try:  # AttributeError: usage is not an object
+            usage = TokenUsage(*(raw_usage.get(f"{name}_tokens", 0) for name in TOKEN_CLASSES))
+        except (AttributeError, AgentError) as exc:
+            raise MalformedResponse(
+                f"usage counts are not non-negative integers: {raw_usage!r}") from exc
         body = extract_payload(data["text"], task.kind)
         payload: PlanDiff | LeanOutcome | CheckVerdict
         if task.kind is TaskKind.CHECK:

@@ -18,10 +18,11 @@ import math
 import os
 import re
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import InvalidOperation
 from pathlib import Path
 
 from .agents import (
+    TOKEN_CLASSES,
     AuthError,
     FixtureParse,
     LiveBackend,
@@ -178,9 +179,10 @@ def _rates(rates_path: Path) -> CostModel:
     data = json.loads(rates_path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise UsageError(f"rates file {rates_path} is not a JSON object")
+    if unknown := [key for key in data if key not in TOKEN_CLASSES]:
+        raise UsageError(f"rates file {rates_path}: {unknown[0]!r} is not one of {TOKEN_CLASSES}")
     try:
-        return CostModel(*(Decimal(str(data.get(name, 0)))
-                           for name in ("prompt", "completion", "cache_read", "cache_write")))
+        return CostModel(*(data.get(name, 0) for name in TOKEN_CLASSES))
     except InvalidOperation as exc:
         raise UsageError(f"rates file {rates_path} has a non-numeric rate") from exc
 
@@ -230,7 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "revision": outcome.final_plan_revision,
         "wall_clock": round(outcome.wall_clock, 3),
         "frames": len(ledger.frames),
-        "usage": dataclasses.asdict(total),
+        "usage": total.as_dict(),
         "cost_usd": str(cost(total, rates)),
         "ledger": str(ledger_path),
         "workspace": str(workspace_dir),

@@ -175,9 +175,10 @@ def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str
 
 
 def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int, str]]:
-    """``(keyword, name, namespace)`` for each declaration keyword followed by a name: two
-    token indices and the enclosing ``namespace`` blocks, dot-joined (``""`` at top level).
-    ``section`` and ``end`` take a name only on their own line (see docs/formats.md)."""
+    """``(keyword, name, namespace)`` for each declaration keyword followed by code: two
+    token indices (the name is -1 for an anonymous declaration) and the enclosing
+    ``namespace`` blocks, dot-joined (``""`` at top level).  ``section`` and ``end`` take
+    a name only on their own line (see docs/formats.md)."""
     heads: list[tuple[int, int, str]] = []
     scopes: list[str] = []  # per open scope: its namespace part, or "" for the others
     keyword = -1
@@ -193,16 +194,16 @@ def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int
             opener = ""
             if parts:
                 continue
-        if kind == IDENT:
-            if keyword >= 0 and token not in DECL_KEYWORDS:
-                heads.append((keyword, i, ".".join(part for part in scopes if part)))
-            keyword = i if token in DECL_KEYWORDS else -1
-            if token in ("namespace", "section", "end"):
-                opener = token
-            elif token == "mutual":
-                scopes.append("")
-        elif not (kind in (COMMENT, BLOCK) or (kind == OTHER and token.isspace())):
-            keyword = -1
+        if kind in (COMMENT, BLOCK) or (kind == OTHER and token.isspace()):
+            continue
+        named = kind == IDENT and token not in DECL_KEYWORDS
+        if keyword >= 0:
+            heads.append((keyword, i if named else -1, ".".join(part for part in scopes if part)))
+        keyword = i if token in DECL_KEYWORDS else -1
+        if token in ("namespace", "section", "end"):
+            opener = token
+        elif token == "mutual":
+            scopes.append("")
     return heads
 
 
@@ -211,19 +212,24 @@ _CLOSE_BRACKETS = frozenset(")]}⦄⟩")
 
 
 def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
-    """Pull the header of ``decl_name`` out of Lean source text.
-
-    The header runs from the keyword to the first ``:=`` outside brackets (or
-    the end of the text) and splits into binders and conclusion at the first
-    colon outside brackets.  Comments read as spaces; literals are opaque.
-    """
+    """Pull the header of the one declaration named ``decl_name`` out of Lean source text."""
     tokens = list(tokenize(text))
-    heads = [head for head in declaration_heads(tokens) if tokens[head[1]][1] == decl_name]
+    heads = [head for head in declaration_heads(tokens)
+             if head[1] >= 0 and tokens[head[1]][1] == decl_name]
     if not heads:
         raise DeclNotFound(f"declaration {decl_name} not found")
     if len(heads) > 1:
         raise ParseAmbiguity(f"multiple declarations named {decl_name}")
-    keyword, name, namespace = heads[0]
+    return head_signature(tokens, heads[0])
+
+
+def head_signature(tokens: list[tuple[str, str, int]], head: tuple[int, int, str]) -> DeclSignature:
+    """The header of the named declaration ``head`` of :func:`declaration_heads`: from the
+    keyword to the first ``:=`` outside brackets (or the end of the text), split into binders
+    and conclusion at the first colon outside brackets.  Comments read as spaces; literals
+    are opaque."""
+    keyword, name, namespace = head
+    decl_name = tokens[name][1]
     items: list[str] = []  # code one character per item, comments as spaces, the rest whole
     for kind, token, _ in tokens[name + 1:]:
         items.extend(token if kind == OTHER else [" " * len(token) if kind in (COMMENT, BLOCK)

@@ -21,11 +21,11 @@ from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from itertools import chain, compress, filterfalse, repeat
-from operator import ne
+from operator import itemgetter, mul, ne
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
-from .agents import AgentError, TokenUsage
+from .agents import TOKEN_CLASSES, AgentError, TokenUsage, token_counts
 from .plan import (
     CycleError, ProofPlan, Status, apply_diff, diff_from_text, plan_from_text, set_status,
 )
@@ -295,10 +295,8 @@ class RunLedger:
 
     @property
     def usage_total(self) -> TokenUsage:
-        total = TokenUsage()
-        for record in self.usage_records:
-            total = total + record.usage
-        return total
+        per_class = zip(*(token_counts(record.usage) for record in self.usage_records))
+        return TokenUsage(*map(sum, per_class))  # no records: no columns, every count 0
 
     def _emit(self, record: dict[str, Any]) -> None:
         """Write one record; every writer calls this before it changes the ledger in memory."""
@@ -330,9 +328,7 @@ class RunLedger:
         record = UsageRecord(utc_now_iso(), kind, check_kind, node_id, usage, elapsed)
         self._emit({
             "rec": "usage", "ts": record.ts, "kind": kind, "check": check_kind,
-            "node": node_id, "prompt": usage.prompt, "completion": usage.completion,
-            "cache_read": usage.cache_read, "cache_write": usage.cache_write,
-            "elapsed": elapsed,
+            "node": node_id, **usage.as_dict(), "elapsed": elapsed,
         })
         self.usage_records.append(record)
 
@@ -342,10 +338,7 @@ class RunLedger:
             "rec": "outcome", "verdict": outcome.verdict, "reason": outcome.reason,
             "wall_clock": outcome.wall_clock, "statement_count": outcome.statement_count,
             "revision": outcome.final_plan_revision,
-            "usage_total": {
-                "prompt": total.prompt, "completion": total.completion,
-                "cache_read": total.cache_read, "cache_write": total.cache_write,
-            },
+            "usage_total": total.as_dict(),
         })
         self.outcome = outcome
         self._closed = True
@@ -387,6 +380,9 @@ def read_ledger_records(path: Path) -> Iterator[dict[str, Any]]:
             yield record
 
 
+_record_counts = itemgetter(*TOKEN_CLASSES)
+
+
 def load_ledger(path: Path) -> RunLedger:
     """Load a ledger; a record of the wrong shape is a :class:`LedgerError`.
 
@@ -411,12 +407,13 @@ def load_ledger(path: Path) -> RunLedger:
                 ledger.frames.append(read_frame(
                     record, ledger.frames[-1] if ledger.frames else None, shared))
             elif kind == "usage":
+                try:
+                    counts = _record_counts(record)
+                except KeyError:  # a class left out reads 0
+                    counts = map(record.get, TOKEN_CLASSES, repeat(0))
                 ledger.usage_records.append(UsageRecord(
                     record.get("ts", ""), record.get("kind", ""), record.get("check"),
-                    record.get("node"),
-                    TokenUsage(record.get("prompt", 0), record.get("completion", 0),
-                               record.get("cache_read", 0), record.get("cache_write", 0)),
-                    record.get("elapsed", 0.0),
+                    record.get("node"), TokenUsage(*counts), record.get("elapsed", 0.0),
                 ))
             elif kind == "outcome":
                 ledger.outcome = Outcome(
@@ -535,24 +532,21 @@ def depth_layout(frame: Frame) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # Cost accounting (USD, half-up to cents) and multi-run statistics.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CostModel:
-    """USD per million tokens for each usage class."""
+    """USD per million tokens, one rate per token class in ``TOKEN_CLASSES`` order."""
 
-    prompt: Decimal
-    completion: Decimal
-    cache_read: Decimal
-    cache_write: Decimal
+    rates: tuple[Decimal, ...]
 
-    def __post_init__(self) -> None:
-        for name in ("prompt", "completion", "cache_read", "cache_write"):
-            value = Decimal(str(getattr(self, name)))
+    def __init__(self, *rates: Decimal | int | str) -> None:
+        values = tuple(Decimal(str(rate)) for rate in rates)
+        for name, value in zip(TOKEN_CLASSES, values, strict=True):
             if not value.is_finite() or value < 0:
                 raise LedgerError(f"rate for {name} must be finite and non-negative")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rates", values)
 
 
-ZERO_RATES = CostModel(Decimal(0), Decimal(0), Decimal(0), Decimal(0))
+ZERO_RATES = CostModel(*repeat(0, len(TOKEN_CLASSES)))
 
 _CENT = Decimal("0.01")
 _MILLION = Decimal(1_000_000)
@@ -560,12 +554,7 @@ _MILLION = Decimal(1_000_000)
 
 def cost(usage: TokenUsage, model: CostModel) -> Decimal:
     """Dot product of counts (in millions) with rates, rounded half-up to cents."""
-    exact = (
-        usage.prompt * model.prompt
-        + usage.completion * model.completion
-        + usage.cache_read * model.cache_read
-        + usage.cache_write * model.cache_write
-    ) / _MILLION
+    exact = sum(map(mul, token_counts(usage), model.rates)) / _MILLION
     return exact.quantize(_CENT, rounding=ROUND_HALF_UP)
 
 

@@ -35,19 +35,18 @@ from .agents import (
 )
 from .leanenv import (
     BuildReport,
-    DECL_KEYWORDS,
     DEFAULT_PERMITTED_AXIOMS,
     VerifierError,
     Workspace,
     audit_verdict,
     declaration_heads,
-    extract_signature_text,
+    head_signature,
     normalize_signature,
 )
 from .ledger import (
     STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger, utc_now_iso,
 )
-from .lexer import IDENT, forbidden_words, tokenize
+from .lexer import forbidden_words, tokenize
 from .plan import (
     AnchorDecl,
     DiffCause,
@@ -111,24 +110,23 @@ def find_anchor(text: str) -> AnchorDecl:
     sorry = next((i for i, word, _ in forbidden_words(tokens) if word == "sorry"), None)
     if sorry is None:
         raise InputError("input contains no sorry declaration")
-    keywords = [i for i, (kind, token, _) in enumerate(tokens[:sorry])
-                if kind == IDENT and token in DECL_KEYWORDS]
-    if not keywords:
-        raise InputError("found a sorry outside any declaration")
     heads = declaration_heads(tokens)
-    target = next((name for keyword, name, _ in heads if keyword == keywords[-1]), None)
-    if target is None:
-        raise InputError(f"the first sorry lies in an anonymous {tokens[keywords[-1]][1]}; "
+    owners = sum(1 for keyword, _, _ in heads if keyword < sorry)  # the last one holds the sorry
+    if not owners:
+        raise InputError("found a sorry outside any declaration")
+    keyword, name, _ = head = heads[owners - 1]
+    if name < 0:
+        raise InputError(f"the first sorry lies in an anonymous {tokens[keyword][1]}; "
                          "only a named declaration can be the target")
     try:
-        sig = extract_signature_text(text, tokens[target][1])
+        sig = head_signature(tokens, head)
     except VerifierError as exc:
         raise InputError(f"cannot extract target signature: {exc}") from exc
     starts = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
     if starts[sorry] < sig.header_end:
         raise InputError(f"the sorry of {sig.name} lies in its header, before any top-level :=")
-    # The body runs from the end of the header to the next declaration after the sorry.
-    end = next((starts[keyword] for keyword, _, _ in heads if keyword > sorry), len(text))
+    # The body runs from the end of the header to the next declaration, named or not.
+    end = starts[heads[owners][0]] if owners < len(heads) else len(text)
     return AnchorDecl(sig.name, sig.normalized, text[sig.header_end:end])
 
 

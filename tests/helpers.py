@@ -2,13 +2,15 @@
 
 The oracles here deliberately use different algorithms from the library code:
 invalidation is re-derived by fixpoint scans over the edge list, depth levels
-by Bellman-Ford style relaxation, and the forbidden-token reference scanner is
-a plain character automaton.
+by Bellman-Ford style relaxation, costs in exact rational arithmetic, and the
+forbidden-token reference scanner is a plain character automaton.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -229,6 +231,12 @@ def oracle_levels(node_ids: list[str], edges: list[tuple[str, str]]) -> dict[str
         if not moved:
             return levels
     raise AssertionError("relaxation did not converge; graph is cyclic")
+
+
+def oracle_cost(counts, rates) -> Fraction:
+    """USD for token counts at USD-per-million rates, exactly, rounded half up to cents."""
+    exact = sum(Fraction(count) * Fraction(str(rate)) for count, rate in zip(counts, rates))
+    return Fraction(math.floor(exact / 10_000 + Fraction(1, 2)), 100)  # in cents: * 100 / 1e6
 
 
 def expand_deltas(records: list[dict]) -> list[dict]:

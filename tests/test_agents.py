@@ -5,6 +5,7 @@ import pytest
 
 from helpers import anchor_decl, mk_node, single_node_fixture
 from proofloop.agents import (
+    TOKEN_CLASSES,
     AgentError,
     AgentResult,
     AgentTask,
@@ -113,6 +114,12 @@ class TestEnvelopeValidation:
             TokenUsage(prompt=-1)
         total = TokenUsage(1, 2, 3, 4) + TokenUsage(10, 20, 30, 40)
         assert total == TokenUsage(11, 22, 33, 44)
+
+    @pytest.mark.parametrize("count", [1.5, True, "7", -1, None])
+    def test_a_count_is_a_non_negative_int_in_every_class(self, count):
+        for name in TOKEN_CLASSES:
+            with pytest.raises(AgentError, match=f"token count for {name}"):
+                TokenUsage(**{name: count})
 
 
 def task_for(kind: TaskKind, node_id: str | None = None,

@@ -121,7 +121,19 @@ class TestRunCommand:
         code = main(burnside_args(tmp_path, "--rates", str(rates)))
         summary = summary_of(capsys)
         assert code == 0
-        assert summary["cost_usd"] != "0.00"
+        assert summary["cost_usd"] == "147.03"
+
+    def test_a_class_the_rates_file_leaves_out_costs_nothing(self, tmp_path, capsys):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps({"prompt": 15, "completion": 75, "cache_write": 18.75}))
+        assert main(burnside_args(tmp_path, "--rates", str(path))) == 0
+        assert summary_of(capsys)["cost_usd"] == "138.90"
+
+    def test_a_rates_key_that_is_no_token_class_is_named(self, tmp_path, capsys):
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps({"prompt": 15, "cache-read": 1.5}))
+        assert main(simple_run_args(tmp_path, "--rates", str(path))) == 2
+        assert "'cache-read'" in capsys.readouterr().err
 
 
 class TestPrecedence:
@@ -694,6 +706,8 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_trace_cyclic_frame_after_a_valid_one, 2,
                  id="trace-cyclic-frame-after-a-valid-one"),
     pytest.param(ledger_with_usage_prompt("trace", "x"), 2, id="trace-non-numeric-usage"),
+    pytest.param(ledger_with_usage_prompt("trace", 1.5), 2, id="trace-fractional-usage"),
+    pytest.param(ledger_with_usage_prompt("stats", True), 2, id="stats-bool-usage"),
     pytest.param(ledger_with_usage_prompt("stats", "x"), 2, id="stats-non-numeric-usage"),
     pytest.param(ledger_with_usage_prompt("stats", -1), 2, id="stats-negative-usage"),
     pytest.param(fault_stats_solved_without_statements, 2,
@@ -709,6 +723,7 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(run_with_rates({"prompt": "NaN"}), 2, id="run-nan-rate"),
     pytest.param(run_with_rates({"cache_write": "Infinity"}), 2, id="run-infinite-rate"),
     pytest.param(run_with_rates([15, 75]), 2, id="run-rates-not-an-object"),
+    pytest.param(run_with_rates({"cache-read": 1.5}), 2, id="run-rates-unknown-class"),
 ])
 def test_exit_code_of_each_fault(tmp_path, capsys, make_args, code):
     args = make_args(tmp_path)

@@ -5,11 +5,12 @@ reports for the shipped replay and the trace exporter's output; regenerate
 with tools/gen_goldens.py after an intentional format change.
 """
 
+import importlib.util
 import json
 
 import pytest
 
-from helpers import BURNSIDE_DIR, expand_deltas
+from helpers import BURNSIDE_DIR, REPO_ROOT, expand_deltas
 from proofloop.agents import ScriptedBackend, load_fixture
 from proofloop.leanenv import SimVerifier, Workspace, audit_verdict, load_sim_rules
 from proofloop.ledger import export_trace, load_ledger, read_ledger_records
@@ -83,3 +84,15 @@ def test_the_ledger_file_and_its_expanded_twin_load_to_the_golden_trace(solved_s
         loaded = load_ledger(source)
         assert loaded.frames == ledger.frames
         assert export_trace(loaded, "text") == golden
+
+
+def test_the_fixture_generator_writes_the_shipped_fixture():
+    """tools/gen_burnside_fixture.py regenerates fixtures/burnside byte for byte."""
+    spec = importlib.util.spec_from_file_location(
+        "gen_burnside_fixture", REPO_ROOT / "tools" / "gen_burnside_fixture.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    for name, text in [("agents.fx", generator.fixture_to_text(generator.build())),
+                       ("input.lean", generator.INPUT_LEAN),
+                       ("sim-rules.txt", generator.SIM_RULES)]:
+        assert text.encode("utf-8") == (BURNSIDE_DIR / name).read_bytes(), name

@@ -3,19 +3,21 @@ import io
 import json
 import random
 import statistics
+import tempfile
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_frames,
-    oracle_levels, oracle_trace, random_dag_plan, random_diff, replan_fixture,
+    oracle_cost, oracle_levels, oracle_trace, random_dag_plan, random_diff, replan_fixture,
 )
-from proofloop.agents import ScriptedBackend, TokenUsage, load_fixture
+from proofloop.agents import TOKEN_CLASSES, ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import SimVerifier, load_sim_rules
 from proofloop.looper import LoopConfig, run
 from proofloop.ledger import (
@@ -274,6 +276,33 @@ class TestCost:
         ua, ub = TokenUsage(*a), TokenUsage(*b)
         drift = abs(cost(ua + ub, RATES) - (cost(ua, RATES) + cost(ub, RATES)))
         assert drift <= Decimal("0.02")
+
+    @given(st.lists(st.builds(TokenUsage, *(st.integers(0, 10**9) for _ in TOKEN_CLASSES)),
+                    max_size=8),
+           st.tuples(*(st.decimals(0, 1000, places=4) for _ in TOKEN_CLASSES)))
+    @example([TokenUsage(5_000)], (Decimal(1), Decimal(0), Decimal(0), Decimal(0)))  # half a cent
+    @settings(max_examples=100, deadline=None)
+    def test_usage_survives_the_ledger_and_prices_like_the_oracle(self, usages, rates):
+        sums = tuple(sum(getattr(usage, name) for usage in usages) for name in TOKEN_CLASSES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.jsonl"
+            ledger = open_ledger("r", path)
+            for usage in usages:
+                ledger.record_usage("lean", None, "A", usage, 0.1)
+            assert ledger.usage_total == TokenUsage(*sums)
+            ledger.record_outcome(Outcome("solved", None, 1.0, 1, 0))
+            *_, outcome = read_ledger_records(path)
+            loaded = load_ledger(path)
+        assert outcome["usage_total"] == dict(zip(TOKEN_CLASSES, sums))
+        assert [record.usage for record in loaded.usage_records] == usages
+        assert loaded.usage_total == TokenUsage(*sums)
+        assert Fraction(cost(loaded.usage_total, CostModel(*rates))) == oracle_cost(sums, rates)
+
+    def test_a_rate_outside_the_rules_is_named_by_class(self):
+        with pytest.raises(LedgerError, match="rate for cache_write"):
+            CostModel(1, 2, 3, "NaN")
+        with pytest.raises(ValueError):
+            CostModel(1, 2, 3)
 
 
 def solved_ledger(hours: float, statements: int, run_id: str = "r") -> RunLedger:

@@ -123,6 +123,21 @@ class TestFindAnchor:
         assert anchor.signature_text == signature
         assert anchor.original_body == ":= by\n  sorry\n"
 
+    def test_a_name_reused_in_another_namespace_does_not_hide_the_target(self):
+        anchor = find_anchor("namespace A\ntheorem foo : True := trivial\nend A\n"
+                             "namespace B\ntheorem foo : True := sorry\nend B\n")
+        assert anchor.decl_name == "foo"
+        assert anchor.signature_text == "theorem foo : True"
+        assert anchor.original_body == ":= sorry\nend B\n"
+
+    @pytest.mark.parametrize("after", [
+        "example : 1 = 1 := rfl\n",
+        "instance : Inhabited Nat := ⟨0⟩\n",
+    ], ids=["example", "instance"])
+    def test_the_body_ends_at_a_following_anonymous_declaration(self, after):
+        anchor = find_anchor(f"theorem Main : True := sorry\n\n{after}")
+        assert anchor.original_body == ":= sorry\n\n"
+
 
 class TestRouting:
     @pytest.mark.parametrize("kind, passed, expected", [
