@@ -9,7 +9,9 @@ carried between invocations.
 :class:`ScriptedBackend` replays entries from a fixture file keyed by (task
 kind, check kind, node, occurrence), which makes whole runs deterministic.
 :class:`LiveBackend` talks to a single HTTPS endpoint with bounded retries and
-parses the delimited payload out of the model text.
+parses the delimited payload out of the model text.  A backend answers with
+the payload alone (and its token usage); :func:`invoke` checks the payload's
+type against the task kind.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, count
-from operator import add, attrgetter
+from operator import attrgetter
 from pathlib import Path
 from string import Template
 
@@ -114,9 +116,6 @@ class TokenUsage:
             if type(count := getattr(self, name)) is not int or count < 0:
                 raise AgentError(f"token count for {name} is not a non-negative integer: {count!r}")
 
-    def __add__(self, other: TokenUsage) -> TokenUsage:
-        return TokenUsage(*map(add, token_counts(self), token_counts(other)))
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(TOKEN_CLASSES, token_counts(self)))
 
@@ -136,6 +135,8 @@ class LeanOutcome:
     source: str
 
 
+Payload = PlanDiff | LeanOutcome | CheckVerdict  # what an agent answers with
+
 # The payload type each task kind answers with.
 PAYLOAD_TYPES = {
     TaskKind.PLAN_INITIAL: PlanDiff,
@@ -143,16 +144,6 @@ PAYLOAD_TYPES = {
     TaskKind.LEAN_WORK: LeanOutcome,
     TaskKind.CHECK: CheckVerdict,
 }
-
-
-@dataclass(frozen=True)
-class AgentResult:
-    kind: TaskKind
-    payload: PlanDiff | LeanOutcome | CheckVerdict
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.payload, PAYLOAD_TYPES[self.kind]):
-            raise AgentError(f"payload {type(self.payload).__name__} does not match {self.kind.value} task")
 
 
 def assemble_context(
@@ -194,19 +185,19 @@ def assemble_context(
 
 @dataclass(frozen=True)
 class InvokeRecord:
-    result: AgentResult
+    payload: Payload
     usage: TokenUsage
     elapsed: float
 
 
 def invoke(backend, task: AgentTask) -> InvokeRecord:
-    """One fresh, stateless invocation: result kind always matches task kind."""
+    """One fresh, stateless invocation: the payload's type always matches the task kind."""
     start = time.monotonic()
-    result, usage = backend.invoke(task)
+    payload, usage = backend.invoke(task)
     elapsed = time.monotonic() - start
-    if result.kind is not task.kind:
-        raise MalformedResponse(f"backend answered a {result.kind.value} task with {task.kind.value}")
-    return InvokeRecord(result, usage, elapsed)
+    if not isinstance(payload, PAYLOAD_TYPES[task.kind]):
+        raise MalformedResponse(f"backend answered a {task.kind.value} task with {type(payload).__name__}")
+    return InvokeRecord(payload, usage, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,7 @@ class FixtureKey:
 class FixtureEntry:
     key: FixtureKey
     occurrence: int
-    payload: PlanDiff | LeanOutcome | CheckVerdict
+    payload: Payload
     usage: TokenUsage = TokenUsage()
 
 
@@ -257,14 +248,14 @@ class ScriptedBackend:
         self.fixture = fixture
         self._cursor: dict[FixtureKey, int] = {}
 
-    def invoke(self, task: AgentTask) -> tuple[AgentResult, TokenUsage]:
+    def invoke(self, task: AgentTask) -> tuple[Payload, TokenUsage]:
         key = FixtureKey(task.kind, task.check_kind, task.subject.node_id)
         occurrence = self._cursor.get(key, 0) + 1
         entry = self.fixture.entries.get((key, occurrence))
         if entry is None:
             raise FixtureMiss(f"no fixture entry for {key.label()}#{occurrence}")
         self._cursor[key] = occurrence
-        return AgentResult(task.kind, entry.payload), entry.usage
+        return entry.payload, entry.usage
 
 
 def parse_fixture(text: str) -> Fixture:
@@ -282,7 +273,7 @@ def parse_fixture(text: str) -> Fixture:
         occurrence = reader.ints(" ".join(fields), 1)[0] if fields else 1
 
         usage = TokenUsage()
-        payload: PlanDiff | LeanOutcome | CheckVerdict | None = None
+        payload: Payload | None = None
         while (line := reader.take()) != "end":
             word, _, rest = line.partition(" ")
             if word == "usage":
@@ -481,7 +472,7 @@ class LiveBackend:
                 raise MalformedResponse(f"response body is not JSON: {exc}") from exc
         raise BackendUnavailable(f"transport failed after {attempt} attempts: {last_error}")
 
-    def invoke(self, task: AgentTask) -> tuple[AgentResult, TokenUsage]:
+    def invoke(self, task: AgentTask) -> tuple[Payload, TokenUsage]:
         data = self._post({
             "model": self.model,
             "prompt": self._render_prompt(task),
@@ -500,7 +491,7 @@ class LiveBackend:
             raise MalformedResponse(
                 f"usage counts are not non-negative integers: {raw_usage!r}") from exc
         body = extract_payload(data["text"], task.kind)
-        payload: PlanDiff | LeanOutcome | CheckVerdict
+        payload: Payload
         if task.kind is TaskKind.CHECK:
             payload = parse_verdict_payload(body)
         elif task.kind is TaskKind.LEAN_WORK:
@@ -510,4 +501,4 @@ class LiveBackend:
                 payload = diff_from_text(body + "\n")
             except PlanError as exc:
                 raise MalformedResponse(f"diff payload does not parse: {exc}") from exc
-        return AgentResult(task.kind, payload), usage
+        return payload, usage

@@ -178,11 +178,13 @@ def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int
     """``(keyword, name, namespace)`` for each declaration keyword followed by code: two
     token indices (the name is -1 for an anonymous declaration) and the enclosing
     ``namespace`` blocks, dot-joined (``""`` at top level).  ``section`` and ``end`` take
-    a name only on their own line (see docs/formats.md)."""
+    a name only on their own line, and an ``instance`` takes it after a bracket group
+    such as ``(priority := 100)`` (see docs/formats.md)."""
     heads: list[tuple[int, int, str]] = []
     scopes: list[str] = []  # per open scope: its namespace part, or "" for the others
     keyword = -1
     opener = ""  # a namespace, section or end whose name may follow
+    group = 0  # brackets open in a group between ``instance`` and its name
     for i, (kind, token, _) in enumerate(tokens):
         if opener and not (kind == OTHER and token.isspace()
                            and (opener == "namespace" or "\n" not in token)):
@@ -196,6 +198,15 @@ def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int
                 continue
         if kind in (COMMENT, BLOCK) or (kind == OTHER and token.isspace()):
             continue
+        if group or (kind == OTHER and token.lstrip()[0] in _OPEN_BRACKETS
+                     and keyword >= 0 and tokens[keyword][1] == "instance"):
+            for at, char in enumerate(token if kind == OTHER else ""):
+                group += (char in _OPEN_BRACKETS) - (char in _CLOSE_BRACKETS)
+                if not group and char in _CLOSE_BRACKETS:
+                    token = token[at + 1:]  # the code after the group
+                    break
+            if group or not token.strip():
+                continue
         named = kind == IDENT and token not in DECL_KEYWORDS
         if keyword >= 0:
             heads.append((keyword, i if named else -1, ".".join(part for part in scopes if part)))
@@ -204,6 +215,8 @@ def declaration_heads(tokens: list[tuple[str, str, int]]) -> list[tuple[int, int
             opener = token
         elif token == "mutual":
             scopes.append("")
+    if group:  # a group left open to the end: the instance has no name
+        heads.append((keyword, -1, ".".join(part for part in scopes if part)))
     return heads
 
 
@@ -251,15 +264,6 @@ def head_signature(tokens: list[tuple[str, str, int]], head: tuple[int, int, str
     header_end = sum(len(token) for _, token, _ in tokens[:name + 1]) + len("".join(items[:end]))
     return DeclSignature(tokens[keyword][1], decl_name, normalize_signature("".join(items[:colon])),
                          normalize_signature("".join(items[colon + 1:end])), header_end, namespace)
-
-
-def signature_match(anchor_signature: str, decl_name: str, ws: Workspace) -> bool:
-    """True iff the workspace target still carries the anchored header."""
-    try:
-        found = extract_signature_text(ws.read_target(), decl_name)
-    except VerifierError:
-        return False
-    return found.normalized == normalize_signature(anchor_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +406,7 @@ class SimVerifier:
         self._built = built
         return BuildReport(not errors and not sites, tuple(sites), "\n".join(errors), 0.0, not errors)
 
-    def audit_axioms(self, ws: Workspace, decl_name: str) -> set[str]:
+    def audit_axioms(self, ws: Workspace, name: str) -> set[str]:
         """Axioms of every file on disk; any file that does not build fails the audit, as in Lean."""
         builds = [self._build_file(rel, (ws.root_dir / rel).read_text(encoding="utf-8"))
                   for rel in ws.node_files.values()]
@@ -511,9 +515,8 @@ class RealVerifier:
         compiled = proc.returncode == 0 and not errors
         return BuildReport(compiled and not sites, tuple(sites), "\n".join(errors), elapsed, compiled)
 
-    def audit_axioms(self, ws: Workspace, decl_name: str) -> set[str]:
-        """Axioms of the target's declaration, printed under its namespace-qualified name."""
-        name = extract_signature_text(ws.read_target(), decl_name).qualified_name
+    def audit_axioms(self, ws: Workspace, name: str) -> set[str]:
+        """Axioms of the declaration ``name``, namespace-qualified as ``#print axioms`` takes it."""
         driver = self._imports(ws) + f"\n#print axioms {name}\n"
         (ws.root_dir / AUDIT_DRIVER).write_text(driver, encoding="utf-8")
         proc = self._run(ws, ["env", "lean", AUDIT_DRIVER])
@@ -533,7 +536,8 @@ def audit_verdict(
     verifier: SimVerifier | RealVerifier,
     permitted: frozenset[str] = DEFAULT_PERMITTED_AXIOMS,
 ) -> AuditReport:
-    """Compose forbidden-token scan, signature check and axiom audit."""
+    """Compose forbidden-token scan, signature check and axiom audit; the one lookup of
+    ``decl_name`` in the target gives the header to compare and the name to audit."""
     details: list[str] = []
     try:
         forbidden = tuple(
@@ -544,12 +548,16 @@ def audit_verdict(
     if forbidden:
         details.append(f"{len(forbidden)} forbidden token occurrence(s)")
 
-    sig_ok = signature_match(anchor_signature, decl_name, ws)
+    try:
+        found = extract_signature_text(ws.read_target(), decl_name)
+    except VerifierError as exc:
+        return AuditReport(frozenset(), forbidden, False, False, f"target not found: {exc}")
+    sig_ok = found.normalized == normalize_signature(anchor_signature)
     if not sig_ok:
         details.append("target signature does not match the anchor")
 
     try:
-        axioms = frozenset(verifier.audit_axioms(ws, decl_name))
+        axioms = frozenset(verifier.audit_axioms(ws, found.qualified_name))
     except VerifierError as exc:
         return AuditReport(frozenset(), forbidden, sig_ok, False, f"axiom audit failed: {exc}")
     extra = axioms - permitted

@@ -27,7 +27,7 @@ from typing import IO, Any, Iterable, Iterator
 
 from .agents import TOKEN_CLASSES, AgentError, TokenUsage, token_counts
 from .plan import (
-    CycleError, ProofPlan, Status, apply_diff, diff_from_text, plan_from_text, set_status,
+    ProofPlan, Status, apply_diff, cycle_from, diff_from_text, plan_from_text, set_status,
 )
 
 
@@ -137,7 +137,7 @@ class Frame:
 def frame_of(plan: ProofPlan, index: int) -> Frame:
     """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan."""
     return Frame(index, {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
-                 plan.edges(), plan.revision)
+                 plan.edges, plan.revision)
 
 
 def frame_record(previous: Frame | None, frame: Frame) -> dict[str, Any]:
@@ -254,6 +254,11 @@ def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, st
     return states, tuple(chain.from_iterable(map(edges.get, ordered, repeat(()))))
 
 
+_OPTIONAL_STR = frozenset({str, type(None)})
+_REAL = frozenset({int, float})  # not bool, an int subclass that JSON's true reads as
+_INFINITY = float("inf")
+
+
 @dataclass(frozen=True)
 class UsageRecord:
     ts: str
@@ -262,6 +267,15 @@ class UsageRecord:
     node_id: str | None
     usage: TokenUsage
     elapsed: float
+
+    def __post_init__(self) -> None:
+        if type(self.kind) is not str:
+            raise ValueError(f"usage kind is not a string: {self.kind!r}")
+        if type(self.check_kind) not in _OPTIONAL_STR or type(self.node_id) not in _OPTIONAL_STR:
+            raise ValueError(f"usage check or node is neither a string nor null: "
+                             f"{self.check_kind!r}, {self.node_id!r}")
+        if type(self.elapsed) not in _REAL or not 0 <= self.elapsed < _INFINITY:  # nan fails too
+            raise ValueError(f"usage elapsed is not a finite non-negative number: {self.elapsed!r}")
 
 
 @dataclass(frozen=True)
@@ -516,16 +530,9 @@ def depth_layout(frame: Frame) -> dict[str, int]:
             if not waiting[node]:
                 placed.append(node)
     if len(placed) < len(nodes):
-        # Each unplaced node has an unplaced dep: follow them until one repeats.
         unplaced_dep = {node: dep for dep, node in frame.edges
                         if waiting.get(node) and waiting.get(dep)}
-        path: dict[str, None] = {}
-        node = next(node for node, count in waiting.items() if count)
-        while node not in path:
-            path[node] = None
-            node = unplaced_dep[node]
-        walked = list(path)
-        raise CycleError(walked[walked.index(node):] + [node])
+        raise cycle_from(next(node for node, count in waiting.items() if count), unplaced_dep)
     return levels
 
 

@@ -192,9 +192,9 @@ class _Run:
     # -- agent plumbing ------------------------------------------------------
 
     def _attempt(self, task: AgentTask, phase: str, accept):
-        """Invoke ``task`` until ``accept`` takes the result; return what it returns.
+        """Invoke ``task`` until ``accept`` takes the payload; return what it returns.
 
-        A malformed payload and a result that ``accept`` rejects with a
+        A malformed payload and a payload that ``accept`` rejects with a
         :class:`PlanError` each use one of the ``1 + check_retry_limit`` tries;
         transport and credential failures stop the run at once.
         """
@@ -215,10 +215,10 @@ class _Run:
                 task.subject.node_id, record.usage, record.elapsed,
             )
             try:
-                return accept(record.result)
+                return accept(record.payload)
             except PlanError as exc:
                 last = exc
-                logger.warning("result rejected during %s: %s", phase, exc)
+                logger.warning("payload rejected during %s: %s", phase, exc)
         raise _Stop(StopReason.BACKEND_FAILURE, f"{phase}: {last}")
 
     # -- plan bookkeeping ----------------------------------------------------
@@ -242,8 +242,8 @@ class _Run:
             lean_source=self.input_text,
         )
 
-        def accept(result) -> ProofPlan:
-            plan = create_plan(list(result.payload.adds))
+        def accept(diff) -> ProofPlan:
+            plan = create_plan(list(diff.adds))
             anchor = plan.anchor
             if anchor.decl_name != self.anchor.decl_name:
                 raise PlanError("initial plan anchors a different declaration")
@@ -270,7 +270,7 @@ class _Run:
             ctx = assemble_context(self.plan, node_id, lean_source=source,
                                    build_errors=self.node_diag.get(node_id))
             source = self._attempt(AgentTask(TaskKind.LEAN_WORK, ctx), f"lean work on {node_id}",
-                                   lambda result: result.payload.source)
+                                   lambda lean: lean.source)
             self.ws.write_node_source(node_id, source, is_target=node_id == self.plan.anchor_id)
             self.gate(f"build for {node_id}")
             try:
@@ -308,7 +308,7 @@ class _Run:
         ctx = assemble_context(self.plan, node_id, lean_source=source,
                                build_errors=errors, check_kind=kind)
         verdict = self._attempt(AgentTask(TaskKind.CHECK, ctx, check_kind=kind),
-                                f"{kind.value} check on {node_id}", lambda result: result.payload)
+                                f"{kind.value} check on {node_id}", lambda verdict: verdict)
         event = EventKind.CHECK_PASS if verdict.passed else EventKind.CHECK_FAIL
         detail = kind.value + (f": {verdict.note}" if verdict.note else "")
         self.ledger.record_event(event, node_id, detail)
@@ -323,9 +323,9 @@ class _Run:
         ctx = assemble_context(self.plan, node_id,
                                build_errors=self.node_diag.get(node_id))
 
-        def accept(result):
-            new_plan, invalidated = apply_diff(self.plan, result.payload)
-            return result.payload, new_plan, invalidated
+        def accept(diff):
+            new_plan, invalidated = apply_diff(self.plan, diff)
+            return diff, new_plan, invalidated
 
         diff, new_plan, invalidated = self._attempt(
             AgentTask(TaskKind.PLAN_REVISE, ctx, cause=cause), f"replanning at {node_id}", accept)

@@ -141,22 +141,23 @@ class PlanDiff:
 class ProofPlan:
     """Immutable plan snapshot.  ``order`` is a topological sort of the ids.
 
-    The edge list and the anchor id depend only on the structure, so they are
-    derived once when the plan is built and handed on by status-only updates.
+    The ``edges`` ((dep, node) pairs in order) and the anchor id depend only on the
+    structure, so they are derived once when the plan is built and handed on by
+    status-only updates.
     """
 
     nodes: dict[str, PlanNode]
     order: tuple[str, ...]
     revision: int = 0
     retired: frozenset[str] = field(default_factory=frozenset)
-    _edges: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
+    edges: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
     _anchor_id: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self._edges is None:
+        if self.edges is None:
             edges = tuple((dep, node_id) for node_id in self.order
                           for dep in self.nodes[node_id].deps)
-            object.__setattr__(self, "_edges", edges)
+            object.__setattr__(self, "edges", edges)
         if self._anchor_id is None:
             anchor_id = next((node_id for node_id in self.order
                               if self.nodes[node_id].anchor is not None), None)
@@ -182,10 +183,6 @@ class ProofPlan:
                 out[dep].add(node.node_id)
         return out
 
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        """Dependency edges as (dep, node) pairs in deterministic order."""
-        return self._edges
-
 
 def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str, ...]:
     """Kahn's algorithm; ties broken by the caller-supplied stable key."""
@@ -207,15 +204,21 @@ def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str
             if remaining[dep_user] == 0:
                 heapq.heappush(ready, (sort_key[dep_user], dep_user))
     if len(order) != len(nodes):
-        # Every node left unsorted has a dep left unsorted, so following such
-        # deps from any of them must come back to a node already on the path.
-        node_id = next(node_id for node_id in nodes if remaining[node_id])
-        path: dict[str, int] = {}
-        while node_id not in path:
-            path[node_id] = len(path)
-            node_id = next(dep for dep in nodes[node_id].deps if remaining[dep])
-        raise CycleError(list(path)[path[node_id]:] + [node_id])
+        unplaced_dep = {node_id: next(dep for dep in node.deps if remaining[dep])
+                        for node_id, node in nodes.items() if remaining[node_id]}
+        raise cycle_from(next(iter(unplaced_dep)), unplaced_dep)
     return tuple(order)
+
+
+def cycle_from(start: str, unplaced_dep: dict[str, str]) -> CycleError:
+    """The cycle reached from ``start`` along ``unplaced_dep``: each node a topological
+    pass leaves unplaced has an unplaced dep, so the walk comes back to its own path."""
+    path: dict[str, int] = {}
+    node_id = start
+    while node_id not in path:
+        path[node_id] = len(path)
+        node_id = unplaced_dep[node_id]
+    return CycleError(list(path)[path[node_id]:] + [node_id])
 
 
 def _validate_graph(nodes: dict[str, PlanNode]) -> str:
@@ -360,7 +363,7 @@ def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:
     nodes = dict(plan.nodes)
     nodes[node_id] = nodes[node_id].with_status(status)
     return ProofPlan(nodes=nodes, order=plan.order, revision=plan.revision,
-                     retired=plan.retired, _edges=plan._edges, _anchor_id=plan._anchor_id)
+                     retired=plan.retired, edges=plan.edges, _anchor_id=plan._anchor_id)
 
 
 def next_open_statement(plan: ProofPlan) -> str | None:
@@ -533,7 +536,7 @@ def plan_from_text(text: str) -> ProofPlan:
         nodes.append(_node_block(reader, reader.expect("node")))
     plan = create_plan(nodes)
     return ProofPlan(nodes=plan.nodes, order=plan.order, revision=revision, retired=retired,
-                     _edges=plan._edges, _anchor_id=plan._anchor_id)
+                     edges=plan.edges, _anchor_id=plan._anchor_id)
 
 
 def diff_to_text(diff: PlanDiff) -> str:

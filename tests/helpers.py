@@ -233,6 +233,13 @@ def oracle_levels(node_ids: list[str], edges: list[tuple[str, str]]) -> dict[str
     raise AssertionError("relaxation did not converge; graph is cyclic")
 
 
+def oracle_closed_cycle(cycle: list[str], deps: dict[str, tuple[str, ...]]) -> bool:
+    """True iff ``cycle`` walks distinct nodes back to its first one, each step from a
+    node to one of its ``deps``."""
+    return (len(cycle) >= 2 and cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+            and all(step in deps.get(node, ()) for node, step in zip(cycle, cycle[1:])))
+
+
 def oracle_cost(counts, rates) -> Fraction:
     """USD for token counts at USD-per-million rates, exactly, rounded half up to cents."""
     exact = sum(Fraction(count) * Fraction(str(rate)) for count, rate in zip(counts, rates))

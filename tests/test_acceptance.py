@@ -30,7 +30,7 @@ from helpers import (
     sorried_src,
     splitter_fixture,
 )
-from proofloop.agents import CheckKind, ScriptedBackend, TokenUsage, load_fixture
+from proofloop.agents import TOKEN_CLASSES, CheckKind, ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import (
     DEFAULT_PERMITTED_AXIOMS,
     SimVerifier,
@@ -110,17 +110,12 @@ def test_criterion_1_burnside_replay(burnside_run):
     assert frames == len(ledger.frames) and diffs == 6
 
     # Usage accounting: per-invocation records sum to the recorded run total.
-    summed = TokenUsage()
-    for record in records:
-        if record["rec"] == "usage":
-            summed = summed + TokenUsage(record["prompt"], record["completion"],
-                                         record["cache_read"], record["cache_write"])
+    usage_records = [record for record in records if record["rec"] == "usage"]
+    summed = {name: sum(record[name] for record in usage_records)
+              for name in ("prompt", "completion", "cache_read", "cache_write")}
     outcome_record = next(r for r in records if r["rec"] == "outcome")
-    assert outcome_record["usage_total"] == {
-        "prompt": summed.prompt, "completion": summed.completion,
-        "cache_read": summed.cache_read, "cache_write": summed.cache_write,
-    }
-    assert summed == ledger.usage_total
+    assert outcome_record["usage_total"] == summed
+    assert TokenUsage(**summed) == ledger.usage_total
 
     assert elapsed < 10.0, f"replay took {elapsed:.2f}s"
     report(1, f"Burnside replay solved: 6->12->21->32, anchor last, {elapsed:.2f}s")
@@ -289,10 +284,11 @@ def test_criterion_7_ledger_arithmetic():
     usages = [TokenUsage(cache_read=tokens) for tokens in TABLE_TOKENS]
     for usage, shown in zip(usages, TABLE_COSTS):
         assert cost(usage, LOG_RATES) == Decimal(shown)
-    total_usage = TokenUsage()
+    # One ledger that records them all: its usage total prices to the run total.
+    whole = RunLedger(run_id="all")
     for usage in usages:
-        total_usage = total_usage + usage
-    assert cost(total_usage, LOG_RATES) == Decimal("1183.45")
+        whole.record_usage("lean", None, None, usage, 0.0)
+    assert cost(whole.usage_total, LOG_RATES) == Decimal("1183.45")
 
     # Ten-ledger set: the run total prices to the same figure.
     ledgers = []
@@ -301,9 +297,8 @@ def test_criterion_7_ledger_arithmetic():
         ledger.record_usage("lean", None, None, usage, 0.0)
         ledger.outcome = Outcome("solved", None, 3600.0, 10, 1)
         ledgers.append(ledger)
-    grand = TokenUsage()
-    for ledger in ledgers:
-        grand = grand + ledger.usage_total
+    totals = [ledger.usage_total.as_dict() for ledger in ledgers]
+    grand = TokenUsage(**{name: sum(total[name] for total in totals) for name in TOKEN_CLASSES})
     assert cost(grand, LOG_RATES) == Decimal("1183.45")
 
     # Stability-style aggregation against an independent recomputation.
@@ -369,8 +364,8 @@ def test_criterion_9_live_path_scope(tmp_path, monkeypatch):
         # Retry: two transport failures, then success, exactly three requests.
         stub.responses.extend([(503, {}), (503, {}),
                                (200, ok_body("BEGIN-VERDICT\npass\nEND-VERDICT"))])
-        result, _ = backend_for(stub).invoke(check_task())
-        assert result.payload.passed and len(stub.requests) == 3
+        payload, _ = backend_for(stub).invoke(check_task())
+        assert payload.passed and len(stub.requests) == 3
 
         # Malformed payloads surface without transport retries.
         stub.requests.clear()

@@ -7,7 +7,6 @@ from helpers import anchor_decl, mk_node, single_node_fixture
 from proofloop.agents import (
     TOKEN_CLASSES,
     AgentError,
-    AgentResult,
     AgentTask,
     CheckKind,
     CheckVerdict,
@@ -102,18 +101,25 @@ class TestEnvelopeValidation:
             TaskKind.LEAN_WORK: LeanOutcome("src"),
             TaskKind.CHECK: CheckVerdict(True),
         }
-        for kind in TaskKind:
-            AgentResult(kind, payloads[kind])
-            for other, payload in payloads.items():
-                if type(payload) is not type(payloads[kind]):
-                    with pytest.raises(AgentError):
-                        AgentResult(kind, payload)
 
-    def test_negative_usage_rejected_and_addition_works(self):
+        class AnswerWith:
+            def __init__(self, payload):
+                self.payload = payload
+
+            def invoke(self, task):
+                return self.payload, TokenUsage()
+
+        for kind in TaskKind:
+            task = task_for(kind, "n", CheckKind.MATH if kind is TaskKind.CHECK else None)
+            assert invoke(AnswerWith(payloads[kind]), task).payload is payloads[kind]
+            for payload in (*payloads.values(), "text", None):
+                if type(payload) is not type(payloads[kind]):
+                    with pytest.raises(MalformedResponse, match=kind.value):
+                        invoke(AnswerWith(payload), task)
+
+    def test_negative_usage_rejected(self):
         with pytest.raises(AgentError):
             TokenUsage(prompt=-1)
-        total = TokenUsage(1, 2, 3, 4) + TokenUsage(10, 20, 30, 40)
-        assert total == TokenUsage(11, 22, 33, 44)
 
     @pytest.mark.parametrize("count", [1.5, True, "7", -1, None])
     def test_a_count_is_a_non_negative_int_in_every_class(self, count):
@@ -136,8 +142,8 @@ class TestScriptedBackend:
         fixture.add(FixtureEntry(key, 2, CheckVerdict(True, "second")))
         backend = ScriptedBackend(fixture)
         task = task_for(TaskKind.CHECK, "n", CheckKind.MATH)
-        assert invoke(backend, task).result.payload.note == "first"
-        assert invoke(backend, task).result.payload.note == "second"
+        assert invoke(backend, task).payload.note == "first"
+        assert invoke(backend, task).payload.note == "second"
         with pytest.raises(FixtureMiss):
             invoke(backend, task)
 
@@ -147,8 +153,8 @@ class TestScriptedBackend:
         seq2 = []
         for backend, out in ((ScriptedBackend(fixture), seq1),
                              (ScriptedBackend(fixture), seq2)):
-            out.append(invoke(backend, task_for(TaskKind.PLAN_INITIAL)).result.payload)
-            out.append(invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).result.payload)
+            out.append(invoke(backend, task_for(TaskKind.PLAN_INITIAL)).payload)
+            out.append(invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).payload)
         assert seq1 == seq2
 
     def test_empty_fixture_misses(self):
@@ -163,8 +169,8 @@ class TestScriptedBackend:
         fixture.add(FixtureEntry(FixtureKey(TaskKind.CHECK, CheckKind.FAITHFULNESS, "a"), 1,
                                  CheckVerdict(False, "faith-a")))
         backend = ScriptedBackend(fixture)
-        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.FAITHFULNESS)).result.payload.note == "faith-a"
-        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.MATH)).result.payload.note == "math-a"
+        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.FAITHFULNESS)).payload.note == "faith-a"
+        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.MATH)).payload.note == "math-a"
 
     def test_usage_and_elapsed_are_reported(self):
         fixture = Fixture()
@@ -221,15 +227,15 @@ class TestFixtureFormat:
         fixture = parse_fixture(FIXTURE_TEXT)
         assert len(fixture.entries) == 4
         backend = ScriptedBackend(fixture)
-        diff = invoke(backend, task_for(TaskKind.PLAN_INITIAL)).result.payload
+        diff = invoke(backend, task_for(TaskKind.PLAN_INITIAL)).payload
         assert diff.adds[0].node_id == "Main"
-        lean = invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).result.payload
+        lean = invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).payload
         assert lean.source == "theorem Main : True := trivial\n"
         verdict = invoke(backend, task_for(TaskKind.CHECK, "Main",
-                                           CheckKind.FAITHFULNESS)).result.payload
+                                           CheckKind.FAITHFULNESS)).payload
         assert verdict.passed and verdict.note == "looks right"
         assert not invoke(backend, task_for(TaskKind.CHECK, "Main",
-                                            CheckKind.MATH)).result.payload.passed
+                                            CheckKind.MATH)).payload.passed
 
     def test_round_trip(self):
         fixture = parse_fixture(FIXTURE_TEXT)
@@ -293,7 +299,7 @@ class TestKindSafety:
     def test_invoke_rejects_backend_answering_the_wrong_kind(self):
         class WrongKindBackend:
             def invoke(self, task):
-                return AgentResult(TaskKind.CHECK, CheckVerdict(True)), TokenUsage()
+                return CheckVerdict(True), TokenUsage()
 
         with pytest.raises(MalformedResponse):
             invoke(WrongKindBackend(), task_for(TaskKind.LEAN_WORK, "n"))

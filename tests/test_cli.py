@@ -559,14 +559,14 @@ def fault_trace_cyclic_frame_after_a_valid_one(tmp_path):
     return ["trace", str(path)]
 
 
-def ledger_with_usage_prompt(command, prompt):
+def ledger_with_usage(command, **fields):
     def make_args(tmp_path):
         path = write_records(
             tmp_path / "ledger.jsonl",
             {"rec": "run", "version": 1, "run_id": "r"},
             {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": "formalized"},
              "edges": []},
-            {"rec": "usage", "kind": "lean", "prompt": prompt},
+            {"rec": "usage", "kind": "lean", **fields},
             {"rec": "outcome", "verdict": "solved", "wall_clock": 60.0,
              "statement_count": 1, "revision": 0},
         )
@@ -705,11 +705,14 @@ def fault_audit_real_verifier(tmp_path):
     pytest.param(fault_trace_cyclic_frame, 2, id="trace-cyclic-frame"),
     pytest.param(fault_trace_cyclic_frame_after_a_valid_one, 2,
                  id="trace-cyclic-frame-after-a-valid-one"),
-    pytest.param(ledger_with_usage_prompt("trace", "x"), 2, id="trace-non-numeric-usage"),
-    pytest.param(ledger_with_usage_prompt("trace", 1.5), 2, id="trace-fractional-usage"),
-    pytest.param(ledger_with_usage_prompt("stats", True), 2, id="stats-bool-usage"),
-    pytest.param(ledger_with_usage_prompt("stats", "x"), 2, id="stats-non-numeric-usage"),
-    pytest.param(ledger_with_usage_prompt("stats", -1), 2, id="stats-negative-usage"),
+    pytest.param(ledger_with_usage("trace", prompt="x"), 2, id="trace-non-numeric-usage"),
+    pytest.param(ledger_with_usage("trace", prompt=1.5), 2, id="trace-fractional-usage"),
+    pytest.param(ledger_with_usage("stats", prompt=True), 2, id="stats-bool-usage"),
+    pytest.param(ledger_with_usage("stats", prompt="x"), 2, id="stats-non-numeric-usage"),
+    pytest.param(ledger_with_usage("stats", prompt=-1), 2, id="stats-negative-usage"),
+    pytest.param(ledger_with_usage("stats", elapsed="soon"), 2, id="stats-usage-elapsed-string"),
+    pytest.param(ledger_with_usage("trace", kind=5), 2, id="trace-usage-kind-not-a-string"),
+    pytest.param(ledger_with_usage("trace", elapsed=-1.0), 2, id="trace-usage-negative-elapsed"),
     pytest.param(fault_stats_solved_without_statements, 2,
                  id="stats-solved-without-statements"),
     pytest.param(fault_stats_missing_ledger, 2, id="stats-missing-ledger"),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proofloop.leanenv as leanenv
 from helpers import BURNSIDE_DIR, oracle_scan, random_lean_file
 from proofloop.lexer import BLOCK, COMMENT, IDENT, OTHER, STRING, tokenize
 from proofloop.looper import find_anchor
@@ -28,7 +29,6 @@ from proofloop.leanenv import (
     parse_build_output,
     parse_sim_rules,
     scan_forbidden_text,
-    signature_match,
 )
 
 CLEAN_LISTING = """/-
@@ -138,6 +138,13 @@ class TestExtractSignature:
         sig = extract_signature_text(text, "t")
         assert sig.conclusion == "x = x"
 
+    def test_an_instance_is_found_by_the_name_after_its_priority(self):
+        text = "instance (priority := 100) foo : Inhabited Nat := ⟨0⟩\n"
+        sig = extract_signature_text(text, "foo")
+        assert (sig.keyword, sig.name, sig.conclusion) == ("instance", "foo", "Inhabited Nat")
+        assert sig.normalized == "instance foo : Inhabited Nat"
+        assert text[sig.header_end:] == ":= ⟨0⟩\n"
+
     def test_missing_declaration(self):
         with pytest.raises(DeclNotFound):
             extract_signature_text("theorem other : True := trivial\n", "t")
@@ -173,23 +180,39 @@ def _ws_with(tmp_path, sources: dict[str, str], target: str | None = None) -> Wo
 
 
 class TestSignatureMatch:
+    """The audit's header comparison, through audit_verdict."""
+
     ANCHOR = "theorem t (x : Nat) : x = x"
+
+    @staticmethod
+    def audit(ws, anchor=ANCHOR):
+        return audit_verdict(ws, anchor, "t", SimVerifier())
 
     def test_reformatted_whitespace_matches(self, tmp_path):
         ws = _ws_with(tmp_path, {"t": "theorem t   (x : Nat) :\n    x = x := rfl\n"}, "t")
-        assert signature_match("theorem t (x : Nat)\n  : x = x", "t", ws)
+        report = self.audit(ws, "theorem t (x : Nat)\n  : x = x")
+        assert report.signature_match and report.passed
 
     def test_weakened_conclusion_rejected(self, tmp_path):
         ws = _ws_with(tmp_path, {"t": "theorem t (x : Nat) : x = x := rfl\n"}, "t")
-        assert not signature_match("theorem t (x : Nat) : x = x ∧ 0 ≤ x", "t", ws)
+        report = self.audit(ws, "theorem t (x : Nat) : x = x ∧ 0 ≤ x")
+        assert not report.signature_match and not report.passed
 
     def test_renamed_declaration_rejected(self, tmp_path):
         ws = _ws_with(tmp_path, {"t": "theorem renamed (x : Nat) : x = x := rfl\n"}, "t")
-        assert not signature_match(self.ANCHOR, "t", ws)
+        report = self.audit(ws)
+        assert not report.signature_match and not report.passed
+        assert report.detail == "target not found: declaration t not found"
+
+    def test_an_instance_priority_is_not_part_of_the_header(self, tmp_path):
+        ws = _ws_with(tmp_path, {"t": "instance (priority := 5) t : Inhabited Nat := ⟨0⟩\n"}, "t")
+        report = self.audit(ws, "instance t : Inhabited Nat")
+        assert report.signature_match and report.passed
 
     def test_missing_target_file_rejected(self, tmp_path):
-        ws = Workspace(root_dir=tmp_path)
-        assert not signature_match(self.ANCHOR, "t", ws)
+        report = self.audit(Workspace(root_dir=tmp_path))
+        assert not report.signature_match and not report.passed
+        assert report.detail == "target not found: workspace has no target file"
 
 
 RULES_TEXT = """simrules v1
@@ -712,6 +735,18 @@ class TestRealVerifierWithStubLake:
         ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n"})
         with pytest.raises(DriverFail, match="unknown module"):
             verifier.audit_axioms(ws, "Main")
+
+    def test_one_audit_looks_the_target_up_once(self, tmp_path, monkeypatch):
+        verifier = RealVerifier(_stub_lake(
+            tmp_path, "echo \"'Main' does not depend on any axioms\"\n"), 30)
+        ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n"})
+        lookups = []
+        real_lookup = leanenv.extract_signature_text
+        monkeypatch.setattr(leanenv, "extract_signature_text",
+                            lambda text, name: lookups.append(name) or real_lookup(text, name))
+        report = audit_verdict(ws, "theorem Main : True", "Main", verifier)
+        assert report.passed, report.detail
+        assert lookups == ["Main"]
 
     def test_a_namespaced_target_is_audited_under_its_full_name(self, tmp_path):
         # Like Lean, the stub lists axioms only for a name that resolves at the top level.

@@ -273,8 +273,8 @@ class TestCost:
            st.tuples(*(st.integers(0, 10**7) for _ in range(4))))
     @settings(max_examples=80, deadline=None)
     def test_additivity_within_one_cent_per_addend(self, a, b):
-        ua, ub = TokenUsage(*a), TokenUsage(*b)
-        drift = abs(cost(ua + ub, RATES) - (cost(ua, RATES) + cost(ub, RATES)))
+        ua, ub, both = TokenUsage(*a), TokenUsage(*b), TokenUsage(*(x + y for x, y in zip(a, b)))
+        drift = abs(cost(both, RATES) - (cost(ua, RATES) + cost(ub, RATES)))
         assert drift <= Decimal("0.02")
 
     @given(st.lists(st.builds(TokenUsage, *(st.integers(0, 10**9) for _ in TOKEN_CLASSES)),
@@ -795,6 +795,35 @@ class TestLoadShapes:
                         + json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(LedgerError, match="malformed ledger record"):
             load_ledger(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": 5}, {"kind": None}, {"check": 3}, {"check": ["math"]}, {"node": True},
+        {"node": {"a": 1}}, {"elapsed": "soon"}, {"elapsed": -1.0}, {"elapsed": -1},
+        {"elapsed": True}, {"elapsed": None}, {"elapsed": float("nan")},
+        {"elapsed": float("inf")},
+    ], ids=repr)
+    def test_a_usage_record_with_a_field_of_the_wrong_type_is_a_ledger_error(self, tmp_path,
+                                                                           fields):
+        path = tmp_path / "run.jsonl"
+        record = {"rec": "usage", "kind": "lean", "check": None, "node": "a", "prompt": 3,
+                  "elapsed": 0.5, **fields}
+        path.write_text(json.dumps({"rec": "run", "version": 3}) + "\n"
+                        + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(LedgerError, match="malformed ledger record: ValueError..usage "):
+            load_ledger(path)
+
+    @pytest.mark.parametrize("fields", [
+        {}, {"check": "math"}, {"node": None}, {"elapsed": 0}, {"elapsed": 7}, {"elapsed": 0.0},
+    ], ids=repr)
+    def test_a_usage_record_of_the_documented_types_loads(self, tmp_path, fields):
+        path = tmp_path / "run.jsonl"
+        record = {"rec": "usage", "kind": "check", "check": None, "node": "a", "prompt": 3,
+                  **fields}
+        path.write_text(json.dumps({"rec": "run", "version": 3}) + "\n"
+                        + json.dumps(record) + "\n", encoding="utf-8")
+        (loaded,) = load_ledger(path).usage_records
+        assert (loaded.check_kind, loaded.node_id) == (record["check"], record["node"])
+        assert loaded.elapsed == fields.get("elapsed", 0.0)
 
     @pytest.mark.parametrize("index, edit", [
         (0, lambda frame: frame["nodes"].update(A="bogus-status")),

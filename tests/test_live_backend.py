@@ -105,8 +105,8 @@ def test_canned_verdict_round_trips(stub):
         "thinking...\nBEGIN-VERDICT\npass\nlooks sound\nEND-VERDICT\ndone",
         {"prompt_tokens": 120, "completion_tokens": 30,
          "cache_read_tokens": 400, "cache_write_tokens": 7})))
-    result, usage = backend_for(stub).invoke(check_task())
-    assert result.payload == CheckVerdict(True, "looks sound")
+    payload, usage = backend_for(stub).invoke(check_task())
+    assert payload == CheckVerdict(True, "looks sound")
     assert usage == TokenUsage(120, 30, 400, 7)
     assert stub.requests[0]["auth"] == "Bearer test-token-123"
     assert stub.requests[0]["body"]["model"] == "test-model"
@@ -127,8 +127,8 @@ def test_transport_failing_twice_then_succeeding_uses_three_attempts(stub):
         (200, ok_body("BEGIN-VERDICT\nfail\nEND-VERDICT")),
     ])
     slept: list[float] = []
-    result, _ = backend_for(stub, slept).invoke(check_task())
-    assert not result.payload.passed
+    payload, _ = backend_for(stub, slept).invoke(check_task())
+    assert not payload.passed
     assert len(stub.requests) == 3
     assert slept == [2.0, 4.0]
 
@@ -169,8 +169,8 @@ def test_lean_source_payload(stub):
     stub.responses.append((200, ok_body(
         "BEGIN-LEAN-SOURCE\ntheorem t : True := trivial\nEND-LEAN-SOURCE")))
     task = AgentTask(TaskKind.LEAN_WORK, LocalContext(node_id="t", statement="s"))
-    result, _ = backend_for(stub).invoke(task)
-    assert result.payload == LeanOutcome("theorem t : True := trivial\n")
+    payload, _ = backend_for(stub).invoke(task)
+    assert payload == LeanOutcome("theorem t : True := trivial\n")
 
 
 def test_diff_payload_parses_into_a_plan_diff(stub):
@@ -180,8 +180,8 @@ def test_diff_payload_parses_into_a_plan_diff(stub):
     )
     stub.responses.append((200, ok_body(f"BEGIN-PLAN-DIFF\n{diff_text}\nEND-PLAN-DIFF")))
     task = AgentTask(TaskKind.PLAN_REVISE, LocalContext(node_id="n", statement="s"))
-    result, _ = backend_for(stub).invoke(task)
-    assert result.payload.adds[0].node_id == "H"
+    payload, _ = backend_for(stub).invoke(task)
+    assert payload.adds[0].node_id == "H"
 
 
 def test_unparseable_diff_payload_is_malformed(stub):

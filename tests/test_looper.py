@@ -25,9 +25,11 @@ from helpers import (
 )
 from proofloop.agents import (
     CheckKind,
+    CheckVerdict,
     MalformedResponse,
     ScriptedBackend,
     TaskKind,
+    TokenUsage,
 )
 from proofloop.leanenv import SimVerifier, Workspace
 from proofloop.ledger import (
@@ -104,10 +106,24 @@ class TestFindAnchor:
     @pytest.mark.parametrize("text", [
         "theorem a : True := trivial\n\nexample : 1 = 1 := by sorry\n",
         "theorem a : True := trivial\n\ninstance : Inhabited Nat := sorry\n",
-    ], ids=["example", "instance"])
+        "instance (priority := 100) : Inhabited Nat := sorry\n",
+        "instance {α} [Inhabited α] : Inhabited (List α) := sorry\n",
+        "theorem a : True := trivial\ninstance (priority := 100 : Inhabited Nat := sorry\n",
+    ], ids=["example", "instance", "instance-with-a-priority", "instance-with-binders",
+            "instance-with-an-open-group"])
     def test_a_sorry_in_an_anonymous_declaration_is_refused(self, text):
         with pytest.raises(InputError, match="anonymous"):
             find_anchor(text)
+
+    @pytest.mark.parametrize("text", [
+        "instance (priority := 100) foo : Inhabited Nat := sorry\n",
+        "instance (priority := low) /- p -/\n  foo : Inhabited Nat := by\n  sorry\n",
+        "scoped instance (priority := high) foo : Inhabited Nat := sorry\n",
+    ], ids=["one-line", "comment-and-newline", "scoped"])
+    def test_an_instance_with_a_priority_is_named_after_the_group(self, text):
+        anchor = find_anchor(text)
+        assert anchor.decl_name == "foo"
+        assert anchor.signature_text == "instance foo : Inhabited Nat"
 
     def test_a_sorry_in_the_header_of_an_equation_style_declaration_is_refused(self):
         with pytest.raises(InputError, match="sorry of t lies in its header"):
@@ -350,6 +366,45 @@ class MalformedOn:
             if self.calls in self.malformed_calls:
                 raise MalformedResponse(f"garbled payload on call {self.calls}")
         return self.inner.invoke(task)
+
+
+class WrongPayloadOn(MalformedOn):
+    """Answers the given calls of one task kind with a check verdict; delegates the rest."""
+
+    def invoke(self, task):
+        if task.kind is self.kind:
+            self.calls += 1
+            if self.calls in self.malformed_calls:
+                return CheckVerdict(True, "not a lean source"), TokenUsage(prompt=1)
+        return self.inner.invoke(task)
+
+
+class TestWrongPayloadType:
+    """A backend that answers with a payload of another task kind is malformed, and retried."""
+
+    def run_wrong(self, tmp_path, wrong_calls):
+        input_file = tmp_path / "input.lean"
+        input_file.write_text(SIMPLE_INPUT, encoding="utf-8")
+        backend = WrongPayloadOn(ScriptedBackend(single_node_fixture()), TaskKind.LEAN_WORK,
+                                 wrong_calls)
+        outcome, ledger = run(input_file, backend, SimVerifier({}), cfg(check_retry_limit=2),
+                              workspace_dir=tmp_path / "ws")
+        return outcome, ledger, backend.calls
+
+    def test_one_wrong_answer_is_retried_and_the_run_solves(self, tmp_path):
+        outcome, ledger, calls = self.run_wrong(tmp_path, {1})
+        assert outcome.verdict is Verdict.SOLVED
+        assert calls == 2
+        # The wrong answer was not charged: only the source that was used.
+        assert sum(r.kind == TaskKind.LEAN_WORK.value for r in ledger.usage_records) == 1
+
+    def test_wrong_answers_on_every_try_stop_as_backend_failure(self, tmp_path):
+        outcome, ledger, calls = self.run_wrong(tmp_path, {1, 2, 3})
+        assert outcome.verdict is Verdict.UNFINISHED
+        assert outcome.reason is StopReason.BACKEND_FAILURE
+        assert calls == 3
+        detail = ledger.events[-1].detail
+        assert "lean work on Main: backend answered a lean task with CheckVerdict" in detail
 
 
 class TestSharedRetryBudget:

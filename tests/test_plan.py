@@ -1,16 +1,19 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     anchor_decl,
     chain_plan,
     mk_node,
+    oracle_closed_cycle,
     oracle_invalidated,
     random_dag_plan,
     random_diff,
 )
+from proofloop.ledger import Frame, depth_layout
 from proofloop.plan import (
     AnchorDecl,
     AnchorError,
@@ -375,8 +378,8 @@ class TestRandomizedInvariants:
             assert next_open_statement(plan) == _next_open_checking_deps(plan)
             fresh = tuple((dep, node_id) for node_id in plan.order
                           for dep in plan.nodes[node_id].deps)
-            assert plan.edges() == fresh
-            assert plan_from_text(plan_to_text(plan)).edges() == fresh
+            assert plan.edges == fresh
+            assert plan_from_text(plan_to_text(plan)).edges == fresh
             if rng.random() < 0.3:
                 plan, _ = apply_diff(plan, random_diff(rng, plan))
             else:
@@ -410,3 +413,46 @@ class TestRandomizedInvariants:
                  for i, text in enumerate(texts)]
         plan = create_plan(nodes)
         assert plan_from_text(plan_to_text(plan)) == plan
+
+
+class TestPlantedCycle:
+    """One back edge planted in a random DAG: every reader of the graph reports a closed
+    cycle of dependency edges."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_create_plan_apply_diff_and_depth_layout_name_a_closed_cycle(self, seed):
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, max_nodes=25)
+        dependents = {node_id: [] for node_id in plan.nodes}
+        for node in plan.nodes.values():
+            for dep in node.deps:
+                dependents[dep].append(node.node_id)
+        starts = [node_id for node_id in plan.order if dependents[node_id]]
+        assume(starts)  # an edge to close a cycle over
+        # Walk downstream from a node with a dependent; it then depends on where the walk ends.
+        top = node_id = rng.choice(starts)
+        while dependents[node_id] and (node_id == top or rng.random() < 0.6):
+            node_id = rng.choice(dependents[node_id])
+        node = plan.nodes[top]
+        deps = {nid: plan.nodes[nid].deps for nid in plan.nodes}
+        deps[top] = (*node.deps, node_id)
+
+        planted = [plan.nodes[nid] for nid in plan.order]
+        planted[plan.order.index(top)] = dataclasses.replace(node, deps=deps[top])
+        with pytest.raises(CycleError) as created:
+            create_plan(planted)
+        assert oracle_closed_cycle(created.value.cycle, deps)
+
+        rewrite = NodeRewrite(top, node.informal, node.sketch, deps[top])
+        with pytest.raises(RejectedDiff) as rejected:
+            apply_diff(plan, PlanDiff(rewrites=(rewrite,), cause=DiffCause.MATH_FAIL))
+        assert isinstance(rejected.value.__cause__, CycleError)
+        assert oracle_closed_cycle(rejected.value.__cause__.cycle, deps)
+
+        edges = (*plan.edges, (node_id, top))
+        frame = Frame(0, dict.fromkeys(rng.sample(plan.order, len(plan.order)), "not-yet"),
+                      tuple(rng.sample(edges, len(edges))), 0)
+        with pytest.raises(CycleError) as laid_out:
+            depth_layout(frame)
+        assert oracle_closed_cycle(laid_out.value.cycle, deps)
