@@ -273,10 +273,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
         rel = path.relative_to(workspace_dir)
         if str(rel) not in generated and rel.parts[0] != ".lake":
             ws.node_files[str(rel)] = str(rel)
-    # The target is the first file that declares the anchored name.
+    # The target is the first file that declares the anchored name; a file without the
+    # name's text declares nothing of that name, and is not tokenized.
     for rel in ws.node_files.values():
+        text = (workspace_dir / rel).read_text(encoding="utf-8")
+        if decl not in text:
+            continue
         try:
-            extract_signature_text((workspace_dir / rel).read_text(encoding="utf-8"), decl)
+            extract_signature_text(text, decl)
         except VerifierError:
             continue
         ws.target_file = rel

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 import statistics
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
-from itertools import chain, compress, filterfalse, repeat
+from heapq import heappop, heappush
+from itertools import chain, compress, count, filterfalse, repeat, starmap
 from operator import itemgetter, mul, ne
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -180,15 +183,17 @@ def _edges_by_node(frame: Frame) -> dict[str, list[tuple[str, str]]]:
 
 
 def read_frame(record: dict[str, Any], previous: Frame | None,
-               shared: dict | None = None) -> Frame:
+               shared: dict | None = None, carried: list | None = None) -> Frame:
     """The frame a frame record stands for: the one reader of frame records.
 
     A record without ``edges`` is a delta on ``previous`` (see :func:`frame_record`).
     A record of the wrong shape, or an edge that names an id outside its frame, is a
     LedgerError that names the frame.  Given ``shared``, one table per read, frames
-    share ids and (dep, node) pairs.
+    share ids and (dep, node) pairs; given ``carried`` too, a structure delta starts
+    from the per-node pairs the one before it left, if they are ``previous``'s.
     """
     index, revision, nodes = record.get("index"), record.get("revision"), record.get("nodes")
+    by_node = None
     try:
         if type(index) is not int or type(revision) is not int:
             raise ValueError("index and revision must be integers")
@@ -207,7 +212,9 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
                 raise ValueError(f"the delta names a node not in frame {previous.index}")
             return Frame(index, {**previous.node_states, **statuses}, previous.edges, revision)
         else:
-            states, pairs = _restructure(record, previous, statuses)
+            by_node = (carried[1] if carried and carried[0] is previous.edges
+                       else _edges_by_node(previous))
+            states, pairs = _restructure(record, previous, statuses, by_node)
         if not set(chain.from_iterable(pairs)) <= states.keys():
             raise ValueError("an edge names an id outside the frame")
     except KeyError as exc:
@@ -220,13 +227,17 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
         if shared is not None:
             states = dict(zip(map(shared.setdefault, states, states), states.values()))
             pairs = tuple(map(shared.setdefault, pairs, pairs))
+        if carried is not None and by_node is not None:
+            carried[:] = pairs, by_node
         return Frame(index, states, pairs, revision)
     raise LedgerError(f"malformed ledger record: frame {index!r}: {fault}")
 
 
-def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, str]):
+def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, str],
+                 by_node: dict[str, list[tuple[str, str]]]):
     """The statuses and edges of a delta that changes the structure of ``previous``:
-    the node order is rebuilt from the predecessor links, the edges from the deps."""
+    the node order is rebuilt from the predecessor links, the edges from the deps.
+    ``by_node`` holds each id's pairs in ``previous`` and is patched to the new frame's."""
     removed, after, new_deps = map(record.get, ("removed", "after", "deps"), ([], {}, {}))
     if type(removed) is not list or type(after) is not dict or type(new_deps) is not dict:
         raise ValueError("removed is not a list, or after or deps is not an object")
@@ -248,10 +259,13 @@ def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, st
         raise ValueError("the predecessor links do not form one chain")
     if not set(map(type, new_deps.values())) <= {list} or not new_deps.keys() <= pred.keys():
         raise ValueError("deps is not an object of lists of the frame's ids")
-    edges = _edges_by_node(previous)  # the pairs a survivor keeps, shared with previous
-    edges.update({nid: [(dep, nid) for dep in deps] for nid, deps in new_deps.items()})
-    states = {nid: statuses.get(nid) or previous.node_states[nid] for nid in ordered}
-    return states, tuple(chain.from_iterable(map(edges.get, ordered, repeat(()))))
+    by_node.update({nid: [(dep, nid) for dep in deps] for nid, deps in new_deps.items()})
+    states = dict(zip(ordered, map(previous.node_states.get, ordered)))
+    states.update(statuses)
+    pairs = tuple(chain.from_iterable(map(by_node.get, ordered, repeat(()))))
+    for nid in gone.difference(states):
+        by_node.pop(nid, None)
+    return states, pairs
 
 
 _OPTIONAL_STR = frozenset({str, type(None)})
@@ -409,6 +423,7 @@ def load_ledger(path: Path) -> RunLedger:
     ledger = RunLedger(run_id=header.get("run_id", ""))
     ledger._closed = True
     shared: dict = {}
+    carried: list = []
     try:
         for record in records:
             kind = record.get("rec")
@@ -419,7 +434,7 @@ def load_ledger(path: Path) -> RunLedger:
                 ))
             elif kind == "frame":
                 ledger.frames.append(read_frame(
-                    record, ledger.frames[-1] if ledger.frames else None, shared))
+                    record, ledger.frames[-1] if ledger.frames else None, shared, carried))
             elif kind == "usage":
                 try:
                     counts = _record_counts(record)
@@ -625,21 +640,96 @@ TRACE_FORMATS = ("text", "dot")
 _EDGE_LINES = {"text": "  edge {} {}", "dot": '  "{}" -> "{}";'}
 
 
+class _Layout:
+    """One structure's levels, its nodes in (level, id) order, its sorted (dep, node)
+    pairs with their rendered lines, and each id's deps and users over every pair."""
+
+    def __init__(self, frame: Frame, line) -> None:
+        """Lay ``frame`` out in full, from :func:`depth_layout`."""
+        self.line, self.levels = line, depth_layout(frame)
+        self.nodes, self.edges = frame.node_states.keys(), frame.edges
+        self.ordered = sorted(zip(self.levels.values(), self.levels))
+        self.pairs = sorted(frame.edges)  # a repeated pair is printed once per occurrence
+        self.lines = list(starmap(line, self.pairs))
+        self.pair_set = set(frame.edges)
+        self.deps, self.users = defaultdict(set), defaultdict(set)
+        for dep, node in self.pair_set:
+            self.deps[node].add(dep)
+            self.users[dep].add(node)
+
+    def level(self, node: str, nodes: dict) -> int:
+        """One above ``node``'s deepest dep in ``nodes``, or 0."""
+        return max([self.levels[dep] for dep in self.deps[node] if dep in nodes], default=-1) + 1
+
+    def patch(self, frame: Frame) -> bool:
+        """Patch the layout in place to ``frame``'s structure, by the pairs and ids that
+        came and went.  False, with the layout spoilt, where it cannot: a repeated pair,
+        or a level past the node count, which only a cycle reaches."""
+        pairs, nodes, levels = set(frame.edges), frame.node_states, self.levels
+        if len(pairs) < len(frame.edges) or len(self.pair_set) < len(self.pairs):
+            return False
+        came, went = nodes.keys() - self.nodes, self.nodes - nodes.keys()
+        dirty = set(came)  # the ids whose deps in the frame may have changed
+        for pair in pairs ^ self.pair_set:
+            dep, node = pair
+            i = bisect_left(self.pairs, pair)
+            if pair in pairs:
+                self.deps[node].add(dep)
+                self.users[dep].add(node)
+                self.pairs.insert(i, pair)
+                self.lines.insert(i, self.line(dep, node))
+            else:
+                self.deps[node].discard(dep)
+                self.users[dep].discard(node)
+                del self.pairs[i], self.lines[i]
+            dirty.add(node)
+        for nid in chain(came, went):
+            dirty.update(self.users[nid])
+        for nid in went:
+            del self.ordered[bisect_left(self.ordered, (levels.pop(nid), nid))]
+        levels.update(dict.fromkeys(came, 0))
+        # Re-level in frame order, a topological one in every ledger the loop writes.
+        position = dict(zip(nodes, count()))
+        queue = sorted((position[nid], nid) for nid in dirty if nid in nodes)  # a heap
+        queued, before = set(dirty), {}
+        while queue:
+            nid = heappop(queue)[1]
+            queued.discard(nid)
+            level = self.level(nid, nodes)
+            if level == levels[nid]:
+                continue
+            if level > len(nodes):
+                return False
+            before.setdefault(nid, levels[nid])
+            levels[nid] = level
+            for user in self.users[nid] - queued:
+                if user in nodes:
+                    heappush(queue, (position[user], user))
+                    queued.add(user)
+        for nid, level in before.items():
+            if nid not in came and level != levels[nid]:
+                del self.ordered[bisect_left(self.ordered, (level, nid))]
+                insort(self.ordered, (levels[nid], nid))
+        for nid in came:
+            insort(self.ordered, (levels[nid], nid))
+        self.nodes, self.edges, self.pair_set = nodes.keys(), frame.edges, pairs
+        return True
+
+
 def _layouts(frames: list[Frame], fmt: str):
     """Yield each frame with its nodes in (level, id) order and its rendered edge lines.
 
-    The layout depends only on the edges and the node set, so it is computed
-    again only when a frame's differ from the previous frame's.
+    The layout depends only on the edges and the node set.  The first structure is laid
+    out in full, each later one is patched from the one before where it can be, and the
+    lists are patched in place: each is read before the next frame is asked for.
     """
-    edges: Any = None
-    node_ids: Any = None
+    layout = None
     for frame in frames:
-        if frame.edges != edges or frame.node_states.keys() != node_ids:
-            levels = depth_layout(frame)
-            edges, node_ids = frame.edges, frame.node_states.keys()
-            ordered = sorted((levels[node], node) for node in node_ids)
-            edge_lines = [_EDGE_LINES[fmt].format(dep, node) for dep, node in sorted(edges)]
-        yield frame, ordered, edge_lines
+        if layout is None or ((frame.edges != layout.edges
+                               or frame.node_states.keys() != layout.nodes)
+                              and not layout.patch(frame)):
+            layout = _Layout(frame, _EDGE_LINES[fmt].format)
+        yield frame, layout.ordered, layout.lines
 
 
 def export_trace(ledger: RunLedger, fmt: str) -> str:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from helpers import BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, mk_node, single_node_fixture
+from proofloop import cli, leanenv
 from proofloop.agents import ScriptedBackend, fixture_to_text, load_fixture
 from proofloop.cli import OPTION_READERS, build_parser, main, parse_duration, UsageError
 from proofloop.leanenv import SimVerifier, load_sim_rules
@@ -200,6 +201,24 @@ class TestAuditCommand:
         assert code == 0
         assert summary["pass"] is True
         assert summary["axioms"] == ["Classical.choice", "Quot.sound", "propext"]
+
+    def test_the_target_is_found_without_tokenizing_the_other_files(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        workspace = self._run_burnside(tmp_path, capsys)
+        assert len(list(workspace.rglob("*.lean"))) > 30
+        calls = []
+        real = leanenv.extract_signature_text
+
+        def counting(text, decl_name):
+            calls.append(decl_name)
+            return real(text, decl_name)
+
+        monkeypatch.setattr(leanenv, "extract_signature_text", counting)
+        monkeypatch.setattr(cli, "extract_signature_text", counting)
+        code = main(["audit", str(workspace), "--verifier", "sim",
+                     "--sim-rules", str(BURNSIDE_DIR / "sim-rules.txt")])
+        assert code == 0 and summary_of(capsys)["pass"] is True
+        assert calls == ["MainTheorem"] * 2  # one to pick the target, one to audit it
 
     def test_admit_occurrence_fails_and_is_listed(self, tmp_path, capsys):
         workspace = self._run_burnside(tmp_path, capsys)

@@ -764,6 +764,68 @@ class TestTraceReusesLayoutsByContent:
             export_trace(ledger, fmt)
 
 
+def random_frame_sequence(rng: random.Random) -> list[Frame]:
+    """Frames of a plan under random diffs and status changes, mixed with frames no
+    loop writes: ids dropped with their edges left in place (they come back in a later
+    frame), a shuffled node order, a repeated pair, and last, now and then, a back edge."""
+    plan = random_dag_plan(rng, 12)
+    frames = [ledger_frame_of(plan, 0)]
+    for _ in range(rng.randint(1, 10)):
+        last = frames[-1]
+        nodes, edges = dict(last.node_states), last.edges
+        step = rng.choice(["diff", "diff", "status", "drop", "shuffle", "repeat"])
+        if step in ("diff", "status"):
+            if step == "status":
+                plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
+            else:
+                try:
+                    plan = apply_diff(plan, random_diff(rng, plan))[0]
+                except PlanError:
+                    continue
+            nodes, edges = ledger_frame_of(plan, 0).node_states, plan.edges
+        elif step == "drop" and len(nodes) > 1:
+            for nid in rng.sample(list(nodes), rng.randint(1, min(3, len(nodes) - 1))):
+                del nodes[nid]
+        elif step == "shuffle":
+            items = list(nodes.items())
+            rng.shuffle(items)
+            nodes = dict(items)
+        elif step == "repeat" and edges:
+            edges += (rng.choice(edges),)
+        frames.append(Frame(len(frames), nodes, edges, plan.revision))
+    if frames[-1].edges and rng.random() < 0.3:
+        dep, node = rng.choice(frames[-1].edges)
+        frames.append(Frame(len(frames), frames[-1].node_states,
+                            frames[-1].edges + ((node, dep),), plan.revision))
+    return frames
+
+
+class TestTracePatchesLayouts:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_export_equals_the_oracle_or_names_the_first_cycle(self, seed):
+        frames = random_frame_sequence(random.Random(seed))
+        cyclic = None
+        for k, frame in enumerate(frames):
+            try:
+                oracle_levels(list(frame.node_states), [
+                    (dep, node) for dep, node in frame.edges
+                    if dep in frame.node_states and node in frame.node_states])
+            except AssertionError:
+                cyclic = k
+                break
+        for fmt in ("text", "dot"):
+            ledger = RunLedger("r", frames=frames[:cyclic])
+            if ledger.frames:
+                assert export_trace(ledger, fmt) == oracle_trace(ledger.frames, fmt)
+            if cyclic is not None:
+                with pytest.raises(CycleError) as expected:
+                    depth_layout(frames[cyclic])
+                with pytest.raises(CycleError) as got:
+                    export_trace(RunLedger("r", frames=frames), fmt)
+                assert str(got.value) == str(expected.value)
+
+
 class TestLoadShapes:
     def test_consecutive_equal_edge_lists_share_one_tuple(self, tmp_path):
         three_closes_ledger(tmp_path / "run.jsonl")

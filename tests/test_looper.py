@@ -2,6 +2,9 @@ import builtins
 import importlib.util
 import io
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from helpers import (
     error_src,
     main_clean_src,
     mk_node,
+    oracle_levels,
     replan_fixture,
     single_node_fixture,
     sorried_src,
@@ -708,26 +712,54 @@ class TestStructureWorkGuard:
                 if event.kind is EventKind.DIFF_APPLIED] == ["S0"] * self.SPLITS
         return ledger_path, ledger
 
-    def test_trace_lays_out_each_distinct_structure_once(self, tmp_path, monkeypatch):
+    def test_trace_lays_out_once_and_relevels_in_proportion_to_each_diff(self, tmp_path,
+                                                                          monkeypatch):
+        """One full layout per export; at each structure change, only the ids the diff
+        touched and the users of an id whose level changed are re-levelled, once each."""
         ledger_path, _ = self.run_replan(tmp_path)
         frames = load_ledger(ledger_path).frames
-        structures = sum(1 for i, frame in enumerate(frames)
-                         if i == 0 or frame.edges != frames[i - 1].edges
-                         or frame.node_states.keys() != frames[i - 1].node_states.keys())
-        assert structures == 1 + self.SPLITS < len(frames)
-        calls = 0
-        real_layout = ledger_mod.depth_layout
+        changes = [i for i in range(1, len(frames)) if frames[i].edges != frames[i - 1].edges
+                   or frames[i].node_states.keys() != frames[i - 1].node_states.keys()]
+        assert len(changes) == self.SPLITS < len(frames) - 1
+        layouts, relevelled = 0, []
+        real_layout, real_level = ledger_mod.depth_layout, ledger_mod._Layout.level
 
         def counting_layout(frame):
-            nonlocal calls
-            calls += 1
+            nonlocal layouts
+            layouts += 1
             return real_layout(frame)
 
+        def recording_level(layout, node, nodes):
+            relevelled.append(node)
+            return real_level(layout, node, nodes)
+
         monkeypatch.setattr(ledger_mod, "depth_layout", counting_layout)
+        monkeypatch.setattr(ledger_mod._Layout, "level", recording_level)
         for fmt in ("text", "dot"):
-            calls = 0
+            layouts = 0
             export_trace(load_ledger(ledger_path), fmt)
-            assert calls == structures
+            assert layouts == 1
+        relevelled.clear()
+        counts = []
+        for i, _ in enumerate(ledger_mod._layouts(frames, "text")):
+            if i not in changes:
+                assert relevelled == []
+                continue
+            old, new = frames[i - 1], frames[i]
+            levels = [oracle_levels(list(f.node_states), f.edges) for f in (old, new)]
+            came = new.node_states.keys() - old.node_states.keys()
+            touched = came | {node for _, node in set(old.edges) ^ set(new.edges)}
+            moved = {nid for nid in levels[0].keys() & levels[1].keys()
+                     if levels[0][nid] != levels[1][nid]}
+            pushed = {node for dep, node in new.edges if dep in moved}
+            bound = (touched | pushed) & new.node_states.keys()
+            assert len(relevelled) == len(set(relevelled))
+            assert set(relevelled) <= bound
+            counts.append(len(relevelled))
+            relevelled.clear()
+        # The first split lifts every statement above the new helper; each later one
+        # re-levels only its new helper and S0.
+        assert counts == [self.STATEMENTS + 1] + [2] * (self.SPLITS - 1)
 
     def test_the_writer_serialises_edges_once_per_run(self, tmp_path, monkeypatch):
         """Only the first frame holds the edge list; a diff's frame holds the deps that changed."""
@@ -860,3 +892,17 @@ class TestBenchmarkRunContract:
         bench.iterate()
         assert bench.failures == []
         assert bench.attempted == 3  # run, replay and trace
+
+
+class TestGcTicksProbe:
+    def test_one_burnside_iteration_prints_its_ticks_and_timed_calls(self):
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "gc_ticks.py"), "--workload", "burnside",
+             "--seed", "701", "--iterations", "1"],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        calls = r"(?: \| \w+ \d+\.\d{3}s raw \d+\.\d{3}s scaled (?:-|G+))"
+        assert re.fullmatch(rf"iteration 1: ticks [.G]{{3}}{calls}{{3}}\nclosing tick: [.G]\n",
+                            result.stdout)
+        assert [cell.split()[0] for cell in result.stdout.split(" | ")[1:]] == [
+            "run_s", "replay_s", "trace_s"]
