@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -190,9 +190,11 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
     A record of the wrong shape, or an edge that names an id outside its frame, is a
     LedgerError that names the frame.  Given ``shared``, one table per read, frames
     share ids and (dep, node) pairs; given ``carried`` too, a structure delta starts
-    from the per-node pairs the one before it left, if they are ``previous``'s.
+    from the per-node pairs the one before it left, if they are ``previous``'s.  A
+    delta is read by what it names: the ids, links and deps it lists.
     """
     index, revision, nodes = record.get("index"), record.get("revision"), record.get("nodes")
+    intern = ({} if shared is None else shared).setdefault
     by_node = None
     try:
         if type(index) is not int or type(revision) is not int:
@@ -204,7 +206,10 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
             raw = record["edges"]
             if type(raw) is not list or set(map(type, raw)) - {list} or set(map(len, raw)) - {2}:
                 raise ValueError("edges is not a list of [dep, node] pairs")
-            states, pairs = statuses, tuple(map(tuple, raw))
+            pairs = tuple(map(tuple, raw))
+            _check_edges(pairs, statuses)
+            states = dict(zip(map(intern, statuses, statuses), statuses.values()))
+            pairs = tuple(map(intern, pairs, pairs))
         elif previous is None:
             raise ValueError("a delta with no frame before it")
         elif record.keys().isdisjoint(("removed", "after", "deps")):  # statuses only
@@ -214,9 +219,7 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
         else:
             by_node = (carried[1] if carried and carried[0] is previous.edges
                        else _edges_by_node(previous))
-            states, pairs = _restructure(record, previous, statuses, by_node)
-        if not set(chain.from_iterable(pairs)) <= states.keys():
-            raise ValueError("an edge names an id outside the frame")
+            states, pairs = _restructure(record, previous, statuses, by_node, intern)
     except KeyError as exc:
         fault = f"unknown status {exc}"
     except TypeError:
@@ -224,46 +227,64 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
     except ValueError as exc:
         fault = str(exc)
     else:
-        if shared is not None:
-            states = dict(zip(map(shared.setdefault, states, states), states.values()))
-            pairs = tuple(map(shared.setdefault, pairs, pairs))
         if carried is not None and by_node is not None:
             carried[:] = pairs, by_node
         return Frame(index, states, pairs, revision)
     raise LedgerError(f"malformed ledger record: frame {index!r}: {fault}")
 
 
+def _check_edges(pairs: Iterable[tuple[str, str]], states: dict[str, str]) -> None:
+    if not set(chain.from_iterable(pairs)) <= states.keys():
+        raise ValueError("an edge names an id outside the frame")
+
+
 def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, str],
-                 by_node: dict[str, list[tuple[str, str]]]):
-    """The statuses and edges of a delta that changes the structure of ``previous``:
-    the node order is rebuilt from the predecessor links, the edges from the deps.
-    ``by_node`` holds each id's pairs in ``previous`` and is patched to the new frame's."""
+                 by_node: dict[str, list[tuple[str, str]]], intern):
+    """The statuses and edges of a delta that changes the structure of ``previous``.
+
+    The node order is rebuilt from runs of the previous order: a run ends where a
+    removed id or an id that ``after`` places anew cuts it, and starts after its first
+    id's old predecessor.  Only these runs and ``after``'s ids are followed one by one.
+    ``by_node`` holds each id's pairs in ``previous`` and is patched to the new frame's.
+    Only the new ids and pairs are interned and checked: a carried pair was checked
+    with ``previous``, and only a removal can make it name an id outside the frame.
+    """
     removed, after, new_deps = map(record.get, ("removed", "after", "deps"), ([], {}, {}))
     if type(removed) is not list or type(after) is not dict or type(new_deps) is not dict:
         raise ValueError("removed is not a list, or after or deps is not an object")
-    gone = set(removed)
-    if not gone <= previous.node_states.keys():
+    old, gone = previous.node_states, set(removed)
+    if not gone <= old.keys():
         raise ValueError("removed names an unknown id")
-    order = list(previous.node_states)
-    pred = {nid: p for nid, p in zip(order, [None, *order]) if nid not in gone}
-    if not statuses.keys() - pred.keys() <= after.keys() <= pred.keys() | statuses.keys():
+    if len(gone) < len(removed) or not gone.isdisjoint(statuses):
+        raise ValueError("removed names an id twice, or one that nodes lists")
+    came = set(filterfalse(old.__contains__, statuses))
+    moved = after.keys() - came  # the kept ids that after places anew
+    if not came <= after.keys() or not moved <= old.keys() or not moved.isdisjoint(gone):
         raise ValueError("after names an unknown or removed id, or misses a new one")
-    pred.update(after)
+    order, cut = list(old), gone | moved
+    runs, start = {}, 0  # each run by the id it follows
+    for end in [*compress(count(), map(cut.__contains__, order)), len(order)]:
+        if start < end:
+            runs[order[start - 1] if start else None] = order[start:end]
+        start = end + 1
     # An id after an unknown id, or after the same id as another, is left out of the chain.
-    follower = dict(zip(pred.values(), pred))
-    ordered, nid = [], follower.get(None)
-    while nid is not None:
-        ordered.append(nid)
-        nid = follower.get(nid)
-    if len(ordered) < len(pred):
+    runs.update({pred: [intern(nid, nid)] for nid, pred in after.items()})
+    ordered, run = [], runs.get(None)
+    while run is not None:
+        ordered += run
+        run = runs.get(run[-1])
+    if len(ordered) < len(order) - len(gone) + len(came):
         raise ValueError("the predecessor links do not form one chain")
-    if not set(map(type, new_deps.values())) <= {list} or not new_deps.keys() <= pred.keys():
-        raise ValueError("deps is not an object of lists of the frame's ids")
-    by_node.update({nid: [(dep, nid) for dep in deps] for nid, deps in new_deps.items()})
-    states = dict(zip(ordered, map(previous.node_states.get, ordered)))
+    states = dict(zip(ordered, map(old.get, ordered)))
     states.update(statuses)
+    if not set(map(type, new_deps.values())) <= {list} or not new_deps.keys() <= states.keys():
+        raise ValueError("deps is not an object of lists of the frame's ids")
+    fresh = {nid: [intern(pair, pair) for pair in zip(map(intern, deps, deps), repeat(nid))]
+             for nid, deps in zip(map(intern, new_deps, new_deps), new_deps.values())}
+    by_node.update(fresh)
     pairs = tuple(chain.from_iterable(map(by_node.get, ordered, repeat(()))))
-    for nid in gone.difference(states):
+    _check_edges(pairs if gone else chain.from_iterable(fresh.values()), states)
+    for nid in gone:
         by_node.pop(nid, None)
     return states, pairs
 
@@ -634,37 +655,70 @@ def render_stats_row(stats: RunStats) -> str:
 # ---------------------------------------------------------------------------
 # Trace export.
 
-TRACE_FORMATS = ("text", "dot")
-
-
+# Per format: a node line from (level, id, status, color), an edge line from (dep, node),
+# and the trace's opening lines, a frame's header from (index, revision), its footer and
+# the separator between frames.
+_NODE_LINES = {"text": "  {} {} {}",
+               "dot": '  "{1}" [class="{2}", fillcolor="{3}", label="{1}\\nL{0}"];'}
 _EDGE_LINES = {"text": "  edge {} {}", "dot": '  "{}" -> "{}";'}
+_FRAMING = {"text": (["prooftrace v1"], "frame {} revision {}", "end", "\n"),
+            "dot": ([], "digraph frame{} {{\n  rankdir=BT;\n  node [shape=box, style=filled];",
+                    "}", "\n\n")}
 
 
 class _Layout:
-    """One structure's levels, its nodes in (level, id) order, its sorted (dep, node)
-    pairs with their rendered lines, and each id's deps and users over every pair."""
+    """One structure's levels, its nodes in (level, id) order with their lines rendered
+    for the last frame's statuses, its sorted (dep, node) pairs with their rendered
+    lines, and each id's deps and users over every pair."""
 
-    def __init__(self, frame: Frame, line) -> None:
+    def __init__(self, frame: Frame, fmt: str) -> None:
         """Lay ``frame`` out in full, from :func:`depth_layout`."""
-        self.line, self.levels = line, depth_layout(frame)
+        self.node_line, self.edge_line = _NODE_LINES[fmt].format, _EDGE_LINES[fmt].format
+        self.levels, self.states = depth_layout(frame), frame.node_states
         self.nodes, self.edges = frame.node_states.keys(), frame.edges
         self.ordered = sorted(zip(self.levels.values(), self.levels))
+        self.node_lines = [self.render(level, nid, self.states[nid]) for level, nid in self.ordered]
         self.pairs = sorted(frame.edges)  # a repeated pair is printed once per occurrence
-        self.lines = list(starmap(line, self.pairs))
+        self.edge_lines = list(starmap(self.edge_line, self.pairs))
         self.pair_set = set(frame.edges)
         self.deps, self.users = defaultdict(set), defaultdict(set)
         for dep, node in self.pair_set:
             self.deps[node].add(dep)
             self.users[dep].add(node)
 
+    def render(self, level: int, node: str, status: str) -> str:
+        return self.node_line(level, node, status, FRAME_COLORS[status])
+
     def level(self, node: str, nodes: dict) -> int:
         """One above ``node``'s deepest dep in ``nodes``, or 0."""
         return max([self.levels[dep] for dep in self.deps[node] if dep in nodes], default=-1) + 1
 
+    def _place(self, node: str, status: str) -> None:
+        """Insert ``node`` and its line at its level."""
+        entry = (self.levels[node], node)
+        i = bisect_left(self.ordered, entry)
+        self.ordered.insert(i, entry)
+        self.node_lines.insert(i, self.render(*entry, status))
+
+    def _drop(self, level: int, node: str) -> None:
+        i = bisect_left(self.ordered, (level, node))
+        del self.ordered[i], self.node_lines[i]
+
+    def restate(self, frame: Frame, done: set | frozenset = frozenset()) -> None:
+        """Re-render the lines of the ids, but ``done``, whose status differs from the
+        last frame's."""
+        states = frame.node_states
+        for node, status in _changed(states, self.states, repeat(None)).items():
+            if node not in done:
+                level = self.levels[node]
+                self.node_lines[bisect_left(self.ordered, (level, node))] = self.render(
+                    level, node, status)
+        self.states = states
+
     def patch(self, frame: Frame) -> bool:
-        """Patch the layout in place to ``frame``'s structure, by the pairs and ids that
-        came and went.  False, with the layout spoilt, where it cannot: a repeated pair,
-        or a level past the node count, which only a cycle reaches."""
+        """Patch the layout in place to ``frame``'s structure and statuses, by the pairs
+        and ids that came and went.  False, with the layout spoilt, where it cannot: a
+        repeated pair, or a level past the node count, which only a cycle reaches."""
         pairs, nodes, levels = set(frame.edges), frame.node_states, self.levels
         if len(pairs) < len(frame.edges) or len(self.pair_set) < len(self.pairs):
             return False
@@ -677,16 +731,16 @@ class _Layout:
                 self.deps[node].add(dep)
                 self.users[dep].add(node)
                 self.pairs.insert(i, pair)
-                self.lines.insert(i, self.line(dep, node))
+                self.edge_lines.insert(i, self.edge_line(dep, node))
             else:
                 self.deps[node].discard(dep)
                 self.users[dep].discard(node)
-                del self.pairs[i], self.lines[i]
+                del self.pairs[i], self.edge_lines[i]
             dirty.add(node)
         for nid in chain(came, went):
             dirty.update(self.users[nid])
         for nid in went:
-            del self.ordered[bisect_left(self.ordered, (levels.pop(nid), nid))]
+            self._drop(levels.pop(nid), nid)
         levels.update(dict.fromkeys(came, 0))
         # Re-level in frame order, a topological one in every ledger the loop writes.
         position = dict(zip(nodes, count()))
@@ -706,64 +760,46 @@ class _Layout:
                 if user in nodes:
                     heappush(queue, (position[user], user))
                     queued.add(user)
-        for nid, level in before.items():
-            if nid not in came and level != levels[nid]:
-                del self.ordered[bisect_left(self.ordered, (level, nid))]
-                insort(self.ordered, (levels[nid], nid))
-        for nid in came:
-            insort(self.ordered, (levels[nid], nid))
+        moved = {nid for nid, level in before.items() if nid not in came and level != levels[nid]}
+        for nid in moved:
+            self._drop(before[nid], nid)
+        for nid in came | moved:
+            self._place(nid, nodes[nid])
         self.nodes, self.edges, self.pair_set = nodes.keys(), frame.edges, pairs
+        self.restate(frame, came | moved)
         return True
 
 
-def _layouts(frames: list[Frame], fmt: str):
-    """Yield each frame with its nodes in (level, id) order and its rendered edge lines.
+def _layouts(frames: list[Frame], fmt: str) -> Iterator[tuple[Frame, _Layout]]:
+    """Yield each frame with the layout whose node and edge lines render it.
 
     The layout depends only on the edges and the node set.  The first structure is laid
-    out in full, each later one is patched from the one before where it can be, and the
-    lists are patched in place: each is read before the next frame is asked for.
+    out in full, each later one is patched from the one before where it can be, and a
+    node line is rendered again only where its id's level or status changed.  The
+    layout is patched in place: its lines are read before the next frame is asked for.
     """
     layout = None
     for frame in frames:
-        if layout is None or ((frame.edges != layout.edges
-                               or frame.node_states.keys() != layout.nodes)
-                              and not layout.patch(frame)):
-            layout = _Layout(frame, _EDGE_LINES[fmt].format)
-        yield frame, layout.ordered, layout.lines
+        if layout is None:
+            layout = _Layout(frame, fmt)
+        elif frame.edges == layout.edges and frame.node_states.keys() == layout.nodes:
+            layout.restate(frame)
+        elif not layout.patch(frame):
+            layout = _Layout(frame, fmt)
+        yield frame, layout
 
 
 def export_trace(ledger: RunLedger, fmt: str) -> str:
     """Render every frame; deterministic ordering by (level, node id).  Each frame's
     lines are joined as it is rendered, so only its lines live next to the text."""
-    if fmt not in TRACE_FORMATS:
+    if fmt not in _FRAMING:
         raise UnsupportedFormat(f"unsupported trace format {fmt!r}")
     if not ledger.frames:
         raise LedgerError("ledger has no frames to export")
-    if fmt == "text":
-        chunks = ["prooftrace v1"]
-        for frame, ordered, edge_lines in _layouts(ledger.frames, fmt):
-            states = frame.node_states
-            lines = [f"frame {frame.index} revision {frame.plan_revision}"]
-            lines += [f"  {level} {node} {states[node]}" for level, node in ordered]
-            lines += edge_lines
-            lines.append("end")
-            chunks.append("\n".join(lines))
-        chunks[-1] += "\n"
-        return "\n".join(chunks)
-
-    chunks = []
-    for frame, ordered, edge_lines in _layouts(ledger.frames, fmt):
-        lines = [f"digraph frame{frame.index} {{"]
-        lines.append('  rankdir=BT;')
-        lines.append('  node [shape=box, style=filled];')
-        for level, node in ordered:
-            status = frame.node_states[node]
-            color = FRAME_COLORS[status]
-            lines.append(
-                f'  "{node}" [class="{status}", fillcolor="{color}", label="{node}\\nL{level}"];'
-            )
-        lines.extend(edge_lines)
-        lines.append("}")
-        chunks.append("\n".join(lines))
+    opening, header, footer, separator = _FRAMING[fmt]
+    chunks = list(opening)
+    for frame, layout in _layouts(ledger.frames, fmt):
+        chunks.append("\n".join([header.format(frame.index, frame.plan_revision),
+                                 *layout.node_lines, *layout.edge_lines, footer]))
     chunks[-1] += "\n"
-    return "\n\n".join(chunks)
+    return separator.join(chunks)

@@ -264,6 +264,9 @@ def expand_deltas(records: list[dict]) -> list[dict]:
             order, edges = list(full["nodes"]), full["edges"]
             if record.keys() & {"removed", "after", "deps"}:
                 removed = record.get("removed", [])
+                gone = set(removed)
+                assert len(gone) == len(removed) and not gone & record["nodes"].keys(), \
+                    f"frame {record['index']}: a delta that removes an id twice or lists it again"
                 before = dict(zip(order, [None] + order))
                 before.update(record.get("after", {}))
                 order = [None]
@@ -290,6 +293,39 @@ def oracle_frames(records: list[dict]) -> list[SimpleNamespace]:
     return [SimpleNamespace(index=r["index"], plan_revision=r["revision"], node_states=r["nodes"],
                             edges=[tuple(edge) for edge in r["edges"]])
             for r in expand_deltas(records) if r.get("rec") == "frame"]
+
+
+def oracle_delta_accepted(previous: dict, delta: dict) -> bool:
+    """Whether a reader accepts ``delta`` on the full frame record ``previous``, by the
+    rules of docs/formats.md "Ledger version 3", one rule at a time.  The keys are
+    assumed to hold the JSON types the rules ask for.
+
+    The node order is walked by scanning, at each step, every id for those that
+    follow the last one placed: exactly one must.
+    """
+    old, nodes = list(previous["nodes"]), delta["nodes"]
+    removed, after = delta.get("removed", []), delta.get("after", {})
+    if any(nid not in old for nid in removed):
+        return False
+    if len(set(removed)) < len(removed) or any(nid in nodes for nid in removed):
+        return False
+    ids = [nid for nid in old if nid not in removed] + [nid for nid in nodes if nid not in old]
+    if any(nid not in ids for nid in after) or any(nid not in after for nid in nodes
+                                                   if nid not in old):
+        return False
+    pred = dict(zip(old, [None] + old))
+    pred.update(after)
+    last = None
+    for _ in ids:
+        following = [nid for nid in ids if pred[nid] == last]
+        if len(following) != 1:
+            return False
+        last = following[0]
+    deps = {nid: [dep for dep, node in previous["edges"] if node == nid] for nid in ids}
+    if any(nid not in ids for nid in delta.get("deps", {})):
+        return False
+    deps.update(delta.get("deps", {}))
+    return all(dep in ids for nid in ids for dep in deps[nid])
 
 
 _ORACLE_COLORS = {"formalized": "#3B5B92", "not-yet": "#B4B7BD", "failing": "#B65F45"}

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_frames,
-    oracle_cost, oracle_levels, oracle_trace, random_dag_plan, random_diff, replan_fixture,
+    oracle_cost, oracle_delta_accepted, oracle_levels, oracle_trace, random_dag_plan, random_diff,
+    replan_fixture,
 )
 from proofloop.agents import TOKEN_CLASSES, ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import SimVerifier, load_sim_rules
@@ -551,6 +552,81 @@ class TestFrameRecord:
             (list(f.node_states.items()), list(f.edges)) for f in frames]
 
 
+def edit_delta(rng: random.Random, previous: dict, delta: dict, removed_before: list) -> None:
+    """One random edit of ``delta``, whose full previous frame is ``previous``: drop,
+    duplicate or re-point an ``after`` link, add a ``removed`` id, or make a ``deps``
+    entry name a removed id, by adding it or by dropping an entry whose old list names
+    one."""
+    old = list(previous["nodes"])
+    after, removed = delta.get("after", {}), delta.get("removed", [])
+    ids = old + [nid for nid in delta["nodes"] if nid not in old] + ["ghost"]
+    carried = [nid for nid in delta.get("deps", {}) if any(
+        dep in removed for dep, node in previous["edges"] if node == nid)]
+    edits = ["remove", "dep"] + ["drop", "duplicate", "repoint"] * bool(after)
+    edit = rng.choice(edits + ["carry"] * bool(carried))
+    if edit == "drop":
+        del after[rng.choice(list(after))]
+    elif edit == "duplicate":
+        after[rng.choice(ids)] = rng.choice(list(after.values()))
+    elif edit == "repoint":
+        after[rng.choice(list(after))] = rng.choice([None, *ids])
+    elif edit == "remove":
+        delta["removed"] = [*removed, rng.choice(ids + removed)]
+    elif edit == "dep":
+        gone = rng.choice(removed or removed_before or ["ghost"])
+        nid = rng.choice([nid for nid in ids if nid not in removed])
+        deps = delta.setdefault("deps", {})
+        deps[nid] = [*deps.get(nid, []), gone]
+    else:  # the entry's previous list, which names a removed id, is carried
+        del delta["deps"][rng.choice(carried)]
+
+
+class TestDeltaReader:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_deltas_load_as_the_oracle_reads_them(self, seed):
+        """Frames of random diffs and status changes, written by ``frame_record``, load
+        as ``oracle_frames`` reads them, node order included.  After one random edit of
+        one delta, the file loads iff ``oracle_delta_accepted`` accepts the delta, and
+        then still as the oracle reads it."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, 12)
+        frames = [ledger_frame_of(plan, 0)]
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.6:
+                try:
+                    plan = apply_diff(plan, random_diff(rng, plan))[0]
+                except PlanError:
+                    continue
+            else:
+                plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
+            frames.append(ledger_frame_of(plan, len(frames)))
+        records = json.loads(json.dumps([{"rec": "run", "version": 3}, *map(
+            frame_record, [None, *frames], frames)]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.jsonl"
+            loaded = load_ledger_of(path, records).frames
+            assert loaded == frames
+            assert [(f.index, f.plan_revision, list(f.node_states.items()), list(f.edges))
+                    for f in loaded] == [
+                (f.index, f.plan_revision, list(f.node_states.items()), f.edges)
+                for f in oracle_frames(records)]
+            if len(frames) == 1:
+                return
+            k = rng.randint(2, len(records) - 1)
+            full = expand_deltas(records[:k])
+            removed_before = [nid for r in records[2:k] for nid in r.get("removed", [])]
+            edit_delta(rng, full[k - 1], records[k], removed_before)
+            del records[k + 1:]
+            if not oracle_delta_accepted(full[k - 1], records[k]):
+                with pytest.raises(LedgerError, match=f"^malformed ledger record: frame {k - 1}: "):
+                    load_ledger_of(path, records)
+                return
+            assert [(list(f.node_states.items()), list(f.edges))
+                    for f in load_ledger_of(path, records).frames] == [
+                (list(f.node_states.items()), f.edges) for f in oracle_frames(records)]
+
+
 def three_closes_ledger(path):
     """Plan A <- B <- C <- D, close A, a diff that adds E under D, close B and C.
 
@@ -664,6 +740,11 @@ class TestReplayChecksEveryFrame:
     MALFORMED = {
         "removed-unknown": (lambda frame: frame.update(removed=["Z"]), "removed names an unknown"),
         "removed-and-in-nodes": (lambda frame: frame.update(removed=["E"]), "removed names an"),
+        "removed-twice": (lambda frame: frame.update(removed=["A", "A"]), "removed names an id tw"),
+        "removed-and-listed-again": (
+            lambda frame: (frame.update(removed=["B"]), frame["nodes"].update(B="failing"),
+                           frame["after"].update(B="A")),
+            "removed names an id twice, or one that nodes lists"),
         "after-names-unknown": (lambda frame: frame["after"].update(Z="A"), "after names an"),
         "after-names-removed": (lambda frame: frame.update(removed=["A"], after={"A": None}),
                                 "after names an unknown or removed id"),
@@ -918,19 +999,34 @@ class TestLoadShapes:
         assert [f.node_states["C"] for f in frames] == ["not-yet"] * 4 + ["formalized"]
 
     KEYFRAME = {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": "not-yet"}, "edges": []}
+    CHAIN = {"rec": "frame", "index": 0, "revision": 0,  # a -> b -> c
+             "nodes": dict.fromkeys("abc", "not-yet"), "edges": [["a", "b"], ["b", "c"]]}
 
     @pytest.mark.parametrize("frames", [
         [{"rec": "frame", "index": 0, "revision": 0, "nodes": {}}],
         [KEYFRAME, {"rec": "frame", "index": 1, "revision": 0, "nodes": {"Z": "formalized"}}],
         [KEYFRAME, {"rec": "frame", "index": 1, "revision": 0, "nodes": ["a"]}],
         [KEYFRAME, {"rec": "frame", "index": 1, "revision": 0}],
-    ], ids=["delta-first", "unknown-id", "nodes-not-an-object", "no-nodes"])
+        [CHAIN, {"rec": "frame", "index": 1, "revision": 1, "nodes": {"b": "failing"},
+                 "removed": ["b"], "after": {"b": "a"}}],
+        [CHAIN, {"rec": "frame", "index": 1, "revision": 1, "nodes": {}, "removed": ["c", "c"]}],
+    ], ids=["delta-first", "unknown-id", "nodes-not-an-object", "no-nodes",
+            "removed-and-listed-again", "removed-twice"])
     def test_a_delta_of_the_wrong_shape_is_a_ledger_error(self, tmp_path, frames):
         path = tmp_path / "run.jsonl"
         path.write_text("".join(json.dumps(record) + "\n" for record in [
             {"rec": "run", "version": 2}, *frames]), encoding="utf-8")
         with pytest.raises(LedgerError, match=f"^malformed ledger record: frame {len(frames) - 1}: "):
             load_ledger(path)
+
+    @pytest.mark.parametrize("delta", [
+        {"nodes": {"b": "failing"}, "removed": ["b"], "after": {"b": "a"}},
+        {"nodes": {}, "removed": ["c", "c"]},
+    ], ids=["removed-and-listed-again", "removed-twice"])
+    def test_the_oracle_refuses_a_contradictory_delta_with_its_own_assertion(self, delta):
+        records = [self.CHAIN, {"rec": "frame", "index": 1, "revision": 1, **delta}]
+        with pytest.raises(AssertionError, match="^frame 1: a delta that removes an id twice"):
+            expand_deltas(records)
 
 
 class TestLedgerVersion:

@@ -761,6 +761,80 @@ class TestStructureWorkGuard:
         # re-levels only its new helper and S0.
         assert counts == [self.STATEMENTS + 1] + [2] * (self.SPLITS - 1)
 
+    def test_trace_renders_a_node_line_only_where_its_level_or_status_changed(self, tmp_path,
+                                                                              monkeypatch):
+        """The first frame renders every node line.  After it, a status-only frame renders
+        the lines of its changed statuses, and a structure frame those of its new ids,
+        its re-levelled ids and its changed statuses, each once, in text and DOT alike."""
+        ledger_path, _ = self.run_replan(tmp_path)
+        frames = load_ledger(ledger_path).frames
+        rendered = []
+        real_render = ledger_mod._Layout.render
+
+        def recording_render(layout, level, node, status):
+            rendered.append(node)
+            return real_render(layout, level, node, status)
+
+        monkeypatch.setattr(ledger_mod._Layout, "render", recording_render)
+        for fmt in ("text", "dot"):
+            kinds = []
+            for i, _ in enumerate(ledger_mod._layouts(frames, fmt)):
+                new = frames[i].node_states
+                old = frames[i - 1].node_states if i else {}
+                expected = {nid for nid, status in new.items() if old.get(nid) != status}
+                if i and (frames[i].edges != frames[i - 1].edges or new.keys() != old.keys()):
+                    levels = [oracle_levels(list(f.node_states), f.edges)
+                              for f in frames[i - 1:i + 1]]
+                    expected |= {nid for nid in new if levels[0].get(nid) != levels[1][nid]}
+                    kinds.append("structure")
+                elif i:
+                    kinds.append("statuses")
+                assert len(rendered) == len(set(rendered))
+                assert set(rendered) == expected
+                rendered.clear()
+            assert kinds.count("structure") == self.SPLITS
+            assert kinds.count("statuses") == len(frames) - 1 - self.SPLITS
+
+    def test_a_structure_delta_interns_and_checks_only_the_pairs_of_its_deps(self, tmp_path,
+                                                                             monkeypatch):
+        """With nothing removed, a structure delta interns the pairs of its ``deps`` and
+        the ids it names, and checks only those pairs for ids outside the frame."""
+        ledger_path, _ = self.run_replan(tmp_path)
+        interned, checked = [], []
+
+        class CountingTable(dict):
+            def setdefault(self, key, default=None):
+                interned.append(key)
+                return super().setdefault(key, default)
+
+        real_check = ledger_mod._check_edges
+
+        def recording_check(pairs, states):
+            pairs = list(pairs)
+            checked.extend(pairs)
+            return real_check(pairs, states)
+
+        monkeypatch.setattr(ledger_mod, "_check_edges", recording_check)
+        shared, carried, previous, structures = CountingTable(), [], None, 0
+        for record in read_ledger_records(ledger_path):
+            if record["rec"] != "frame":
+                continue
+            interned.clear(), checked.clear()
+            previous = ledger_mod.read_frame(record, previous, shared, carried)
+            if record.keys().isdisjoint(("removed", "after", "deps")):
+                assert "edges" in record or interned == checked == []
+                continue
+            assert "removed" not in record
+            after, deps = record.get("after", {}), record.get("deps", {})
+            pairs = sorted((dep, nid) for nid, listed in deps.items() for dep in listed)
+            assert sorted(checked) == pairs
+            assert sorted(key for key in interned if type(key) is tuple) == pairs
+            named = {*record["nodes"], *after, *deps, *(dep for dep, _ in pairs)}
+            ids = [key for key in interned if type(key) is str]
+            assert set(ids) <= named and len(ids) <= len(after) + len(deps) + len(pairs)
+            structures += 1
+        assert structures == self.SPLITS
+
     def test_the_writer_serialises_edges_once_per_run(self, tmp_path, monkeypatch):
         """Only the first frame holds the edge list; a diff's frame holds the deps that changed."""
         serialised = 0
