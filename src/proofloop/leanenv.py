@@ -167,10 +167,15 @@ def normalize_signature(text: str) -> str:
 # ---------------------------------------------------------------------------
 # The forbidden-token scanner and declaration headers, read through the lexer.
 
+# Every forbidden identifier holds one of these words.  A set's order moves with the hash
+# seed, so they are sorted: the scan does the same work in every process.
+_SCAN_WORDS = (*sorted(FORBIDDEN_TOKENS), "skipKernelTC")
+
+
 def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
     """``(word, filename, line)`` for each forbidden identifier in code (see the module doc)."""
-    if not any(word in text for word in (*FORBIDDEN_TOKENS, "skipKernelTC")):
-        return []  # every forbidden identifier holds one of these words
+    if not any(word in text for word in _SCAN_WORDS):
+        return []
     return [(word, filename, line) for _, word, line in forbidden_words(tokenize(text))]
 
 

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import chain, compress, count, filterfalse, repeat, starmap
+from itertools import chain, compress, filterfalse, islice, repeat, starmap
 from operator import itemgetter, mul, ne
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
@@ -130,11 +130,26 @@ class LoopEvent:
 
 
 @dataclass(frozen=True)
+class Change:
+    """What a delta record names against the frame before it, whose statuses are
+    ``basis``: the statuses it lists, new ids included, and for a structure change its
+    new ids, its removed ids and the (dep, id) pairs of each id whose deps it lists."""
+
+    basis: dict[str, str]
+    statuses: dict[str, str]
+    came: set[str] = field(default_factory=set)
+    removed: set[str] = field(default_factory=set)
+    deps: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class Frame:
     index: int
     node_states: dict[str, str]
     edges: tuple[tuple[str, str], ...]
     plan_revision: int
+    # What the record of a loaded delta named; None for a keyframe or a frame built in memory.
+    change: Change | None = field(default=None, compare=False, repr=False)
 
 
 def frame_of(plan: ProofPlan, index: int) -> Frame:
@@ -191,11 +206,12 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
     LedgerError that names the frame.  Given ``shared``, one table per read, frames
     share ids and (dep, node) pairs; given ``carried`` too, a structure delta starts
     from the per-node pairs the one before it left, if they are ``previous``'s.  A
-    delta is read by what it names: the ids, links and deps it lists.
+    delta is read by what it names: the ids, links and deps it lists, which its frame
+    keeps as its :class:`Change`.
     """
     index, revision, nodes = record.get("index"), record.get("revision"), record.get("nodes")
     intern = ({} if shared is None else shared).setdefault
-    by_node = None
+    by_node = change = None
     try:
         if type(index) is not int or type(revision) is not int:
             raise ValueError("index and revision must be integers")
@@ -215,11 +231,16 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
         elif record.keys().isdisjoint(("removed", "after", "deps")):  # statuses only
             if not statuses.keys() <= previous.node_states.keys():
                 raise ValueError(f"the delta names a node not in frame {previous.index}")
-            return Frame(index, {**previous.node_states, **statuses}, previous.edges, revision)
+            return Frame(index, {**previous.node_states, **statuses}, previous.edges, revision,
+                         Change(previous.node_states, statuses))
         else:
-            by_node = (carried[1] if carried and carried[0] is previous.edges
-                       else _edges_by_node(previous))
-            states, pairs = _restructure(record, previous, statuses, by_node, intern)
+            if carried and carried[0] is previous.edges:
+                grouped, by_node = carried
+            else:
+                by_node = _edges_by_node(previous)
+                grouped = tuple(chain.from_iterable(map(by_node.get, previous.node_states)))
+            states, pairs, change = _restructure(record, previous, statuses, grouped, by_node,
+                                                 intern)
     except KeyError as exc:
         fault = f"unknown status {exc}"
     except TypeError:
@@ -229,7 +250,7 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
     else:
         if carried is not None and by_node is not None:
             carried[:] = pairs, by_node
-        return Frame(index, states, pairs, revision)
+        return Frame(index, states, pairs, revision, change)
     raise LedgerError(f"malformed ledger record: frame {index!r}: {fault}")
 
 
@@ -239,15 +260,18 @@ def _check_edges(pairs: Iterable[tuple[str, str]], states: dict[str, str]) -> No
 
 
 def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, str],
-                 by_node: dict[str, list[tuple[str, str]]], intern):
-    """The statuses and edges of a delta that changes the structure of ``previous``.
+                 grouped: tuple[tuple[str, str], ...], by_node: dict[str, list[tuple[str, str]]],
+                 intern):
+    """The statuses, edges and change of a delta that changes the structure of ``previous``.
 
-    The node order is rebuilt from runs of the previous order: a run ends where a
-    removed id or an id that ``after`` places anew cuts it, and starts after its first
-    id's old predecessor.  Only these runs and ``after``'s ids are followed one by one.
-    ``by_node`` holds each id's pairs in ``previous`` and is patched to the new frame's.
-    Only the new ids and pairs are interned and checked: a carried pair was checked
-    with ``previous``, and only a removal can make it name an id outside the frame.
+    The new frame is copied from runs of the previous one: a run of the node order ends
+    where a removed id, an id that ``after`` places anew or an id whose deps ``deps``
+    lists cuts it, and starts after its first id's old predecessor.  ``grouped`` holds
+    the previous pairs id by id in node order, as a delta's frame holds them, so a run's
+    statuses and pairs are copied as slices; ``by_node`` holds each id's pairs and is
+    patched to the new frame's.  Only the links of ``after`` and the cut ids are followed
+    one by one.  Only the new ids and pairs are interned and checked: a carried pair was
+    checked with ``previous``, and only a removal can make it name an id outside the frame.
     """
     removed, after, new_deps = map(record.get, ("removed", "after", "deps"), ([], {}, {}))
     if type(removed) is not list or type(after) is not dict or type(new_deps) is not dict:
@@ -261,32 +285,44 @@ def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, st
     moved = after.keys() - came  # the kept ids that after places anew
     if not came <= after.keys() or not moved <= old.keys() or not moved.isdisjoint(gone):
         raise ValueError("after names an unknown or removed id, or misses a new one")
-    order, cut = list(old), gone | moved
-    runs, start = {}, 0  # each run by the id it follows
-    for end in [*compress(count(), map(cut.__contains__, order)), len(order)]:
+    order = list(old)
+    relisted = {nid for nid in new_deps if nid in old} - gone - moved  # kept in place
+    cuts = sorted(map(order.index, gone | moved | relisted))
+    # Each run as (start, end, and both in grouped), and each id placed alone, by the id
+    # it follows.
+    links: dict[str | None, tuple[int, int, int, int] | str] = {}
+    start = first = 0  # where the next run starts, in the node order and in grouped
+    for end in cuts:
+        last = first + sum(map(len, map(by_node.get, order[start:end], repeat(()))))
         if start < end:
-            runs[order[start - 1] if start else None] = order[start:end]
-        start = end + 1
+            links[order[start - 1] if start else None] = (start, end, first, last)
+        start, first = end + 1, last + len(by_node.get(order[end], ()))
+    if start < len(order):
+        links[order[start - 1] if start else None] = (start, len(order), first, len(grouped))
+    links.update({order[i - 1] if i else None: order[i] for i in cuts if order[i] in relisted})
     # An id after an unknown id, or after the same id as another, is left out of the chain.
-    runs.update({pred: [intern(nid, nid)] for nid, pred in after.items()})
-    ordered, run = [], runs.get(None)
-    while run is not None:
-        ordered += run
-        run = runs.get(run[-1])
-    if len(ordered) < len(order) - len(gone) + len(came):
+    links.update({pred: intern(nid, nid) for nid, pred in after.items()})
+    placed, link = [], links.get(None)
+    while link is not None:
+        placed.append(link)
+        link = links.get(link if type(link) is str else order[link[1] - 1])
+    if sum(1 if type(link) is str else link[1] - link[0] for link in placed) < (
+            len(order) - len(gone) + len(came)):
         raise ValueError("the predecessor links do not form one chain")
-    states = dict(zip(ordered, map(old.get, ordered)))
+    states = dict(chain.from_iterable(((link, old.get(link)),) if type(link) is str
+                                      else islice(old.items(), *link[:2]) for link in placed))
     states.update(statuses)
     if not set(map(type, new_deps.values())) <= {list} or not new_deps.keys() <= states.keys():
         raise ValueError("deps is not an object of lists of the frame's ids")
     fresh = {nid: [intern(pair, pair) for pair in zip(map(intern, deps, deps), repeat(nid))]
              for nid, deps in zip(map(intern, new_deps, new_deps), new_deps.values())}
     by_node.update(fresh)
-    pairs = tuple(chain.from_iterable(map(by_node.get, ordered, repeat(()))))
+    pairs = tuple(chain.from_iterable(by_node.get(link, ()) if type(link) is str
+                                      else grouped[link[2]:link[3]] for link in placed))
     _check_edges(pairs if gone else chain.from_iterable(fresh.values()), states)
     for nid in gone:
         by_node.pop(nid, None)
-    return states, pairs
+    return states, pairs, Change(old, statuses, came, gone, fresh)
 
 
 _OPTIONAL_STR = frozenset({str, type(None)})
@@ -668,21 +704,23 @@ _FRAMING = {"text": (["prooftrace v1"], "frame {} revision {}", "end", "\n"),
 
 class _Layout:
     """One structure's levels, its nodes in (level, id) order with their lines rendered
-    for the last frame's statuses, its sorted (dep, node) pairs with their rendered
-    lines, and each id's deps and users over every pair."""
+    for the statuses of the last frame (``states``), its sorted (dep, node) pairs with
+    their rendered lines, each id's deps and users over every pair, and the ids whose
+    pairs hold one pair twice."""
 
     def __init__(self, frame: Frame, fmt: str) -> None:
         """Lay ``frame`` out in full, from :func:`depth_layout`."""
         self.node_line, self.edge_line = _NODE_LINES[fmt].format, _EDGE_LINES[fmt].format
         self.levels, self.states = depth_layout(frame), frame.node_states
-        self.nodes, self.edges = frame.node_states.keys(), frame.edges
         self.ordered = sorted(zip(self.levels.values(), self.levels))
         self.node_lines = [self.render(level, nid, self.states[nid]) for level, nid in self.ordered]
         self.pairs = sorted(frame.edges)  # a repeated pair is printed once per occurrence
         self.edge_lines = list(starmap(self.edge_line, self.pairs))
-        self.pair_set = set(frame.edges)
+        pair_set = set(frame.edges)
+        self.repeated = {pair[1] for pair, following in zip(self.pairs, self.pairs[1:])
+                         if pair == following} if len(pair_set) < len(self.pairs) else set()
         self.deps, self.users = defaultdict(set), defaultdict(set)
-        for dep, node in self.pair_set:
+        for dep, node in pair_set:
             self.deps[node].add(dep)
             self.users[dep].add(node)
 
@@ -704,88 +742,126 @@ class _Layout:
         i = bisect_left(self.ordered, (level, node))
         del self.ordered[i], self.node_lines[i]
 
-    def restate(self, frame: Frame, done: set | frozenset = frozenset()) -> None:
-        """Re-render the lines of the ids, but ``done``, whose status differs from the
-        last frame's."""
-        states = frame.node_states
-        for node, status in _changed(states, self.states, repeat(None)).items():
+    def _link(self, dep: str, node: str) -> None:
+        """Insert the pair and its line."""
+        i = bisect_left(self.pairs, (dep, node))
+        self.pairs.insert(i, (dep, node))
+        self.edge_lines.insert(i, self.edge_line(dep, node))
+        self.deps[node].add(dep)
+        self.users[dep].add(node)
+
+    def _unlink(self, dep: str, node: str) -> None:
+        i = bisect_left(self.pairs, (dep, node))
+        del self.pairs[i], self.edge_lines[i]
+        self.deps[node].discard(dep)
+        self.users[dep].discard(node)
+
+    def restate(self, statuses: dict[str, str], done: set | frozenset = frozenset()) -> None:
+        """Re-render the lines of the ids in ``statuses``, but ``done``, for their statuses."""
+        for node, status in statuses.items():
             if node not in done:
                 level = self.levels[node]
                 self.node_lines[bisect_left(self.ordered, (level, node))] = self.render(
                     level, node, status)
-        self.states = states
 
-    def patch(self, frame: Frame) -> bool:
-        """Patch the layout in place to ``frame``'s structure and statuses, by the pairs
-        and ids that came and went.  False, with the layout spoilt, where it cannot: a
-        repeated pair, or a level past the node count, which only a cycle reaches."""
-        pairs, nodes, levels = set(frame.edges), frame.node_states, self.levels
-        if len(pairs) < len(frame.edges) or len(self.pair_set) < len(self.pairs):
+    def patch(self, change: Change, nodes: dict[str, str]) -> bool:
+        """Patch the layout in place to the structure and statuses ``nodes`` that
+        ``change`` names: the pairs of each id whose deps it lists, or that it removes,
+        come and go; its new ids and each id whose level changes are placed anew.  False,
+        with the layout spoilt, where it cannot: a named id whose pairs hold one pair
+        twice, or a cycle."""
+        levels, deps = self.levels, self.deps
+        if not self.repeated.isdisjoint(chain(change.deps, change.removed)):
             return False
-        came, went = nodes.keys() - self.nodes, self.nodes - nodes.keys()
-        dirty = set(came)  # the ids whose deps in the frame may have changed
-        for pair in pairs ^ self.pair_set:
-            dep, node = pair
-            i = bisect_left(self.pairs, pair)
-            if pair in pairs:
-                self.deps[node].add(dep)
-                self.users[dep].add(node)
-                self.pairs.insert(i, pair)
-                self.edge_lines.insert(i, self.edge_line(dep, node))
-            else:
-                self.deps[node].discard(dep)
-                self.users[dep].discard(node)
-                del self.pairs[i], self.edge_lines[i]
-            dirty.add(node)
-        for nid in chain(came, went):
-            dirty.update(self.users[nid])
-        for nid in went:
-            self._drop(levels.pop(nid), nid)
-        levels.update(dict.fromkeys(came, 0))
-        # Re-level in frame order, a topological one in every ledger the loop writes.
-        position = dict(zip(nodes, count()))
-        queue = sorted((position[nid], nid) for nid in dirty if nid in nodes)  # a heap
-        queued, before = set(dirty), {}
-        while queue:
-            nid = heappop(queue)[1]
-            queued.discard(nid)
-            level = self.level(nid, nodes)
-            if level == levels[nid]:
-                continue
-            if level > len(nodes):
+        dirty = set(change.came)  # the ids whose deps may have changed
+        for node, pairs in change.deps.items():
+            new, old = {dep for dep, _ in pairs}, deps[node]
+            if len(new) < len(pairs):
                 return False
-            before.setdefault(nid, levels[nid])
-            levels[nid] = level
-            for user in self.users[nid] - queued:
-                if user in nodes:
-                    heappush(queue, (position[user], user))
-                    queued.add(user)
-        moved = {nid for nid, level in before.items() if nid not in came and level != levels[nid]}
+            if new != old:
+                for dep in new - old:
+                    self._link(dep, node)
+                for dep in old - new:
+                    self._unlink(dep, node)
+                dirty.add(node)
+        for node in change.removed:  # its users list their deps anew, without it
+            for dep in list(deps[node]):
+                self._unlink(dep, node)
+            del deps[node]
+            self.users.pop(node, None)
+            self._drop(levels.pop(node), node)
+        levels.update(dict.fromkeys(change.came, 0))
+        before = self._relevel(dirty, nodes)
+        if before is None:
+            return False
+        moved = {nid for nid, level in before.items()
+                 if nid not in change.came and level != levels[nid]}
         for nid in moved:
             self._drop(before[nid], nid)
-        for nid in came | moved:
+        for nid in change.came | moved:
             self._place(nid, nodes[nid])
-        self.nodes, self.edges, self.pair_set = nodes.keys(), frame.edges, pairs
-        self.restate(frame, came | moved)
+        self.restate(change.statuses, change.came | moved)
         return True
+
+    def _relevel(self, dirty: set[str], nodes: dict[str, str]) -> dict[str, int] | None:
+        """Re-level ``dirty`` and the users of each id whose level changes, each id once
+        its waiting deps are: ids are taken in order of their last level, a topological
+        order of the structure before, and each walks depth first through its deps that
+        wait.  The old level of each id that changed, or None on a cycle: a dep on the
+        walk, or a level past the node count."""
+        levels, deps, users = self.levels, self.deps, self.users
+        waiting, before = set(dirty), {}
+        queue = sorted((levels[nid], nid) for nid in dirty)  # a heap
+        while queue:
+            walk = [heappop(queue)[1]]
+            while walk:
+                nid = walk[-1]
+                if nid not in waiting:
+                    walk.pop()
+                    continue
+                dep = next(filter(waiting.__contains__, deps[nid]), None)
+                if dep is not None:
+                    if dep in walk:
+                        return None
+                    walk.append(dep)
+                    continue
+                walk.pop()
+                waiting.discard(nid)
+                level = self.level(nid, nodes)
+                if level == levels[nid]:
+                    continue
+                if level > len(nodes):
+                    return None
+                before.setdefault(nid, levels[nid])
+                levels[nid] = level
+                for user in users[nid] - waiting:
+                    waiting.add(user)
+                    heappush(queue, (levels[user], user))
+        return before
 
 
 def _layouts(frames: list[Frame], fmt: str) -> Iterator[tuple[Frame, _Layout]]:
     """Yield each frame with the layout whose node and edge lines render it.
 
-    The layout depends only on the edges and the node set.  The first structure is laid
-    out in full, each later one is patched from the one before where it can be, and a
-    node line is rendered again only where its id's level or status changed.  The
-    layout is patched in place: its lines are read before the next frame is asked for.
+    The layout depends only on the edges and the node set.  A loaded delta is patched
+    into the layout of the frame before it from its :class:`Change`: a status change
+    re-renders the lines of the ids it names; a structure change moves only the pairs
+    and ids it names and re-levels only them and the users of an id whose level
+    changed.  Any other frame (a keyframe, a frame built in memory, a delta on a frame
+    the layout does not show) and a structure the patch cannot take is laid out in
+    full.  The layout is patched in place: its lines are read before the next frame is
+    asked for.
     """
     layout = None
     for frame in frames:
-        if layout is None:
+        change = frame.change
+        if layout is None or change is None or change.basis is not layout.states:
             layout = _Layout(frame, fmt)
-        elif frame.edges == layout.edges and frame.node_states.keys() == layout.nodes:
-            layout.restate(frame)
-        elif not layout.patch(frame):
+        elif not (change.came or change.removed or change.deps):
+            layout.restate(change.statuses)
+        elif not layout.patch(change, frame.node_states):
             layout = _Layout(frame, fmt)
+        layout.states = frame.node_states
         yield frame, layout
 
 

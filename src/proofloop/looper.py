@@ -125,6 +125,12 @@ def find_anchor(text: str) -> AnchorDecl:
     starts = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
     if starts[sorry] < sig.header_end:
         raise InputError(f"the sorry of {sig.name} lies in its header, before any top-level :=")
+    other = next((namespace for _, at, namespace in heads
+                  if at >= 0 and at != name and tokens[at][1] == sig.name), None)
+    if other is not None:  # until the audit finds the target by its qualified name
+        raise InputError(f"the target {sig.qualified_name} shares its name with "
+                         f"{'.'.join(filter(None, (other, sig.name)))}; the audit reads bare "
+                         "names, so it could not tell the two apart")
     # The body runs from the end of the header to the next declaration, named or not.
     end = starts[heads[owners][0]] if owners < len(heads) else len(text)
     return AnchorDecl(sig.name, sig.normalized, text[sig.header_end:end])

@@ -488,6 +488,8 @@ def run_with_input(text):
 
 SORRY_IN_AN_EXAMPLE = "theorem a : True := trivial\n\nexample : 1 = 1 := by sorry\n"
 EQUATION_STYLE = "theorem t : Nat → Nat\n  | 0 => sorry\n  | n + 1 => n\n"
+BARE_NAME_REUSED = ("namespace A\ntheorem foo : True := trivial\nend A\n"
+                    "namespace B\ntheorem foo : True := sorry\nend B\n")
 
 
 def audit_with_sidecar(text):
@@ -705,6 +707,7 @@ def fault_audit_real_verifier(tmp_path):
                  marks=NO_LAKE, id="run-real-verifier"),
     pytest.param(run_with_input(SORRY_IN_AN_EXAMPLE), 2, id="run-input-sorry-in-an-example"),
     pytest.param(run_with_input(EQUATION_STYLE), 2, id="run-input-equation-style"),
+    pytest.param(run_with_input(BARE_NAME_REUSED), 2, id="run-input-bare-name-reused"),
     pytest.param(audit_with_sidecar("{"), 2, id="audit-corrupt-sidecar"),
     pytest.param(audit_with_sidecar('["Main"]'), 2, id="audit-sidecar-not-an-object"),
     pytest.param(audit_with_sidecar('{"decl_name": 5, "signature": "theorem Main : True"}'), 2,
@@ -758,6 +761,12 @@ def test_exit_code_of_each_fault(tmp_path, capsys, make_args, code):
 def test_an_equation_style_input_is_refused_with_its_cause(tmp_path, capsys):
     assert main(run_with_input(EQUATION_STYLE)(tmp_path)) == 2
     assert "the sorry of t lies in its header, before any top-level :=" in capsys.readouterr().err
+
+
+def test_an_input_whose_target_reuses_a_bare_name_is_refused_before_the_run(tmp_path, capsys):
+    assert main(run_with_input(BARE_NAME_REUSED)(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "the target B.foo shares its name with A.foo; the audit reads bare names" in err
 
 
 class TestLedgerSoundness:

@@ -907,6 +907,76 @@ class TestTracePatchesLayouts:
                 assert str(got.value) == str(expected.value)
 
 
+def random_written_frames(rng: random.Random) -> list[Frame]:
+    """Frames of a plan under random diffs and status changes, as the loop's frames but
+    for two things: now and then one dep is listed twice in its id's deps, for as long
+    as its pair lasts, and last, now and then, an edge is added backwards."""
+    plan = random_dag_plan(rng, 12)
+    doubled = None  # the (dep, node) pair listed twice
+
+    def frame_now(index: int) -> Frame:
+        edges = plan.edges
+        if doubled in edges:
+            at = edges.index(doubled)
+            edges = edges[:at + 1] + edges[at:]
+        return Frame(index, ledger_frame_of(plan, index).node_states, edges, plan.revision)
+
+    frames = [frame_now(0)]
+    for _ in range(rng.randint(1, 10)):
+        step = rng.choice(["diff", "diff", "status", "double"])
+        if step == "status":
+            plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
+        elif step == "diff":
+            try:
+                plan = apply_diff(plan, random_diff(rng, plan))[0]
+            except PlanError:
+                continue
+        elif plan.edges:
+            doubled = rng.choice(plan.edges)
+        frames.append(frame_now(len(frames)))
+    if frames[-1].edges and rng.random() < 0.3:
+        dep, node = rng.choice(frames[-1].edges)
+        order = list(plan.order)  # a frame lists each id's pairs in node order
+        edges = sorted(frames[-1].edges + ((node, dep),), key=lambda pair: order.index(pair[1]))
+        frames.append(Frame(len(frames), frames[-1].node_states, tuple(edges), plan.revision))
+    return frames
+
+
+class TestTraceThroughTheLoader:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_a_loaded_ledger_exports_like_the_oracle_or_names_the_first_cycle(self, seed):
+        """Frames written by ``frame_record`` and read back by ``load_ledger`` carry what
+        each delta named, so their export patches each layout from it.  It must render
+        the written frames as the oracle does, up to the first cyclic frame, which must
+        raise the CycleError that ``depth_layout`` raises for it; every other frame of
+        them, whose deltas name changes from frames left out, too."""
+        frames = random_written_frames(random.Random(seed))
+        records = [{"rec": "run", "version": 3}, *map(frame_record, [None, *frames], frames)]
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_ledger_of(Path(tmp) / "run.jsonl", records).frames
+        assert loaded == frames
+        assert [frame.change is None for frame in loaded] == [True] + [False] * (len(frames) - 1)
+        cyclic = None
+        for k, frame in enumerate(frames):
+            try:
+                oracle_levels(list(frame.node_states), list(frame.edges))
+            except AssertionError:
+                cyclic = k
+                break
+        for fmt in ("text", "dot"):
+            for step in (1, 2):
+                if frames[:cyclic]:
+                    assert export_trace(RunLedger("r", frames=loaded[:cyclic:step]),
+                                        fmt) == oracle_trace(frames[:cyclic:step], fmt)
+            if cyclic is not None:
+                with pytest.raises(CycleError) as expected:
+                    depth_layout(loaded[cyclic])
+                with pytest.raises(CycleError) as got:
+                    export_trace(RunLedger("r", frames=loaded), fmt)
+                assert str(got.value) == str(expected.value)
+
+
 class TestLoadShapes:
     def test_consecutive_equal_edge_lists_share_one_tuple(self, tmp_path):
         three_closes_ledger(tmp_path / "run.jsonl")

@@ -1,7 +1,10 @@
 import builtins
+import cProfile
+import dataclasses
 import importlib.util
 import io
 import json
+import pstats
 import re
 import subprocess
 import sys
@@ -34,8 +37,9 @@ from proofloop.agents import (
     ScriptedBackend,
     TaskKind,
     TokenUsage,
+    load_fixture,
 )
-from proofloop.leanenv import SimVerifier, Workspace
+from proofloop.leanenv import SimVerifier, Workspace, load_sim_rules
 from proofloop.ledger import (
     EventKind,
     Outcome,
@@ -143,12 +147,25 @@ class TestFindAnchor:
         assert anchor.signature_text == signature
         assert anchor.original_body == ":= by\n  sorry\n"
 
-    def test_a_name_reused_in_another_namespace_does_not_hide_the_target(self):
-        anchor = find_anchor("namespace A\ntheorem foo : True := trivial\nend A\n"
-                             "namespace B\ntheorem foo : True := sorry\nend B\n")
+    @pytest.mark.parametrize("text, target, other", [
+        ("namespace A\ntheorem foo : True := trivial\nend A\n"
+         "namespace B\ntheorem foo : True := sorry\nend B\n", "B.foo", "A.foo"),
+        ("theorem foo : True := sorry\nnamespace A\nlemma foo : True := trivial\nend A\n",
+         "foo", "A.foo"),
+    ], ids=["earlier-in-another-namespace", "later-in-a-namespace"])
+    def test_a_bare_name_reused_in_another_namespace_is_refused_naming_both(self, text, target,
+                                                                           other):
+        """The audit looks the target up by its bare name, so a run of such an input could
+        never pass it; it is refused before it starts."""
+        with pytest.raises(InputError) as refused:
+            find_anchor(text)
+        assert str(refused.value) == (f"the target {target} shares its name with {other}; the "
+                                      "audit reads bare names, so it could not tell the two apart")
+
+    def test_a_name_qualified_apart_from_the_target_is_not_a_reuse(self):
+        anchor = find_anchor("theorem A.foo : True := trivial\ntheorem foo : True := sorry\n")
         assert anchor.decl_name == "foo"
-        assert anchor.signature_text == "theorem foo : True"
-        assert anchor.original_body == ":= sorry\nend B\n"
+        assert anchor.original_body == ":= sorry\n"
 
     @pytest.mark.parametrize("after", [
         "example : 1 = 1 := rfl\n",
@@ -795,6 +812,88 @@ class TestStructureWorkGuard:
             assert kinds.count("structure") == self.SPLITS
             assert kinds.count("statuses") == len(frames) - 1 - self.SPLITS
 
+    def test_a_loaded_frame_is_patched_from_what_its_delta_names(self, tmp_path, monkeypatch):
+        """After the first frame, no frame's statuses or edges are iterated.  A structure
+        frame looks up only the ids its delta names, the ids whose level changed, the
+        users of those, and the deps of all these; a status frame renders exactly the
+        statuses its delta names and looks up none of the frame's.
+
+        A call count cannot see O(N) work inside one C call, such as ``set(frame.edges)``
+        or a key-view difference, so this guard counts what the frames themselves are
+        asked: every full iteration, and every id looked up.
+        """
+        ledger_path, _ = self.run_replan(tmp_path)
+        records = [r for r in read_ledger_records(ledger_path) if r["rec"] == "frame"]
+        iterated, read, rendered = [], [], []
+
+        class CountingStates(dict):
+            def __iter__(self):
+                iterated.append("states")
+                return super().__iter__()
+
+            def keys(self):
+                iterated.append("states")
+                return super().keys()
+
+            def values(self):
+                iterated.append("states")
+                return super().values()
+
+            def items(self):
+                iterated.append("states")
+                return super().items()
+
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                read.append(key)
+                return super().__contains__(key)
+
+            def get(self, key, default=None):
+                read.append(key)
+                return super().get(key, default)
+
+        class CountingEdges(tuple):
+            def __iter__(self):
+                iterated.append("edges")
+                return super().__iter__()
+
+        frames, counted = load_ledger(ledger_path).frames, []
+        for frame in frames:
+            change = frame.change and dataclasses.replace(frame.change,
+                                                          basis=counted[-1].node_states)
+            counted.append(ledger_mod.Frame(frame.index, CountingStates(frame.node_states),
+                                            CountingEdges(frame.edges), frame.plan_revision,
+                                            change))
+        real_render = ledger_mod._Layout.render
+
+        def recording_render(layout, level, node, status):
+            rendered.append(node)
+            return real_render(layout, level, node, status)
+
+        monkeypatch.setattr(ledger_mod._Layout, "render", recording_render)
+        kinds = []
+        for i, _ in enumerate(ledger_mod._layouts(counted, "text")):
+            if i:
+                assert iterated == []
+                old, new = frames[i - 1], frames[i]
+                if new.edges == old.edges and new.node_states.keys() == old.node_states.keys():
+                    assert read == [] and sorted(rendered) == sorted(records[i]["nodes"])
+                    kinds.append("statuses")
+                else:
+                    levels = [oracle_levels(list(f.node_states), f.edges) for f in (old, new)]
+                    moved = {nid for nid, level in levels[1].items()
+                             if levels[0].get(nid) != level}
+                    near = {*records[i]["nodes"], *records[i].get("deps", {}), *moved,
+                            *(node for dep, node in new.edges if dep in moved)}
+                    assert set(read) <= near | {dep for dep, node in new.edges if node in near}
+                    kinds.append("structure")
+            iterated.clear(), read.clear(), rendered.clear()
+        assert kinds.count("structure") == self.SPLITS
+        assert kinds.count("statuses") == len(frames) - 1 - self.SPLITS
+
     def test_a_structure_delta_interns_and_checks_only_the_pairs_of_its_deps(self, tmp_path,
                                                                              monkeypatch):
         """With nothing removed, a structure delta interns the pairs of its ``deps`` and
@@ -966,6 +1065,46 @@ class TestBenchmarkRunContract:
         bench.iterate()
         assert bench.failures == []
         assert bench.attempted == 3  # run, replay and trace
+
+
+class TestLinearityGate:
+    """Python-level calls per unit of work, for the seed-701 benchmark shapes at two plan
+    sizes: the work per statement, or per applied diff, may grow at most by a ceiling.
+
+    A call count is exact: it does not move with the host, the filesystem or where
+    collections land, and it reads the same under every ``PYTHONHASHSEED``.  But it
+    does not see O(N) work inside one C call, such as ``set(frame.edges)``, so this
+    gate sits beside the counting guards of :class:`TestStructureWorkGuard`, not in
+    their place.  Each ceiling is the ratio measured when it was set, rounded up; a
+    change that makes the work more proportional lowers it, and none raises it.
+    """
+
+    WIDE_CEILING = 2.43  # 797.3 -> 1,930.6 calls per statement at n = 100 -> 400
+    REPLAN_CEILING = 2.44  # 3,534.0 -> 8,610.6 calls per applied diff at n = 100 -> 400
+
+    def calls_per_unit(self, workloads, tmp_path, shape, n):
+        """Calls per statement of a ``wide`` run, or per applied diff of a ``replan`` run."""
+        inputs, prediction = getattr(workloads, shape)(tmp_path / f"{shape}{n}", 701, n)
+        backend = ScriptedBackend(load_fixture(inputs.fixture_file))
+        verifier = SimVerifier(load_sim_rules(inputs.rules_file))
+        profile = cProfile.Profile()
+        profile.enable()
+        outcome, _ = run(inputs.input_file, backend, verifier, LoopConfig(),
+                         workspace_dir=tmp_path / f"ws{n}", ledger_path=tmp_path / f"{n}.jsonl")
+        profile.disable()
+        assert outcome.verdict.value == prediction.verdict
+        return pstats.Stats(profile).total_calls / (
+            prediction.statements if shape == "wide" else prediction.diffs)
+
+    @pytest.mark.parametrize("shape, ceiling", [("wide", WIDE_CEILING),
+                                                ("replan", REPLAN_CEILING)])
+    def test_calls_per_unit_grow_at_most_by_the_ceiling(self, tmp_path, monkeypatch, shape,
+                                                        ceiling):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))  # its dataclasses need a module
+        workloads = importlib.import_module("workloads")
+        self.calls_per_unit(workloads, tmp_path, shape, 20)  # the first run fills the caches
+        small, large = (self.calls_per_unit(workloads, tmp_path, shape, n) for n in (100, 400))
+        assert large <= ceiling * small
 
 
 class TestGcTicksProbe:
