@@ -183,21 +183,15 @@ def assemble_context(
     )
 
 
-@dataclass(frozen=True)
-class InvokeRecord:
-    payload: Payload
-    usage: TokenUsage
-    elapsed: float
-
-
-def invoke(backend, task: AgentTask) -> InvokeRecord:
-    """One fresh, stateless invocation: the payload's type always matches the task kind."""
+def invoke(backend, task: AgentTask) -> tuple[Payload, TokenUsage, float]:
+    """One fresh, stateless invocation: ``(payload, usage, elapsed seconds)``, the
+    payload's type always matching the task kind."""
     start = time.monotonic()
     payload, usage = backend.invoke(task)
     elapsed = time.monotonic() - start
     if not isinstance(payload, PAYLOAD_TYPES[task.kind]):
         raise MalformedResponse(f"backend answered a {task.kind.value} task with {type(payload).__name__}")
-    return InvokeRecord(payload, usage, elapsed)
+    return payload, usage, elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .lexer import (BLOCK, COMMENT, FORBIDDEN_TOKENS, IDENT, OTHER, forbidden_words, tokenize,
+from .lexer import (BLOCK, COMMENT, IDENT, OTHER, SCAN_WORDS, forbidden_words, tokenize,
                     unterminated)
 from .plan import LineReader
 
@@ -167,14 +167,9 @@ def normalize_signature(text: str) -> str:
 # ---------------------------------------------------------------------------
 # The forbidden-token scanner and declaration headers, read through the lexer.
 
-# Every forbidden identifier holds one of these words.  A set's order moves with the hash
-# seed, so they are sorted: the scan does the same work in every process.
-_SCAN_WORDS = (*sorted(FORBIDDEN_TOKENS), "skipKernelTC")
-
-
 def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
     """``(word, filename, line)`` for each forbidden identifier in code (see the module doc)."""
-    if not any(word in text for word in _SCAN_WORDS):
+    if not any(word in text for word in SCAN_WORDS):
         return []
     return [(word, filename, line) for _, word, line in forbidden_words(tokenize(text))]
 
@@ -343,19 +338,18 @@ class SimVerifier:
 
     In-loop builds evaluate the text the workspace wrote for each path (files
     it did not write are read from disk) and cache each file's contribution
-    by content, so a build rescans only the files that changed since the last
-    one.  The axiom audit evaluates each file the same way, but always on
-    the text read from disk and never through the cache.  The rule table is
-    fixed at construction.
+    by path and content, so a build rescans only the files whose text changed
+    since their path was last built.  The axiom audit evaluates each file the
+    same way, but always on the text read from disk and never through the
+    cache.  The rule table is fixed at construction.
     """
 
     mode = "sim"
 
     def __init__(self, rules: dict[str, SimRule] | None = None):
         self.rules = dict(rules or {})
-        # (workspace root, relative path) -> contribution; holds only the
-        # files of the last build.
-        self._built: dict[tuple[Path, str], _FileBuild] = {}
+        # relative path -> the contribution of the text last built at that path
+        self._built: dict[str, _FileBuild] = {}
 
     def ensure_available(self) -> None:
         pass
@@ -391,7 +385,6 @@ class SimVerifier:
     def build(self, ws: Workspace) -> BuildReport:
         errors: list[str] = []
         sites: list[tuple[str, int]] = []
-        built: dict[tuple[Path, str], _FileBuild] = {}
         for node_id in sorted(ws.node_files):
             rel = ws.node_files[node_id]
             text = ws.written.get(rel)
@@ -401,14 +394,11 @@ class SimVerifier:
                     text = path.read_text(encoding="utf-8")
                 except OSError as exc:
                     raise IoError(f"cannot read {path}: {exc}") from exc
-            key = (ws.root_dir, rel)
-            result = self._built.get(key)
+            result = self._built.get(rel)
             if result is None or result.text != text:
-                result = self._build_file(rel, text)
-            built[key] = result
+                result = self._built[rel] = self._build_file(rel, text)
             errors.extend(result.errors)
             sites.extend(result.sites)
-        self._built = built
         return BuildReport(not errors and not sites, tuple(sites), "\n".join(errors), 0.0, not errors)
 
     def audit_axioms(self, ws: Workspace, name: str) -> set[str]:

@@ -88,6 +88,10 @@ STATUS_EVENTS = {
     EventKind.NODE_FAILING: Status.FAILING,
 }
 
+# How the detail of each final-audit event starts; replay reopens the anchor node on a
+# CheckFail event whose detail starts so, as the loop does.
+AUDIT_DETAIL = "audit:"
+
 
 class Verdict(str, Enum):
     SOLVED = "solved"
@@ -202,12 +206,12 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
     """The frame a frame record stands for: the one reader of frame records.
 
     A record without ``edges`` is a delta on ``previous`` (see :func:`frame_record`).
-    A record of the wrong shape, or an edge that names an id outside its frame, is a
-    LedgerError that names the frame.  Given ``shared``, one table per read, frames
-    share ids and (dep, node) pairs; given ``carried`` too, a structure delta starts
-    from the per-node pairs the one before it left, if they are ``previous``'s.  A
-    delta is read by what it names: the ids, links and deps it lists, which its frame
-    keeps as its :class:`Change`.
+    A record of the wrong shape, an edge that names an id outside its frame, or a pair
+    listed twice, is a LedgerError that names the frame.  Given ``shared``, one table
+    per read, frames share ids and (dep, node) pairs; given ``carried`` too, a
+    structure delta starts from the per-node pairs the one before it left, if they
+    are ``previous``'s.  A delta is read by what it names: the ids, links and deps it
+    lists, which its frame keeps as its :class:`Change`.
     """
     index, revision, nodes = record.get("index"), record.get("revision"), record.get("nodes")
     intern = ({} if shared is None else shared).setdefault
@@ -254,9 +258,11 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
     raise LedgerError(f"malformed ledger record: frame {index!r}: {fault}")
 
 
-def _check_edges(pairs: Iterable[tuple[str, str]], states: dict[str, str]) -> None:
+def _check_edges(pairs: tuple[tuple[str, str], ...], states: dict[str, str]) -> None:
     if not set(chain.from_iterable(pairs)) <= states.keys():
         raise ValueError("an edge names an id outside the frame")
+    if len(set(pairs)) < len(pairs):
+        raise ValueError("an edge is listed twice")
 
 
 def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, str],
@@ -319,7 +325,7 @@ def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, st
     by_node.update(fresh)
     pairs = tuple(chain.from_iterable(by_node.get(link, ()) if type(link) is str
                                       else grouped[link[2]:link[3]] for link in placed))
-    _check_edges(pairs if gone else chain.from_iterable(fresh.values()), states)
+    _check_edges(pairs if gone else tuple(chain.from_iterable(fresh.values())), states)
     for nid in gone:
         by_node.pop(nid, None)
     return states, pairs, Change(old, statuses, came, gone, fresh)
@@ -524,7 +530,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     Returns (frames checked, diffs applied); the first fault in ``records`` raises
     :class:`ReplayMismatch` (a frame or invalidation set that differs) or
     :class:`LedgerError` (a malformed record, a missing header, an unknown version).
-    A CheckFail event with an ``audit:`` detail reopens the anchor node, as the loop does.
+    A CheckFail event with an ``AUDIT_DETAIL`` detail reopens the anchor node, as the loop does.
     """
     records = iter(records)
     _check_header(next(records, None), "the replayed ledger")
@@ -554,7 +560,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                 elif kind in STATUS_EVENTS and plan is not None:
                     plan = set_status(plan, node, STATUS_EVENTS[kind])
                 elif (kind == EventKind.CHECK_FAIL.value and plan is not None
-                      and record.get("detail", "").startswith("audit:")):
+                      and record.get("detail", "").startswith(AUDIT_DETAIL)):
                     plan = set_status(plan, node, Status.OPEN)
             elif rec == "frame":
                 delta = "edges" not in record
@@ -705,8 +711,7 @@ _FRAMING = {"text": (["prooftrace v1"], "frame {} revision {}", "end", "\n"),
 class _Layout:
     """One structure's levels, its nodes in (level, id) order with their lines rendered
     for the statuses of the last frame (``states``), its sorted (dep, node) pairs with
-    their rendered lines, each id's deps and users over every pair, and the ids whose
-    pairs hold one pair twice."""
+    their rendered lines, and each id's deps and users over every pair."""
 
     def __init__(self, frame: Frame, fmt: str) -> None:
         """Lay ``frame`` out in full, from :func:`depth_layout`."""
@@ -716,11 +721,8 @@ class _Layout:
         self.node_lines = [self.render(level, nid, self.states[nid]) for level, nid in self.ordered]
         self.pairs = sorted(frame.edges)  # a repeated pair is printed once per occurrence
         self.edge_lines = list(starmap(self.edge_line, self.pairs))
-        pair_set = set(frame.edges)
-        self.repeated = {pair[1] for pair, following in zip(self.pairs, self.pairs[1:])
-                         if pair == following} if len(pair_set) < len(self.pairs) else set()
         self.deps, self.users = defaultdict(set), defaultdict(set)
-        for dep, node in pair_set:
+        for dep, node in frame.edges:
             self.deps[node].add(dep)
             self.users[dep].add(node)
 
@@ -768,16 +770,11 @@ class _Layout:
         """Patch the layout in place to the structure and statuses ``nodes`` that
         ``change`` names: the pairs of each id whose deps it lists, or that it removes,
         come and go; its new ids and each id whose level changes are placed anew.  False,
-        with the layout spoilt, where it cannot: a named id whose pairs hold one pair
-        twice, or a cycle."""
+        with the layout spoilt, on a cycle."""
         levels, deps = self.levels, self.deps
-        if not self.repeated.isdisjoint(chain(change.deps, change.removed)):
-            return False
         dirty = set(change.came)  # the ids whose deps may have changed
         for node, pairs in change.deps.items():
             new, old = {dep for dep, _ in pairs}, deps[node]
-            if len(new) < len(pairs):
-                return False
             if new != old:
                 for dep in new - old:
                     self._link(dep, node)

@@ -44,7 +44,8 @@ from .leanenv import (
     normalize_signature,
 )
 from .ledger import (
-    STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger, utc_now_iso,
+    AUDIT_DETAIL, STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger,
+    utc_now_iso,
 )
 from .lexer import forbidden_words, tokenize
 from .plan import (
@@ -208,7 +209,7 @@ class _Run:
         for _ in range(1 + self.config.check_retry_limit):
             self.gate(phase)
             try:
-                record = invoke(self.backend, task)
+                payload, usage, elapsed = invoke(self.backend, task)
             except MalformedResponse as exc:
                 last = exc
                 logger.warning("malformed response during %s: %s", phase, exc)
@@ -218,10 +219,10 @@ class _Run:
             self.ledger.record_usage(
                 task.kind.value,
                 task.check_kind.value if task.check_kind else None,
-                task.subject.node_id, record.usage, record.elapsed,
+                task.subject.node_id, usage, elapsed,
             )
             try:
-                return accept(record.payload)
+                return accept(payload)
             except PlanError as exc:
                 last = exc
                 logger.warning("payload rejected during %s: %s", phase, exc)
@@ -361,14 +362,14 @@ class _Run:
         except VerifierError as exc:
             raise _Stop(StopReason.BACKEND_FAILURE, f"final audit: {exc}") from exc
         if report.passed:
-            self.ledger.record_event(
-                EventKind.CHECK_PASS, self.plan.anchor_id,
-                "audit: pass; axioms=" + (",".join(sorted(report.axioms_used)) or "(none)"))
+            axioms = ",".join(sorted(report.axioms_used)) or "(none)"
+            self.ledger.record_event(EventKind.CHECK_PASS, self.plan.anchor_id,
+                                     f"{AUDIT_DETAIL} pass; axioms={axioms}")
             self.ledger.record_event(EventKind.SUCCESS_EXIT, self.plan.anchor_id,
                                      "anchored target closed with original signature")
             return True
         self.ledger.record_event(EventKind.CHECK_FAIL, self.plan.anchor_id,
-                                 f"audit: {report.detail}")
+                                 f"{AUDIT_DETAIL} {report.detail}")
         return False
 
     def main_loop(self) -> None:

@@ -175,13 +175,14 @@ class ProofPlan:
         assert decl is not None
         return decl
 
-    def dependents(self) -> dict[str, set[str]]:
-        """Map node id -> ids that list it as a direct dependency."""
-        out: dict[str, set[str]] = {node_id: set() for node_id in self.nodes}
-        for node in self.nodes.values():
-            for dep in node.deps:
-                out[dep].add(node.node_id)
-        return out
+
+def _dependents(nodes: dict[str, PlanNode]) -> dict[str, list[str]]:
+    """Map node id -> ids that list it as a direct dependency."""
+    dependents: dict[str, list[str]] = {node_id: [] for node_id in nodes}
+    for node in nodes.values():
+        for dep in node.deps:
+            dependents[dep].append(node.node_id)
+    return dependents
 
 
 def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str, ...]:
@@ -189,10 +190,7 @@ def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str
     import heapq
 
     remaining = {node_id: len(node.deps) for node_id, node in nodes.items()}
-    dependents: dict[str, list[str]] = {node_id: [] for node_id in nodes}
-    for node in nodes.values():
-        for dep in node.deps:
-            dependents[dep].append(node.node_id)
+    dependents = _dependents(nodes)
     ready = [(sort_key[node_id], node_id) for node_id, n in remaining.items() if n == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -327,13 +325,13 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
 
     # Invalidation: closure of changed/removed seeds over the old dependent
     # edges, restricted to survivors; sketch-only edits stay local.
-    old_dependents = plan.dependents()
+    old_dependents = _dependents(plan.nodes)
     seeds = changed_full | removes
     reached: set[str] = set(seeds)
     frontier = list(seeds)
     while frontier:
         node_id = frontier.pop()
-        for dep_user in old_dependents.get(node_id, ()):
+        for dep_user in old_dependents[node_id]:
             if dep_user not in reached:
                 reached.add(dep_user)
                 frontier.append(dep_user)
@@ -344,16 +342,13 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
         if node.status is not Status.OPEN:
             new_nodes[node_id] = node.with_status(Status.OPEN)
 
-    new_plan = ProofPlan(
+    return ProofPlan(
         nodes=new_nodes,
         order=order,
         revision=plan.revision + 1,
         retired=plan.retired | removes,
         _anchor_id=new_anchor_id,
-    )
-    if new_plan.anchor.signature_text != plan.anchor.signature_text:
-        raise RejectedDiff("anchor signature changed")
-    return new_plan, invalidated
+    ), invalidated
 
 
 def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:

@@ -253,7 +253,8 @@ def expand_deltas(records: list[dict]) -> list[dict]:
     A delta keeps the previous frame's order and edges unless it changes the
     structure.  Then its node order is found by looking up, one step at a time,
     the one id that follows the last one placed, and its edges list each id's deps
-    in that order, the listed ``deps`` in place of the previous frame's.
+    in that order, the listed ``deps`` in place of the previous frame's.  A frame
+    that lists one (dep, node) pair twice stands for no plan.
     """
     out: list[dict] = []
     full: dict | None = None
@@ -282,6 +283,8 @@ def expand_deltas(records: list[dict]) -> list[dict]:
             record = {"rec": "frame", "index": record["index"], "revision": record["revision"],
                       "nodes": {nid: nodes[nid] for nid in order}, "edges": edges}
         if record.get("rec") == "frame":
+            pairs = [tuple(edge) for edge in record["edges"]]
+            assert len(set(pairs)) == len(pairs), f"frame {record['index']}: a pair listed twice"
             full = record
         out.append(record)
     return out
@@ -323,6 +326,8 @@ def oracle_delta_accepted(previous: dict, delta: dict) -> bool:
         last = following[0]
     deps = {nid: [dep for dep, node in previous["edges"] if node == nid] for nid in ids}
     if any(nid not in ids for nid in delta.get("deps", {})):
+        return False
+    if any(len(set(listed)) < len(listed) for listed in delta.get("deps", {}).values()):
         return False
     deps.update(delta.get("deps", {}))
     return all(dep in ids for nid in ids for dep in deps[nid])

@@ -111,7 +111,8 @@ class TestEnvelopeValidation:
 
         for kind in TaskKind:
             task = task_for(kind, "n", CheckKind.MATH if kind is TaskKind.CHECK else None)
-            assert invoke(AnswerWith(payloads[kind]), task).payload is payloads[kind]
+            payload, _, _ = invoke(AnswerWith(payloads[kind]), task)
+            assert payload is payloads[kind]
             for payload in (*payloads.values(), "text", None):
                 if type(payload) is not type(payloads[kind]):
                     with pytest.raises(MalformedResponse, match=kind.value):
@@ -142,8 +143,9 @@ class TestScriptedBackend:
         fixture.add(FixtureEntry(key, 2, CheckVerdict(True, "second")))
         backend = ScriptedBackend(fixture)
         task = task_for(TaskKind.CHECK, "n", CheckKind.MATH)
-        assert invoke(backend, task).payload.note == "first"
-        assert invoke(backend, task).payload.note == "second"
+        first, _, _ = invoke(backend, task)
+        second, _, _ = invoke(backend, task)
+        assert (first.note, second.note) == ("first", "second")
         with pytest.raises(FixtureMiss):
             invoke(backend, task)
 
@@ -153,8 +155,9 @@ class TestScriptedBackend:
         seq2 = []
         for backend, out in ((ScriptedBackend(fixture), seq1),
                              (ScriptedBackend(fixture), seq2)):
-            out.append(invoke(backend, task_for(TaskKind.PLAN_INITIAL)).payload)
-            out.append(invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).payload)
+            for task in (task_for(TaskKind.PLAN_INITIAL), task_for(TaskKind.LEAN_WORK, "Main")):
+                payload, _, _ = invoke(backend, task)
+                out.append(payload)
         assert seq1 == seq2
 
     def test_empty_fixture_misses(self):
@@ -169,16 +172,17 @@ class TestScriptedBackend:
         fixture.add(FixtureEntry(FixtureKey(TaskKind.CHECK, CheckKind.FAITHFULNESS, "a"), 1,
                                  CheckVerdict(False, "faith-a")))
         backend = ScriptedBackend(fixture)
-        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.FAITHFULNESS)).payload.note == "faith-a"
-        assert invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.MATH)).payload.note == "math-a"
+        faith, _, _ = invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.FAITHFULNESS))
+        math, _, _ = invoke(backend, task_for(TaskKind.CHECK, "a", CheckKind.MATH))
+        assert (faith.note, math.note) == ("faith-a", "math-a")
 
     def test_usage_and_elapsed_are_reported(self):
         fixture = Fixture()
         fixture.add(FixtureEntry(FixtureKey(TaskKind.LEAN_WORK, None, "n"), 1,
                                  LeanOutcome("src"), TokenUsage(10, 2, 0, 1)))
-        record = invoke(ScriptedBackend(fixture), task_for(TaskKind.LEAN_WORK, "n"))
-        assert record.usage == TokenUsage(10, 2, 0, 1)
-        assert record.elapsed >= 0.0
+        _, usage, elapsed = invoke(ScriptedBackend(fixture), task_for(TaskKind.LEAN_WORK, "n"))
+        assert usage == TokenUsage(10, 2, 0, 1)
+        assert elapsed >= 0.0
 
     def test_duplicate_entry_rejected(self):
         fixture = Fixture()
@@ -227,15 +231,14 @@ class TestFixtureFormat:
         fixture = parse_fixture(FIXTURE_TEXT)
         assert len(fixture.entries) == 4
         backend = ScriptedBackend(fixture)
-        diff = invoke(backend, task_for(TaskKind.PLAN_INITIAL)).payload
+        diff, _, _ = invoke(backend, task_for(TaskKind.PLAN_INITIAL))
         assert diff.adds[0].node_id == "Main"
-        lean = invoke(backend, task_for(TaskKind.LEAN_WORK, "Main")).payload
+        lean, _, _ = invoke(backend, task_for(TaskKind.LEAN_WORK, "Main"))
         assert lean.source == "theorem Main : True := trivial\n"
-        verdict = invoke(backend, task_for(TaskKind.CHECK, "Main",
-                                           CheckKind.FAITHFULNESS)).payload
+        verdict, _, _ = invoke(backend, task_for(TaskKind.CHECK, "Main", CheckKind.FAITHFULNESS))
         assert verdict.passed and verdict.note == "looks right"
-        assert not invoke(backend, task_for(TaskKind.CHECK, "Main",
-                                            CheckKind.MATH)).payload.passed
+        math, _, _ = invoke(backend, task_for(TaskKind.CHECK, "Main", CheckKind.MATH))
+        assert not math.passed
 
     def test_round_trip(self):
         fixture = parse_fixture(FIXTURE_TEXT)

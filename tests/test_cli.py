@@ -635,6 +635,8 @@ MALFORMED_DELTAS = {
     "delta-deps-not-an-object": lambda delta: delta.update(deps=[]),
     "delta-dep-outside-the-frame": lambda delta: delta["deps"].update(
         {next(iter(delta["deps"])): ["ghost"]}),
+    "delta-lists-a-dep-twice": lambda delta: delta["deps"].update(
+        {nid: deps + deps[:1] for nid, deps in delta["deps"].items() if deps}),
 }
 _BURNSIDE_LEDGER: list[str] = []  # the text of one Burnside run's ledger, read once
 

@@ -554,16 +554,17 @@ class TestFrameRecord:
 
 def edit_delta(rng: random.Random, previous: dict, delta: dict, removed_before: list) -> None:
     """One random edit of ``delta``, whose full previous frame is ``previous``: drop,
-    duplicate or re-point an ``after`` link, add a ``removed`` id, or make a ``deps``
+    duplicate or re-point an ``after`` link, add a ``removed`` id, make a ``deps``
     entry name a removed id, by adding it or by dropping an entry whose old list names
-    one."""
+    one, or list a dep of an entry twice."""
     old = list(previous["nodes"])
     after, removed = delta.get("after", {}), delta.get("removed", [])
     ids = old + [nid for nid in delta["nodes"] if nid not in old] + ["ghost"]
     carried = [nid for nid in delta.get("deps", {}) if any(
         dep in removed for dep, node in previous["edges"] if node == nid)]
+    listed = [nid for nid, deps in delta.get("deps", {}).items() if deps]
     edits = ["remove", "dep"] + ["drop", "duplicate", "repoint"] * bool(after)
-    edit = rng.choice(edits + ["carry"] * bool(carried))
+    edit = rng.choice(edits + ["carry"] * bool(carried) + ["twice"] * bool(listed))
     if edit == "drop":
         del after[rng.choice(list(after))]
     elif edit == "duplicate":
@@ -577,6 +578,9 @@ def edit_delta(rng: random.Random, previous: dict, delta: dict, removed_before: 
         nid = rng.choice([nid for nid in ids if nid not in removed])
         deps = delta.setdefault("deps", {})
         deps[nid] = [*deps.get(nid, []), gone]
+    elif edit == "twice":
+        deps = delta["deps"][rng.choice(listed)]
+        deps.insert(rng.randint(0, len(deps)), rng.choice(deps))
     else:  # the entry's previous list, which names a removed id, is carried
         del delta["deps"][rng.choice(carried)]
 
@@ -679,7 +683,8 @@ class TestReplayChecksEveryFrame:
 
     @pytest.mark.parametrize("index", MID_REVISION)
     @pytest.mark.parametrize("tamper", ["drop-change", "spurious-change", "unknown-id",
-                                        "drop-edge", "add-edge", "swap-edge", "status"])
+                                        "drop-edge", "add-edge", "swap-edge", "double-edge",
+                                        "status"])
     def test_an_altered_mid_revision_frame_is_named(self, tmp_path, index, tamper):
         records = three_closes_ledger(tmp_path / "run.jsonl")
         frame = self.frames_of(records)[index]
@@ -696,11 +701,13 @@ class TestReplayChecksEveryFrame:
                 "drop-edge": full["edges"][:-1],
                 "add-edge": full["edges"] + [["A", "D"]],
                 "swap-edge": [[node, dep] for dep, node in full["edges"]],
+                "double-edge": full["edges"] + full["edges"][:1],
             }[tamper]
         else:
             frame["nodes"] = {**frame["nodes"], "D": "formalized"}
-        # A delta that names an unknown id stands for no frame: a malformed record.
-        malformed = tamper == "unknown-id"
+        # A delta that names an unknown id, and a frame that lists a pair twice, stand for
+        # no frame: each is a malformed record.
+        malformed = tamper in ("unknown-id", "double-edge")
         prefix = "malformed ledger record: " if malformed else ""
         with pytest.raises(LedgerError, match=f"^{prefix}frame {index}: ") as exc:
             verify_replay(records)
@@ -757,6 +764,7 @@ class TestReplayChecksEveryFrame:
         "not-one-chain": (lambda frame: frame["after"].update(A="D"), "not form one chain"),
         "deps-unknown": (lambda frame: frame["deps"].update(Z=[]), "deps is not an object of"),
         "deps-outside": (lambda frame: frame["deps"].update(D=["Z"]), "an edge names an id outside"),
+        "deps-twice": (lambda frame: frame["deps"].update(D=["C", "E", "C"]), "is listed twice"),
         "removed-not-a-list": (lambda frame: frame.update(removed="A"), "removed is not a list"),
         "after-not-an-object": (lambda frame: frame.update(after=[["E", "C"]]), "after or deps"),
         "after-not-a-string": (lambda frame: frame["after"].update(E=5), "not form one chain"),
@@ -950,10 +958,19 @@ class TestTraceThroughTheLoader:
         each delta named, so their export patches each layout from it.  It must render
         the written frames as the oracle does, up to the first cyclic frame, which must
         raise the CycleError that ``depth_layout`` raises for it; every other frame of
-        them, whose deltas name changes from frames left out, too."""
+        them, whose deltas name changes from frames left out, too.  A frame that lists a
+        pair twice stands for no plan: its ledger must fail to load, naming the first
+        such frame, and the frames before it are checked as above."""
         frames = random_written_frames(random.Random(seed))
         records = [{"rec": "run", "version": 3}, *map(frame_record, [None, *frames], frames)]
+        doubled = next((k for k, frame in enumerate(frames)
+                        if len(set(frame.edges)) < len(frame.edges)), None)
         with tempfile.TemporaryDirectory() as tmp:
+            if doubled is not None:
+                with pytest.raises(LedgerError, match=f"^malformed ledger record: frame {doubled}: "
+                                                      "an edge is listed twice$"):
+                    load_ledger_of(Path(tmp) / "run.jsonl", records)
+                frames, records = frames[:doubled], records[:doubled + 1]
             loaded = load_ledger_of(Path(tmp) / "run.jsonl", records).frames
         assert loaded == frames
         assert [frame.change is None for frame in loaded] == [True] + [False] * (len(frames) - 1)
@@ -1068,6 +1085,21 @@ class TestLoadShapes:
         assert frames == load_ledger(twin).frames
         assert [f.node_states["C"] for f in frames] == ["not-yet"] * 4 + ["formalized"]
 
+    @pytest.mark.parametrize("frames", [
+        [{"rec": "frame", "index": 0, "revision": 0, "nodes": dict.fromkeys("ab", "not-yet"),
+          "edges": [["a", "b"], ["a", "b"]]}],
+        [{"rec": "frame", "index": 0, "revision": 0, "nodes": dict.fromkeys("ab", "not-yet"),
+          "edges": [["a", "b"]]},
+         {"rec": "frame", "index": 1, "revision": 1, "nodes": {}, "deps": {"b": ["a", "a"]}}],
+    ], ids=["keyframe-edges", "delta-deps-entry"])
+    def test_a_pair_listed_twice_is_a_ledger_error(self, tmp_path, frames):
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in [
+            {"rec": "run", "version": 3}, *frames]), encoding="utf-8")
+        with pytest.raises(LedgerError, match=f"^malformed ledger record: frame {len(frames) - 1}: "
+                                              "an edge is listed twice$"):
+            load_ledger(path)
+
     KEYFRAME = {"rec": "frame", "index": 0, "revision": 0, "nodes": {"a": "not-yet"}, "edges": []}
     CHAIN = {"rec": "frame", "index": 0, "revision": 0,  # a -> b -> c
              "nodes": dict.fromkeys("abc", "not-yet"), "edges": [["a", "b"], ["b", "c"]]}
@@ -1089,13 +1121,15 @@ class TestLoadShapes:
         with pytest.raises(LedgerError, match=f"^malformed ledger record: frame {len(frames) - 1}: "):
             load_ledger(path)
 
-    @pytest.mark.parametrize("delta", [
-        {"nodes": {"b": "failing"}, "removed": ["b"], "after": {"b": "a"}},
-        {"nodes": {}, "removed": ["c", "c"]},
-    ], ids=["removed-and-listed-again", "removed-twice"])
-    def test_the_oracle_refuses_a_contradictory_delta_with_its_own_assertion(self, delta):
+    @pytest.mark.parametrize("delta, fault", [
+        ({"nodes": {"b": "failing"}, "removed": ["b"], "after": {"b": "a"}},
+         "a delta that removes an id twice"),
+        ({"nodes": {}, "removed": ["c", "c"]}, "a delta that removes an id twice"),
+        ({"nodes": {}, "deps": {"c": ["b", "b"]}}, "a pair listed twice"),
+    ], ids=["removed-and-listed-again", "removed-twice", "dep-listed-twice"])
+    def test_the_oracle_refuses_a_contradictory_delta_with_its_own_assertion(self, delta, fault):
         records = [self.CHAIN, {"rec": "frame", "index": 1, "revision": 1, **delta}]
-        with pytest.raises(AssertionError, match="^frame 1: a delta that removes an id twice"):
+        with pytest.raises(AssertionError, match=f"^frame 1: {fault}"):
             expand_deltas(records)
 
 

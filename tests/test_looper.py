@@ -1,6 +1,7 @@
 import builtins
 import cProfile
 import dataclasses
+import gc
 import importlib.util
 import io
 import json
@@ -1068,43 +1069,77 @@ class TestBenchmarkRunContract:
 
 
 class TestLinearityGate:
-    """Python-level calls per unit of work, for the seed-701 benchmark shapes at two plan
-    sizes: the work per statement, or per applied diff, may grow at most by a ceiling.
+    """Work that grows faster than the plan, for the seed-701 benchmark shapes, counted
+    exactly: the Python-level calls of a whole run, and the lines it executes in
+    ``proofloop/plan.py``.
 
-    A call count is exact: it does not move with the host, the filesystem or where
-    collections land, and it reads the same under every ``PYTHONHASHSEED``.  But it
-    does not see O(N) work inside one C call, such as ``set(frame.edges)``, so this
-    gate sits beside the counting guards of :class:`TestStructureWorkGuard`, not in
-    their place.  Each ceiling is the ratio measured when it was set, rounded up; a
-    change that makes the work more proportional lowers it, and none raises it.
+    Each count is taken as a measure that constant work cannot move.  ``wide`` does the
+    same work for each statement, so linear work leaves nothing in the second difference
+    over n = 100, 200 and 300, T(300) - 2*T(200) + T(100); quadratic work reads there.
+    ``replan`` applies 64 diffs at every size, so its growth T(400) - T(100) holds no
+    per-run or per-diff work, only work that grows with the plan.  A ratio of counts
+    per unit rose whenever constant work per unit fell, so it could fail a change that
+    removed work and pass one that added constant work together with growth.
+
+    The counts do not move with the host, the filesystem or where collections land, and
+    they read the same under every ``PYTHONHASHSEED``.  The line count sees a loop that
+    makes no call, but only in ``plan.py``: not a loop in another module, and neither
+    count sees C-level work, such as ``set(frame.edges)``.  So this gate sits beside the
+    counting guards of :class:`TestStructureWorkGuard`, not in their place.  Each
+    ceiling is the count at the last change that lowered it; a change that makes the
+    work more proportional lowers it, and none raises it.
     """
 
-    WIDE_CEILING = 2.43  # 797.3 -> 1,930.6 calls per statement at n = 100 -> 400
-    REPLAN_CEILING = 2.44  # 3,534.0 -> 8,610.6 calls per applied diff at n = 100 -> 400
+    # (size, weight) pairs of each measure, and its ceilings: (calls, plan.py lines)
+    MEASURES = {"wide": ((100, 1), (200, -2), (300, 1)), "replan": ((100, -1), (400, 1))}
+    CEILINGS = {"wide": (50_956, 30_000), "replan": (305_700, 1_069_606)}
 
-    def calls_per_unit(self, workloads, tmp_path, shape, n):
-        """Calls per statement of a ``wide`` run, or per applied diff of a ``replan`` run."""
+    def counts(self, workloads, tmp_path, shape, n):
+        """The calls of one run of ``shape`` at size ``n``, and its lines in plan.py."""
         inputs, prediction = getattr(workloads, shape)(tmp_path / f"{shape}{n}", 701, n)
         backend = ScriptedBackend(load_fixture(inputs.fixture_file))
         verifier = SimVerifier(load_sim_rules(inputs.rules_file))
-        profile = cProfile.Profile()
-        profile.enable()
-        outcome, _ = run(inputs.input_file, backend, verifier, LoopConfig(),
-                         workspace_dir=tmp_path / f"ws{n}", ledger_path=tmp_path / f"{n}.jsonl")
-        profile.disable()
-        assert outcome.verdict.value == prediction.verdict
-        return pstats.Stats(profile).total_calls / (
-            prediction.statements if shape == "wide" else prediction.diffs)
+        lines = 0
 
-    @pytest.mark.parametrize("shape, ceiling", [("wide", WIDE_CEILING),
-                                                ("replan", REPLAN_CEILING)])
-    def test_calls_per_unit_grow_at_most_by_the_ceiling(self, tmp_path, monkeypatch, shape,
-                                                        ceiling):
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        def trace(frame, event, arg):  # a line tracer for the frames of plan.py alone
+            return count_lines if frame.f_code.co_filename == plan_mod.__file__ else None
+
+        # A collection calls the gc callbacks that other libraries install (hypothesis
+        # does), at points that move with the heap, so they are left out of the run.
+        profile, saved, callbacks = cProfile.Profile(), sys.gettrace(), gc.callbacks[:]
+        gc.callbacks.clear()
+        sys.settrace(trace)
+        profile.enable()
+        try:
+            outcome, _ = run(inputs.input_file, backend, verifier, LoopConfig(),
+                             workspace_dir=tmp_path / f"ws{n}",
+                             ledger_path=tmp_path / f"{n}.jsonl")
+        finally:
+            profile.disable()
+            sys.settrace(saved)
+            gc.callbacks[:] = callbacks
+        assert outcome.verdict.value == prediction.verdict
+        return pstats.Stats(profile).total_calls, lines
+
+    @pytest.mark.parametrize("shape", ["wide", "replan"])
+    def test_work_grows_at_most_by_the_ceilings(self, tmp_path, monkeypatch, shape):
         monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))  # its dataclasses need a module
         workloads = importlib.import_module("workloads")
-        self.calls_per_unit(workloads, tmp_path, shape, 20)  # the first run fills the caches
-        small, large = (self.calls_per_unit(workloads, tmp_path, shape, n) for n in (100, 400))
-        assert large <= ceiling * small
+        self.counts(workloads, tmp_path, shape, 20)  # the first run fills the caches
+        calls = lines = 0
+        for n, weight in self.MEASURES[shape]:
+            run_calls, run_lines = self.counts(workloads, tmp_path, shape, n)
+            calls += weight * run_calls
+            lines += weight * run_lines
+        call_ceiling, line_ceiling = self.CEILINGS[shape]
+        assert calls <= call_ceiling
+        assert lines <= line_ceiling
 
 
 class TestGcTicksProbe:

@@ -385,6 +385,29 @@ class TestRandomizedInvariants:
             else:
                 plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_every_accepted_diff_keeps_the_anchor_id_and_its_decl_object(self, seed):
+        """A diff can neither move the anchor nor change it: the anchor id and its
+        AnchorDecl object, and with it the signature, survive every accepted diff, the
+        anchor node's own rewrites included."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, max_nodes=25)
+        anchor_id, decl = plan.anchor_id, plan.anchor
+        for _ in range(8):
+            diff = random_diff(rng, plan)
+            if rng.random() < 0.5 and anchor_id not in {r.node_id for r in diff.rewrites}:
+                node = plan.nodes[anchor_id]
+                deps = tuple(dep for dep in node.deps if dep not in diff.removes)
+                diff = dataclasses.replace(diff, rewrites=(*diff.rewrites, NodeRewrite(
+                    anchor_id, node.informal + " (edited)", node.sketch, deps)))
+            try:
+                plan = apply_diff(plan, diff)[0]
+            except RejectedDiff:
+                continue
+            assert plan.anchor_id == anchor_id
+            assert plan.anchor is decl
+
     def test_topological_invariant_and_oracle_agreement(self):
         rng = random.Random(20260810)
         for _ in range(150):
