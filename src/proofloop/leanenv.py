@@ -5,8 +5,8 @@ shells out to the pinned Lean toolchain (``lake build`` plus a driver file for
 the transitive axiom listing), while :class:`SimVerifier` evaluates a
 deterministic rule table keyed by source-content directives, so full runs can
 be replayed on a laptop in seconds.  In-loop sim builds evaluate the text the
-workspace wrote, cached per file by content; the final audit (and
-``proofloop audit``) reads every file from disk.
+workspace wrote, only for the files written or removed since the last build;
+the final audit (and ``proofloop audit``) reads every file from disk.
 
 The scanner, the signature extractor and the sim directives read Lean source
 through :mod:`proofloop.lexer`.  The scanner flags identifiers in code (the
@@ -76,9 +76,10 @@ class Workspace:
     root_dir: Path
     target_file: str = ""
     node_files: dict[str, str] = field(default_factory=dict)
-    # Text each path last received from write_node_source; paths placed in
-    # node_files directly are absent, and in-loop builds read those from disk.
-    written: dict[str, str] = field(default_factory=dict, repr=False)
+    # Each node id written or removed since a build last took this map: the text it
+    # was written with, or None once removed.  Ids placed in node_files directly are
+    # never here; in-loop sim builds read those from disk.
+    dirty: dict[str, str | None] = field(default_factory=dict, repr=False)
 
     def _rel_path(self, node_id: str) -> str:
         """``Proofws/<id>.lean`` for an id that is a module name; any other id is
@@ -96,14 +97,14 @@ class Workspace:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         self.node_files[node_id] = rel
-        self.written[rel] = text
+        self.dirty[node_id] = text
         if is_target:
             self.target_file = rel
 
     def remove_node_source(self, node_id: str) -> None:
         rel = self.node_files.pop(node_id, None)
         if rel:
-            self.written.pop(rel, None)
+            self.dirty[node_id] = None
             path = self.root_dir / rel
             if path.exists():
                 path.unlink()
@@ -336,12 +337,17 @@ class _FileBuild:
 class SimVerifier:
     """Rule-table verifier driven by in-source directives.
 
-    In-loop builds evaluate the text the workspace wrote for each path (files
-    it did not write are read from disk) and cache each file's contribution
-    by path and content, so a build rescans only the files whose text changed
-    since their path was last built.  The axiom audit evaluates each file the
-    same way, but always on the text read from disk and never through the
-    cache.  The rule table is fixed at construction.
+    An in-loop build of the workspace it built last takes only that workspace's
+    ``dirty`` map, the files written or removed since, and the files the workspace
+    did not write, which it reads from disk at every build.  It keeps the
+    contribution of each file that has errors or sorry sites, by node id, and puts
+    the report together from those alone.  Another workspace is built in full: its
+    files not in ``dirty`` are read from disk, as is a file placed in
+    ``node_files`` by hand, found when the number of files differs from the last
+    build's.  Each file's contribution is cached by path and content, so a file is
+    rescanned only when its text changed since its path was last built.  The axiom
+    audit evaluates each file the same way, but always on the text read from disk
+    and never through the cache.  The rule table is fixed at construction.
     """
 
     mode = "sim"
@@ -350,6 +356,10 @@ class SimVerifier:
         self.rules = dict(rules or {})
         # relative path -> the contribution of the text last built at that path
         self._built: dict[str, _FileBuild] = {}
+        self._ws: Workspace | None = None  # the workspace the three below describe
+        self._ids: set[str] = set()  # its node ids at the last build
+        self._unwritten: set[str] = set()  # those whose file it read from disk
+        self._faults: dict[str, _FileBuild] = {}  # those whose file has errors or sorry sites
 
     def ensure_available(self) -> None:
         pass
@@ -382,24 +392,47 @@ class SimVerifier:
         # A sorry the rule table does not account for reaches the kernel as sorryAx.
         return _FileBuild(text, (), sites, (declared | {SORRY_AXIOM}) if sites else declared)
 
+    def _take(self, ws: Workspace, node_id: str, text: str | None) -> None:
+        """Account for ``node_id``'s file as built from ``text``, or, given None, as
+        read from disk; an id the workspace no longer has is dropped."""
+        rel = ws.node_files.get(node_id)
+        if rel is None:
+            self._ids.discard(node_id)
+            self._unwritten.discard(node_id)
+            self._faults.pop(node_id, None)
+            return
+        if text is None:
+            path = ws.root_dir / rel
+            try:
+                text = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise IoError(f"cannot read {path}: {exc}") from exc
+            self._unwritten.add(node_id)
+        else:
+            self._unwritten.discard(node_id)
+        self._ids.add(node_id)
+        result = self._built.get(rel)
+        if result is None or result.text != text:
+            result = self._built[rel] = self._build_file(rel, text)
+        if result.errors or result.sites:
+            self._faults[node_id] = result
+        else:
+            self._faults.pop(node_id, None)
+
     def build(self, ws: Workspace) -> BuildReport:
-        errors: list[str] = []
-        sites: list[tuple[str, int]] = []
-        for node_id in sorted(ws.node_files):
-            rel = ws.node_files[node_id]
-            text = ws.written.get(rel)
-            if text is None:
-                path = ws.root_dir / rel
-                try:
-                    text = path.read_text(encoding="utf-8")
-                except OSError as exc:
-                    raise IoError(f"cannot read {path}: {exc}") from exc
-            result = self._built.get(rel)
-            if result is None or result.text != text:
-                result = self._built[rel] = self._build_file(rel, text)
-            errors.extend(result.errors)
-            sites.extend(result.sites)
-        return BuildReport(not errors and not sites, tuple(sites), "\n".join(errors), 0.0, not errors)
+        if ws is not self._ws:
+            self._ws, self._ids, self._unwritten, self._faults = ws, set(), set(), {}
+        for node_id in self._unwritten - ws.dirty.keys():
+            self._take(ws, node_id, None)
+        while ws.dirty:
+            self._take(ws, *ws.dirty.popitem())
+        if len(self._ids) != len(ws.node_files):  # files placed or dropped by hand
+            for node_id in self._ids ^ ws.node_files.keys():
+                self._take(ws, node_id, None)
+        faults = [self._faults[node_id] for node_id in sorted(self._faults)]
+        errors = [error for result in faults for error in result.errors]
+        sites = tuple(site for result in faults for site in result.sites)
+        return BuildReport(not errors and not sites, sites, "\n".join(errors), 0.0, not errors)
 
     def audit_axioms(self, ws: Workspace, name: str) -> set[str]:
         """Axioms of every file on disk; any file that does not build fails the audit, as in Lean."""
@@ -499,6 +532,7 @@ class RealVerifier:
             raise BuildTimeout(f"build exceeded {self.build_timeout}s") from exc
 
     def build(self, ws: Workspace) -> BuildReport:
+        ws.dirty.clear()  # lake reads every file from disk
         self._refresh_root_module(ws)
         start = time.monotonic()
         proc = self._run(ws, ["build"])

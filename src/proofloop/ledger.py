@@ -156,25 +156,39 @@ class Frame:
     change: Change | None = field(default=None, compare=False, repr=False)
 
 
-def frame_of(plan: ProofPlan, index: int) -> Frame:
-    """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan."""
-    return Frame(index, {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order},
-                 plan.edges, plan.revision)
+def frame_of(plan: ProofPlan, index: int, previous: Frame | None = None,
+             changed: str | None = None) -> Frame:
+    """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan.
+
+    Given ``previous``, the frame of the plan before, and ``changed``, the one id whose
+    status alone changed since, the statuses are ``previous``'s with that id's read anew.
+    """
+    if previous is None or changed is None:
+        states = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
+    else:
+        states = previous.node_states.copy()
+        states[changed] = FRAME_STATUS[plan.nodes[changed].status]
+    return Frame(index, states, plan.edges, plan.revision)
 
 
-def frame_record(previous: Frame | None, frame: Frame) -> dict[str, Any]:
+def frame_record(previous: Frame | None, frame: Frame,
+                 changed: str | None = None) -> dict[str, Any]:
     """The record that stands for ``frame`` after ``previous``: the one derivation of a
     frame record, for the writer and replay alike.
 
     With no frame before it, a keyframe.  Otherwise a delta: ``nodes`` holds the new
     ids and changed statuses in plan order; ``removed`` the dropped ids, ``after`` each
     id whose predecessor in the node order changed and ``deps`` each id whose
-    dependency list changed, each only when not empty.
+    dependency list changed, each only when not empty.  Given ``changed``, the one id
+    whose status alone may differ from ``previous``'s, only that id is compared.
     """
     record = {"rec": "frame", "index": frame.index, "revision": frame.plan_revision}
     if previous is None:
         return {**record, "nodes": frame.node_states, "edges": list(map(list, frame.edges))}
     old, new = previous.node_states, frame.node_states
+    if changed is not None:
+        status = new[changed]
+        return {**record, "nodes": {} if status == old[changed] else {changed: status}}
     if frame.edges == previous.edges and list(new) == list(old):  # the statuses alone changed
         return {**record, "nodes": _changed(new, old)}
     after = dict(zip(new, [None, *new]))  # an id is never its own predecessor
@@ -409,9 +423,12 @@ class RunLedger:
         self._emit(record)
         self.events.append(event)
 
-    def snapshot_frame(self, plan: ProofPlan) -> None:
-        frame = frame_of(plan, len(self.frames))
-        self._emit(frame_record(self.frames[-1] if self.frames else None, frame))
+    def snapshot_frame(self, plan: ProofPlan, changed: str | None = None) -> None:
+        """Record ``plan``'s frame; ``changed`` names the one id whose status alone
+        changed since the last frame, if that is all that changed."""
+        previous = self.frames[-1] if self.frames else None
+        frame = frame_of(plan, len(self.frames), previous, changed)
+        self._emit(frame_record(previous, frame, changed))
         self.frames.append(frame)
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
@@ -526,7 +543,8 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     only the replayed plan and the last frame.
 
     Each frame record, read by :func:`read_frame`, must equal :func:`frame_record`
-    of the last frame (of none, for a keyframe) and the replayed plan's frame.
+    of the last frame (of none, for a keyframe) and the replayed plan's frame, both
+    in their changed-id form for a delta after exactly one status event.
     Returns (frames checked, diffs applied); the first fault in ``records`` raises
     :class:`ReplayMismatch` (a frame or invalidation set that differs) or
     :class:`LedgerError` (a malformed record, a missing header, an unknown version).
@@ -536,6 +554,9 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     _check_header(next(records, None), "the replayed ledger")
     plan: ProofPlan | None = None
     previous: Frame | None = None  # the last frame checked
+    # The ids whose status events were applied since the last frame; None once the
+    # plan was created or a diff applied since.
+    touched: set[str] | None = None
     frames_checked = 0
     diffs_applied = 0
     try:
@@ -546,29 +567,36 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                 data = record.get("data") or {}
                 node = record.get("node")
                 if kind == EventKind.PLAN_CREATED.value:
-                    plan = plan_from_text(data["plan"])
+                    plan, touched = plan_from_text(data["plan"]), None
                 elif kind == EventKind.DIFF_APPLIED.value:
                     if plan is None:
                         raise ReplayMismatch("diff applied before any plan was created")
                     diff = diff_from_text(data["diff"])
                     plan, invalidated = apply_diff(plan, diff)
+                    touched = None
                     diffs_applied += 1
                     if sorted(invalidated) != list(data.get("invalidated", [])):
                         raise ReplayMismatch(
                             f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
                             f"!= recorded {data.get('invalidated')}")
-                elif kind in STATUS_EVENTS and plan is not None:
-                    plan = set_status(plan, node, STATUS_EVENTS[kind])
-                elif (kind == EventKind.CHECK_FAIL.value and plan is not None
-                      and record.get("detail", "").startswith(AUDIT_DETAIL)):
-                    plan = set_status(plan, node, Status.OPEN)
+                elif plan is not None and (kind in STATUS_EVENTS or (
+                        kind == EventKind.CHECK_FAIL.value
+                        and record.get("detail", "").startswith(AUDIT_DETAIL))):
+                    # A status event, or the audit CheckFail that reopens the anchor node
+                    plan = set_status(plan, node, STATUS_EVENTS.get(kind, Status.OPEN))
+                    if touched is not None:
+                        touched.add(node)
             elif rec == "frame":
                 delta = "edges" not in record
                 if delta and previous is None:
                     raise ReplayMismatch(f"frame {record.get('index')!r}: a delta "
                                          "with no frame before it")
-                expected = None if plan is None else frame_of(plan, frames_checked)
-                written = expected and frame_record(previous if delta else None, expected)
+                # A delta after one status event alone is derived from that id alone.
+                changed = next(iter(touched)) if delta and touched and len(touched) == 1 else None
+                expected = None if plan is None else frame_of(plan, frames_checked, previous,
+                                                              changed)
+                written = expected and frame_record(previous if delta else None, expected,
+                                                    changed)
                 # Equal records differ only if an integer is written as a float or a bool.
                 if record != written or {type(record["index"]), type(record["revision"])} != {int}:
                     read_frame(record, previous)  # a malformed record is a LedgerError
@@ -577,7 +605,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                     key = next(key for key in (*written, *record)
                                if record.get(key) != written.get(key))
                     raise ReplayMismatch(f"frame {record['index']}: {key!r} differs from replay")
-                previous = expected
+                previous, touched = expected, set()
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc

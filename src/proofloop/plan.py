@@ -143,7 +143,9 @@ class ProofPlan:
 
     The ``edges`` ((dep, node) pairs in order) and the anchor id depend only on the
     structure, so they are derived once when the plan is built and handed on by
-    status-only updates.
+    status-only updates.  ``_first_open`` is a position in ``order`` before which
+    every id is Closed: :func:`next_open_statement` resumes from it and moves it
+    on, and :func:`set_status` hands it on.
     """
 
     nodes: dict[str, PlanNode]
@@ -152,6 +154,7 @@ class ProofPlan:
     retired: frozenset[str] = field(default_factory=frozenset)
     edges: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
     _anchor_id: str | None = field(default=None, repr=False, compare=False)
+    _first_open: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.edges is None:
@@ -352,29 +355,39 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
 
 
 def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:
-    """Status-only update used by the run loop; structure is untouched."""
+    """Status-only update used by the run loop; structure is untouched.
+
+    The selection cursor is handed on, except that reopening a Closed node, which
+    may lie before it, moves it back to the start.
+    """
     if node_id not in plan.nodes:
         raise PlanError(f"unknown node {node_id}")
     nodes = dict(plan.nodes)
-    nodes[node_id] = nodes[node_id].with_status(status)
+    node = nodes[node_id]
+    nodes[node_id] = node.with_status(status)
+    reopened = node.status is Status.CLOSED and status is not Status.CLOSED
     return ProofPlan(nodes=nodes, order=plan.order, revision=plan.revision,
-                     retired=plan.retired, edges=plan.edges, _anchor_id=plan._anchor_id)
+                     retired=plan.retired, edges=plan.edges, _anchor_id=plan._anchor_id,
+                     _first_open=0 if reopened else plan._first_open)
 
 
 def next_open_statement(plan: ProofPlan) -> str | None:
     """Earliest Open/Failing node in order whose deps are all Closed.
 
     ``order`` is topological, so every dep of the first non-Closed node comes
-    before it and is Closed.
+    before it and is Closed.  The walk starts at the plan's cursor and leaves it
+    at the id it returns, so between diffs and reopens each Closed id is passed
+    once, however many selections there are.
     """
-    for node_id in plan.order:
-        if plan.nodes[node_id].status is not Status.CLOSED:
-            return node_id
-    return None
+    order, nodes, at = plan.order, plan.nodes, plan._first_open
+    while at < len(order) and nodes[order[at]].status is Status.CLOSED:
+        at += 1
+    object.__setattr__(plan, "_first_open", at)
+    return order[at] if at < len(order) else None
 
 
 def is_complete(plan: ProofPlan) -> bool:
-    return all(node.status is Status.CLOSED for node in plan.nodes.values())
+    return next_open_statement(plan) is None
 
 
 # ---------------------------------------------------------------------------

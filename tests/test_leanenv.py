@@ -421,6 +421,7 @@ def _assembled_from_disk(root: Path) -> Workspace:
 
 CACHE_RULES = parse_sim_rules(RULES_TEXT + "rule rejected\nclean false\nend\n")
 CACHE_POOL = ("a", "b", "c", "d")
+HAND_POOL = ("p", "q")
 CACHE_DIRECTIVES = (
     "-- sim: key clean-v3\n", "-- sim: key classical\n", "-- sim: key has-sorry\n",
     "-- sim: key broken\n", "-- sim: key rejected\n", "-- sim: key ghost\n",
@@ -435,33 +436,144 @@ def _cache_source(rng: random.Random) -> str:
     return text
 
 
+def recorded_takes(monkeypatch) -> list[str]:
+    """The node id of each file a sim build accounts for, in order, from now on."""
+    taken: list[str] = []
+    real_take = SimVerifier._take
+
+    def recording_take(verifier, ws, node_id, text):
+        taken.append(node_id)
+        return real_take(verifier, ws, node_id, text)
+
+    monkeypatch.setattr(SimVerifier, "_take", recording_take)
+    return taken
+
+
+def ws_copy(ws: Workspace, root: Path) -> Workspace:
+    """A workspace at ``root`` whose files are ``ws``'s files on disk, placed by hand."""
+    copy = Workspace(root_dir=root)
+    for node_id, rel in ws.node_files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(ws.root_dir / rel, root / rel)
+        copy.node_files[node_id] = rel
+    return copy
+
+
 class TestBuildCache:
     """One long-lived verifier must agree with a fresh one reading the disk."""
 
-    @given(st.lists(st.tuples(st.sampled_from(("write", "write-back", "remove")),
-                              st.sampled_from(CACHE_POOL),
-                              st.integers(0, 2**32 - 1)),
-                    max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_incremental_build_matches_fresh_build_from_disk(self, steps):
+    # One batch of workspace changes between builds: writes (of a new text, or of one
+    # written at the id before) and removals through the workspace, edits made on disk
+    # behind it, and at most one file placed in or dropped from node_files by hand.
+    OPS = st.lists(st.tuples(st.sampled_from(("write", "write-back", "remove", "edit-disk")),
+                             st.sampled_from(CACHE_POOL + HAND_POOL), st.integers(0, 2**32 - 1)),
+                   max_size=3)
+
+    @given(st.lists(st.tuples(OPS, st.sampled_from(("", "place", "drop")),
+                              st.sampled_from(HAND_POOL), st.integers(0, 2**32 - 1)),
+                    max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_incremental_build_matches_fresh_build_from_disk(self, batches):
+        """After each batch, the long-lived verifier's report equals a fresh verifier's
+        over a workspace that holds what the build must see: the text the workspace
+        wrote for each file it wrote, and the text on disk for each file placed by hand."""
         with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
+            root = Path(tmp) / "ws"
             ws = Workspace(root_dir=root)
             verifier = SimVerifier(CACHE_RULES)
-            history: dict[str, list[str]] = {node_id: [] for node_id in CACHE_POOL}
-            for op, node_id, seed in steps:
-                rng = random.Random(seed)
-                if op == "remove":
-                    ws.remove_node_source(node_id)
-                else:
-                    if op == "write-back" and history[node_id]:
+            seen: dict[str, str] = {}  # rel -> the text the build must see
+            placed: set[str] = set()  # the ids whose file was placed by hand
+            history: dict[str, list[str]] = {}  # id -> the texts written at it
+
+            def on_disk(node_id, text):
+                path = root / ws._rel_path(node_id)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+                return ws._rel_path(node_id)
+
+            for ops, hand, hand_id, hand_seed in batches:
+                for op, node_id, seed in ops:
+                    rng = random.Random(seed)
+                    if op == "write-back" and history.get(node_id):
                         text = rng.choice(history[node_id])
                     else:
                         text = _cache_source(rng)
-                    history[node_id].append(text)
-                    ws.write_node_source(node_id, text)
-                expected = SimVerifier(CACHE_RULES).build(_assembled_from_disk(root))
+                    if op in ("write", "write-back"):
+                        history.setdefault(node_id, []).append(text)
+                        ws.write_node_source(node_id, text)
+                        seen[ws.node_files[node_id]] = text
+                        placed.discard(node_id)
+                    elif op == "remove" and node_id in ws.node_files:
+                        seen.pop(ws.node_files[node_id])
+                        ws.remove_node_source(node_id)
+                        placed.discard(node_id)
+                    elif op == "edit-disk" and node_id in ws.node_files:
+                        rel = on_disk(node_id, text)
+                        if node_id in placed:
+                            seen[rel] = text
+                if hand == "place" and hand_id not in ws.node_files:
+                    text = _cache_source(random.Random(hand_seed))
+                    rel = ws.node_files[hand_id] = on_disk(hand_id, text)
+                    seen[rel] = text
+                    placed.add(hand_id)
+                elif hand == "drop" and hand_id in placed:
+                    seen.pop(ws.node_files.pop(hand_id))
+                    placed.discard(hand_id)
+                fresh = Path(tmp) / "fresh"
+                shutil.rmtree(fresh, ignore_errors=True)
+                for rel, text in seen.items():
+                    (fresh / rel).parent.mkdir(parents=True, exist_ok=True)
+                    (fresh / rel).write_text(text, encoding="utf-8")
+                fresh.mkdir(exist_ok=True)
+                expected = SimVerifier(CACHE_RULES).build(_assembled_from_disk(fresh))
                 assert verifier.build(ws) == expected
+
+    def test_a_build_takes_exactly_the_dirty_files_and_those_placed_by_hand(self, tmp_path,
+                                                                            monkeypatch):
+        """Each build accounts for the files written or removed since the last one, and
+        reads the files placed by hand from disk, each once; no other file is visited."""
+        taken = recorded_takes(monkeypatch)
+        (tmp_path / "Proofws").mkdir()
+        ws = Workspace(root_dir=tmp_path)
+        for node_id in ("p", "q"):
+            (tmp_path / "Proofws" / f"{node_id}.lean").write_text("theorem p : True := trivial\n")
+            ws.node_files[node_id] = f"Proofws/{node_id}.lean"
+        for node_id in ("a", "b", "c"):
+            ws.write_node_source(node_id, "theorem a : True := trivial\n")
+        verifier = SimVerifier()
+        steps = [
+            (lambda: None, ["a", "b", "c", "p", "q"]),
+            (lambda: (ws.write_node_source("b", "theorem b : True := by\n  sorry\n"),
+                      ws.remove_node_source("c")), ["b", "c", "p", "q"]),
+            (lambda: None, ["p", "q"]),
+            (lambda: ws.write_node_source("p", "theorem p : True := trivial\n"), ["p", "q"]),
+            (lambda: None, ["q"]),
+        ]
+        for i, (change, expected) in enumerate(steps):
+            change()
+            taken.clear()
+            report = verifier.build(ws)
+            assert sorted(taken) == expected
+            assert report == SimVerifier().build(ws_copy(ws, tmp_path / f"copy{i}"))
+
+    def test_a_verifier_handed_another_workspace_builds_it_in_full(self, tmp_path, monkeypatch):
+        """A workspace the verifier did not build last is built in full, and equals a
+        fresh verifier's.  Its files whose written text another build took are read from
+        disk, then and at every later build, as files the workspace did not write."""
+        taken = recorded_takes(monkeypatch)
+        first = _ws_with(tmp_path / "one", {"a": "theorem a : True := by\n  sorry\n",
+                                            "b": "theorem b : True := trivial\n"})
+        second = _ws_with(tmp_path / "two", {"c": "theorem c : True := trivial\n",
+                                             "d": "-- sim: error type mismatch\n"})
+        verifier, other = SimVerifier(), SimVerifier()
+        steps = [(first, verifier, ["a", "b"]), (first, verifier, []),
+                 (second, other, ["c", "d"]), (second, verifier, ["c", "d"]),
+                 (second, verifier, ["c", "d"]), (first, verifier, ["a", "b"])]
+        for i, (ws, verifying, expected) in enumerate(steps):
+            taken.clear()
+            report = verifying.build(ws)
+            assert sorted(taken) == expected
+            assert report == SimVerifier().build(ws_copy(ws, tmp_path / f"copy{i}"))
 
     def test_unwritten_files_are_read_from_disk(self, tmp_path):
         verifier = SimVerifier()

@@ -18,6 +18,7 @@ from helpers import (
     oracle_cost, oracle_delta_accepted, oracle_levels, oracle_trace, random_dag_plan, random_diff,
     replan_fixture,
 )
+import proofloop.ledger as ledger_mod
 from proofloop.agents import TOKEN_CLASSES, ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import SimVerifier, load_sim_rules
 from proofloop.looper import LoopConfig, run
@@ -62,6 +63,9 @@ from proofloop.plan import (
     plan_to_text,
     set_status,
 )
+
+
+real_frame_of, real_frame_record = ledger_mod.frame_of, ledger_mod.frame_record
 
 
 def frame_of(nodes: dict[str, str], edges: list[tuple[str, str]], index: int = 0) -> Frame:
@@ -481,8 +485,8 @@ class TestFrameWriter:
         ledger = RunLedger("r", _sink=sink)
         expected, v1_lines, plans = [], [], [None]
 
-        def snapshot():
-            ledger.snapshot_frame(plan)
+        def snapshot(changed=None):
+            ledger.snapshot_frame(plan, changed)
             expected.append(expected_frame_line(plan, plans[-1], len(expected)))
             v1_lines.append(keyframe_line(plan, len(v1_lines)))
             plans.append(plan)
@@ -492,9 +496,11 @@ class TestFrameWriter:
                                                     "rebuild"]), max_size=8))
         for step in steps:
             order = list(plan.order)
-            if step == "status":
+            if step == "status":  # written from the changed id, or derived in full
                 node_id = data.draw(st.sampled_from(order))
                 plan = set_status(plan, node_id, data.draw(st.sampled_from(STATUSES)))
+                snapshot(node_id if data.draw(st.booleans()) else None)
+                continue
             elif step == "add":
                 new_id = data.draw(st.text(ID_CHARS, min_size=1, max_size=4))
                 deps = tuple(dep for dep in order if data.draw(st.booleans()))
@@ -517,6 +523,36 @@ class TestFrameWriter:
         # Written out in full, the deltas give the version 1 ledger line for line.
         expanded = expand_deltas([json.loads(line) for line in lines])
         assert [json.dumps(record, ensure_ascii=False) for record in expanded] == v1_lines
+
+
+class TestChangedIdFrames:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_a_frame_from_the_changed_id_equals_the_full_derivation(self, seed):
+        """After each status step, the frame derived from the previous frame and the one
+        changed id, and its record, equal the full ``frame_of`` and ``frame_record``,
+        node order and bytes included, between diffs and across them."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, 15)
+        previous = ledger_frame_of(plan, 0)
+        for index in range(1, 16):
+            if rng.random() < 0.2:
+                try:
+                    plan = apply_diff(plan, random_diff(rng, plan))[0]
+                except PlanError:
+                    continue
+                previous = ledger_frame_of(plan, index)
+                continue
+            node_id = rng.choice(plan.order)
+            plan = set_status(plan, node_id, rng.choice(STATUSES))
+            frame, full = (ledger_frame_of(plan, index, previous, node_id),
+                           ledger_frame_of(plan, index))
+            assert frame == full
+            assert list(frame.node_states.items()) == list(full.node_states.items())
+            assert frame.edges is full.edges
+            record = frame_record(previous, frame, node_id)
+            assert json.dumps(record) == json.dumps(frame_record(previous, full))
+            previous = frame
 
 
 class TestFrameRecord:
@@ -631,6 +667,14 @@ class TestDeltaReader:
                 (list(f.node_states.items()), f.edges) for f in oracle_frames(records)]
 
 
+def one_frame_after_both_closes(records, nodes):
+    """Drop frame 3 of :func:`three_closes_ledger`'s records, so that the frame after
+    the closes of B and C, renumbered 3, lists ``nodes``."""
+    frames = [record for record in records if record["rec"] == "frame"]
+    records.remove(frames[3])
+    frames[4].update(index=3, nodes=nodes)
+
+
 def three_closes_ledger(path):
     """Plan A <- B <- C <- D, close A, a diff that adds E under D, close B and C.
 
@@ -712,6 +756,60 @@ class TestReplayChecksEveryFrame:
         with pytest.raises(LedgerError, match=f"^{prefix}frame {index}: ") as exc:
             verify_replay(records)
         assert isinstance(exc.value, ReplayMismatch) is not malformed
+
+    # Status deltas crafted against the status events before them: frames 3 and 4 follow
+    # the closes of B and C, and the "two-events" ledgers hold one frame after both.
+    STATUS_DELTAS = {
+        "names-an-untouched-id": (lambda records: records[-2]["nodes"].update(B="formalized"),
+                                  "frame 4: 'nodes' differs from replay"),
+        "names-an-untouched-id-changed": (
+            lambda records: records[-2]["nodes"].update(D="formalized"),
+            "frame 4: 'nodes' differs from replay"),
+        "names-an-untouched-unknown-id": (
+            lambda records: records[-2]["nodes"].update(Z="formalized"),
+            "malformed ledger record: frame 4: the delta names a node not in frame 3"),
+        "omits-the-changed-id": (lambda records: records[-2].update(nodes={}),
+                                 "frame 4: 'nodes' differs from replay"),
+        "lists-another-status": (lambda records: records[-2].update(nodes={"C": "failing"}),
+                                 "frame 4: 'nodes' differs from replay"),
+        "two-events-both-listed": (
+            lambda records: one_frame_after_both_closes(
+                records, {"B": "formalized", "C": "formalized"}), None),
+        "two-events-one-listed": (
+            lambda records: one_frame_after_both_closes(records, {"C": "formalized"}),
+            "frame 3: 'nodes' differs from replay"),
+        "two-events-one-omitted": (
+            lambda records: one_frame_after_both_closes(records, {"B": "formalized"}),
+            "frame 3: 'nodes' differs from replay"),
+    }
+
+    @pytest.mark.parametrize("edit, message", STATUS_DELTAS.values(), ids=STATUS_DELTAS)
+    def test_a_status_delta_is_checked_against_the_events_before_it(self, tmp_path, monkeypatch,
+                                                                    edit, message):
+        """A status delta derived from the ids the events before it touched gives the
+        verdict and message of the full derivation, which is run for comparison with
+        the changed ids left out."""
+        records = three_closes_ledger(tmp_path / "run.jsonl")
+        assert records[-2]["rec"] == "frame" and records[-2]["nodes"] == {"C": "formalized"}
+        edit(records)
+
+        def outcome():
+            try:
+                return verify_replay(records)
+            except LedgerError as exc:
+                return type(exc), str(exc)
+
+        derived = outcome()
+        monkeypatch.setattr(ledger_mod, "frame_of", lambda plan, index, *hint: real_frame_of(
+            plan, index))
+        monkeypatch.setattr(ledger_mod, "frame_record", lambda previous, frame, *hint:
+                            real_frame_record(previous, frame))
+        assert outcome() == derived
+        if message is None:
+            assert derived == (4, 1)
+        else:
+            malformed = message.startswith("malformed")
+            assert derived == (LedgerError if malformed else ReplayMismatch, message)
 
     @pytest.mark.parametrize("index, named", [(0, "a delta with no frame before it"),
                                               (2, "'nodes' differs from replay$")])

@@ -15,6 +15,7 @@ import pytest
 
 import proofloop.leanenv as leanenv
 import proofloop.ledger as ledger_mod
+import proofloop.looper as looper_mod
 import proofloop.plan as plan_mod
 from helpers import (
     REPO_ROOT,
@@ -567,7 +568,8 @@ class TestAuditFailRecovery:
     def bad_axiom_src(self):
         return main_clean_src("-- sim: axioms forbiddenAx\n")
 
-    def test_audit_fail_reopens_anchor_and_replans(self, tmp_path):
+    def reopen_fixture(self):
+        """The audit fails once, reopens the anchor and replans; the second audit passes."""
         builder = FixtureBuilder()
         builder.initial(PlanDiff(adds=(mk_node("Main", anchor=anchor_decl("Main")),),
                                  cause=DiffCause.INITIAL_PLAN))
@@ -578,7 +580,10 @@ class TestAuditFailRecovery:
             cause=DiffCause.FAITHFULNESS_FAIL))
         builder.lean("Main", main_clean_src())
         builder.check("Main", CheckKind.FAITHFULNESS, True)
-        outcome, ledger, ledger_path = run_fixture(tmp_path, builder.fixture)
+        return builder.fixture
+
+    def test_audit_fail_reopens_anchor_and_replans(self, tmp_path):
+        outcome, ledger, ledger_path = run_fixture(tmp_path, self.reopen_fixture())
         assert outcome.verdict is Verdict.SOLVED
         audit_fail = next(e for e in ledger.events
                           if e.kind is EventKind.CHECK_FAIL)
@@ -682,10 +687,19 @@ class TestLinearBuildGuard:
             return real_scan(*args, **kwargs)
 
         monkeypatch.setattr(leanenv, "scan_forbidden_text", counting_scan)
+        written: set[Path] = set()  # every file the workspace wrote, up to the build
         reread: list[Path] = []
+        taken: list[tuple[list[str], list[str]]] = []  # per build: taken, written since
 
         class GuardedVerifier(SimVerifier):
+            def _take(self, ws, node_id, text):
+                taken[-1][0].append(node_id)
+                return super()._take(ws, node_id, text)
+
             def build(self, ws):
+                taken.append(([], sorted(ws.dirty)))
+                written.update(ws.root_dir / ws.node_files[node_id]
+                               for node_id, text in ws.dirty.items() if text is not None)
                 opened: list[Path] = []
                 real_open = io.open
 
@@ -697,7 +711,6 @@ class TestLinearBuildGuard:
                     patch.setattr(io, "open", recording_open)
                     patch.setattr(builtins, "open", recording_open)
                     report = super().build(ws)
-                written = {ws.root_dir / rel for rel in ws.written}
                 reread.extend(path for path in opened if path in written)
                 return report
 
@@ -711,6 +724,10 @@ class TestLinearBuildGuard:
         assert ledger.outcome.statement_count == statements
         assert scans <= 3 * statements
         assert reread == []
+        # Every file is written through the workspace, so each build takes exactly the
+        # one file written since the last: none is read from disk, none visited again.
+        assert len(taken) >= statements
+        assert all(len(ids) == 1 and ids == since for ids, since in taken)
 
 
 class TestStructureWorkGuard:
@@ -1007,6 +1024,84 @@ class TestStructureWorkGuard:
         assert on_disk == ["S0"] + sorted(f"X{k}" for k in range(1, self.SPLITS + 1))
 
 
+class LookupLog(dict):
+    """A node or status map that logs each id looked up in it.  Copies and iteration
+    are not logged: only lookups name the ids whose status is read."""
+
+    def __init__(self, items, log: list):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.log.append(key)
+        return super().__contains__(key)
+
+
+class TestStatusStepGuard:
+    """A status frame reads the status of the one node whose status changed, from the
+    plan and from the frame before it, and no other, in the writer and in replay."""
+
+    # Runs whose status steps are closes, closes between diffs, a failing mark, and the
+    # audit-fail reopen.
+    RUNS = {"wide": lambda: (TestLinearBuildGuard().wide_fixture(), cfg()),
+            "replan": lambda: (replan_fixture(20, 4), cfg(replan_limit=4)),
+            "exhaustion": lambda: (TestExhaustionPath().exhaust_fixture(), cfg()),
+            "audit-reopen": lambda: (TestAuditFailRecovery().reopen_fixture(), cfg())}
+
+    @pytest.mark.parametrize("shape", RUNS)
+    def test_a_status_frame_reads_only_the_changed_status(self, tmp_path, monkeypatch, shape):
+        plan_log: list[str] = []
+        frame_log: list[str] = []
+        reads: list[tuple[str | None, list[str], list[str]]] = []  # per frame
+        real_set_status, real_frame_of = plan_mod.set_status, ledger_mod.frame_of
+        real_frame_record = ledger_mod.frame_record
+
+        def logged_set_status(plan, node_id, status):
+            plan = real_set_status(plan, node_id, status)
+            return plan_mod.ProofPlan(LookupLog(plan.nodes, plan_log), plan.order, plan.revision,
+                                      plan.retired, plan.edges, plan._anchor_id,
+                                      plan._first_open)
+
+        def logged_frame_of(plan, index, previous=None, changed=None):
+            plan_log.clear(), frame_log.clear()
+            frame = real_frame_of(plan, index, previous, changed)
+            return ledger_mod.Frame(frame.index, LookupLog(frame.node_states, frame_log),
+                                    frame.edges, frame.plan_revision)
+
+        def logged_frame_record(previous, frame, changed=None):
+            record = real_frame_record(previous, frame, changed)
+            reads.append((changed, plan_log[:], frame_log[:]))
+            return record
+
+        fixture, config = self.RUNS[shape]()
+        for module in (looper_mod, ledger_mod):
+            monkeypatch.setattr(module, "set_status", logged_set_status)
+        monkeypatch.setattr(ledger_mod, "frame_of", logged_frame_of)
+        monkeypatch.setattr(ledger_mod, "frame_record", logged_frame_record)
+        _, ledger, ledger_path = run_fixture(tmp_path, fixture, config)
+        written = reads[:]
+        reads.clear()
+        assert verify_replay(read_ledger_records(ledger_path))[0] == len(ledger.frames)
+        status_steps = [event.node_id for event in ledger.events
+                        if event.kind in (EventKind.NODE_CLOSED, EventKind.NODE_FAILING)
+                        or (event.kind is EventKind.CHECK_FAIL
+                            and event.detail.startswith(ledger_mod.AUDIT_DETAIL))]
+        assert len(status_steps) >= 2
+        for frames in (written, reads):
+            assert [changed for changed, _, _ in frames if changed is not None] == status_steps
+            for changed, from_plan, from_frames in frames:
+                if changed is not None:
+                    assert from_plan == [changed] and set(from_frames) == {changed}
+
+
 def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
         f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
@@ -1071,7 +1166,7 @@ class TestBenchmarkRunContract:
 class TestLinearityGate:
     """Work that grows faster than the plan, for the seed-701 benchmark shapes, counted
     exactly: the Python-level calls of a whole run, and the lines it executes in
-    ``proofloop/plan.py``.
+    ``proofloop/plan.py``, ``leanenv.py`` and ``ledger.py``.
 
     Each count is taken as a measure that constant work cannot move.  ``wide`` does the
     same work for each statement, so linear work leaves nothing in the second difference
@@ -1083,19 +1178,22 @@ class TestLinearityGate:
 
     The counts do not move with the host, the filesystem or where collections land, and
     they read the same under every ``PYTHONHASHSEED``.  The line count sees a loop that
-    makes no call, but only in ``plan.py``: not a loop in another module, and neither
-    count sees C-level work, such as ``set(frame.edges)``.  So this gate sits beside the
+    makes no call, but only in those three modules (selection and plan mutation, the
+    sim build, frames and replay), and neither count sees C-level work, such as
+    ``set(frame.edges)``.  So this gate sits beside the
     counting guards of :class:`TestStructureWorkGuard`, not in their place.  Each
     ceiling is the count at the last change that lowered it; a change that makes the
     work more proportional lowers it, and none raises it.
     """
 
-    # (size, weight) pairs of each measure, and its ceilings: (calls, plan.py lines)
+    # (size, weight) pairs of each measure, its ceilings (calls, lines), and the files
+    # whose lines are counted
     MEASURES = {"wide": ((100, 1), (200, -2), (300, 1)), "replan": ((100, -1), (400, 1))}
-    CEILINGS = {"wide": (50_956, 30_000), "replan": (305_700, 1_069_606)}
+    CEILINGS = {"wide": (0, 0), "replan": (305_700, 1_242_600)}
+    LINE_FILES = frozenset(module.__file__ for module in (plan_mod, leanenv, ledger_mod))
 
     def counts(self, workloads, tmp_path, shape, n):
-        """The calls of one run of ``shape`` at size ``n``, and its lines in plan.py."""
+        """The calls of one run of ``shape`` at size ``n``, and its lines in ``LINE_FILES``."""
         inputs, prediction = getattr(workloads, shape)(tmp_path / f"{shape}{n}", 701, n)
         backend = ScriptedBackend(load_fixture(inputs.fixture_file))
         verifier = SimVerifier(load_sim_rules(inputs.rules_file))
@@ -1107,8 +1205,8 @@ class TestLinearityGate:
                 lines += 1
             return count_lines
 
-        def trace(frame, event, arg):  # a line tracer for the frames of plan.py alone
-            return count_lines if frame.f_code.co_filename == plan_mod.__file__ else None
+        def trace(frame, event, arg):  # a line tracer for the frames of the counted modules
+            return count_lines if frame.f_code.co_filename in self.LINE_FILES else None
 
         # A collection calls the gc callbacks that other libraries install (hypothesis
         # does), at points that move with the heap, so they are left out of the run.

@@ -372,18 +372,36 @@ class TestRandomizedInvariants:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_selection_and_cached_edges_match_recomputation(self, seed):
+        """Steps as the loop takes them (close or fail the selected node), reopens of a
+        closed node, random status marks and diffs: selection through the cursor equals
+        the definition, whether or not it was asked since the last step, and every id
+        before the cursor is closed."""
         rng = random.Random(seed)
         plan = random_dag_plan(rng, max_nodes=25)
-        for _ in range(8):
-            assert next_open_statement(plan) == _next_open_checking_deps(plan)
+        for _ in range(30):
+            if rng.random() < 0.8:  # a step the cursor must follow without being asked
+                assert next_open_statement(plan) == _next_open_checking_deps(plan)
+                assert is_complete(plan) is (_next_open_checking_deps(plan) is None)
+            assert all(plan.nodes[node_id].status is Status.CLOSED
+                       for node_id in plan.order[:plan._first_open])
             fresh = tuple((dep, node_id) for node_id in plan.order
                           for dep in plan.nodes[node_id].deps)
             assert plan.edges == fresh
             assert plan_from_text(plan_to_text(plan)).edges == fresh
-            if rng.random() < 0.3:
+            selected = _next_open_checking_deps(plan)
+            closed = [node_id for node_id in plan.order
+                      if plan.nodes[node_id].status is Status.CLOSED]
+            step = rng.random()
+            if step < 0.1:
                 plan, _ = apply_diff(plan, random_diff(rng, plan))
-            else:
+            elif step < 0.2 and closed:
+                plan = set_status(plan, rng.choice(closed), rng.choice([Status.OPEN,
+                                                                         Status.FAILING]))
+            elif step < 0.3:
                 plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
+            elif selected is not None:
+                status = Status.FAILING if step < 0.4 else Status.CLOSED
+                plan = set_status(plan, selected, status)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
