@@ -263,7 +263,8 @@ def parse_fixture(text: str) -> Fixture:
         check_kind = None
         if kind is TaskKind.CHECK:
             check_kind = reader.member(CheckKind, fields.pop(0) if fields else "", "check kind")
-        node_id = fields.pop(0) if fields and not fields[0].isdigit() else None
+        # Two fields are the node and the occurrence; one is the occurrence if all digits.
+        node_id = fields.pop(0) if len(fields) > 1 or fields and not fields[0].isdigit() else None
         occurrence = reader.ints(" ".join(fields), 1)[0] if fields else 1
 
         usage = TokenUsage()

@@ -4,9 +4,10 @@ Two interchangeable verifiers sit behind one interface: :class:`RealVerifier`
 shells out to the pinned Lean toolchain (``lake build`` plus a driver file for
 the transitive axiom listing), while :class:`SimVerifier` evaluates a
 deterministic rule table keyed by source-content directives, so full runs can
-be replayed on a laptop in seconds.  In-loop sim builds evaluate the text the
-workspace wrote, only for the files written or removed since the last build;
-the final audit (and ``proofloop audit``) reads every file from disk.
+be replayed on a laptop in seconds.  The sim verifier evaluates a file one way,
+cached by path and text: an in-loop build takes the files the workspace marked
+since the last build, a new workspace is read from disk once, and the final audit
+(and ``proofloop audit``) evaluates the text on disk.
 
 The scanner, the signature extractor and the sim directives read Lean source
 through :mod:`proofloop.lexer`.  The scanner flags identifiers in code (the
@@ -77,8 +78,8 @@ class Workspace:
     target_file: str = ""
     node_files: dict[str, str] = field(default_factory=dict)
     # Each node id written or removed since a build last took this map: the text it
-    # was written with, or None once removed.  Ids placed in node_files directly are
-    # never here; in-loop sim builds read those from disk.
+    # was written with, or None once removed.  An id placed in node_files directly
+    # has no mark; a sim build reads its file only when it builds the workspace in full.
     dirty: dict[str, str | None] = field(default_factory=dict, repr=False)
 
     def _rel_path(self, node_id: str) -> str:
@@ -337,29 +338,27 @@ class _FileBuild:
 class SimVerifier:
     """Rule-table verifier driven by in-source directives.
 
-    An in-loop build of the workspace it built last takes only that workspace's
-    ``dirty`` map, the files written or removed since, and the files the workspace
-    did not write, which it reads from disk at every build.  It keeps the
-    contribution of each file that has errors or sorry sites, by node id, and puts
-    the report together from those alone.  Another workspace is built in full: its
-    files not in ``dirty`` are read from disk, as is a file placed in
-    ``node_files`` by hand, found when the number of files differs from the last
-    build's.  Each file's contribution is cached by path and content, so a file is
-    rescanned only when its text changed since its path was last built.  The axiom
-    audit evaluates each file the same way, but always on the text read from disk
-    and never through the cache.  The rule table is fixed at construction.
+    Each file is evaluated one way, cached by relative path and exact text, so a
+    file is rescanned only when its text changed since its path was last
+    evaluated.  An in-loop build of the workspace it built last takes only that
+    workspace's ``dirty`` map, the files written or removed since.  A workspace it
+    did not build last is built in full, once: each file without a mark is read
+    from disk, the only disk read in a build.  A file placed in or dropped from
+    ``node_files`` by hand between two builds of one workspace is not seen.  The
+    build keeps the contribution of each file that has errors or sorry sites, by
+    node id, and puts the report together from those alone.  The axiom audit
+    evaluates the text it reads from disk through the same cache.  The rule table
+    is fixed at construction.
     """
 
     mode = "sim"
 
     def __init__(self, rules: dict[str, SimRule] | None = None):
-        self.rules = dict(rules or {})
-        # relative path -> the contribution of the text last built at that path
+        self._rules = dict(rules or {})
+        # relative path -> the contribution of the text last evaluated at that path
         self._built: dict[str, _FileBuild] = {}
-        self._ws: Workspace | None = None  # the workspace the three below describe
-        self._ids: set[str] = set()  # its node ids at the last build
-        self._unwritten: set[str] = set()  # those whose file it read from disk
-        self._faults: dict[str, _FileBuild] = {}  # those whose file has errors or sorry sites
+        self._ws: Workspace | None = None  # the workspace built last
+        self._faults: dict[str, _FileBuild] = {}  # its ids whose file has errors or sorry sites
 
     def ensure_available(self) -> None:
         pass
@@ -376,7 +375,7 @@ class SimVerifier:
             return _FileBuild(text, (f"{rel}: error: unterminated {literal}",), (), declared)
         if "key" in directives:
             key = directives["key"][0]
-            rule = self.rules.get(key)
+            rule = self._rules.get(key)
             if rule is None:
                 return _FileBuild(text, (f"{rel}: error: unknown sim rule key '{key}'",), (),
                                   declared)
@@ -392,43 +391,37 @@ class SimVerifier:
         # A sorry the rule table does not account for reaches the kernel as sorryAx.
         return _FileBuild(text, (), sites, (declared | {SORRY_AXIOM}) if sites else declared)
 
-    def _take(self, ws: Workspace, node_id: str, text: str | None) -> None:
-        """Account for ``node_id``'s file as built from ``text``, or, given None, as
-        read from disk; an id the workspace no longer has is dropped."""
-        rel = ws.node_files.get(node_id)
-        if rel is None:
-            self._ids.discard(node_id)
-            self._unwritten.discard(node_id)
-            self._faults.pop(node_id, None)
-            return
+    def _evaluate(self, ws: Workspace, rel: str, text: str | None = None) -> _FileBuild:
+        """The contribution of the file at ``rel`` holding ``text``, or, given None,
+        the text on disk; the one way a file is evaluated."""
         if text is None:
             path = ws.root_dir / rel
             try:
                 text = path.read_text(encoding="utf-8")
             except OSError as exc:
                 raise IoError(f"cannot read {path}: {exc}") from exc
-            self._unwritten.add(node_id)
-        else:
-            self._unwritten.discard(node_id)
-        self._ids.add(node_id)
         result = self._built.get(rel)
         if result is None or result.text != text:
             result = self._built[rel] = self._build_file(rel, text)
-        if result.errors or result.sites:
+        return result
+
+    def _take(self, ws: Workspace, node_id: str, text: str | None) -> None:
+        """Account for ``node_id``'s file as evaluated from ``text`` (from disk, for a
+        file without a mark); an id the workspace no longer has is dropped."""
+        rel = ws.node_files.get(node_id)
+        result = None if rel is None else self._evaluate(ws, rel, text)
+        if result and (result.errors or result.sites):
             self._faults[node_id] = result
         else:
             self._faults.pop(node_id, None)
 
     def build(self, ws: Workspace) -> BuildReport:
         if ws is not self._ws:
-            self._ws, self._ids, self._unwritten, self._faults = ws, set(), set(), {}
-        for node_id in self._unwritten - ws.dirty.keys():
-            self._take(ws, node_id, None)
+            self._ws, self._faults = ws, {}
+            for node_id in sorted(ws.node_files.keys() - ws.dirty.keys()):
+                self._take(ws, node_id, None)
         while ws.dirty:
             self._take(ws, *ws.dirty.popitem())
-        if len(self._ids) != len(ws.node_files):  # files placed or dropped by hand
-            for node_id in self._ids ^ ws.node_files.keys():
-                self._take(ws, node_id, None)
         faults = [self._faults[node_id] for node_id in sorted(self._faults)]
         errors = [error for result in faults for error in result.errors]
         sites = tuple(site for result in faults for site in result.sites)
@@ -436,8 +429,7 @@ class SimVerifier:
 
     def audit_axioms(self, ws: Workspace, name: str) -> set[str]:
         """Axioms of every file on disk; any file that does not build fails the audit, as in Lean."""
-        builds = [self._build_file(rel, (ws.root_dir / rel).read_text(encoding="utf-8"))
-                  for rel in ws.node_files.values()]
+        builds = [self._evaluate(ws, rel) for rel in ws.node_files.values()]
         errors = [error for build in builds for error in build.errors]
         if errors:
             raise DriverFail("workspace does not build: " + "; ".join(errors))

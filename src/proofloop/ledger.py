@@ -157,40 +157,40 @@ class Frame:
 
 
 def frame_of(plan: ProofPlan, index: int, previous: Frame | None = None,
-             changed: str | None = None) -> Frame:
+             changed: Iterable[str] | None = None) -> Frame:
     """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan.
 
-    Given ``previous``, the frame of the plan before, and ``changed``, the one id whose
-    status alone changed since, the statuses are ``previous``'s with that id's read anew.
+    Given ``previous``, the frame of the plan before, and ``changed``, the ids touched
+    since, whose statuses alone may have changed, the statuses are ``previous``'s with
+    those ids' read anew.
     """
     if previous is None or changed is None:
         states = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
     else:
         states = previous.node_states.copy()
-        states[changed] = FRAME_STATUS[plan.nodes[changed].status]
+        for nid in changed:
+            states[nid] = FRAME_STATUS[plan.nodes[nid].status]
     return Frame(index, states, plan.edges, plan.revision)
 
 
 def frame_record(previous: Frame | None, frame: Frame,
-                 changed: str | None = None) -> dict[str, Any]:
+                 changed: Iterable[str] | None = None) -> dict[str, Any]:
     """The record that stands for ``frame`` after ``previous``: the one derivation of a
     frame record, for the writer and replay alike.
 
     With no frame before it, a keyframe.  Otherwise a delta: ``nodes`` holds the new
     ids and changed statuses in plan order; ``removed`` the dropped ids, ``after`` each
     id whose predecessor in the node order changed and ``deps`` each id whose
-    dependency list changed, each only when not empty.  Given ``changed``, the one id
-    whose status alone may differ from ``previous``'s, only that id is compared.
+    dependency list changed, each only when not empty.  Given ``changed``, the ids
+    touched since ``previous``, whose statuses alone may differ from its, only those
+    ids are compared, in their order.
     """
     record = {"rec": "frame", "index": frame.index, "revision": frame.plan_revision}
     if previous is None:
         return {**record, "nodes": frame.node_states, "edges": list(map(list, frame.edges))}
     old, new = previous.node_states, frame.node_states
     if changed is not None:
-        status = new[changed]
-        return {**record, "nodes": {} if status == old[changed] else {changed: status}}
-    if frame.edges == previous.edges and list(new) == list(old):  # the statuses alone changed
-        return {**record, "nodes": _changed(new, old)}
+        return {**record, "nodes": {nid: new[nid] for nid in changed if new[nid] != old[nid]}}
     after = dict(zip(new, [None, *new]))  # an id is never its own predecessor
     changes = {"nodes": _changed(new, old, repeat(None)),
                "removed": list(filterfalse(new.__contains__, old)),
@@ -200,10 +200,10 @@ def frame_record(previous: Frame | None, frame: Frame,
     return {**record, **{key: value for key, value in changes.items() if value or key == "nodes"}}
 
 
-def _changed(new: dict, old: dict, defaults: Iterable | None = None) -> dict:
-    """The items of ``new`` whose value differs from ``old``'s, in order; without
-    ``defaults`` both have one key order, with it a key ``old`` lacks meets its default."""
-    olds = old.values() if defaults is None else map(old.get, new, defaults)
+def _changed(new: dict, old: dict, defaults: Iterable) -> dict:
+    """The items of ``new`` whose value differs from ``old``'s, in order; a key ``old``
+    lacks meets its default."""
+    olds = map(old.get, new, defaults)
     return {key: new[key] for key in compress(new, map(ne, olds, new.values()))}
 
 
@@ -423,8 +423,8 @@ class RunLedger:
         self._emit(record)
         self.events.append(event)
 
-    def snapshot_frame(self, plan: ProofPlan, changed: str | None = None) -> None:
-        """Record ``plan``'s frame; ``changed`` names the one id whose status alone
+    def snapshot_frame(self, plan: ProofPlan, changed: Iterable[str] | None = None) -> None:
+        """Record ``plan``'s frame; ``changed`` names the ids whose statuses alone
         changed since the last frame, if that is all that changed."""
         previous = self.frames[-1] if self.frames else None
         frame = frame_of(plan, len(self.frames), previous, changed)
@@ -543,8 +543,9 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     only the replayed plan and the last frame.
 
     Each frame record, read by :func:`read_frame`, must equal :func:`frame_record`
-    of the last frame (of none, for a keyframe) and the replayed plan's frame, both
-    in their changed-id form for a delta after exactly one status event.
+    of the last frame (of none, for a keyframe) and the replayed plan's frame; a delta
+    is derived from the ids that status events touched since the last frame, in event
+    order, unless a plan creation or a diff came between.
     Returns (frames checked, diffs applied); the first fault in ``records`` raises
     :class:`ReplayMismatch` (a frame or invalidation set that differs) or
     :class:`LedgerError` (a malformed record, a missing header, an unknown version).
@@ -554,9 +555,9 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     _check_header(next(records, None), "the replayed ledger")
     plan: ProofPlan | None = None
     previous: Frame | None = None  # the last frame checked
-    # The ids whose status events were applied since the last frame; None once the
-    # plan was created or a diff applied since.
-    touched: set[str] | None = None
+    # The ids whose status events were applied since the last frame, in event order;
+    # None once the plan was created or a diff applied since.
+    touched: dict[str, None] | None = None
     frames_checked = 0
     diffs_applied = 0
     try:
@@ -585,14 +586,13 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                     # A status event, or the audit CheckFail that reopens the anchor node
                     plan = set_status(plan, node, STATUS_EVENTS.get(kind, Status.OPEN))
                     if touched is not None:
-                        touched.add(node)
+                        touched[node] = None
             elif rec == "frame":
                 delta = "edges" not in record
                 if delta and previous is None:
                     raise ReplayMismatch(f"frame {record.get('index')!r}: a delta "
                                          "with no frame before it")
-                # A delta after one status event alone is derived from that id alone.
-                changed = next(iter(touched)) if delta and touched and len(touched) == 1 else None
+                changed = touched if delta else None
                 expected = None if plan is None else frame_of(plan, frames_checked, previous,
                                                               changed)
                 written = expected and frame_record(previous if delta else None, expected,
@@ -605,7 +605,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                     key = next(key for key in (*written, *record)
                                if record.get(key) != written.get(key))
                     raise ReplayMismatch(f"frame {record['index']}: {key!r} differs from replay")
-                previous, touched = expected, set()
+                previous, touched = expected, {}
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc

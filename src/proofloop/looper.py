@@ -230,16 +230,16 @@ class _Run:
 
     # -- plan bookkeeping ----------------------------------------------------
 
-    def _commit(self, plan: ProofPlan, changed: str | None = None) -> None:
+    def _commit(self, plan: ProofPlan, changed: tuple[str, ...] | None = None) -> None:
         """Make ``plan`` the run's plan and record its frame; every plan change comes here.
-        ``changed`` names the one node whose status alone changed, if that is all."""
+        ``changed`` names the nodes whose statuses alone changed, if that is all."""
         self.plan = plan
         self.ledger.snapshot_frame(plan, changed)
 
     def _status_event(self, kind: EventKind, node_id: str, detail: str) -> None:
         """Record ``kind`` for ``node_id`` and commit the status ``STATUS_EVENTS`` gives it."""
         self.ledger.record_event(kind, node_id, detail)
-        self._commit(set_status(self.plan, node_id, STATUS_EVENTS[kind]), node_id)
+        self._commit(set_status(self.plan, node_id, STATUS_EVENTS[kind]), (node_id,))
 
     # -- phases ----------------------------------------------------------------
 
@@ -383,7 +383,7 @@ class _Run:
                     raise _Stop(StopReason.AUDIT_FAIL, "final audit failed with no replans left")
                 # The audit-fail reopen: verify_replay mirrors it on the audit CheckFail.
                 self._commit(set_status(self.plan, self.plan.anchor_id, Status.OPEN),
-                             self.plan.anchor_id)
+                             (self.plan.anchor_id,))
                 self.replan(DiffCause.FAITHFULNESS_FAIL, self.plan.anchor_id)
                 continue
             node_id = next_open_statement(self.plan)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import anchor_decl, random_dag_plan, random_diff
+from helpers import anchor_decl, mk_node, random_dag_plan, random_diff
 from proofloop.agents import (
     CheckKind,
     CheckVerdict,
@@ -21,6 +21,7 @@ from proofloop.agents import (
 )
 from proofloop.leanenv import SimRule, SimRuleError, parse_sim_rules
 from proofloop.plan import (
+    PlanDiff,
     PlanError,
     PlanNode,
     apply_diff,
@@ -72,6 +73,10 @@ source_lines = st.lists(st.one_of(
 ), max_size=8)
 
 
+# Node ids for fixture keys, all-digit ones among them.
+fixture_node_ids = st.sampled_from(["n", "Lem_A", "7", "42"])
+
+
 @st.composite
 def fixtures(draw):
     fixture = Fixture()
@@ -79,12 +84,14 @@ def fixtures(draw):
     usage = st.builds(TokenUsage, *[st.integers(0, 10**6)] * 4)
     fixture.add(FixtureEntry(FixtureKey(TaskKind.PLAN_REVISE, None, plan.anchor_id), 1, diff,
                              draw(usage)))
+    lean_id, check_id = draw(fixture_node_ids), draw(fixture_node_ids)
     for i, lines in enumerate(draw(st.lists(source_lines, max_size=3)), 1):
         source = "".join(line + "\n" for line in lines)
-        fixture.add(FixtureEntry(FixtureKey(TaskKind.LEAN_WORK, None, "n"), i, LeanOutcome(source)))
+        fixture.add(FixtureEntry(FixtureKey(TaskKind.LEAN_WORK, None, lean_id), i,
+                                 LeanOutcome(source)))
     for i, passed in enumerate(draw(st.lists(st.booleans(), max_size=3)), 1):
         verdict = CheckVerdict(passed, draw(free_text))
-        fixture.add(FixtureEntry(FixtureKey(TaskKind.CHECK, CheckKind.MATH, "n"), i, verdict))
+        fixture.add(FixtureEntry(FixtureKey(TaskKind.CHECK, CheckKind.MATH, check_id), i, verdict))
     return fixture
 
 
@@ -120,6 +127,24 @@ class TestSharedLineRules:
         text = fixture_to_text(fixture)
         assert parse_fixture(text) == fixture
         assert parse_fixture(with_noise(text, random.Random(seed))) == fixture
+        assert fixture_to_text(parse_fixture(text)) == text
+
+    @pytest.mark.parametrize("node_id", ["7", "42"])
+    def test_an_all_digit_node_id_reads_back_as_the_node(self, node_id):
+        """Two fields after the kind (and the check kind) are the node and the
+        occurrence, so an all-digit node id is not read as an occurrence."""
+        fixture = Fixture()
+        diff = PlanDiff(adds=(mk_node("a"),))
+        for kind, check_kind, payload in (
+                (TaskKind.PLAN_REVISE, None, diff),
+                (TaskKind.LEAN_WORK, None, LeanOutcome("theorem a : True := trivial\n")),
+                (TaskKind.CHECK, CheckKind.FAITHFULNESS, CheckVerdict(True, ""))):
+            for occurrence in (1, 2):
+                fixture.add(FixtureEntry(FixtureKey(kind, check_kind, node_id), occurrence,
+                                         payload))
+        text = fixture_to_text(fixture)
+        assert f"entry lean {node_id} 2\n" in text
+        assert parse_fixture(text) == fixture
         assert fixture_to_text(parse_fixture(text)) == text
 
     @given(rule_tables, st.integers(0, 2**32))

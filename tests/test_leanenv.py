@@ -463,20 +463,20 @@ class TestBuildCache:
     """One long-lived verifier must agree with a fresh one reading the disk."""
 
     # One batch of workspace changes between builds: writes (of a new text, or of one
-    # written at the id before) and removals through the workspace, edits made on disk
-    # behind it, and at most one file placed in or dropped from node_files by hand.
+    # written at the id before) and removals through the workspace, and edits made on
+    # disk behind it to a file it wrote.
     OPS = st.lists(st.tuples(st.sampled_from(("write", "write-back", "remove", "edit-disk")),
                              st.sampled_from(CACHE_POOL + HAND_POOL), st.integers(0, 2**32 - 1)),
                    max_size=3)
 
-    @given(st.lists(st.tuples(OPS, st.sampled_from(("", "place", "drop")),
-                              st.sampled_from(HAND_POOL), st.integers(0, 2**32 - 1)),
-                    max_size=12))
+    @given(st.lists(st.sampled_from(HAND_POOL), unique=True), st.integers(0, 2**32 - 1),
+           st.lists(OPS, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_incremental_build_matches_fresh_build_from_disk(self, batches):
+    def test_incremental_build_matches_fresh_build_from_disk(self, hand_ids, hand_seed, batches):
         """After each batch, the long-lived verifier's report equals a fresh verifier's
-        over a workspace that holds what the build must see: the text the workspace
-        wrote for each file it wrote, and the text on disk for each file placed by hand."""
+        over a workspace that holds what the build must see: the text on disk for each
+        file placed by hand before the first build, and the text the workspace wrote for
+        each file it wrote."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "ws"
             ws = Workspace(root_dir=root)
@@ -491,7 +491,13 @@ class TestBuildCache:
                 path.write_text(text, encoding="utf-8")
                 return ws._rel_path(node_id)
 
-            for ops, hand, hand_id, hand_seed in batches:
+            rng = random.Random(hand_seed)
+            for hand_id in hand_ids:
+                text = _cache_source(rng)
+                rel = ws.node_files[hand_id] = on_disk(hand_id, text)
+                seen[rel] = text
+                placed.add(hand_id)
+            for ops in [[], *batches]:
                 for op, node_id, seed in ops:
                     rng = random.Random(seed)
                     if op == "write-back" and history.get(node_id):
@@ -507,18 +513,8 @@ class TestBuildCache:
                         seen.pop(ws.node_files[node_id])
                         ws.remove_node_source(node_id)
                         placed.discard(node_id)
-                    elif op == "edit-disk" and node_id in ws.node_files:
-                        rel = on_disk(node_id, text)
-                        if node_id in placed:
-                            seen[rel] = text
-                if hand == "place" and hand_id not in ws.node_files:
-                    text = _cache_source(random.Random(hand_seed))
-                    rel = ws.node_files[hand_id] = on_disk(hand_id, text)
-                    seen[rel] = text
-                    placed.add(hand_id)
-                elif hand == "drop" and hand_id in placed:
-                    seen.pop(ws.node_files.pop(hand_id))
-                    placed.discard(hand_id)
+                    elif op == "edit-disk" and node_id in ws.node_files.keys() - placed:
+                        on_disk(node_id, text)
                 fresh = Path(tmp) / "fresh"
                 shutil.rmtree(fresh, ignore_errors=True)
                 for rel, text in seen.items():
@@ -530,8 +526,9 @@ class TestBuildCache:
 
     def test_a_build_takes_exactly_the_dirty_files_and_those_placed_by_hand(self, tmp_path,
                                                                             monkeypatch):
-        """Each build accounts for the files written or removed since the last one, and
-        reads the files placed by hand from disk, each once; no other file is visited."""
+        """Each build accounts for the files written or removed since the last one, each
+        once; the first build also reads the files placed by hand from disk.  No other
+        file is visited."""
         taken = recorded_takes(monkeypatch)
         (tmp_path / "Proofws").mkdir()
         ws = Workspace(root_dir=tmp_path)
@@ -544,10 +541,10 @@ class TestBuildCache:
         steps = [
             (lambda: None, ["a", "b", "c", "p", "q"]),
             (lambda: (ws.write_node_source("b", "theorem b : True := by\n  sorry\n"),
-                      ws.remove_node_source("c")), ["b", "c", "p", "q"]),
-            (lambda: None, ["p", "q"]),
-            (lambda: ws.write_node_source("p", "theorem p : True := trivial\n"), ["p", "q"]),
-            (lambda: None, ["q"]),
+                      ws.remove_node_source("c")), ["b", "c"]),
+            (lambda: None, []),
+            (lambda: ws.write_node_source("p", "theorem p : True := by\n  sorry\n"), ["p"]),
+            (lambda: ws.remove_node_source("q"), ["q"]),
         ]
         for i, (change, expected) in enumerate(steps):
             change()
@@ -557,9 +554,9 @@ class TestBuildCache:
             assert report == SimVerifier().build(ws_copy(ws, tmp_path / f"copy{i}"))
 
     def test_a_verifier_handed_another_workspace_builds_it_in_full(self, tmp_path, monkeypatch):
-        """A workspace the verifier did not build last is built in full, and equals a
-        fresh verifier's.  Its files whose written text another build took are read from
-        disk, then and at every later build, as files the workspace did not write."""
+        """A workspace the verifier did not build last is built in full, once, and equals
+        a fresh verifier's.  Its files whose written text another build took are read
+        from disk."""
         taken = recorded_takes(monkeypatch)
         first = _ws_with(tmp_path / "one", {"a": "theorem a : True := by\n  sorry\n",
                                             "b": "theorem b : True := trivial\n"})
@@ -568,7 +565,7 @@ class TestBuildCache:
         verifier, other = SimVerifier(), SimVerifier()
         steps = [(first, verifier, ["a", "b"]), (first, verifier, []),
                  (second, other, ["c", "d"]), (second, verifier, ["c", "d"]),
-                 (second, verifier, ["c", "d"]), (first, verifier, ["a", "b"])]
+                 (second, verifier, []), (first, verifier, ["a", "b"])]
         for i, (ws, verifying, expected) in enumerate(steps):
             taken.clear()
             report = verifying.build(ws)
@@ -576,13 +573,15 @@ class TestBuildCache:
             assert report == SimVerifier().build(ws_copy(ws, tmp_path / f"copy{i}"))
 
     def test_unwritten_files_are_read_from_disk(self, tmp_path):
+        """A workspace assembled from disk is read in full; one assembled again after an
+        edit reads the new text, although the cache holds the old text at that path."""
         verifier = SimVerifier()
         (tmp_path / "Proofws").mkdir()
         (tmp_path / "Proofws" / "a.lean").write_text("theorem a : True := trivial\n")
-        ws = _assembled_from_disk(tmp_path)
-        assert verifier.build(ws).clean
+        assert verifier.build(_assembled_from_disk(tmp_path)).clean
         (tmp_path / "Proofws" / "a.lean").write_text("theorem a : True := by\n  sorry\n")
-        assert verifier.build(ws).sorry_sites == (("Proofws/a.lean", 2),)
+        report = verifier.build(_assembled_from_disk(tmp_path))
+        assert report.sorry_sites == (("Proofws/a.lean", 2),)
 
 
 class TestAuditReadsDisk:
@@ -615,6 +614,30 @@ class TestAuditReadsDisk:
         report = audit_verdict(ws, ANCHOR_SIG, "t", verifier)
         assert not report.passed
         assert report.forbidden_occurrences == (("axiom", ws.node_files["h"], 2),)
+
+    def test_the_audit_evaluates_through_the_build_cache(self, tmp_path, monkeypatch):
+        """After a clean build the audit evaluates no file; after an edit on disk it
+        evaluates exactly the edited file, and fails on it."""
+        evaluated: list[str] = []
+        real_build_file = SimVerifier._build_file
+
+        def counting_build_file(verifier, rel, text):
+            evaluated.append(rel)
+            return real_build_file(verifier, rel, text)
+
+        monkeypatch.setattr(SimVerifier, "_build_file", counting_build_file)
+        verifier, ws = self.solved(tmp_path)
+        evaluated.clear()
+        assert audit_verdict(ws, ANCHOR_SIG, "t", verifier).passed
+        assert evaluated == []
+        helper = tmp_path / ws.node_files["h"]
+        helper.write_text("-- sim: error type mismatch\n")
+        assert verifier.build(ws).clean
+        assert evaluated == []
+        report = audit_verdict(ws, ANCHOR_SIG, "t", verifier)
+        assert not report.passed
+        assert "axiom audit failed" in report.detail
+        assert evaluated == [ws.node_files["h"]]
 
 
 LAKE_OUTPUT = """info: building Proofws

@@ -1045,8 +1045,37 @@ class LookupLog(dict):
         return super().__contains__(key)
 
 
+def merge_two_status_frames(records: list[dict]) -> int:
+    """Make the frames of the first two status events in a row, each the only event
+    since the frame before, one delta that lists both, and renumber the frames after
+    it.  Returns the position of the first of the two among the status events."""
+    status_events: list[str] = []
+    since: list[str] = []  # the status events since the last frame, or a diff's mark
+    last = None  # the last frame, and the status events before it
+    for position, record in enumerate(records):
+        if record["rec"] == "event":
+            if record["kind"] in (EventKind.NODE_CLOSED.value, EventKind.NODE_FAILING.value) or (
+                    record["kind"] == EventKind.CHECK_FAIL.value
+                    and record["detail"].startswith(ledger_mod.AUDIT_DETAIL)):
+                status_events.append(record["node"])
+                since.append(record["node"])
+            elif record["kind"] in (EventKind.PLAN_CREATED.value, EventKind.DIFF_APPLIED.value):
+                since.append("")
+        elif record["rec"] == "frame":
+            if (last and len(last[1]) == len(since) == 1 and "" not in last[1] + since
+                    and last[1] != since):
+                first = records.pop(last[0])
+                record["nodes"] = {**first["nodes"], **record["nodes"]}
+                for later in records[last[0]:]:
+                    if later["rec"] == "frame":
+                        later["index"] -= 1
+                return len(status_events) - 2
+            last, since = (position, since), []
+    raise AssertionError("no two status frames in a row")
+
+
 class TestStatusStepGuard:
-    """A status frame reads the status of the one node whose status changed, from the
+    """A status frame reads the statuses of the nodes whose status changed, from the
     plan and from the frame before it, and no other, in the writer and in replay."""
 
     # Runs whose status steps are closes, closes between diffs, a failing mark, and the
@@ -1056,11 +1085,15 @@ class TestStatusStepGuard:
             "exhaustion": lambda: (TestExhaustionPath().exhaust_fixture(), cfg()),
             "audit-reopen": lambda: (TestAuditFailRecovery().reopen_fixture(), cfg())}
 
-    @pytest.mark.parametrize("shape", RUNS)
-    def test_a_status_frame_reads_only_the_changed_status(self, tmp_path, monkeypatch, shape):
+    # Each run as written, and the wide run's ledger with the frames of two status
+    # events made one, which replay derives from those two ids.
+    @pytest.mark.parametrize("shape, merged", [*((shape, False) for shape in RUNS),
+                                               ("wide", True)], ids=[*RUNS, "two-events"])
+    def test_a_status_frame_reads_only_the_changed_status(self, tmp_path, monkeypatch, shape,
+                                                          merged):
         plan_log: list[str] = []
         frame_log: list[str] = []
-        reads: list[tuple[str | None, list[str], list[str]]] = []  # per frame
+        reads: list[tuple[list[str] | None, list[str], list[str]]] = []  # per frame
         real_set_status, real_frame_of = plan_mod.set_status, ledger_mod.frame_of
         real_frame_record = ledger_mod.frame_record
 
@@ -1078,7 +1111,8 @@ class TestStatusStepGuard:
 
         def logged_frame_record(previous, frame, changed=None):
             record = real_frame_record(previous, frame, changed)
-            reads.append((changed, plan_log[:], frame_log[:]))
+            reads.append((None if changed is None else list(changed), plan_log[:],
+                          frame_log[:]))
             return record
 
         fixture, config = self.RUNS[shape]()
@@ -1089,17 +1123,23 @@ class TestStatusStepGuard:
         _, ledger, ledger_path = run_fixture(tmp_path, fixture, config)
         written = reads[:]
         reads.clear()
-        assert verify_replay(read_ledger_records(ledger_path))[0] == len(ledger.frames)
         status_steps = [event.node_id for event in ledger.events
                         if event.kind in (EventKind.NODE_CLOSED, EventKind.NODE_FAILING)
                         or (event.kind is EventKind.CHECK_FAIL
                             and event.detail.startswith(ledger_mod.AUDIT_DETAIL))]
         assert len(status_steps) >= 2
-        for frames in (written, reads):
-            assert [changed for changed, _, _ in frames if changed is not None] == status_steps
+        steps = [[node_id] for node_id in status_steps]
+        records = list(read_ledger_records(ledger_path))
+        if merged:
+            first = merge_two_status_frames(records)
+            steps[first:first + 2] = [status_steps[first:first + 2]]
+        assert verify_replay(records)[0] == len(ledger.frames) - merged
+        for frames, expected in ((written, [[node_id] for node_id in status_steps]),
+                                 (reads, steps)):
+            assert [changed for changed, _, _ in frames if changed is not None] == expected
             for changed, from_plan, from_frames in frames:
                 if changed is not None:
-                    assert from_plan == [changed] and set(from_frames) == {changed}
+                    assert from_plan == changed and set(from_frames) == set(changed)
 
 
 def load_perfbench(name):
@@ -1238,6 +1278,29 @@ class TestLinearityGate:
         call_ceiling, line_ceiling = self.CEILINGS[shape]
         assert calls <= call_ceiling
         assert lines <= line_ceiling
+
+
+class TestTrafficProbe:
+    def test_a_burnside_run_lists_the_statements_it_never_executes(self):
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "traffic.py"), "--workload", "burnside"],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        missed: dict[str, set[int]] = {}  # module -> the lines listed
+        for line in result.stdout.splitlines():
+            module, _, ranges = line.partition(": ")
+            assert re.fullmatch(r"\d+(?:-\d+)?(?:, \d+(?:-\d+)?)*", ranges), line
+            missed[module] = set()
+            for part in ranges.split(", "):
+                first, _, last = part.partition("-")
+                missed[module].update(range(int(first), int(last or first) + 1))
+        # The benchmark never imports the CLI; every other module runs at import.
+        assert missed["cli.py"] == set(range(1, max(missed["cli.py"]) + 1))
+        assert "__init__.py" not in missed
+        source = (REPO_ROOT / "src" / "proofloop" / "leanenv.py").read_text().splitlines()
+        number = {text.strip(): i for i, text in enumerate(source, 1)}
+        assert number['raise IoError(f"cannot read {path}: {exc}") from exc'] in missed["leanenv.py"]
+        assert number["while ws.dirty:"] not in missed["leanenv.py"]
 
 
 class TestGcTicksProbe:
