@@ -7,7 +7,7 @@ deterministic rule table keyed by source-content directives, so full runs can
 be replayed on a laptop in seconds.  The sim verifier evaluates a file one way,
 cached by path and text: an in-loop build takes the files the workspace marked
 since the last build, a new workspace is read from disk once, and the final audit
-(and ``proofloop audit``) evaluates the text on disk.
+(and ``proofloop audit``) evaluates the text it read from disk.
 
 The scanner, the signature extractor and the sim directives read Lean source
 through :mod:`proofloop.lexer`.  The scanner flags identifiers in code (the
@@ -347,8 +347,8 @@ class SimVerifier:
     ``node_files`` by hand between two builds of one workspace is not seen.  The
     build keeps the contribution of each file that has errors or sorry sites, by
     node id, and puts the report together from those alone.  The axiom audit
-    evaluates the text it reads from disk through the same cache.  The rule table
-    is fixed at construction.
+    evaluates the texts the audit read from disk through the same cache.  The
+    rule table is fixed at construction.
     """
 
     mode = "sim"
@@ -427,9 +427,12 @@ class SimVerifier:
         sites = tuple(site for result in faults for site in result.sites)
         return BuildReport(not errors and not sites, sites, "\n".join(errors), 0.0, not errors)
 
-    def audit_axioms(self, ws: Workspace, name: str) -> set[str]:
-        """Axioms of every file on disk; any file that does not build fails the audit, as in Lean."""
-        builds = [self._evaluate(ws, rel) for rel in ws.node_files.values()]
+    def audit_axioms(self, ws: Workspace, name: str,
+                     texts: dict[str, str] | None = None) -> set[str]:
+        """Axioms of every file, evaluated from its text in ``texts`` (by relative path) or
+        else on disk; any file that does not build fails the audit, as in Lean."""
+        texts = texts or {}
+        builds = [self._evaluate(ws, rel, texts.get(rel)) for rel in ws.node_files.values()]
         errors = [error for build in builds for error in build.errors]
         if errors:
             raise DriverFail("workspace does not build: " + "; ".join(errors))
@@ -536,8 +539,10 @@ class RealVerifier:
         compiled = proc.returncode == 0 and not errors
         return BuildReport(compiled and not sites, tuple(sites), "\n".join(errors), elapsed, compiled)
 
-    def audit_axioms(self, ws: Workspace, name: str) -> set[str]:
-        """Axioms of the declaration ``name``, namespace-qualified as ``#print axioms`` takes it."""
+    def audit_axioms(self, ws: Workspace, name: str,
+                     texts: dict[str, str] | None = None) -> set[str]:
+        """Axioms of the declaration ``name``, namespace-qualified as ``#print axioms`` takes
+        it; lake reads the files from disk, so ``texts`` goes unused."""
         driver = self._imports(ws) + f"\n#print axioms {name}\n"
         (ws.root_dir / AUDIT_DRIVER).write_text(driver, encoding="utf-8")
         proc = self._run(ws, ["env", "lean", AUDIT_DRIVER])
@@ -558,19 +563,21 @@ def audit_verdict(
     permitted: frozenset[str] = DEFAULT_PERMITTED_AXIOMS,
 ) -> AuditReport:
     """Compose forbidden-token scan, signature check and axiom audit; the one lookup of
-    ``decl_name`` in the target gives the header to compare and the name to audit."""
+    ``decl_name`` in the target gives the header to compare and the name to audit.  Each
+    file is read from disk once, and its text goes to all three."""
     details: list[str] = []
     try:
-        forbidden = tuple(
-            hit for rel in sorted(ws.node_files.values())
-            for hit in scan_forbidden_text((ws.root_dir / rel).read_text(encoding="utf-8"), rel))
+        texts = {rel: (ws.root_dir / rel).read_text(encoding="utf-8")
+                 for rel in sorted(ws.node_files.values())}
     except OSError as exc:
         return AuditReport(frozenset(), (), False, False, f"scan failed: {exc}")
+    forbidden = tuple(hit for rel, text in texts.items() for hit in scan_forbidden_text(text, rel))
     if forbidden:
         details.append(f"{len(forbidden)} forbidden token occurrence(s)")
 
     try:
-        found = extract_signature_text(ws.read_target(), decl_name)
+        target = texts.get(ws.target_file)
+        found = extract_signature_text(ws.read_target() if target is None else target, decl_name)
     except VerifierError as exc:
         return AuditReport(frozenset(), forbidden, False, False, f"target not found: {exc}")
     sig_ok = found.normalized == normalize_signature(anchor_signature)
@@ -578,7 +585,7 @@ def audit_verdict(
         details.append("target signature does not match the anchor")
 
     try:
-        axioms = frozenset(verifier.audit_axioms(ws, found.qualified_name))
+        axioms = frozenset(verifier.audit_axioms(ws, found.qualified_name, texts))
     except VerifierError as exc:
         return AuditReport(frozenset(), forbidden, sig_ok, False, f"axiom audit failed: {exc}")
     extra = axioms - permitted

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -468,27 +468,44 @@ def open_ledger(run_id: str, path: Path | None = None, meta: dict[str, Any] | No
     return ledger
 
 
+_scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value at an index
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
+
+
 def read_ledger_records(path: Path) -> Iterator[dict[str, Any]]:
-    """Yield JSON-line records one by one.  Only the final line may fail to parse (an
-    in-flight record); any other bad line, or a non-object, is a LedgerError when reached."""
+    """Yield JSON-line records one by one, each line read as ``json.loads`` reads it.
+    Only the final line may fail to parse (an in-flight record); any other bad line, or
+    a non-object, is a LedgerError when reached.
+
+    A line is decoded by one call of the JSON scanner; a line it does not take whole
+    (leading whitespace, a fault, anything but JSON whitespace after the value) is
+    read again by ``json.loads``, whose verdict and error text stand.
+    """
     unparsed: str | None = None  # an error only if another record follows
     with path.open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
-            if line.isspace():
+            try:
+                record, end = _scan_json(line, 0)
+                whole = not line[end:].strip(_JSON_SPACE)
+            except (StopIteration, json.JSONDecodeError):
+                whole = False
+            if not whole and line.isspace():
                 continue
             if unparsed is not None:
                 raise LedgerError(unparsed)
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                unparsed = f"{path}: line {number} is not a JSON record: {exc}"
-                continue
-            if not isinstance(record, dict):
+            if not whole:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    unparsed = f"{path}: line {number} is not a JSON record: {exc}"
+                    continue
+            if type(record) is not dict:
                 raise LedgerError(f"{path}: line {number} is not a JSON object")
             yield record
 
 
 _record_counts = itemgetter(*TOKEN_CLASSES)
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
 
 
 def load_ledger(path: Path) -> RunLedger:
@@ -508,8 +525,12 @@ def load_ledger(path: Path) -> RunLedger:
         for record in records:
             kind = record.get("rec")
             if kind == "event":
+                try:
+                    event_kind = _EVENT_KINDS[record["kind"]]
+                except (KeyError, TypeError):  # it fails as EventKind fails
+                    event_kind = EventKind(record["kind"])
                 ledger.events.append(LoopEvent(
-                    record.get("ts", ""), EventKind(record["kind"]),
+                    record.get("ts", ""), event_kind,
                     record.get("node"), record.get("detail", ""), record.get("data"),
                 ))
             elif kind == "frame":
@@ -567,9 +588,9 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                 kind = record.get("kind")
                 data = record.get("data") or {}
                 node = record.get("node")
-                if kind == EventKind.PLAN_CREATED.value:
+                if kind == EventKind.PLAN_CREATED:
                     plan, touched = plan_from_text(data["plan"]), None
-                elif kind == EventKind.DIFF_APPLIED.value:
+                elif kind == EventKind.DIFF_APPLIED:
                     if plan is None:
                         raise ReplayMismatch("diff applied before any plan was created")
                     diff = diff_from_text(data["diff"])
@@ -581,7 +602,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                             f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
                             f"!= recorded {data.get('invalidated')}")
                 elif plan is not None and (kind in STATUS_EVENTS or (
-                        kind == EventKind.CHECK_FAIL.value
+                        kind == EventKind.CHECK_FAIL
                         and record.get("detail", "").startswith(AUDIT_DETAIL))):
                     # A status event, or the audit CheckFail that reopens the anchor node
                     plan = set_status(plan, node, STATUS_EVENTS.get(kind, Status.OPEN))
@@ -759,18 +780,30 @@ class _Layout:
 
     def level(self, node: str, nodes: dict) -> int:
         """One above ``node``'s deepest dep in ``nodes``, or 0."""
-        return max([self.levels[dep] for dep in self.deps[node] if dep in nodes], default=-1) + 1
+        level, levels = 0, self.levels
+        for dep in self.deps[node]:
+            if dep in nodes and levels[dep] >= level:
+                level = levels[dep] + 1
+        return level
 
-    def _place(self, node: str, status: str) -> None:
-        """Insert ``node`` and its line at its level."""
-        entry = (self.levels[node], node)
-        i = bisect_left(self.ordered, entry)
-        self.ordered.insert(i, entry)
-        self.node_lines.insert(i, self.render(*entry, status))
-
-    def _drop(self, level: int, node: str) -> None:
-        i = bisect_left(self.ordered, (level, node))
-        del self.ordered[i], self.node_lines[i]
+    def _move(self, out: dict[str, int], into: list[str], nodes: dict[str, str]) -> None:
+        """Take the ids ``out`` out of the node order, each at the level it maps to, and
+        put the ids ``into`` in at their levels, with their lines for ``nodes``'
+        statuses, in one merge of the span of the order that the moved entries cover."""
+        ordered, lines = self.ordered, self.node_lines
+        entries = sorted(zip(map(self.levels.__getitem__, into), into))
+        ends = entries[:1] + entries[-1:]
+        if out:
+            ends += min(zip(out.values(), out)), max(zip(out.values(), out))
+        if not ends:
+            return
+        low, high = bisect_left(ordered, min(ends)), bisect_right(ordered, max(ends))
+        kept = [pair for pair in zip(ordered[low:high], lines[low:high]) if pair[0][1] not in out]
+        render = self.render
+        added = zip(entries, [render(level, nid, nodes[nid]) for level, nid in entries])
+        merged = sorted([*kept, *added])  # two sorted runs; no two entries are equal
+        ordered[low:high] = map(itemgetter(0), merged)
+        lines[low:high] = map(itemgetter(1), merged)
 
     def _link(self, dep: str, node: str) -> None:
         """Insert the pair and its line."""
@@ -814,18 +847,15 @@ class _Layout:
                 self._unlink(dep, node)
             del deps[node]
             self.users.pop(node, None)
-            self._drop(levels.pop(node), node)
+        out = {node: levels.pop(node) for node in change.removed}
         levels.update(dict.fromkeys(change.came, 0))
         before = self._relevel(dirty, nodes)
         if before is None:
             return False
-        moved = {nid for nid, level in before.items()
-                 if nid not in change.came and level != levels[nid]}
-        for nid in moved:
-            self._drop(before[nid], nid)
-        for nid in change.came | moved:
-            self._place(nid, nodes[nid])
-        self.restate(change.statuses, change.came | moved)
+        moved = {nid: level for nid, level in before.items()
+                 if level != levels[nid] and nid not in change.came}
+        self._move({**out, **moved}, [*change.came, *moved], nodes)
+        self.restate(change.statuses, change.came.union(moved))
         return True
 
     def _relevel(self, dirty: set[str], nodes: dict[str, str]) -> dict[str, int] | None:
@@ -834,32 +864,30 @@ class _Layout:
         order of the structure before, and each walks depth first through its deps that
         wait.  The old level of each id that changed, or None on a cycle: a dep on the
         walk, or a level past the node count."""
-        levels, deps, users = self.levels, self.deps, self.users
-        waiting, before = set(dirty), {}
+        levels, deps, users, level_of = self.levels, self.deps, self.users, self.level
+        waiting, before, top = set(dirty), {}, len(nodes)
         queue = sorted((levels[nid], nid) for nid in dirty)  # a heap
-        while queue:
-            walk = [heappop(queue)[1]]
-            while walk:
-                nid = walk[-1]
-                if nid not in waiting:
-                    walk.pop()
-                    continue
-                dep = next(filter(waiting.__contains__, deps[nid]), None)
-                if dep is not None:
-                    if dep in walk:
-                        return None
-                    walk.append(dep)
-                    continue
-                walk.pop()
-                waiting.discard(nid)
-                level = self.level(nid, nodes)
-                if level == levels[nid]:
-                    continue
-                if level > len(nodes):
+        walk: list[str] = []  # the path down to a dep that waits
+        while walk or queue:
+            nid = walk.pop() if walk else heappop(queue)[1]
+            if nid not in waiting:
+                continue
+            if not waiting.isdisjoint(deps[nid]):
+                dep = next(filter(waiting.__contains__, deps[nid]))
+                if dep == nid or dep in walk:
                     return None
-                before.setdefault(nid, levels[nid])
-                levels[nid] = level
-                for user in users[nid] - waiting:
+                walk += nid, dep
+                continue
+            waiting.discard(nid)
+            level, old = level_of(nid, nodes), levels[nid]
+            if level == old:
+                continue
+            if level > top:
+                return None
+            before.setdefault(nid, old)
+            levels[nid] = level
+            for user in users[nid]:
+                if user not in waiting:
                     waiting.add(user)
                     heappush(queue, (levels[user], user))
         return before

@@ -493,16 +493,18 @@ class LineReader:
         return [int(word) for word in words]
 
 
+_scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value at an index
+
+
 def _json_fields(reader: LineReader, rest: str, count: int) -> list[str]:
-    decoder = json.JSONDecoder()
     out = []
     idx = 0
     for _ in range(count):
         while idx < len(rest) and rest[idx] == " ":
             idx += 1
         try:
-            value, idx = decoder.raw_decode(rest, idx)
-        except ValueError:
+            value, idx = _scan_json(rest, idx)
+        except (StopIteration, json.JSONDecodeError):
             reader.fail(f"bad quoted field in {rest!r}")
         if not isinstance(value, str):
             reader.fail("expected string field")

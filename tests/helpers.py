@@ -8,6 +8,7 @@ forbidden-token reference scanner is a plain character automaton.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -244,6 +245,36 @@ def oracle_cost(counts, rates) -> Fraction:
     """USD for token counts at USD-per-million rates, exactly, rounded half up to cents."""
     exact = sum(Fraction(count) * Fraction(str(rate)) for count, rate in zip(counts, rates))
     return Fraction(math.floor(exact / 10_000 + Fraction(1, 2)), 100)  # in cents: * 100 / 1e6
+
+
+def oracle_ledger_records(path: Path) -> tuple[list[dict], str | None]:
+    """The records of a ledger file read line by line with ``json.loads``, up to the
+    first fault, and the text of that fault (None if there is none).
+
+    Lines end as a file opened in text mode ends them: at ``\n``, ``\r\n`` or a lone
+    ``\r``, never at U+2028 or U+0085.  A line that is all whitespace is skipped.  A line
+    ``json.loads`` refuses is a fault only once another line that is not blank follows
+    it; a line that holds a value other than an object is a fault at once.
+    """
+    text = path.read_bytes().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    pieces = text.split("\n")
+    lines = [piece + "\n" for piece in pieces[:-1]] + ([pieces[-1]] if pieces[-1] else [])
+    records: list[dict] = []
+    refused = None
+    for number, line in enumerate(lines, 1):
+        if line.isspace():
+            continue
+        if refused is not None:
+            return records, refused
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            refused = f"{path}: line {number} is not a JSON record: {exc}"
+            continue
+        if not isinstance(value, dict):
+            return records, f"{path}: line {number} is not a JSON object"
+        records.append(value)
+    return records, None
 
 
 def expand_deltas(records: list[dict]) -> list[dict]:

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_frames,
-    oracle_cost, oracle_delta_accepted, oracle_levels, oracle_trace, random_dag_plan, random_diff,
-    replan_fixture,
+    oracle_cost, oracle_delta_accepted, oracle_ledger_records, oracle_levels, oracle_trace,
+    random_dag_plan, random_diff, replan_fixture,
 )
 import proofloop.ledger as ledger_mod
 from proofloop.agents import TOKEN_CLASSES, ScriptedBackend, TokenUsage, load_fixture
@@ -195,6 +195,70 @@ class TestLedgerFile:
                         + "\n", encoding="utf-8")
         with pytest.raises(LedgerError, match="malformed ledger record"):
             load_ledger(path)
+
+
+# Text that JSON escapes, or that str.isspace or str.splitlines takes for whitespace or a
+# line end, but json.loads and a file's lines do not.
+_AWKWARD = "\u2028\u2029\u0085\x0c\x1c\ud800\udc80\"\\\n\t"
+_JSON_TEXT = st.text(st.one_of(st.characters(max_codepoint=0x3000), st.sampled_from(_AWKWARD)),
+                     max_size=6)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), _JSON_TEXT),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(_JSON_TEXT, children,
+                                                                       max_size=3),
+    max_leaves=6)
+# How a record's line is written: (text before it, the value in place of the record or
+# None, text after it).
+_LINE_SHAPES = st.one_of(
+    st.just(("", None, "")),
+    st.tuples(st.text(" \t\r\n", min_size=1, max_size=2), st.none(), st.just("")),
+    st.tuples(st.just(""), st.none(), st.text(" \t\r", min_size=1, max_size=2)),
+    st.tuples(st.just(""), st.none(), st.sampled_from(
+        ["\u0085", "\u2028", "\x0c", "\x1c", " \u2028", "\u2029 "])),
+    st.tuples(st.just(""), st.none(), st.sampled_from([" {}", "1", ' "x"', "[]", "{"])),
+    st.tuples(st.just(""), _JSON_VALUES.filter(lambda value: type(value) is not dict),
+              st.just("")),
+)
+_BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0c", "\u2028", "\u0085 "])
+
+
+def _json_line(value, ascii_only: bool) -> str:
+    """``value`` as JSON; a lone surrogate, which UTF-8 cannot hold, is always escaped."""
+    text = json.dumps(value, ensure_ascii=ascii_only)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        text = json.dumps(value)
+    return text
+
+
+class TestReaderEqualsJsonLoads:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_line_reads_as_json_loads_reads_it(self, data):
+        """The same records, and the same LedgerError at the same line, as json.loads
+        reading one line at a time."""
+        lines = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            if data.draw(st.integers(0, 5)) == 0:
+                lines.append(data.draw(_BLANK_LINES) + "\n")
+            record = data.draw(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=3))
+            before, value, after = data.draw(_LINE_SHAPES)
+            body = _json_line(record if value is None else value, data.draw(st.booleans()))
+            lines.append(before + body + after + "\n")
+        if data.draw(st.booleans()):  # the last line cut, as a crash leaves it
+            lines[-1] = lines[-1][:data.draw(st.integers(0, len(lines[-1]) - 1))]
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "run.jsonl"
+            path.write_bytes("".join(lines).encode("utf-8"))
+            expected, fault = oracle_ledger_records(path)
+            records, error = [], None
+            try:
+                for record in read_ledger_records(path):
+                    records.append(record)
+            except LedgerError as exc:
+                error = str(exc)
+        assert (repr(records), error) == (repr(expected), fault)  # repr: NaN is not NaN
 
 
 class TestDepthLayout:

@@ -18,6 +18,7 @@ import proofloop.ledger as ledger_mod
 import proofloop.looper as looper_mod
 import proofloop.plan as plan_mod
 from helpers import (
+    BURNSIDE_DIR,
     REPO_ROOT,
     FixtureBuilder,
     SIMPLE_INPUT,
@@ -730,6 +731,39 @@ class TestLinearBuildGuard:
         assert all(len(ids) == 1 and ids == since for ids, since in taken)
 
 
+class TestAuditReadGuard:
+    def test_the_burnside_audit_reads_each_file_once(self, tmp_path, monkeypatch):
+        """The scan, the target lookup and the axiom audit share one read per file."""
+        reads: list[Path] = []
+        auditing = False
+        real_read_text = Path.read_text
+        real_audit = looper_mod.audit_verdict
+
+        def counting_read_text(path, *args, **kwargs):
+            if auditing:
+                reads.append(path)
+            return real_read_text(path, *args, **kwargs)
+
+        def counting_audit(*args, **kwargs):
+            nonlocal auditing
+            auditing = True
+            try:
+                return real_audit(*args, **kwargs)
+            finally:
+                auditing = False
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        monkeypatch.setattr(looper_mod, "audit_verdict", counting_audit)
+        outcome, ledger = run(BURNSIDE_DIR / "input.lean",
+                              ScriptedBackend(load_fixture(BURNSIDE_DIR / "agents.fx")),
+                              SimVerifier(load_sim_rules(BURNSIDE_DIR / "sim-rules.txt")),
+                              LoopConfig(), workspace_dir=tmp_path / "ws", ledger_path=None)
+        assert outcome.verdict is Verdict.SOLVED
+        files = ledger.outcome.statement_count
+        assert files == 32
+        assert len(reads) == len(set(reads)) == files
+
+
 class TestStructureWorkGuard:
     """Counts the work done per plan structure on a small replan-shaped run."""
 
@@ -1315,3 +1349,14 @@ class TestGcTicksProbe:
                             result.stdout)
         assert [cell.split()[0] for cell in result.stdout.split(" | ")[1:]] == [
             "run_s", "replay_s", "trace_s"]
+
+    def test_a_seed_range_prints_the_seeds_per_pattern(self):
+        result = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "tools" / "gc_ticks.py"), "--workload", "burnside",
+             "--seeds", "701-702", "--iterations", "2"],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        (workload, patterns), = json.loads(result.stdout).items()
+        assert workload == "burnside"
+        assert sum(patterns.values()) == 2
+        assert all(re.fullmatch(r"[.G]{3} [.G]{3} close [.G]", pattern) for pattern in patterns)

@@ -2,6 +2,7 @@
 """Show where CPython's full collections land in the benchmark's reference ticks.
 
     python3 tools/gc_ticks.py --workload {burnside,wide,replan} --seed N --iterations K
+    python3 tools/gc_ticks.py --workload {burnside,wide,replan} --seeds A-B --iterations K
 
 ``perfbench`` runs a reference task (a "tick") before each timed call and
 divides the call's time by the tick's, so a full collection that lands inside a
@@ -11,14 +12,23 @@ pass does, and records every full collection through ``gc.callbacks``.  For each
 iteration it prints one character per tick, ``.`` for none and ``G`` for a full
 collection inside it, then each timed call's raw and scaled seconds and the full
 collections inside the call.  Work files go to a temporary directory.
+
+``--seeds A-B`` probes each seed from A to B in a fresh interpreter, as the
+benchmark runs each seed, and prints one JSON object: for the workload, the
+number of seeds per pattern, each pattern being the ticks of every iteration
+and then ``close`` and the closing tick (``.GG .GG close .``).
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
+import re
+import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,14 +63,42 @@ class _Probe(bench.Pacer):
         self.op_full.append(self.full - self._op_start)
 
 
+def _seed_range(text: str) -> range:
+    match = re.fullmatch(r"(\d+)-(\d+)", text)
+    if not match or int(match[1]) > int(match[2]):
+        raise argparse.ArgumentTypeError(f"expected A-B with A <= B, got {text!r}")
+    return range(int(match[1]), int(match[2]) + 1)
+
+
+def _patterns(workload: str, seeds: range, iterations: int) -> int:
+    """Probe each seed in a fresh interpreter and print the seeds per pattern."""
+    counts: Counter[str] = Counter()
+    for seed in seeds:
+        result = subprocess.run(
+            [sys.executable, __file__, "--workload", workload, "--seed", str(seed),
+             "--iterations", str(iterations)], capture_output=True, text=True)
+        if result.returncode != 0:
+            print(f"seed {seed}: {result.stderr.strip()}", file=sys.stderr)
+            return 1
+        ticks = re.findall(r"^iteration \d+: ticks ([.G]+) ", result.stdout, re.MULTILINE)
+        closing = re.search(r"^closing tick: ([.G])$", result.stdout, re.MULTILINE)[1]
+        counts[f"{' '.join(ticks)} close {closing}"] += 1
+    print(json.dumps({workload: dict(sorted(counts.items()))}))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("burnside", "wide", "replan"))
-    parser.add_argument("--seed", type=int, required=True)
+    seeds = parser.add_mutually_exclusive_group(required=True)
+    seeds.add_argument("--seed", type=int)
+    seeds.add_argument("--seeds", type=_seed_range, help="A-B: each seed in a fresh interpreter")
     parser.add_argument("--iterations", type=int, default=6)
     args = parser.parse_args(argv)
     if args.iterations < 1:
         parser.error("--iterations must be at least 1")
+    if args.seeds is not None:
+        return _patterns(args.workload, args.seeds, args.iterations)
     probe = _Probe()
     spans = []  # each iteration's first tick and first timed call
     with tempfile.TemporaryDirectory(prefix="gc-ticks-") as work:
