@@ -30,16 +30,14 @@ from .agents import (
     load_fixture,
 )
 from .leanenv import (
-    AUDIT_DRIVER,
-    FILES_DIR,
     RealVerifier,
     SimVerifier,
     ToolchainMissing,
     VerifierError,
-    Workspace,
     audit_verdict,
     extract_signature_text,
     load_sim_rules,
+    read_workspace,
 )
 from .ledger import (
     CostModel,
@@ -265,27 +263,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     verifier = _make_verifier(args)
     verifier.ensure_available()
     decl, signature = _load_anchor(args, workspace_dir)
-    ws = Workspace(root_dir=workspace_dir)
-    # Every Lean file but the audit driver, the root module and Lake's package
-    # sources; keyed by path, as files in different directories may share a stem.
-    generated = {AUDIT_DRIVER, f"{FILES_DIR}.lean"}
-    for path in sorted(workspace_dir.rglob("*.lean")):
-        rel = path.relative_to(workspace_dir)
-        if str(rel) not in generated and rel.parts[0] != ".lake":
-            ws.node_files[str(rel)] = str(rel)
-    # The target is the first file that declares the anchored name; a file without the
-    # name's text declares nothing of that name, and is not tokenized.
-    for rel in ws.node_files.values():
-        text = (workspace_dir / rel).read_text(encoding="utf-8")
-        if decl not in text:
-            continue
-        try:
-            extract_signature_text(text, decl)
-        except VerifierError:
-            continue
-        ws.target_file = rel
-        break
-    report = audit_verdict(ws, signature, decl, verifier, **_given(args, permitted="permit"))
+    report = audit_verdict(read_workspace(workspace_dir), signature, decl, verifier,
+                           **_given(args, permitted="permit"))
     _emit({
         "command": "audit",
         "pass": report.passed,

@@ -75,7 +75,6 @@ class Workspace:
     """On-disk home of one run's Lean sources; one file per written node."""
 
     root_dir: Path
-    target_file: str = ""
     node_files: dict[str, str] = field(default_factory=dict)
     # Each node id written or removed since a build last took this map: the text it
     # was written with, or None once removed.  An id placed in node_files directly
@@ -92,15 +91,13 @@ class Workspace:
         parts = "/".join(f"x{hexed[i:i + 200]}" for i in range(0, len(hexed), 200))
         return f"{FILES_DIR}/Encoded/{parts}.lean"
 
-    def write_node_source(self, node_id: str, text: str, is_target: bool = False) -> None:
+    def write_node_source(self, node_id: str, text: str) -> None:
         rel = self.node_files.get(node_id) or self._rel_path(node_id)
         path = self.root_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         self.node_files[node_id] = rel
         self.dirty[node_id] = text
-        if is_target:
-            self.target_file = rel
 
     def remove_node_source(self, node_id: str) -> None:
         rel = self.node_files.pop(node_id, None)
@@ -109,16 +106,19 @@ class Workspace:
             path = self.root_dir / rel
             if path.exists():
                 path.unlink()
-            if self.target_file == rel:
-                self.target_file = ""
 
-    def read_target(self) -> str:
-        if not self.target_file:
-            raise IoError("workspace has no target file")
-        try:
-            return (self.root_dir / self.target_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+
+def read_workspace(root: Path) -> Workspace:
+    """A workspace of every ``.lean`` file under ``root``, keyed by its path, as files in
+    different directories may share a stem.  The audit driver, the root module and
+    everything under ``.lake/`` are not the run's sources, and are left out."""
+    ws = Workspace(root_dir=root)
+    generated = {AUDIT_DRIVER, f"{FILES_DIR}.lean"}
+    for path in sorted(root.rglob("*.lean")):
+        rel = path.relative_to(root)
+        if str(rel) not in generated and rel.parts[0] != ".lake":
+            ws.node_files[str(rel)] = str(rel)
+    return ws
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,28 @@ _OPEN_BRACKETS = frozenset("([{⦃⟨")
 _CLOSE_BRACKETS = frozenset(")]}⦄⟩")
 
 
+def find_signature(texts: dict[str, str], decl_name: str) -> DeclSignature:
+    """The header of the one declaration named ``decl_name`` among ``texts`` (by file);
+    only a text that holds the name is tokenized.  None, or more than one in one file or
+    across files, raises."""
+    found = []
+    for rel, text in texts.items():
+        if decl_name in text:
+            tokens = list(tokenize(text))
+            found += [(rel, tokens, head) for head in declaration_heads(tokens)
+                      if head[1] >= 0 and tokens[head[1]][1] == decl_name]
+    if not found:
+        raise DeclNotFound(f"declaration {decl_name} not found")
+    if len(found) > 1:
+        files = ", ".join(dict.fromkeys(rel for rel, _, _ in found))
+        raise ParseAmbiguity(f"multiple declarations named {decl_name} in {files}")
+    _, tokens, head = found[0]
+    return head_signature(tokens, head)
+
+
 def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
     """Pull the header of the one declaration named ``decl_name`` out of Lean source text."""
-    tokens = list(tokenize(text))
-    heads = [head for head in declaration_heads(tokens)
-             if head[1] >= 0 and tokens[head[1]][1] == decl_name]
-    if not heads:
-        raise DeclNotFound(f"declaration {decl_name} not found")
-    if len(heads) > 1:
-        raise ParseAmbiguity(f"multiple declarations named {decl_name}")
-    return head_signature(tokens, heads[0])
+    return find_signature({"<memory>": text}, decl_name)
 
 
 def head_signature(tokens: list[tuple[str, str, int]], head: tuple[int, int, str]) -> DeclSignature:
@@ -444,8 +456,12 @@ class SimVerifier:
 
 _SORRY_WARNING = re.compile(r"([^\s:]+\.lean):(\d+):(\d+).*declaration uses 'sorry'")
 _ERROR_LINE = re.compile(r"(^|\s)error[: ]", re.IGNORECASE)
-_AXIOM_LIST = re.compile(r"'([^']+)'\s+depends on axioms:\s*\[([^\]]*)\]")
-_AXIOM_NONE = re.compile(r"'([^']+)'\s+does not depend on any axioms")
+# Lean's ``#print axioms`` quotes the name, ``'{constName}' depends on axioms: …`` (from
+# Lean's source as known, not run here), so a primed ``Main'`` prints as ``'Main''``: a name
+# runs to the quote that whitespace follows, and holds whitespace only inside ``«»``.
+_QUOTED_NAME = r"'((?:«[^»\n]*»|[^'\s]|'(?!\s))+)'"
+_AXIOM_LIST = re.compile(_QUOTED_NAME + r"\s+depends on axioms:\s*\[([^\]]*)\]")
+_AXIOM_NONE = re.compile(_QUOTED_NAME + r"\s+does not depend on any axioms")
 
 
 def parse_build_output(output: str) -> tuple[list[str], list[tuple[str, int]]]:
@@ -563,8 +579,8 @@ def audit_verdict(
     permitted: frozenset[str] = DEFAULT_PERMITTED_AXIOMS,
 ) -> AuditReport:
     """Compose forbidden-token scan, signature check and axiom audit; the one lookup of
-    ``decl_name`` in the target gives the header to compare and the name to audit.  Each
-    file is read from disk once, and its text goes to all three."""
+    ``decl_name`` in the whole workspace gives the header to compare and the name to
+    audit.  Each file is read from disk once, and its text goes to all three."""
     details: list[str] = []
     try:
         texts = {rel: (ws.root_dir / rel).read_text(encoding="utf-8")
@@ -576,8 +592,7 @@ def audit_verdict(
         details.append(f"{len(forbidden)} forbidden token occurrence(s)")
 
     try:
-        target = texts.get(ws.target_file)
-        found = extract_signature_text(ws.read_target() if target is None else target, decl_name)
+        found = find_signature(texts, decl_name)
     except VerifierError as exc:
         return AuditReport(frozenset(), forbidden, False, False, f"target not found: {exc}")
     sig_ok = found.normalized == normalize_signature(anchor_signature)

@@ -30,7 +30,8 @@ from typing import IO, Any, Iterable, Iterator
 
 from .agents import TOKEN_CLASSES, AgentError, TokenUsage, token_counts
 from .plan import (
-    ProofPlan, Status, apply_diff, cycle_from, diff_from_text, plan_from_text, set_status,
+    ProofPlan, Status, apply_diff, cycle_from, diff_from_text, encode_json, plan_from_text,
+    scan_json, set_status,
 )
 
 
@@ -408,7 +409,7 @@ class RunLedger:
         if self._closed:
             raise LedgerClosed("ledger already closed")
         if self._sink is not None:
-            self._sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._sink.write(encode_json(record) + "\n")
             self._sink.flush()
 
     def record_event(self, kind: EventKind, node_id: str | None = None,
@@ -468,7 +469,6 @@ def open_ledger(run_id: str, path: Path | None = None, meta: dict[str, Any] | No
     return ledger
 
 
-_scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value at an index
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads allows around a value
 
 
@@ -485,7 +485,7 @@ def read_ledger_records(path: Path) -> Iterator[dict[str, Any]]:
     with path.open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             try:
-                record, end = _scan_json(line, 0)
+                record, end = scan_json(line, 0)
                 whole = not line[end:].strip(_JSON_SPACE)
             except (StopIteration, json.JSONDecodeError):
                 whole = False

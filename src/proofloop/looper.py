@@ -279,7 +279,7 @@ class _Run:
                                    build_errors=self.node_diag.get(node_id))
             source = self._attempt(AgentTask(TaskKind.LEAN_WORK, ctx), f"lean work on {node_id}",
                                    lambda lean: lean.source)
-            self.ws.write_node_source(node_id, source, is_target=node_id == self.plan.anchor_id)
+            self.ws.write_node_source(node_id, source)
             self.gate(f"build for {node_id}")
             try:
                 report = self.verifier.build(self.ws)

@@ -394,8 +394,11 @@ def is_complete(plan: ProofPlan) -> bool:
 # Text serialization.  Line-oriented, one node per record, lossless.
 # See docs/formats.md for the grammar.
 
-def _q(text: str) -> str:
-    return json.dumps(text, ensure_ascii=False)
+# The JSON encoder and scanner of the plan text and the ledger, built once:
+# ``json.dumps(value, ensure_ascii=False)`` builds this encoder on every call.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value at an index
+_q = encode_json  # a JSON string literal
 
 
 def _statement_lines(head: str, informal: str, sketch: str, deps: tuple[str, ...]) -> list[str]:
@@ -493,9 +496,6 @@ class LineReader:
         return [int(word) for word in words]
 
 
-_scan_json = json.JSONDecoder().scan_once  # (value, end) for the JSON value at an index
-
-
 def _json_fields(reader: LineReader, rest: str, count: int) -> list[str]:
     out = []
     idx = 0
@@ -503,7 +503,7 @@ def _json_fields(reader: LineReader, rest: str, count: int) -> list[str]:
         while idx < len(rest) and rest[idx] == " ":
             idx += 1
         try:
-            value, idx = _scan_json(rest, idx)
+            value, idx = scan_json(rest, idx)
         except (StopIteration, json.JSONDecodeError):
             reader.fail(f"bad quoted field in {rest!r}")
         if not isinstance(value, str):

@@ -639,6 +639,31 @@ LEAN_LITERALS = ["'\"'", "'\\''", "'\\u{22}'", "'\\x22'", "'a'", "'\\\\'", "r\"s
                  'r"{sorry}"', 'm!"a\n{b\nsorry}"']
 
 
+def plant_declarations(rng: random.Random, files: dict[str, str], name: str,
+                       count: int) -> list[tuple[str, str]]:
+    """Insert ``count`` declarations of ``name`` into random files of ``files``, in place,
+    each on lines of its own and half of them inside a ``namespace`` block; return
+    ``(file, qualified name)`` for each.  A declaration goes in only at a line start whose
+    prefix :func:`oracle_unterminated` finds closed, so it is code, and the text after it
+    reads as before; the lexer's declaration reader is not consulted."""
+    cuts = {rel: [0] + [at + 1 for at, char in enumerate(text)
+                        if char == "\n" and not oracle_unterminated(text[:at + 1])]
+            for rel, text in files.items()}
+    chosen: list[tuple[str, int, str]] = []
+    planted = []
+    for k in range(count):
+        rel = rng.choice(sorted(files))
+        declaration, qualified = f"theorem {name} : True := trivial\n", name
+        if rng.random() < 0.5:
+            declaration = f"namespace N{k}\n{declaration}end N{k}\n"
+            qualified = f"N{k}.{name}"
+        chosen.append((rel, rng.choice(cuts[rel]), declaration))
+        planted.append((rel, qualified))
+    for rel, cut, declaration in sorted(chosen, key=lambda item: -item[1]):
+        files[rel] = files[rel][:cut] + declaration + files[rel][cut:]
+    return planted
+
+
 def random_lean_file(rng: random.Random) -> str:
     """Token soup mixing keywords, lookalikes, comments, strings (some interpolated) and literals."""
     words = LEAN_WORDS

@@ -191,7 +191,7 @@ def test_criterion_4_audit_exactness(tmp_path):
     def audit_case(name: str, sources: dict[str, str], sig: str = GOOD_SIG):
         ws = Workspace(root_dir=tmp_path / name)
         for node_id, text in sources.items():
-            ws.write_node_source(node_id, text, is_target=node_id == "t")
+            ws.write_node_source(node_id, text)
         return audit_verdict(ws, sig, "t", verifier, DEFAULT_PERMITTED_AXIOMS)
 
     cases = [
@@ -402,7 +402,7 @@ def test_criterion_9_live_path_scope(tmp_path, monkeypatch):
     verifier = RealVerifier(build_timeout=600)
     ws = Workspace(root_dir=tmp_path / "real-ws")
     verifier.init_workspace(ws)
-    ws.write_node_source("tiny", "theorem tiny : 1 = 1 := rfl\n", is_target=True)
+    ws.write_node_source("tiny", "theorem tiny : 1 = 1 := rfl\n")
     build = verifier.build(ws)
     assert build.clean, build.diagnostics
     assert verifier.audit_axioms(ws, "tiny") == set()

@@ -1,10 +1,11 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from helpers import BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, mk_node, single_node_fixture
-from proofloop import cli, leanenv
+from proofloop import leanenv
 from proofloop.agents import ScriptedBackend, fixture_to_text, load_fixture
 from proofloop.cli import OPTION_READERS, build_parser, main, parse_duration, UsageError
 from proofloop.leanenv import SimVerifier, load_sim_rules
@@ -205,20 +206,53 @@ class TestAuditCommand:
     def test_the_target_is_found_without_tokenizing_the_other_files(self, tmp_path, capsys,
                                                                     monkeypatch):
         workspace = self._run_burnside(tmp_path, capsys)
-        assert len(list(workspace.rglob("*.lean"))) > 30
-        calls = []
-        real = leanenv.extract_signature_text
-
-        def counting(text, decl_name):
-            calls.append(decl_name)
-            return real(text, decl_name)
-
-        monkeypatch.setattr(leanenv, "extract_signature_text", counting)
-        monkeypatch.setattr(cli, "extract_signature_text", counting)
+        files = sorted(workspace.rglob("*.lean"))
+        assert len(files) > 30
+        holding = [path for path in files if "MainTheorem" in path.read_text(encoding="utf-8")]
+        lookups, headed = [], []
+        real_lookup, real_heads = leanenv.find_signature, leanenv.declaration_heads
+        monkeypatch.setattr(leanenv, "find_signature",
+                            lambda texts, name: lookups.append(name) or real_lookup(texts, name))
+        monkeypatch.setattr(leanenv, "declaration_heads",
+                            lambda tokens: headed.append(tokens) or real_heads(tokens))
         code = main(["audit", str(workspace), "--verifier", "sim",
                      "--sim-rules", str(BURNSIDE_DIR / "sim-rules.txt")])
         assert code == 0 and summary_of(capsys)["pass"] is True
-        assert calls == ["MainTheorem"] * 2  # one to pick the target, one to audit it
+        assert lookups == ["MainTheorem"]
+        assert len(headed) == len(holding) == 1  # only the file holding the name is tokenized
+
+    def test_the_audit_reads_each_workspace_file_once(self, tmp_path, capsys, monkeypatch):
+        workspace = self._run_burnside(tmp_path, capsys)
+        reads: list[Path] = []
+        real_read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path.suffix == ".lean":
+                reads.append(path)
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        code = main(["audit", str(workspace), "--verifier", "sim",
+                     "--sim-rules", str(BURNSIDE_DIR / "sim-rules.txt")])
+        monkeypatch.undo()
+        assert code == 0 and summary_of(capsys)["pass"] is True
+        assert sorted(reads) == sorted(workspace.rglob("*.lean"))
+
+    def test_two_declarations_of_the_anchored_name_fail_the_audit(self, tmp_path, capsys):
+        """A namespaced namesake in a file that sorts first cannot stand in for the target."""
+        workspace = tmp_path / "ws"
+        (workspace / "Proofws").mkdir(parents=True)
+        (workspace / "Proofws" / "A.lean").write_text(
+            "namespace Evil\ntheorem Main : True := trivial\nend Evil\n", encoding="utf-8")
+        (workspace / "Proofws" / "Main.lean").write_text(
+            "theorem Main : 1 = 1 ∨ True := Or.inr trivial\n", encoding="utf-8")
+        (workspace / ".proofloop-anchor.json").write_text(
+            json.dumps({"decl_name": "Main", "signature": "theorem Main : True"}), encoding="utf-8")
+        code = main(["audit", str(workspace), "--verifier", "sim"])
+        summary = summary_of(capsys)
+        assert code == 1 and summary["pass"] is False
+        assert summary["detail"] == ("target not found: multiple declarations named Main in "
+                                     "Proofws/A.lean, Proofws/Main.lean")
 
     def test_admit_occurrence_fails_and_is_listed(self, tmp_path, capsys):
         workspace = self._run_burnside(tmp_path, capsys)

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import BURNSIDE_DIR, REPO_ROOT, expand_deltas
 from proofloop.agents import ScriptedBackend, load_fixture
-from proofloop.leanenv import SimVerifier, Workspace, audit_verdict, load_sim_rules
+from proofloop.leanenv import SimVerifier, audit_verdict, load_sim_rules, read_workspace
 from proofloop.ledger import export_trace, load_ledger, read_ledger_records
 from proofloop.looper import LoopConfig, find_anchor, run
 
@@ -28,12 +28,7 @@ def solved_state(tmp_path_factory):
                           verifier, LoopConfig(), workspace_dir=base / "ws",
                           ledger_path=base / "ledger.jsonl")
     assert outcome.verdict.value == "solved"
-    ws = Workspace(root_dir=base / "ws")
-    for path in sorted((base / "ws").rglob("*.lean")):
-        ws.node_files[path.stem] = str(path.relative_to(base / "ws"))
-        if path.stem == "Thm_MainTheorem":
-            ws.target_file = str(path.relative_to(base / "ws"))
-    return verifier, ws, ledger
+    return verifier, read_workspace(base / "ws"), ledger
 
 
 def test_final_build_report_matches_golden(solved_state):

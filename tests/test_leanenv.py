@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofloop.leanenv as leanenv
-from helpers import BURNSIDE_DIR, oracle_scan, random_lean_file
+from helpers import BURNSIDE_DIR, oracle_scan, plant_declarations, random_lean_file
 from proofloop.lexer import BLOCK, COMMENT, IDENT, OTHER, STRING, tokenize
 from proofloop.looper import find_anchor
 from proofloop.leanenv import (
@@ -24,6 +24,7 @@ from proofloop.leanenv import (
     Workspace,
     audit_verdict,
     extract_signature_text,
+    find_signature,
     normalize_signature,
     parse_axioms_output,
     parse_build_output,
@@ -172,10 +173,56 @@ class TestExtractSignature:
         assert "IsMultiplyPretransitive G α 2 ∨" in sig.conclusion
 
 
-def _ws_with(tmp_path, sources: dict[str, str], target: str | None = None) -> Workspace:
+class TestFindSignature:
+    """The audit's one rule for its target: the one declaration of the bare name among
+    all the texts, whichever file or namespace holds it."""
+
+    def test_the_one_declaration_is_found_in_any_file(self):
+        sig = find_signature({"A.lean": "theorem a : t = t := rfl\n",
+                              "B.lean": "namespace N\ntheorem t : True := trivial\nend N\n"}, "t")
+        assert (sig.qualified_name, sig.normalized) == ("N.t", "theorem t : True")
+
+    def test_two_in_one_file_name_that_file(self):
+        texts = {"A.lean": "theorem a : True := trivial\n",
+                 "B.lean": "theorem t : True := trivial\nnamespace N\ntheorem t : True := trivial\n"}
+        with pytest.raises(ParseAmbiguity, match=r"^multiple declarations named t in B\.lean$"):
+            find_signature(texts, "t")
+
+    def test_two_across_files_name_each_file(self):
+        texts = {"A.lean": "namespace Evil\ntheorem t : True := trivial\nend Evil\n",
+                 "B.lean": "theorem t : 1 = 1 ∨ True := Or.inr trivial\n"}
+        with pytest.raises(ParseAmbiguity,
+                           match=r"^multiple declarations named t in A\.lean, B\.lean$"):
+            find_signature(texts, "t")
+
+    def test_a_use_or_a_comment_is_no_declaration(self):
+        texts = {"A.lean": "-- theorem t : True := trivial\ntheorem a : True := t\n"}
+        with pytest.raises(DeclNotFound, match=r"^declaration t not found$"):
+            find_signature(texts, "t")
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_the_target_is_found_iff_exactly_one_was_planted(self, seed):
+        rng = random.Random(seed)
+        texts = {f"Proofws/F{i}.lean": random_lean_file(rng) for i in range(rng.randint(1, 4))}
+        planted = plant_declarations(rng, texts, "Tgt", rng.randint(0, 3))
+        try:
+            sig = find_signature(texts, "Tgt")
+        except DeclNotFound:
+            assert planted == []
+        except ParseAmbiguity as exc:
+            assert len(planted) > 1
+            files = [rel for rel in texts if rel in {rel for rel, _ in planted}]
+            assert str(exc) == f"multiple declarations named Tgt in {', '.join(files)}"
+        else:
+            assert [sig.qualified_name] == [qualified for _, qualified in planted]
+            assert sig.normalized == "theorem Tgt : True"
+
+
+def _ws_with(tmp_path, sources: dict[str, str]) -> Workspace:
     ws = Workspace(root_dir=tmp_path)
     for node_id, text in sources.items():
-        ws.write_node_source(node_id, text, is_target=node_id == target)
+        ws.write_node_source(node_id, text)
     return ws
 
 
@@ -189,30 +236,32 @@ class TestSignatureMatch:
         return audit_verdict(ws, anchor, "t", SimVerifier())
 
     def test_reformatted_whitespace_matches(self, tmp_path):
-        ws = _ws_with(tmp_path, {"t": "theorem t   (x : Nat) :\n    x = x := rfl\n"}, "t")
+        ws = _ws_with(tmp_path, {"t": "theorem t   (x : Nat) :\n    x = x := rfl\n"})
         report = self.audit(ws, "theorem t (x : Nat)\n  : x = x")
         assert report.signature_match and report.passed
 
     def test_weakened_conclusion_rejected(self, tmp_path):
-        ws = _ws_with(tmp_path, {"t": "theorem t (x : Nat) : x = x := rfl\n"}, "t")
+        ws = _ws_with(tmp_path, {"t": "theorem t (x : Nat) : x = x := rfl\n"})
         report = self.audit(ws, "theorem t (x : Nat) : x = x ∧ 0 ≤ x")
         assert not report.signature_match and not report.passed
 
     def test_renamed_declaration_rejected(self, tmp_path):
-        ws = _ws_with(tmp_path, {"t": "theorem renamed (x : Nat) : x = x := rfl\n"}, "t")
+        ws = _ws_with(tmp_path, {"t": "theorem renamed (x : Nat) : x = x := rfl\n"})
         report = self.audit(ws)
         assert not report.signature_match and not report.passed
         assert report.detail == "target not found: declaration t not found"
 
     def test_an_instance_priority_is_not_part_of_the_header(self, tmp_path):
-        ws = _ws_with(tmp_path, {"t": "instance (priority := 5) t : Inhabited Nat := ⟨0⟩\n"}, "t")
+        ws = _ws_with(tmp_path, {"t": "instance (priority := 5) t : Inhabited Nat := ⟨0⟩\n"})
         report = self.audit(ws, "instance t : Inhabited Nat")
         assert report.signature_match and report.passed
 
-    def test_missing_target_file_rejected(self, tmp_path):
-        report = self.audit(Workspace(root_dir=tmp_path))
-        assert not report.signature_match and not report.passed
-        assert report.detail == "target not found: workspace has no target file"
+    def test_a_workspace_without_the_target_is_rejected(self, tmp_path):
+        for ws in (Workspace(root_dir=tmp_path),
+                   _ws_with(tmp_path, {"h": "theorem h (x : Nat) : x = x := rfl\n"})):
+            report = self.audit(ws)
+            assert not report.signature_match and not report.passed
+            assert report.detail == "target not found: declaration t not found"
 
 
 RULES_TEXT = """simrules v1
@@ -328,7 +377,7 @@ ANCHOR_SIG = "theorem t (x : Nat) : x = x"
 
 def _audit(tmp_path, sources, permitted=DEFAULT_PERMITTED_AXIOMS, sig=ANCHOR_SIG):
     verifier = SimVerifier(parse_sim_rules(RULES_TEXT))
-    ws = _ws_with(tmp_path, sources, target="t")
+    ws = _ws_with(tmp_path, sources)
     return audit_verdict(ws, sig, "t", verifier, permitted)
 
 
@@ -365,8 +414,7 @@ class TestAuditVerdict:
 
     @pytest.mark.parametrize("literal", ["def q : Char := '\"'", 'def s : String := r#"a"b"#'])
     def test_quote_inside_a_literal_does_not_hide_a_sorry(self, tmp_path, literal):
-        ws = _ws_with(tmp_path, {"Main": literal + "\ntheorem Main : True := sorry\n"},
-                      target="Main")
+        ws = _ws_with(tmp_path, {"Main": literal + "\ntheorem Main : True := sorry\n"})
         report = audit_verdict(ws, "theorem Main : True", "Main", SimVerifier())
         assert report.signature_match
         assert report.forbidden_occurrences == (("sorry", "Proofws/Main.lean", 2),)
@@ -402,7 +450,7 @@ class TestAuditVerdict:
                 return subprocess.CompletedProcess(
                     args, 0, "'t' depends on axioms: [propext, Lean.ofReduceBool]\n", "")
 
-        ws = _ws_with(tmp_path, {"t": GOOD_TARGET}, target="t")
+        ws = _ws_with(tmp_path, {"t": GOOD_TARGET})
         report = audit_verdict(ws, ANCHOR_SIG, "t", CapturedDriver(), DEFAULT_PERMITTED_AXIOMS)
         assert report.axioms_used == {"propext", "Lean.ofReduceBool"}
         assert report.signature_match and not report.forbidden_occurrences
@@ -591,19 +639,19 @@ class TestAuditReadsDisk:
 
     def solved(self, tmp_path):
         verifier = SimVerifier(parse_sim_rules(RULES_TEXT))
-        ws = _ws_with(tmp_path, {"t": self.TARGET, "h": "theorem h : True := trivial\n"},
-                      target="t")
+        ws = _ws_with(tmp_path, {"t": self.TARGET, "h": "theorem h : True := trivial\n"})
         assert verifier.build(ws).clean
         assert audit_verdict(ws, ANCHOR_SIG, "t", verifier).passed
         return verifier, ws
 
     def test_proof_swapped_for_sorry_on_disk(self, tmp_path):
         verifier, ws = self.solved(tmp_path)
-        (tmp_path / ws.target_file).write_text(self.TARGET.replace("rfl", "sorry"))
+        target = ws.node_files["t"]
+        (tmp_path / target).write_text(self.TARGET.replace("rfl", "sorry"))
         assert verifier.build(ws).clean  # the build evaluates the text the workspace wrote
         report = audit_verdict(ws, ANCHOR_SIG, "t", verifier)
         assert not report.passed
-        assert report.forbidden_occurrences == (("sorry", ws.target_file, 1),)
+        assert report.forbidden_occurrences == (("sorry", target, 1),)
         assert "sorryAx" in verifier.audit_axioms(ws, "t")
 
     def test_axiom_appended_on_disk(self, tmp_path):
@@ -685,6 +733,37 @@ class TestRealModeParsers:
         with pytest.raises(DriverFail):
             parse_axioms_output("'Foo.tiny' does not depend on any axioms\n", "tiny")
 
+    @pytest.mark.parametrize("output, axioms", [
+        ("'Main'' depends on axioms: [propext]\n", {"propext"}),
+        ("'Main'' does not depend on any axioms\n", set()),
+    ])
+    def test_a_primed_name_reads_its_own_listing(self, output, axioms):
+        assert parse_axioms_output(output, "Main'") == axioms
+        with pytest.raises(DriverFail):  # a listing of Main' is none for Main
+            parse_axioms_output(output, "Main")
+
+    @pytest.mark.parametrize("output", ["'Main' depends on axioms: [propext]\n",
+                                        "'Main' does not depend on any axioms\n"])
+    def test_an_unprimed_listing_is_none_for_the_primed_name(self, output):
+        with pytest.raises(DriverFail):
+            parse_axioms_output(output, "Main'")
+
+    def test_primed_and_unprimed_listings_side_by_side(self):
+        output = ("'Main' depends on axioms: [propext]\n"
+                  "'Main'' depends on axioms: [propext, sorryAx]\n"
+                  "'Main''' does not depend on any axioms\n")
+        assert parse_axioms_output(output, "Main") == {"propext"}
+        assert parse_axioms_output(output, "Main'") == {"propext", "sorryAx"}
+        assert parse_axioms_output(output, "Main''") == set()
+
+    def test_a_quoted_word_earlier_on_the_line_is_no_name(self):
+        output = "info: the 'x' of 'Main' depends on axioms: [propext]\n"
+        assert parse_axioms_output(output, "Main") == {"propext"}
+
+    def test_a_guillemet_name_may_hold_spaces(self):
+        output = "'A.«my thm»' depends on axioms: [propext]\n"
+        assert parse_axioms_output(output, "A.«my thm»") == {"propext"}
+
     def test_two_listings_for_one_name_are_ambiguous(self):
         from proofloop.leanenv import DriverFail
 
@@ -699,7 +778,7 @@ class TestRealToolchainSmoke:
         verifier = RealVerifier(build_timeout=600)
         ws = Workspace(root_dir=tmp_path / "ws")
         verifier.init_workspace(ws)
-        ws.write_node_source("tiny", "theorem tiny : 1 = 1 := rfl\n", is_target=True)
+        ws.write_node_source("tiny", "theorem tiny : 1 = 1 := rfl\n")
         report = verifier.build(ws)
         assert report.clean, report.diagnostics
         assert verifier.audit_axioms(ws, "tiny") == set()
@@ -822,7 +901,7 @@ class TestRealVerifierWithStubLake:
         ws = Workspace(root_dir=tmp_path / "ws")
         verifier.init_workspace(ws)
         for node_id, text in sources.items():
-            ws.write_node_source(node_id, text, is_target=node_id == "Main")
+            ws.write_node_source(node_id, text)
         return ws
 
     def test_init_and_build_write_the_lakefile_and_root_module(self, tmp_path):
@@ -874,14 +953,42 @@ class TestRealVerifierWithStubLake:
     def test_one_audit_looks_the_target_up_once(self, tmp_path, monkeypatch):
         verifier = RealVerifier(_stub_lake(
             tmp_path, "echo \"'Main' does not depend on any axioms\"\n"), 30)
-        ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n"})
-        lookups = []
-        real_lookup = leanenv.extract_signature_text
-        monkeypatch.setattr(leanenv, "extract_signature_text",
-                            lambda text, name: lookups.append(name) or real_lookup(text, name))
+        ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n",
+                                                 "Lem": "theorem lem : True := trivial\n"})
+        lookups, headed = [], []
+        real_lookup, real_heads = leanenv.find_signature, leanenv.declaration_heads
+        monkeypatch.setattr(leanenv, "find_signature",
+                            lambda texts, name: lookups.append(name) or real_lookup(texts, name))
+        monkeypatch.setattr(leanenv, "declaration_heads",
+                            lambda tokens: headed.append(tokens) or real_heads(tokens))
         report = audit_verdict(ws, "theorem Main : True", "Main", verifier)
         assert report.passed, report.detail
         assert lookups == ["Main"]
+        assert len(headed) == 1  # the helper file, which lacks the name, is not tokenized
+
+    @pytest.mark.parametrize("listed, passed", [("Main'", True), ("Main", False)])
+    def test_a_primed_target_passes_with_its_own_listing_only(self, tmp_path, listed, passed):
+        verifier = RealVerifier(_stub_lake(
+            tmp_path, f"echo \"'{listed}' depends on axioms: [propext]\"\n"), 30)
+        ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main' : True := trivial\n"})
+        report = audit_verdict(ws, "theorem Main' : True", "Main'", verifier)
+        assert report.signature_match
+        assert report.passed is passed, report.detail
+        if not passed:
+            assert report.detail == ("axiom audit failed: 0 axiom listings for Main' "
+                                     "in driver output")
+
+    def test_a_namesake_fails_the_audit_before_the_driver_runs(self, tmp_path):
+        verifier = RealVerifier(_stub_lake(
+            tmp_path, "echo \"'Main' does not depend on any axioms\"\n"), 30)
+        ws = self.workspace(tmp_path, verifier, {
+            "Aux": "namespace Evil\ntheorem Main : True := trivial\nend Evil\n",
+            "Main": "theorem Main : 1 = 1 ∨ True := Or.inr trivial\n"})
+        report = audit_verdict(ws, "theorem Main : True", "Main", verifier)
+        assert not report.passed and not report.signature_match
+        assert report.detail == ("target not found: multiple declarations named Main in "
+                                 "Proofws/Aux.lean, Proofws/Main.lean")
+        assert not (ws.root_dir / "AxiomAudit.lean").exists()
 
     def test_a_namespaced_target_is_audited_under_its_full_name(self, tmp_path):
         # Like Lean, the stub lists axioms only for a name that resolves at the top level.

@@ -60,6 +60,7 @@ from proofloop.plan import (
     apply_diff,
     create_plan,
     diff_to_text,
+    encode_json,
     plan_to_text,
     set_status,
 )
@@ -230,6 +231,15 @@ def _json_line(value, ascii_only: bool) -> str:
     except UnicodeEncodeError:
         text = json.dumps(value)
     return text
+
+
+class TestSharedEncoder:
+    @given(_JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_the_shared_encoder_writes_what_json_dumps_writes(self, value):
+        """The writer's encoder, built once, gives the bytes json.dumps(..., ensure_ascii=False)
+        builds a new encoder for."""
+        assert encode_json(value) == json.dumps(value, ensure_ascii=False)
 
 
 class TestReaderEqualsJsonLoads:

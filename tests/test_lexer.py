@@ -190,9 +190,10 @@ class TestTokenizerProperties:
         text = text.replace("sim:", "sim")
         with tempfile.TemporaryDirectory() as root:
             ws = Workspace(root_dir=Path(root))
-            ws.write_node_source("t", "theorem t : True := trivial\n", is_target=True)
+            # The helper's fragments declare t, never Main, so the target stays the one Main.
+            ws.write_node_source("Main", "theorem Main : True := trivial\n")
             ws.write_node_source("h", text)
-            report = audit_verdict(ws, "theorem t : True", "t", SimVerifier(),
+            report = audit_verdict(ws, "theorem Main : True", "Main", SimVerifier(),
                                    DEFAULT_PERMITTED_AXIOMS)
         assert report.passed == (oracle_scan(text) == [] and not oracle_unterminated(text))
 

@@ -18,7 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from proofloop.agents import ScriptedBackend, load_fixture  # noqa: E402
-from proofloop.leanenv import SimVerifier, Workspace, audit_verdict, load_sim_rules  # noqa: E402
+from proofloop.leanenv import (  # noqa: E402
+    SimVerifier, audit_verdict, load_sim_rules, read_workspace,
+)
 from proofloop.ledger import export_trace  # noqa: E402
 from proofloop.looper import LoopConfig, find_anchor, run  # noqa: E402
 
@@ -39,12 +41,8 @@ def main() -> None:
                               ledger_path=base / "ledger.jsonl")
         assert outcome.verdict.value == "solved", outcome
 
-        ws = Workspace(root_dir=base / "ws")
+        ws = read_workspace(base / "ws")
         anchor = find_anchor((fixture_dir / "input.lean").read_text(encoding="utf-8"))
-        for path in sorted((base / "ws").rglob("*.lean")):
-            ws.node_files[path.stem] = str(path.relative_to(base / "ws"))
-            if path.stem == "Thm_MainTheorem":
-                ws.target_file = str(path.relative_to(base / "ws"))
         build = verifier.build(ws)
         audit = audit_verdict(ws, anchor.signature_text, anchor.decl_name, verifier)
 
