@@ -30,13 +30,16 @@ from .agents import (
     load_fixture,
 )
 from .leanenv import (
+    InputError,
     RealVerifier,
     SimVerifier,
     ToolchainMissing,
     VerifierError,
     audit_verdict,
-    extract_signature_text,
+    find_anchor,
+    find_signature,
     load_sim_rules,
+    read_anchor,
     read_workspace,
 )
 from .ledger import (
@@ -53,7 +56,7 @@ from .ledger import (
     render_stats_row,
     verify_replay,
 )
-from .looper import ANCHOR_FILE, InputError, LoopConfig, find_anchor, run
+from .looper import LoopConfig, run
 from .plan import PlanError
 
 logger = logging.getLogger("proofloop")
@@ -174,7 +177,10 @@ def _make_verifier(args: argparse.Namespace):
 
 
 def _rates(rates_path: Path) -> CostModel:
-    data = json.loads(rates_path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(rates_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {rates_path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"rates file {rates_path} is not a JSON object")
     if unknown := [key for key in data if key not in TOKEN_CLASSES]:
@@ -245,15 +251,11 @@ def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, st
         if not args.decl:
             found = find_anchor(text)
             return found.decl_name, found.signature_text
-        return args.decl, extract_signature_text(text, args.decl).normalized
-    sidecar = workspace_dir / ANCHOR_FILE
-    if sidecar.is_file():
-        data = json.loads(sidecar.read_text(encoding="utf-8"))
-        if not (isinstance(data, dict)
-                and all(isinstance(data.get(key), str) for key in ("decl_name", "signature"))):
-            raise UsageError(f"{sidecar} must be an object with string decl_name and signature")
-        return data["decl_name"], data["signature"]
-    raise UsageError("no anchor information: pass --anchor FILE or audit a run workspace")
+        return args.decl, find_signature({args.anchor: text}, args.decl).normalized
+    anchor = read_anchor(workspace_dir)
+    if anchor is None:
+        raise UsageError("no anchor information: pass --anchor FILE or audit a run workspace")
+    return anchor
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

@@ -9,33 +9,46 @@ cached by path and text: an in-loop build takes the files the workspace marked
 since the last build, a new workspace is read from disk once, and the final audit
 (and ``proofloop audit``) evaluates the text it read from disk.
 
-The scanner, the signature extractor and the sim directives read Lean source
-through :mod:`proofloop.lexer`.  The scanner flags identifiers in code (the
-``{…}`` parts of strings included), never comments or literals: a name part
-``sorry``, ``admit`` or ``axiom`` (not ``sorryFree`` or ``αsorry``) and the
-kernel-bypass option ``debug.skipKernelTC``.  The axiom audit takes only the
-listing for exactly the audited name, and fails when a file does not build.
+The target is decided here, one way: :func:`find_signature` looks up the one
+declaration of a bare name, both for a run's input (:func:`find_anchor`) and for
+the audit, and the anchor sidecar that carries the target from a run to
+``proofloop audit`` is written and read here.  The scanner, the target lookup
+and the sim directives read Lean source through :mod:`proofloop.lexer`.  The
+scanner flags identifiers in code (the ``{…}`` parts of strings included), never
+comments or literals: a name part ``sorry``, ``admit`` or ``axiom`` (not
+``sorryFree`` or ``αsorry``) and the kernel-bypass option ``debug.skipKernelTC``.
+The axiom audit takes only the listing for exactly the audited name, and fails
+when a file does not build.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import shutil
 import subprocess
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 from .lexer import (BLOCK, COMMENT, IDENT, OTHER, SCAN_WORDS, forbidden_words, tokenize,
                     unterminated)
-from .plan import LineReader
+from .plan import AnchorDecl, LineReader
 
 DEFAULT_PERMITTED_AXIOMS = frozenset({"propext", "Quot.sound", "Classical.choice"})
 SORRY_AXIOM = "sorryAx"
 AUDIT_DRIVER = "AxiomAudit.lean"  # the real verifier's axiom driver, at the workspace root
 FILES_DIR = "Proofws"  # the Lake library holding the node files, and its root module's name
+# Written into the workspace at run start; ``proofloop audit`` reads the target from it.
+ANCHOR_FILE = ".proofloop-anchor.json"
 
 DECL_KEYWORDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "proposition")
+
+
+class InputError(Exception):
+    """An input is unusable: the Lean file to run (unreadable, or no sorry declaration that
+    can be the target), or a workspace's anchor sidecar."""
 
 
 class VerifierError(Exception):
@@ -108,6 +121,27 @@ class Workspace:
                 path.unlink()
 
 
+def write_anchor(root: Path, anchor: AnchorDecl) -> None:
+    """Record the target's name and header in the sidecar under ``root``."""
+    record = {"decl_name": anchor.decl_name, "signature": anchor.signature_text}
+    (root / ANCHOR_FILE).write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def read_anchor(root: Path) -> tuple[str, str] | None:
+    """``(decl name, signature)`` from the sidecar under ``root``; None when there is none."""
+    path = root / ANCHOR_FILE
+    if not path.is_file():
+        return None
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if not (isinstance(data, dict)
+            and all(isinstance(data.get(key), str) for key in ("decl_name", "signature"))):
+        raise InputError(f"{path} must be an object with string decl_name and signature")
+    return data["decl_name"], data["signature"]
+
+
 def read_workspace(root: Path) -> Workspace:
     """A workspace of every ``.lean`` file under ``root``, keyed by its path, as files in
     different directories may share a stem.  The audit driver, the root module and
@@ -132,17 +166,10 @@ class BuildReport:
 
 @dataclass(frozen=True)
 class DeclSignature:
-    keyword: str
     name: str
-    binders_and_hypotheses: str
-    conclusion: str
+    normalized: str  # the header, whitespace-normalized, as the anchor records it
     header_end: int  # the offset in the text where the header ends
     namespace: str = ""  # the enclosing namespace blocks, dot-joined
-
-    @property
-    def normalized(self) -> str:
-        parts = [self.keyword, self.name, self.binders_and_hypotheses, ":", self.conclusion]
-        return normalize_signature(" ".join(p for p in parts if p))
 
     @property
     def qualified_name(self) -> str:
@@ -167,7 +194,7 @@ def normalize_signature(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The forbidden-token scanner and declaration headers, read through the lexer.
+# The forbidden-token scanner, declaration headers and the target, read through the lexer.
 
 def scan_forbidden_text(text: str, filename: str = "<memory>") -> list[tuple[str, str, int]]:
     """``(word, filename, line)`` for each forbidden identifier in code (see the module doc)."""
@@ -245,16 +272,11 @@ def find_signature(texts: dict[str, str], decl_name: str) -> DeclSignature:
     return head_signature(tokens, head)
 
 
-def extract_signature_text(text: str, decl_name: str) -> DeclSignature:
-    """Pull the header of the one declaration named ``decl_name`` out of Lean source text."""
-    return find_signature({"<memory>": text}, decl_name)
-
-
 def head_signature(tokens: list[tuple[str, str, int]], head: tuple[int, int, str]) -> DeclSignature:
     """The header of the named declaration ``head`` of :func:`declaration_heads`: from the
     keyword to the first ``:=`` outside brackets (or the end of the text), split into binders
-    and conclusion at the first colon outside brackets.  Comments read as spaces; literals
-    are opaque."""
+    and conclusion at the first colon outside brackets and normalized as keyword, name,
+    binders, ``:`` and conclusion.  Comments read as spaces; literals are opaque."""
     keyword, name, namespace = head
     decl_name = tokens[name][1]
     items: list[str] = []  # code one character per item, comments as spaces, the rest whole
@@ -276,8 +298,36 @@ def head_signature(tokens: list[tuple[str, str, int]], head: tuple[int, int, str
     if colon < 0:
         raise DeclNotFound(f"declaration {decl_name} has no type ascription")
     header_end = sum(len(token) for _, token, _ in tokens[:name + 1]) + len("".join(items[:end]))
-    return DeclSignature(tokens[keyword][1], decl_name, normalize_signature("".join(items[:colon])),
-                         normalize_signature("".join(items[colon + 1:end])), header_end, namespace)
+    binders, conclusion = "".join(items[:colon]), "".join(items[colon + 1:end])
+    return DeclSignature(decl_name, normalize_signature(
+        f"{tokens[keyword][1]} {decl_name} {binders} : {conclusion}"), header_end, namespace)
+
+
+def find_anchor(text: str) -> AnchorDecl:
+    """The target of an input: the declaration that holds its first sorry, with the header
+    that :func:`find_signature` gives its name in ``text``, the audit's lookup rule."""
+    tokens = list(tokenize(text))
+    sorry = next((i for i, word, _ in forbidden_words(tokens) if word == "sorry"), None)
+    if sorry is None:
+        raise InputError("input contains no sorry declaration")
+    heads = declaration_heads(tokens)
+    owners = sum(1 for keyword, _, _ in heads if keyword < sorry)  # the last one holds the sorry
+    if not owners:
+        raise InputError("found a sorry outside any declaration")
+    keyword, name, _ = heads[owners - 1]
+    if name < 0:
+        raise InputError(f"the first sorry lies in an anonymous {tokens[keyword][1]}; "
+                         "only a named declaration can be the target")
+    try:
+        sig = find_signature({"<input>": text}, tokens[name][1])
+    except VerifierError as exc:
+        raise InputError(f"cannot extract target signature: {exc}") from exc
+    starts = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
+    if starts[sorry] < sig.header_end:
+        raise InputError(f"the sorry of {sig.name} lies in its header, before any top-level :=")
+    # The body runs from the end of the header to the next declaration, named or not.
+    end = starts[heads[owners][0]] if owners < len(heads) else len(text)
+    return AnchorDecl(sig.name, sig.normalized, text[sig.header_end:end])
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +409,8 @@ class SimVerifier:
     ``node_files`` by hand between two builds of one workspace is not seen.  The
     build keeps the contribution of each file that has errors or sorry sites, by
     node id, and puts the report together from those alone.  The axiom audit
-    evaluates the texts the audit read from disk through the same cache.  The
-    rule table is fixed at construction.
+    evaluates exactly the texts the audit's scan read, through the same cache.
+    The rule table is fixed at construction.
     """
 
     mode = "sim"
@@ -403,7 +453,7 @@ class SimVerifier:
         # A sorry the rule table does not account for reaches the kernel as sorryAx.
         return _FileBuild(text, (), sites, (declared | {SORRY_AXIOM}) if sites else declared)
 
-    def _evaluate(self, ws: Workspace, rel: str, text: str | None = None) -> _FileBuild:
+    def _evaluate(self, ws: Workspace, rel: str, text: str | None) -> _FileBuild:
         """The contribution of the file at ``rel`` holding ``text``, or, given None,
         the text on disk; the one way a file is evaluated."""
         if text is None:
@@ -439,12 +489,10 @@ class SimVerifier:
         sites = tuple(site for result in faults for site in result.sites)
         return BuildReport(not errors and not sites, sites, "\n".join(errors), 0.0, not errors)
 
-    def audit_axioms(self, ws: Workspace, name: str,
-                     texts: dict[str, str] | None = None) -> set[str]:
-        """Axioms of every file, evaluated from its text in ``texts`` (by relative path) or
-        else on disk; any file that does not build fails the audit, as in Lean."""
-        texts = texts or {}
-        builds = [self._evaluate(ws, rel, texts.get(rel)) for rel in ws.node_files.values()]
+    def audit_axioms(self, ws: Workspace, name: str, texts: dict[str, str]) -> set[str]:
+        """Axioms of every file, evaluated from its text in ``texts`` (by relative path), the
+        bytes the audit scanned; any file that does not build fails the audit, as in Lean."""
+        builds = [self._evaluate(ws, rel, texts[rel]) for rel in ws.node_files.values()]
         errors = [error for build in builds for error in build.errors]
         if errors:
             raise DriverFail("workspace does not build: " + "; ".join(errors))
@@ -555,8 +603,7 @@ class RealVerifier:
         compiled = proc.returncode == 0 and not errors
         return BuildReport(compiled and not sites, tuple(sites), "\n".join(errors), elapsed, compiled)
 
-    def audit_axioms(self, ws: Workspace, name: str,
-                     texts: dict[str, str] | None = None) -> set[str]:
+    def audit_axioms(self, ws: Workspace, name: str, texts: dict[str, str]) -> set[str]:
         """Axioms of the declaration ``name``, namespace-qualified as ``#print axioms`` takes
         it; lake reads the files from disk, so ``texts`` goes unused."""
         driver = self._imports(ws) + f"\n#print axioms {name}\n"

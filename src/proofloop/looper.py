@@ -14,11 +14,9 @@ signature and kernel-level axiom audit.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 from .agents import (
@@ -36,20 +34,19 @@ from .agents import (
 from .leanenv import (
     BuildReport,
     DEFAULT_PERMITTED_AXIOMS,
+    InputError,
     VerifierError,
     Workspace,
     audit_verdict,
-    declaration_heads,
-    head_signature,
+    find_anchor,
     normalize_signature,
+    write_anchor,
 )
 from .ledger import (
     AUDIT_DETAIL, STATUS_EVENTS, EventKind, Outcome, RunLedger, StopReason, Verdict, open_ledger,
     utc_now_iso,
 )
-from .lexer import forbidden_words, tokenize
 from .plan import (
-    AnchorDecl,
     DiffCause,
     PlanError,
     ProofPlan,
@@ -64,13 +61,6 @@ from .plan import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Written into the workspace at run start; `proofloop audit` reads it back.
-ANCHOR_FILE = ".proofloop-anchor.json"
-
-
-class InputError(Exception):
-    """The input file is unusable (unreadable, or no sorry declaration)."""
 
 
 @dataclass(frozen=True)
@@ -100,41 +90,6 @@ _CHECK_ROUTES = {
     (CheckKind.DECOMPOSITION, True): None,
     (CheckKind.DECOMPOSITION, False): DiffCause.DECOMPOSITION_SPLIT,
 }
-
-
-# ---------------------------------------------------------------------------
-# Anchor extraction from the input file.
-
-def find_anchor(text: str) -> AnchorDecl:
-    """Locate the first sorry and the declaration it lies in, and capture its header."""
-    tokens = list(tokenize(text))
-    sorry = next((i for i, word, _ in forbidden_words(tokens) if word == "sorry"), None)
-    if sorry is None:
-        raise InputError("input contains no sorry declaration")
-    heads = declaration_heads(tokens)
-    owners = sum(1 for keyword, _, _ in heads if keyword < sorry)  # the last one holds the sorry
-    if not owners:
-        raise InputError("found a sorry outside any declaration")
-    keyword, name, _ = head = heads[owners - 1]
-    if name < 0:
-        raise InputError(f"the first sorry lies in an anonymous {tokens[keyword][1]}; "
-                         "only a named declaration can be the target")
-    try:
-        sig = head_signature(tokens, head)
-    except VerifierError as exc:
-        raise InputError(f"cannot extract target signature: {exc}") from exc
-    starts = list(accumulate((len(token) for _, token, _ in tokens), initial=0))
-    if starts[sorry] < sig.header_end:
-        raise InputError(f"the sorry of {sig.name} lies in its header, before any top-level :=")
-    other = next((namespace for _, at, namespace in heads
-                  if at >= 0 and at != name and tokens[at][1] == sig.name), None)
-    if other is not None:  # until the audit finds the target by its qualified name
-        raise InputError(f"the target {sig.qualified_name} shares its name with "
-                         f"{'.'.join(filter(None, (other, sig.name)))}; the audit reads bare "
-                         "names, so it could not tell the two apart")
-    # The body runs from the end of the header to the next declaration, named or not.
-    end = starts[heads[owners][0]] if owners < len(heads) else len(text)
-    return AnchorDecl(sig.name, sig.normalized, text[sig.header_end:end])
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +129,9 @@ class _Run:
         })
         self.ws = Workspace(root_dir=workspace_dir)
         verifier.init_workspace(self.ws)
-        self._write_anchor_sidecar()
+        write_anchor(self.ws.root_dir, self.anchor)
         self.node_diag: dict[str, str] = {}
         self.started = time.monotonic()
-
-    def _write_anchor_sidecar(self) -> None:
-        sidecar = self.ws.root_dir / ANCHOR_FILE
-        sidecar.write_text(json.dumps({
-            "decl_name": self.anchor.decl_name,
-            "signature": self.anchor.signature_text,
-        }, ensure_ascii=False) + "\n", encoding="utf-8")
 
     # -- gates -------------------------------------------------------------
 

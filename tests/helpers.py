@@ -88,6 +88,11 @@ def main_clean_src(extra: str = "") -> str:
     return f"theorem Main : True := trivial\n{extra}"
 
 
+def workspace_texts(ws) -> dict[str, str]:
+    """The text on disk of each file of ``ws``, by relative path, as the audit's scan reads it."""
+    return {rel: (ws.root_dir / rel).read_text(encoding="utf-8") for rel in ws.node_files.values()}
+
+
 class FixtureBuilder:
     """Occurrence-tracking fixture assembly for synthetic runs."""
 

@@ -29,6 +29,7 @@ from helpers import (
     single_node_fixture,
     sorried_src,
     splitter_fixture,
+    workspace_texts,
 )
 from proofloop.agents import TOKEN_CLASSES, CheckKind, ScriptedBackend, TokenUsage, load_fixture
 from proofloop.leanenv import (
@@ -405,6 +406,6 @@ def test_criterion_9_live_path_scope(tmp_path, monkeypatch):
     ws.write_node_source("tiny", "theorem tiny : 1 = 1 := rfl\n")
     build = verifier.build(ws)
     assert build.clean, build.diagnostics
-    assert verifier.audit_axioms(ws, "tiny") == set()
+    assert verifier.audit_axioms(ws, "tiny", workspace_texts(ws)) == set()
     report(9, "live-path transport behavior verified; real-toolchain smoke built "
               "clean with an empty axiom set")

@@ -8,7 +8,7 @@ from helpers import BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, mk_node, single_nod
 from proofloop import leanenv
 from proofloop.agents import ScriptedBackend, fixture_to_text, load_fixture
 from proofloop.cli import OPTION_READERS, build_parser, main, parse_duration, UsageError
-from proofloop.leanenv import SimVerifier, load_sim_rules
+from proofloop.leanenv import SimVerifier, find_anchor, load_sim_rules, read_anchor, write_anchor
 from proofloop.ledger import Outcome, open_ledger
 from proofloop.looper import LoopConfig, run
 from proofloop.plan import create_plan, plan_to_text
@@ -526,10 +526,11 @@ BARE_NAME_REUSED = ("namespace A\ntheorem foo : True := trivial\nend A\n"
                     "namespace B\ntheorem foo : True := sorry\nend B\n")
 
 
-def audit_with_sidecar(text):
+def audit_with_sidecar(text: str | bytes):
     def make_args(tmp_path):
         workspace = solved_run(tmp_path) / "workspace"
-        (workspace / ".proofloop-anchor.json").write_text(text, encoding="utf-8")
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (workspace / ".proofloop-anchor.json").write_bytes(data)
         return ["audit", str(workspace), "--verifier", "sim"]
     return make_args
 
@@ -697,12 +698,16 @@ def fault_stats_solved_without_statements(tmp_path):
     return ["stats", str(path)]
 
 
-def run_with_rates(rates):
+def run_with_rates_text(text):
     def make_args(tmp_path):
         path = tmp_path / "rates.json"
-        path.write_text(json.dumps(rates), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         return simple_run_args(tmp_path, "--rates", str(path))
     return make_args
+
+
+def run_with_rates(rates):
+    return run_with_rates_text(json.dumps(rates))
 
 
 def fault_stats_missing_ledger(tmp_path):
@@ -794,6 +799,36 @@ def test_exit_code_of_each_fault(tmp_path, capsys, make_args, code):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("make_args, path, reason", [
+    pytest.param(audit_with_sidecar("not json"), "out/workspace/.proofloop-anchor.json",
+                 "Expecting value: line 1 column 1 (char 0)", id="sidecar-not-json"),
+    pytest.param(audit_with_sidecar(b"\xff{}"), "out/workspace/.proofloop-anchor.json",
+                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                 id="sidecar-not-utf-8"),
+    pytest.param(run_with_rates_text("nope"), "rates.json",
+                 "Expecting value: line 1 column 1 (char 0)", id="rates-not-json"),
+])
+def test_a_json_file_that_cannot_be_parsed_is_named(tmp_path, capsys, make_args, path, reason):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.endswith(
+        f"ERROR proofloop: cannot read {tmp_path / path}: {reason}\n")
+
+
+def test_the_sidecar_carries_a_non_ascii_primed_name_to_the_audit(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    (ws / "Proofws").mkdir(parents=True)
+    write_anchor(ws, find_anchor("theorem α_lemma' : True := by\n  sorry\n"))
+    assert (ws / ".proofloop-anchor.json").read_text(encoding="utf-8") == (
+        '{"decl_name": "α_lemma\'", "signature": "theorem α_lemma\' : True"}\n')
+    assert read_anchor(ws) == ("α_lemma'", "theorem α_lemma' : True")
+    (ws / "Proofws" / "Main.lean").write_text("theorem α_lemma' : True := trivial\n",
+                                              encoding="utf-8")
+    assert main(["audit", str(ws), "--verifier", "sim"]) == 0
+    assert summary_of(capsys)["pass"] is True
+
+
 def test_an_equation_style_input_is_refused_with_its_cause(tmp_path, capsys):
     assert main(run_with_input(EQUATION_STYLE)(tmp_path)) == 2
     assert "the sorry of t lies in its header, before any top-level :=" in capsys.readouterr().err
@@ -802,7 +837,8 @@ def test_an_equation_style_input_is_refused_with_its_cause(tmp_path, capsys):
 def test_an_input_whose_target_reuses_a_bare_name_is_refused_before_the_run(tmp_path, capsys):
     assert main(run_with_input(BARE_NAME_REUSED)(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert "the target B.foo shares its name with A.foo; the audit reads bare names" in err
+    assert ("cannot extract target signature: multiple declarations named foo in <input>"
+            in err)
 
 
 class TestLedgerSoundness:

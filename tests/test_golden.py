@@ -12,9 +12,11 @@ import pytest
 
 from helpers import BURNSIDE_DIR, REPO_ROOT, expand_deltas
 from proofloop.agents import ScriptedBackend, load_fixture
-from proofloop.leanenv import SimVerifier, audit_verdict, load_sim_rules, read_workspace
+from proofloop.leanenv import (
+    SimVerifier, audit_verdict, find_anchor, load_sim_rules, read_workspace,
+)
 from proofloop.ledger import export_trace, load_ledger, read_ledger_records
-from proofloop.looper import LoopConfig, find_anchor, run
+from proofloop.looper import LoopConfig, run
 
 GOLDEN_DIR = BURNSIDE_DIR / "golden"
 

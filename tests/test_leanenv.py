@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofloop.leanenv as leanenv
-from helpers import BURNSIDE_DIR, oracle_scan, plant_declarations, random_lean_file
+from helpers import (
+    BURNSIDE_DIR, oracle_scan, plant_declarations, random_lean_file, workspace_texts,
+)
 from proofloop.lexer import BLOCK, COMMENT, IDENT, OTHER, STRING, tokenize
-from proofloop.looper import find_anchor
 from proofloop.leanenv import (
     DEFAULT_PERMITTED_AXIOMS,
     BuildTimeout,
     DeclNotFound,
     DriverFail,
+    InputError,
     ParseAmbiguity,
     RealVerifier,
     SimRule,
@@ -23,7 +25,7 @@ from proofloop.leanenv import (
     SimVerifier,
     Workspace,
     audit_verdict,
-    extract_signature_text,
+    find_anchor,
     find_signature,
     normalize_signature,
     parse_axioms_output,
@@ -118,59 +120,68 @@ end BurnsidePrimeDegreeTheorem
 """
 
 
+MAIN_THEOREM_SIGNATURE = (
+    "theorem MainTheorem {α : Type*} [Fintype α] {G : Subgroup (Equiv.Perm α)} "
+    "(htrans : IsPretransitive G α) (hp : (Fintype.card α).Prime) : "
+    "IsMultiplyPretransitive G α 2 ∨ ∃ N : Subgroup G, N.Normal ∧ IsPretransitive N α ∧ "
+    "∀ a : α, MulAction.stabilizer N a = ⊥")
+
+
 class TestExtractSignature:
+    """The header of one declaration in one text, through the audit's lookup."""
+
     def test_one_liner(self):
-        sig = extract_signature_text("theorem t : True := trivial\n", "t")
-        assert sig.keyword == "theorem"
+        sig = find_signature({"t.lean": "theorem t : True := trivial\n"}, "t")
         assert sig.name == "t"
-        assert sig.binders_and_hypotheses == ""
-        assert sig.conclusion == "True"
         assert sig.normalized == "theorem t : True"
 
     def test_multiline_theorem_with_binders(self):
-        sig = extract_signature_text(MAIN_THEOREM, "MainTheorem")
+        sig = find_signature({"m.lean": MAIN_THEOREM}, "MainTheorem")
         assert sig.name == "MainTheorem"
-        assert "IsMultiplyPretransitive G α 2 ∨" in sig.conclusion
-        assert sig.binders_and_hypotheses.startswith("{α : Type*}")
-        assert "(hp : (Fintype.card α).Prime)" in sig.binders_and_hypotheses
+        assert sig.normalized == MAIN_THEOREM_SIGNATURE
 
     def test_binder_colons_do_not_split_the_header(self):
-        text = "theorem t (x : Nat) [inst : Inhabited Nat] {y : Nat} : x = x := rfl\n"
-        sig = extract_signature_text(text, "t")
-        assert sig.conclusion == "x = x"
+        # The split at the first top-level colon shows as the spaces around it.
+        text = "theorem t (x : Nat) [inst : Inhabited Nat] {y : Nat}:x = x := rfl\n"
+        sig = find_signature({"t.lean": text}, "t")
+        assert sig.normalized == "theorem t (x : Nat) [inst : Inhabited Nat] {y : Nat} : x = x"
+
+    @pytest.mark.parametrize("text, normalized", [
+        ("def t(x : Nat): Nat := x\n", "def t (x : Nat) : Nat"),
+        ("theorem t :\n  := rfl\n", "theorem t :"),
+    ], ids=["binders-against-the-name", "empty-conclusion"])
+    def test_the_parts_of_the_header_are_joined_by_single_spaces(self, text, normalized):
+        assert find_signature({"t.lean": text}, "t").normalized == normalized
 
     def test_an_instance_is_found_by_the_name_after_its_priority(self):
         text = "instance (priority := 100) foo : Inhabited Nat := ⟨0⟩\n"
-        sig = extract_signature_text(text, "foo")
-        assert (sig.keyword, sig.name, sig.conclusion) == ("instance", "foo", "Inhabited Nat")
+        sig = find_signature({"i.lean": text}, "foo")
+        assert sig.name == "foo"
         assert sig.normalized == "instance foo : Inhabited Nat"
         assert text[sig.header_end:] == ":= ⟨0⟩\n"
 
     def test_missing_declaration(self):
         with pytest.raises(DeclNotFound):
-            extract_signature_text("theorem other : True := trivial\n", "t")
+            find_signature({"o.lean": "theorem other : True := trivial\n"}, "t")
 
     def test_ambiguous_declaration(self):
         text = "theorem t : True := trivial\ntheorem t : True := trivial\n"
-        with pytest.raises(ParseAmbiguity):
-            extract_signature_text(text, "t")
+        with pytest.raises(ParseAmbiguity, match="multiple declarations named t in t.lean"):
+            find_signature({"t.lean": text}, "t")
 
     def test_commented_out_declaration_not_matched(self):
         text = "-- theorem t : False := trivial\ntheorem t : True := trivial\n"
-        sig = extract_signature_text(text, "t")
-        assert sig.conclusion == "True"
+        assert find_signature({"t.lean": text}, "t").normalized == "theorem t : True"
 
     def test_name_prefix_is_not_a_match(self):
         text = "theorem t2 : False := trivial\ntheorem t : True := trivial\n"
-        assert extract_signature_text(text, "t").conclusion == "True"
+        assert find_signature({"t.lean": text}, "t").normalized == "theorem t : True"
 
     def test_shipped_replay_input_extracts(self):
-        from helpers import BURNSIDE_DIR
-
         text = (BURNSIDE_DIR / "input.lean").read_text(encoding="utf-8")
-        sig = extract_signature_text(text, "MainTheorem")
+        sig = find_signature({"input.lean": text}, "MainTheorem")
         assert sig.name == "MainTheorem"
-        assert "IsMultiplyPretransitive G α 2 ∨" in sig.conclusion
+        assert sig.normalized == MAIN_THEOREM_SIGNATURE
 
 
 class TestFindSignature:
@@ -217,6 +228,25 @@ class TestFindSignature:
         else:
             assert [sig.qualified_name] == [qualified for _, qualified in planted]
             assert sig.normalized == "theorem Tgt : True"
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_an_input_is_refused_by_the_same_rule(self, seed):
+        """The input's target goes through this lookup too: an input is refused iff it
+        declares a namesake of the target, and the refusal carries the lookup's text."""
+        rng = random.Random(seed)
+        files = {"<input>": "theorem Tgt : True := by sorry\n" + random_lean_file(rng)}
+        planted = plant_declarations(rng, files, "Tgt", rng.randint(0, 2))
+        try:
+            anchor = find_anchor(files["<input>"])
+        except InputError as exc:
+            assert planted
+            with pytest.raises(ParseAmbiguity) as ambiguity:
+                find_signature(files, "Tgt")
+            assert str(exc).endswith(str(ambiguity.value))
+        else:
+            assert not planted
+            assert anchor.decl_name == "Tgt"
 
 
 def _ws_with(tmp_path, sources: dict[str, str]) -> Workspace:
@@ -343,12 +373,13 @@ class TestSimVerifier:
             "a": "-- sim: key classical\ntheorem a : True := trivial\n",
             "b": "-- sim: axioms myAx\ntheorem b : True := trivial\n",
         })
-        assert verifier.audit_axioms(ws, "a") == DEFAULT_PERMITTED_AXIOMS | {"myAx"}
+        assert verifier.audit_axioms(ws, "a", workspace_texts(ws)) == (DEFAULT_PERMITTED_AXIOMS
+                                                                       | {"myAx"})
 
     def test_audit_marks_surviving_sorries(self, tmp_path):
         verifier = SimVerifier()
         ws = _ws_with(tmp_path, {"a": "theorem a : True := by\n  sorry\n"})
-        assert verifier.audit_axioms(ws, "a") == {"sorryAx"}
+        assert verifier.audit_axioms(ws, "a", workspace_texts(ws)) == {"sorryAx"}
 
     @pytest.mark.parametrize("text, literal", [
         ("theorem a : True := trivial\n/- open", "comment"),
@@ -652,7 +683,7 @@ class TestAuditReadsDisk:
         report = audit_verdict(ws, ANCHOR_SIG, "t", verifier)
         assert not report.passed
         assert report.forbidden_occurrences == (("sorry", target, 1),)
-        assert "sorryAx" in verifier.audit_axioms(ws, "t")
+        assert "sorryAx" in verifier.audit_axioms(ws, "t", workspace_texts(ws))
 
     def test_axiom_appended_on_disk(self, tmp_path):
         verifier, ws = self.solved(tmp_path)
@@ -781,7 +812,7 @@ class TestRealToolchainSmoke:
         ws.write_node_source("tiny", "theorem tiny : 1 = 1 := rfl\n")
         report = verifier.build(ws)
         assert report.clean, report.diagnostics
-        assert verifier.audit_axioms(ws, "tiny") == set()
+        assert verifier.audit_axioms(ws, "tiny", workspace_texts(ws)) == set()
 
 
 class TestTokenizerCoversMaskingCases:
@@ -879,10 +910,10 @@ class TestQualifiedName:
         ("namespace\n  A\nsection\nS\ntheorem t : True := trivial\n", "t", "A.t"),
     ])
     def test_the_enclosing_namespaces_qualify_the_name(self, text, name, qualified):
-        assert extract_signature_text(text, name).qualified_name == qualified
+        assert find_signature({"q.lean": text}, name).qualified_name == qualified
 
     def test_the_namespace_does_not_enter_the_signature(self):
-        sig = extract_signature_text("namespace A\ntheorem t : True := trivial\nend A\n", "t")
+        sig = find_signature({"a.lean": "namespace A\ntheorem t : True := trivial\nend A\n"}, "t")
         assert sig.normalized == "theorem t : True"
 
 
@@ -948,7 +979,7 @@ class TestRealVerifierWithStubLake:
             tmp_path, "echo 'AxiomAudit.lean:1:0: error: unknown module' >&2\nexit 1\n"), 30)
         ws = self.workspace(tmp_path, verifier, {"Main": "theorem Main : True := trivial\n"})
         with pytest.raises(DriverFail, match="unknown module"):
-            verifier.audit_axioms(ws, "Main")
+            verifier.audit_axioms(ws, "Main", workspace_texts(ws))
 
     def test_one_audit_looks_the_target_up_once(self, tmp_path, monkeypatch):
         verifier = RealVerifier(_stub_lake(

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import LEAN_LITERALS, LEAN_WORDS, oracle_scan, oracle_unterminated
 from proofloop.leanenv import (
     DEFAULT_PERMITTED_AXIOMS,
+    InputError,
     SimVerifier,
     Workspace,
     audit_verdict,
+    find_anchor,
     scan_forbidden_text,
     sim_directives,
 )
@@ -27,7 +29,6 @@ from proofloop.lexer import (
     tokenize,
     unterminated,
 )
-from proofloop.looper import InputError, find_anchor
 from proofloop.plan import AnchorDecl, AnchorError
 
 

@@ -19,10 +19,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from proofloop.agents import ScriptedBackend, load_fixture  # noqa: E402
 from proofloop.leanenv import (  # noqa: E402
-    SimVerifier, audit_verdict, load_sim_rules, read_workspace,
+    SimVerifier, audit_verdict, find_anchor, load_sim_rules, read_workspace,
 )
 from proofloop.ledger import export_trace  # noqa: E402
-from proofloop.looper import LoopConfig, find_anchor, run  # noqa: E402
+from proofloop.looper import LoopConfig, run  # noqa: E402
 
 TRACE_HEAD_LINES = 60
 
