@@ -27,7 +27,7 @@ from .agents import (
     FixtureParse,
     LiveBackend,
     ScriptedBackend,
-    load_fixture,
+    parse_fixture,
 )
 from .leanenv import (
     InputError,
@@ -40,6 +40,7 @@ from .leanenv import (
     find_signature,
     load_sim_rules,
     read_anchor,
+    read_input,
     read_workspace,
 )
 from .ledger import (
@@ -164,7 +165,7 @@ def _make_backend(args: argparse.Namespace):
         return backend
     if not args.fixture:
         raise UsageError("scripted backend needs --fixture")
-    return ScriptedBackend(load_fixture(args.fixture))
+    return ScriptedBackend(parse_fixture(read_input(args.fixture)))
 
 
 def _make_verifier(args: argparse.Namespace):
@@ -247,7 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _load_anchor(args: argparse.Namespace, workspace_dir: Path) -> tuple[str, str]:
     """Resolve (decl name, signature) from --anchor/--decl or the sidecar file."""
     if args.anchor:
-        text = Path(args.anchor).read_text(encoding="utf-8")
+        text = read_input(Path(args.anchor))
         if not args.decl:
             found = find_anchor(text)
             return found.decl_name, found.signature_text

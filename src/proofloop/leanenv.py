@@ -107,8 +107,11 @@ class Workspace:
     def write_node_source(self, node_id: str, text: str) -> None:
         rel = self.node_files.get(node_id) or self._rel_path(node_id)
         path = self.root_dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        try:
+            path.write_text(text, encoding="utf-8")
+        except FileNotFoundError:  # the first file of a new directory
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
         self.node_files[node_id] = rel
         self.dirty[node_id] = text
 
@@ -381,10 +384,19 @@ def parse_sim_rules(text: str) -> dict[str, SimRule]:
     return rules
 
 
+def read_input(path: Path) -> str:
+    """The text of a UTF-8 input file; one that cannot be read or decoded is an InputError
+    that names it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def load_sim_rules(path: Path | None) -> dict[str, SimRule]:
     if path is None:
         return {}
-    return parse_sim_rules(path.read_text(encoding="utf-8"))
+    return parse_sim_rules(read_input(path))
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,15 @@ from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import chain, compress, filterfalse, islice, repeat, starmap
-from operator import itemgetter, mul, ne
+from itertools import chain, filterfalse, islice, repeat, starmap
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
 
 from .agents import TOKEN_CLASSES, AgentError, TokenUsage, token_counts
 from .plan import (
-    ProofPlan, Status, apply_diff, cycle_from, diff_from_text, encode_json, plan_from_text,
-    scan_json, set_status,
+    Change, ProofPlan, Status, apply_diff, cycle_from, derive_change, diff_from_text,
+    encode_json, plan_from_text, scan_json, set_status,
 )
 
 
@@ -135,19 +135,6 @@ class LoopEvent:
 
 
 @dataclass(frozen=True)
-class Change:
-    """What a delta record names against the frame before it, whose statuses are
-    ``basis``: the statuses it lists, new ids included, and for a structure change its
-    new ids, its removed ids and the (dep, id) pairs of each id whose deps it lists."""
-
-    basis: dict[str, str]
-    statuses: dict[str, str]
-    came: set[str] = field(default_factory=set)
-    removed: set[str] = field(default_factory=set)
-    deps: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class Frame:
     index: int
     node_states: dict[str, str]
@@ -158,54 +145,47 @@ class Frame:
 
 
 def frame_of(plan: ProofPlan, index: int, previous: Frame | None = None,
-             changed: Iterable[str] | None = None) -> Frame:
+             change: Change | None = None) -> Frame:
     """The frame ``plan`` gives at ``index``: the one derivation of a frame from a plan.
 
-    Given ``previous``, the frame of the plan before, and ``changed``, the ids touched
-    since, whose statuses alone may have changed, the statuses are ``previous``'s with
-    those ids' read anew.
+    Given ``previous``, the frame of the plan before, and ``change``, the :class:`Change`
+    since, the statuses are ``previous``'s, in the plan's order if the change moved or
+    removed ids, with those of the ids it names read anew.
     """
-    if previous is None or changed is None:
+    if previous is None or change is None:
         states = {nid: FRAME_STATUS[plan.nodes[nid].status] for nid in plan.order}
     else:
-        states = previous.node_states.copy()
-        for nid in changed:
+        states, order = previous.node_states, plan.order
+        states = (dict(zip(order, map(states.get, order)))
+                  if change.after or change.removed else states.copy())
+        for nid in change.statuses:
             states[nid] = FRAME_STATUS[plan.nodes[nid].status]
     return Frame(index, states, plan.edges, plan.revision)
 
 
 def frame_record(previous: Frame | None, frame: Frame,
-                 changed: Iterable[str] | None = None) -> dict[str, Any]:
+                 change: Change | None = None) -> dict[str, Any]:
     """The record that stands for ``frame`` after ``previous``: the one derivation of a
     frame record, for the writer and replay alike.
 
-    With no frame before it, a keyframe.  Otherwise a delta: ``nodes`` holds the new
-    ids and changed statuses in plan order; ``removed`` the dropped ids, ``after`` each
-    id whose predecessor in the node order changed and ``deps`` each id whose
-    dependency list changed, each only when not empty.  Given ``changed``, the ids
-    touched since ``previous``, whose statuses alone may differ from its, only those
-    ids are compared, in their order.
+    With no frame before it, a keyframe.  Otherwise a delta written from ``change``, the
+    :class:`Change` since ``previous``: ``nodes`` holds the new ids and changed statuses
+    in its order; ``removed`` the dropped ids, ``after`` each id whose predecessor in the
+    node order changed and ``deps`` each id whose dependency list changed, each only
+    when not empty.  Only the ids the change names are read.
     """
     record = {"rec": "frame", "index": frame.index, "revision": frame.plan_revision}
     if previous is None:
         return {**record, "nodes": frame.node_states, "edges": list(map(list, frame.edges))}
     old, new = previous.node_states, frame.node_states
-    if changed is not None:
-        return {**record, "nodes": {nid: new[nid] for nid in changed if new[nid] != old[nid]}}
-    after = dict(zip(new, [None, *new]))  # an id is never its own predecessor
-    changes = {"nodes": _changed(new, old, repeat(None)),
-               "removed": list(filterfalse(new.__contains__, old)),
-               "after": _changed(after, dict(zip(old, [None, *old])), after),
-               "deps": {nid: [dep for dep, _ in pairs] for nid, pairs in _changed(
-                   _edges_by_node(frame), _edges_by_node(previous), repeat([])).items()}}
-    return {**record, **{key: value for key, value in changes.items() if value or key == "nodes"}}
-
-
-def _changed(new: dict, old: dict, defaults: Iterable) -> dict:
-    """The items of ``new`` whose value differs from ``old``'s, in order; a key ``old``
-    lacks meets its default."""
-    olds = map(old.get, new, defaults)
-    return {key: new[key] for key in compress(new, map(ne, olds, new.values()))}
+    record["nodes"] = {nid: new[nid] for nid in change.statuses if new[nid] != old.get(nid)}
+    if change.removed:
+        record["removed"] = list(change.removed)
+    if change.after:
+        record["after"] = change.after
+    if change.deps:
+        record["deps"] = {nid: [dep for dep, _ in pairs] for nid, pairs in change.deps.items()}
+    return record
 
 
 def _edges_by_node(frame: Frame) -> dict[str, list[tuple[str, str]]]:
@@ -251,7 +231,7 @@ def read_frame(record: dict[str, Any], previous: Frame | None,
             if not statuses.keys() <= previous.node_states.keys():
                 raise ValueError(f"the delta names a node not in frame {previous.index}")
             return Frame(index, {**previous.node_states, **statuses}, previous.edges, revision,
-                         Change(previous.node_states, statuses))
+                         Change(statuses, basis=previous.node_states))
         else:
             if carried and carried[0] is previous.edges:
                 grouped, by_node = carried
@@ -343,7 +323,7 @@ def _restructure(record: dict[str, Any], previous: Frame, statuses: dict[str, st
     _check_edges(pairs if gone else tuple(chain.from_iterable(fresh.values())), states)
     for nid in gone:
         by_node.pop(nid, None)
-    return states, pairs, Change(old, statuses, came, gone, fresh)
+    return states, pairs, Change(statuses, came, gone, deps=fresh, basis=old)
 
 
 _OPTIONAL_STR = frozenset({str, type(None)})
@@ -398,6 +378,7 @@ class RunLedger:
     outcome: Outcome | None = None
     _sink: IO[str] | None = None
     _closed: bool = False
+    _plan: ProofPlan | None = None  # the plan of the last frame
 
     @property
     def usage_total(self) -> TokenUsage:
@@ -424,13 +405,19 @@ class RunLedger:
         self._emit(record)
         self.events.append(event)
 
-    def snapshot_frame(self, plan: ProofPlan, changed: Iterable[str] | None = None) -> None:
-        """Record ``plan``'s frame; ``changed`` names the ids whose statuses alone
-        changed since the last frame, if that is all that changed."""
+    def snapshot_frame(self, plan: ProofPlan, change: Change | None = None) -> None:
+        """Record ``plan``'s frame, from ``change``, the :class:`Change` of the step that
+        made it from the plan of the last frame: given for a status step, else the one the
+        plan carries; a plan that carries none (a created one) is compared with that plan
+        id by id."""
         previous = self.frames[-1] if self.frames else None
-        frame = frame_of(plan, len(self.frames), previous, changed)
-        self._emit(frame_record(previous, frame, changed))
+        change = change or plan.change
+        if previous is not None and change is None:
+            change = derive_change(self._plan, plan)
+        frame = frame_of(plan, len(self.frames), previous, change)
+        self._emit(frame_record(previous, frame, change))
         self.frames.append(frame)
+        self._plan = plan
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
                      usage: TokenUsage, elapsed: float) -> None:
@@ -564,9 +551,11 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     only the replayed plan and the last frame.
 
     Each frame record, read by :func:`read_frame`, must equal :func:`frame_record`
-    of the last frame (of none, for a keyframe) and the replayed plan's frame; a delta
+    of the last frame (of none, for a keyframe) and the replayed plan's frame.  A delta
     is derived from the ids that status events touched since the last frame, in event
-    order, unless a plan creation or a diff came between.
+    order; after a diff, from the :class:`Change` that ``apply_diff`` gave it; after
+    more steps, one of which made the structure, from the change found among the ids
+    they named.
     Returns (frames checked, diffs applied); the first fault in ``records`` raises
     :class:`ReplayMismatch` (a frame or invalidation set that differs) or
     :class:`LedgerError` (a malformed record, a missing header, an unknown version).
@@ -575,10 +564,12 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     records = iter(records)
     _check_header(next(records, None), "the replayed ledger")
     plan: ProofPlan | None = None
+    basis: ProofPlan | None = None  # the plan of the last frame checked
     previous: Frame | None = None  # the last frame checked
+    steps: list[Change] = []  # the changes since the last frame, in order
     # The ids whose status events were applied since the last frame, in event order;
     # None once the plan was created or a diff applied since.
-    touched: dict[str, None] | None = None
+    touched: dict[str, None] | None = {}
     frames_checked = 0
     diffs_applied = 0
     try:
@@ -588,16 +579,26 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                 kind = record.get("kind")
                 data = record.get("data") or {}
                 node = record.get("node")
+                if touched and kind in (EventKind.PLAN_CREATED, EventKind.DIFF_APPLIED):
+                    steps.append(Change(tuple(touched)))  # the status steps before it
                 if kind == EventKind.PLAN_CREATED:
                     plan, touched = plan_from_text(data["plan"]), None
+                    steps.append(Change() if basis is None else derive_change(basis, plan))
                 elif kind == EventKind.DIFF_APPLIED:
                     if plan is None:
                         raise ReplayMismatch("diff applied before any plan was created")
                     diff = diff_from_text(data["diff"])
                     plan, invalidated = apply_diff(plan, diff)
+                    steps.append(plan.change)
                     touched = None
                     diffs_applied += 1
-                    if sorted(invalidated) != list(data.get("invalidated", [])):
+                    recorded = list(data.get("invalidated", []))
+                    try:  # a list already in order sorts in linear time; the set does not
+                        same = (len(recorded) == len(invalidated)
+                                and recorded == sorted(recorded) and invalidated == set(recorded))
+                    except TypeError:  # an item that is not a string
+                        same = False
+                    if not same and sorted(invalidated) != recorded:
                         raise ReplayMismatch(
                             f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
                             f"!= recorded {data.get('invalidated')}")
@@ -608,16 +609,22 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                     plan = set_status(plan, node, STATUS_EVENTS.get(kind, Status.OPEN))
                     if touched is not None:
                         touched[node] = None
+                    else:
+                        steps.append(Change((node,)))
             elif rec == "frame":
                 delta = "edges" not in record
                 if delta and previous is None:
                     raise ReplayMismatch(f"frame {record.get('index')!r}: a delta "
                                          "with no frame before it")
-                changed = touched if delta else None
+                change = (Change(tuple(touched)) if touched is not None
+                          else steps[0] if len(steps) == 1
+                          else basis and derive_change(basis, plan, chain.from_iterable(
+                              chain(step.statuses, step.came, step.removed, step.after or (),
+                                    step.deps or ()) for step in steps)))
                 expected = None if plan is None else frame_of(plan, frames_checked, previous,
-                                                              changed)
+                                                              change)
                 written = expected and frame_record(previous if delta else None, expected,
-                                                    changed)
+                                                    change)
                 # Equal records differ only if an integer is written as a float or a bool.
                 if record != written or {type(record["index"]), type(record["revision"])} != {int}:
                     read_frame(record, previous)  # a malformed record is a LedgerError
@@ -626,7 +633,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                     key = next(key for key in (*written, *record)
                                if record.get(key) != written.get(key))
                     raise ReplayMismatch(f"frame {record['index']}: {key!r} differs from replay")
-                previous, touched = expected, {}
+                previous, basis, steps, touched = expected, plan, [], {}
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc

@@ -34,12 +34,12 @@ from .agents import (
 from .leanenv import (
     BuildReport,
     DEFAULT_PERMITTED_AXIOMS,
-    InputError,
     VerifierError,
     Workspace,
     audit_verdict,
     find_anchor,
     normalize_signature,
+    read_input,
     write_anchor,
 )
 from .ledger import (
@@ -47,6 +47,7 @@ from .ledger import (
     utc_now_iso,
 )
 from .plan import (
+    Change,
     DiffCause,
     PlanError,
     ProofPlan,
@@ -108,10 +109,7 @@ class _Run:
 
     def __init__(self, input_file: Path, backend, verifier, config: LoopConfig,
                  workspace_dir: Path, ledger_path: Path | None, run_id: str | None):
-        try:
-            self.input_text = input_file.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot read {input_file}: {exc}") from exc
+        self.input_text = read_input(input_file)
         self.anchor = find_anchor(self.input_text)
         self.backend = backend
         self.verifier = verifier
@@ -178,16 +176,17 @@ class _Run:
 
     # -- plan bookkeeping ----------------------------------------------------
 
-    def _commit(self, plan: ProofPlan, changed: tuple[str, ...] | None = None) -> None:
-        """Make ``plan`` the run's plan and record its frame; every plan change comes here.
-        ``changed`` names the nodes whose statuses alone changed, if that is all."""
+    def _commit(self, plan: ProofPlan, change: Change | None = None) -> None:
+        """Make ``plan`` the run's plan and record its frame, written from ``change``, the
+        status step's change, or else the change the plan carries; every plan change
+        comes here."""
         self.plan = plan
-        self.ledger.snapshot_frame(plan, changed)
+        self.ledger.snapshot_frame(plan, change)
 
     def _status_event(self, kind: EventKind, node_id: str, detail: str) -> None:
         """Record ``kind`` for ``node_id`` and commit the status ``STATUS_EVENTS`` gives it."""
         self.ledger.record_event(kind, node_id, detail)
-        self._commit(set_status(self.plan, node_id, STATUS_EVENTS[kind]), (node_id,))
+        self._commit(set_status(self.plan, node_id, STATUS_EVENTS[kind]), Change((node_id,)))
 
     # -- phases ----------------------------------------------------------------
 
@@ -331,7 +330,7 @@ class _Run:
                     raise _Stop(StopReason.AUDIT_FAIL, "final audit failed with no replans left")
                 # The audit-fail reopen: verify_replay mirrors it on the audit CheckFail.
                 self._commit(set_status(self.plan, self.plan.anchor_id, Status.OPEN),
-                             (self.plan.anchor_id,))
+                             Change((self.plan.anchor_id,)))
                 self.replan(DiffCause.FAITHFULNESS_FAIL, self.plan.anchor_id)
                 continue
             node_id = next_open_statement(self.plan)

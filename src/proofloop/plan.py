@@ -18,7 +18,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NoReturn, TypeVar
+from functools import cached_property
+from heapq import heappop, heappush
+from itertools import chain, count, filterfalse, islice, repeat
+from operator import attrgetter
+from typing import Collection, Iterable, NoReturn, TypeVar
 
 from .lexer import forbidden_words, tokenize
 
@@ -106,6 +110,11 @@ class PlanNode:
                 raise PlanError(f"node {self.node_id} lists dep {dep} twice")
             seen.add(dep)
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The (dep, id) pairs, made once: the edges of every plan that holds the node share them."""
+        return tuple(zip(self.deps, repeat(self.node_id)))
+
     def with_status(self, status: Status) -> PlanNode:
         return PlanNode(self.node_id, self.informal, self.sketch, self.deps, status, self.anchor)
 
@@ -138,14 +147,33 @@ class PlanDiff:
 
 
 @dataclass(frozen=True)
+class Change:
+    """What one step changed, by id, in the order of the plan after it: the ids whose
+    status changed (``statuses``; a loaded delta maps them to its statuses) and, for a
+    structure change, the new ids, the removed ids (in the order before), each id whose
+    predecessor changed with the new one (``after``) and the (dep, id) pairs of each id
+    whose deps changed (each None when the step names none).  A loaded delta keeps the
+    frame before's statuses as ``basis``."""
+
+    statuses: Collection[str] = ()
+    came: Collection[str] = ()
+    removed: Collection[str] = ()
+    after: dict[str, str | None] | None = None
+    deps: dict[str, list[tuple[str, str]]] | None = None
+    basis: dict[str, str] | None = None
+
+
+@dataclass(frozen=True)
 class ProofPlan:
     """Immutable plan snapshot.  ``order`` is a topological sort of the ids.
 
-    The ``edges`` ((dep, node) pairs in order) and the anchor id depend only on the
-    structure, so they are derived once when the plan is built and handed on by
-    status-only updates.  ``_first_open`` is a position in ``order`` before which
-    every id is Closed: :func:`next_open_statement` resumes from it and moves it
-    on, and :func:`set_status` hands it on.
+    The ``edges`` ((dep, node) pairs in order), the anchor id, ``dependents`` (each id's
+    users, copied on write) and ``position`` (each id's index in ``order``) depend only on
+    the structure, so they are derived once when the plan is built and handed on by
+    status-only updates.  ``change`` is the :class:`Change` of the diff that made the plan.
+    ``_first_open`` is a position in ``order`` before which every id is Closed:
+    :func:`next_open_statement` resumes from it and moves it on, and :func:`set_status`
+    hands it on.
     """
 
     nodes: dict[str, PlanNode]
@@ -155,16 +183,23 @@ class ProofPlan:
     edges: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
     _anchor_id: str | None = field(default=None, repr=False, compare=False)
     _first_open: int = field(default=0, repr=False, compare=False)
+    dependents: dict[str, list[str]] | None = field(default=None, repr=False, compare=False)
+    position: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    change: Change | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.edges is None:
-            edges = tuple((dep, node_id) for node_id in self.order
-                          for dep in self.nodes[node_id].deps)
+            nodes = map(self.nodes.__getitem__, self.order)
+            edges = tuple(chain.from_iterable(map(attrgetter("pairs"), nodes)))
             object.__setattr__(self, "edges", edges)
         if self._anchor_id is None:
             anchor_id = next((node_id for node_id in self.order
                               if self.nodes[node_id].anchor is not None), None)
             object.__setattr__(self, "_anchor_id", anchor_id)
+        if self.dependents is None:
+            object.__setattr__(self, "dependents", _dependents(self.nodes))
+        if self.position is None:
+            object.__setattr__(self, "position", dict(zip(self.order, count())))
 
     @property
     def anchor_id(self) -> str:
@@ -188,27 +223,73 @@ def _dependents(nodes: dict[str, PlanNode]) -> dict[str, list[str]]:
     return dependents
 
 
-def _toposort(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str, ...]:
-    """Kahn's algorithm; ties broken by the caller-supplied stable key."""
-    import heapq
+def _reach(seeds: Iterable[str], dependents: dict[str, list[str]], reached: set[str]) -> set[str]:
+    """``reached`` with the ``seeds`` outside it and every id downstream of them along
+    ``dependents`` that the walk meets outside it."""
+    frontier = [node_id for node_id in seeds if node_id not in reached]
+    reached.update(frontier)
+    while frontier:
+        for user in dependents[frontier.pop()]:
+            if user not in reached:
+                reached.add(user)
+                frontier.append(user)
+    return reached
 
-    remaining = {node_id: len(node.deps) for node_id, node in nodes.items()}
-    dependents = _dependents(nodes)
-    ready = [(sort_key[node_id], node_id) for node_id, n in remaining.items() if n == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        _, node_id = heapq.heappop(ready)
-        order.append(node_id)
-        for dep_user in dependents[node_id]:
-            remaining[dep_user] -= 1
-            if remaining[dep_user] == 0:
-                heapq.heappush(ready, (sort_key[dep_user], dep_user))
-    if len(order) != len(nodes):
-        unplaced_dep = {node_id: next(dep for dep in node.deps if remaining[dep])
-                        for node_id, node in nodes.items() if remaining[node_id]}
-        raise cycle_from(next(iter(unplaced_dep)), unplaced_dep)
-    return tuple(order)
+
+def _sort(order: tuple[str, ...], at: dict[str, int], nodes: dict[str, PlanNode],
+          dependents: dict[str, list[str]], gone: set[str], adds: list[str],
+          broken: list[str], held: set[str]) -> tuple[tuple[str, ...], int, int]:
+    """The least topological order of ``nodes`` by previous position (``at`` in
+    ``order``, the adds after, in turn), and the span of it that the sort placed.
+
+    ``order``, that order before the step, stands without the ``gone`` ids up to the
+    first ``broken`` id, whose deps name an add or a later id.  Kahn's algorithm runs
+    from there until the broken ids and adds are placed; the ids left follow in their
+    old order.  It counts only the ``held`` ids (the broken ids' users' closure), the
+    adds and the broken ids' later deps: these up front, a held id once a dep of it is
+    placed.  The other ids are ready at their turn, so they run as one stream.
+    """
+    start = min(map(at.__getitem__, broken), default=len(order))
+    keys = dict(zip(adds, count(len(order))))
+    late = {dep for node_id in broken for dep in nodes[node_id].deps
+            if at.get(dep, -1) >= start}.difference(held)
+    held.update(late, adds)
+    waiting = {node_id: len(held.intersection(nodes[node_id].deps))
+               for node_id in chain(broken, late, adds)}
+    pending = set(waiting)
+    heap = sorted((at.get(node_id, keys.get(node_id)), node_id)
+                  for node_id, left in waiting.items() if not left)
+    out = list(filterfalse(gone.__contains__, islice(order, start)))
+    first, placed = len(out), set()
+    streamed = hi = start  # the stream ran up to ``streamed``; nothing from ``hi`` on is placed
+    while pending:
+        if not heap:
+            unplaced = held - placed
+            unplaced_dep = {node_id: next(filter(unplaced.__contains__, nodes[node_id].deps))
+                            for node_id in filter(unplaced.__contains__, nodes)}
+            raise cycle_from(next(iter(unplaced_dep)), unplaced_dep)
+        key, node_id = heappop(heap)
+        if streamed < key and streamed < len(order):
+            run = len(out)
+            out.extend(filterfalse(held.__contains__, filterfalse(
+                gone.__contains__, islice(order, streamed, key))))
+            streamed, hi = key, at[out[-1]] + 1 if len(out) > run else hi
+        out.append(node_id)
+        placed.add(node_id)
+        pending.discard(node_id)
+        hi = max(hi, key + 1) if node_id in at else hi
+        for user in dependents[node_id]:
+            if user in waiting:
+                waiting[user] -= 1
+            elif user in held:
+                deps = nodes[user].deps
+                waiting[user] = len(held.intersection(deps)) - len(placed.intersection(deps))
+            else:
+                continue
+            if not waiting[user]:
+                heappush(heap, (at.get(user, keys.get(user)), user))
+    out += filterfalse(placed.__contains__, filter(held.__contains__, islice(order, start, hi)))
+    return (*out, *filterfalse(gone.__contains__, islice(order, hi, None))), first, len(out)
 
 
 def cycle_from(start: str, unplaced_dep: dict[str, str]) -> CycleError:
@@ -235,16 +316,35 @@ def _validate_graph(nodes: dict[str, PlanNode]) -> str:
 
 
 def create_plan(nodes: list[PlanNode] | tuple[PlanNode, ...]) -> ProofPlan:
-    """Build a revision-0 plan; order ties break by position in ``nodes``."""
+    """Build a revision-0 plan: sorted as a diff that adds ``nodes`` to an empty plan."""
     node_map: dict[str, PlanNode] = {}
     for node in nodes:
         if node.node_id in node_map:
             raise PlanError(f"duplicate statement id {node.node_id}")
         node_map[node.node_id] = node
     anchor_id = _validate_graph(node_map)
-    sort_key = {node.node_id: i for i, node in enumerate(nodes)}
-    order = _toposort(node_map, sort_key)
-    return ProofPlan(nodes=node_map, order=order, revision=0, _anchor_id=anchor_id)
+    dependents = _dependents(node_map)
+    order = _sort((), {}, node_map, dependents, set(), list(node_map), [], set(node_map))[0]
+    return ProofPlan(nodes=node_map, order=order, revision=0, _anchor_id=anchor_id,
+                     dependents=dependents)
+
+
+def derive_change(old: ProofPlan, new: ProofPlan, named: Iterable[str] | None = None) -> Change:
+    """The :class:`Change` from ``old`` to ``new``, found among the ``named`` ids, which
+    hold every id it names and may hold others; among every id of both if None."""
+    at, pos = old.position, new.position
+    named = set(chain(old.order, new.order) if named is None else named)
+    ids = sorted(filter(pos.__contains__, named), key=pos.__getitem__)
+    preds = {node_id: new.order[pos[node_id] - 1] if pos[node_id] else None for node_id in ids}
+    return Change(
+        statuses=[node_id for node_id in ids if node_id not in at
+                  or old.nodes[node_id].status is not new.nodes[node_id].status],
+        came=[node_id for node_id in ids if node_id not in at],
+        removed=sorted(filter(at.__contains__, named.difference(pos)), key=at.__getitem__),
+        after={node_id: pred for node_id, pred in preds.items() if node_id not in at
+               or pred != (old.order[at[node_id] - 1] if at[node_id] else None)},
+        deps={node_id: list(new.nodes[node_id].pairs) for node_id in ids
+              if new.nodes[node_id].deps != (old.nodes[node_id].deps if node_id in at else ())})
 
 
 def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[str]]:
@@ -255,7 +355,8 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
     removed node, all reset to Open.  A rewrite that only touches the sketch
     invalidates the node itself but not its dependents.  Raises
     :class:`RejectedDiff` (plan unchanged) if the result would break any
-    invariant.
+    invariant.  It reads the diff's ids, the span of the order it re-sorts and the
+    invalidated ids; the new plan carries its :class:`Change`.
     """
     anchor_id = plan.anchor_id
     removes = set(diff.removes)
@@ -277,7 +378,7 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
             raise RejectedDiff(f"node {rewrite.node_id} both removed and rewritten")
         rewrite_map[rewrite.node_id] = rewrite
 
-    add_ids: set[str] = set()
+    add_ids: list[str] = []
     for node in diff.adds:
         if node.node_id in plan.nodes or node.node_id in add_ids:
             raise RejectedDiff(f"added id {node.node_id} already exists")
@@ -285,73 +386,83 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
             raise RejectedDiff(f"added id {node.node_id} was retired by an earlier diff")
         if node.anchor is not None:
             raise RejectedDiff("diff adds a second anchor")
-        add_ids.add(node.node_id)
+        add_ids.append(node.node_id)
 
-    # Assemble the new node map.
-    new_nodes: dict[str, PlanNode] = {}
+    # Assemble the new node map: a copy with the diff's ids changed.
+    new_nodes = dict(plan.nodes)
+    for node_id in removes:
+        del new_nodes[node_id]
     changed_full: set[str] = set()   # informal or deps changed
     changed_sketch: set[str] = set()  # sketch only
-    for node_id, node in plan.nodes.items():
-        if node_id in removes:
-            continue
-        rewrite = rewrite_map.get(node_id)
-        if rewrite is None:
-            new_nodes[node_id] = node
-            continue
+    faults: dict[str, PlanError] = {}
+    for node_id, rewrite in rewrite_map.items():
+        node = plan.nodes[node_id]
         try:
-            new_node = PlanNode(node_id, rewrite.informal, rewrite.sketch,
-                                rewrite.deps, node.status, node.anchor)
+            new_nodes[node_id] = PlanNode(node_id, rewrite.informal, rewrite.sketch,
+                                          rewrite.deps, node.status, node.anchor)
         except PlanError as exc:
-            raise RejectedDiff(str(exc)) from exc
-        new_nodes[node_id] = new_node
+            faults[node_id] = exc
         if rewrite.informal != node.informal or tuple(rewrite.deps) != node.deps:
             changed_full.add(node_id)
         elif rewrite.sketch != node.sketch:
             changed_sketch.add(node_id)
+    if faults:  # the first in plan order, as a pass over the plan meets it
+        exc = faults[next(filter(faults.__contains__, plan.nodes))]
+        raise RejectedDiff(str(exc)) from exc
     for node in diff.adds:
         new_nodes[node.node_id] = node
+    # Only the diff's ids can leave a dep dangling; the whole plan is read to word it.
+    relinked = [node_id for node_id in changed_full
+                if new_nodes[node_id].deps != plan.nodes[node_id].deps]
+    linked = relinked + add_ids
+    if not all(dep in new_nodes for node_id in linked for dep in new_nodes[node_id].deps) or any(
+            gone in new_nodes[user].deps for gone in removes
+            for user in plan.dependents[gone] if user in new_nodes):
+        try:
+            _validate_graph(new_nodes)
+        except PlanError as exc:
+            raise RejectedDiff(str(exc)) from exc
 
-    try:
-        new_anchor_id = _validate_graph(new_nodes)
-    except PlanError as exc:
-        raise RejectedDiff(str(exc)) from exc
+    # The dependents map, copied on write: a new list for each dep that gains or loses a user.
+    dependents = {**plan.dependents, **{node_id: [] for node_id in add_ids}}
+    for node_id in [*removes, *linked]:
+        old = plan.nodes[node_id].deps if node_id in plan.nodes else ()
+        new = new_nodes[node_id].deps if node_id in new_nodes else ()
+        for dep in set(old).symmetric_difference(new).difference(removes):
+            dependents[dep] = ([*dependents[dep], node_id] if dep in new else
+                               [user for user in dependents[dep] if user != node_id])
+    for node_id in removes:
+        del dependents[node_id]
 
-    # Stable re-sort: survivors keep their previous order position, adds append.
-    sort_key = {node_id: i for i, node_id in enumerate(plan.order)}
-    base = len(plan.order)
-    for i, node in enumerate(diff.adds):
-        sort_key[node.node_id] = base + i
+    # Invalidation: closure of changed/removed seeds over the old dependent edges,
+    # restricted to survivors; sketch-only edits stay local.  The walk starts from the
+    # broken ids over the new edges, which gives the sort its held ids.
+    at = plan.position
+    broken = [node_id for node_id in relinked if any(
+        at.get(dep, len(at)) > at[node_id] for dep in new_nodes[node_id].deps)]
+    held = _reach(broken, dependents, set())
+    reached = _reach(changed_full | removes, plan.dependents, set(held))
+    invalidated = frozenset(reached.difference(removes, add_ids).union(changed_sketch))
     try:
-        order = _toposort(new_nodes, sort_key)
+        order, first, end = _sort(plan.order, at, new_nodes, dependents, removes, add_ids,
+                                  broken, held)
     except CycleError as exc:
         raise RejectedDiff(str(exc)) from exc
 
-    # Invalidation: closure of changed/removed seeds over the old dependent
-    # edges, restricted to survivors; sketch-only edits stay local.
-    old_dependents = _dependents(plan.nodes)
-    seeds = changed_full | removes
-    reached: set[str] = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        node_id = frontier.pop()
-        for dep_user in old_dependents[node_id]:
-            if dep_user not in reached:
-                reached.add(dep_user)
-                frontier.append(dep_user)
-    invalidated = frozenset((reached | changed_sketch) & set(new_nodes))
-
-    for node_id in invalidated:
-        node = new_nodes[node_id]
-        if node.status is not Status.OPEN:
-            new_nodes[node_id] = node.with_status(Status.OPEN)
-
-    return ProofPlan(
-        nodes=new_nodes,
-        order=order,
-        revision=plan.revision + 1,
-        retired=plan.retired | removes,
-        _anchor_id=new_anchor_id,
-    ), invalidated
+    opened = Status.OPEN  # read once: reading a member off its enum class is a descriptor call
+    reset = [node_id for node_id in invalidated if new_nodes[node_id].status is not opened]
+    for node_id in reset:
+        new_nodes[node_id] = new_nodes[node_id].with_status(opened)
+    new_plan = ProofPlan(nodes=new_nodes, order=order, revision=plan.revision + 1,
+                         retired=plan.retired | removes, _anchor_id=anchor_id,
+                         dependents=dependents)
+    # An id's predecessor can change only in the span the sort placed, just after it, and
+    # just after a removed id.
+    after_gone = (next(filterfalse(removes.__contains__, islice(plan.order, at[gone] + 1, None)),
+                       None) for gone in removes)
+    named = chain(linked, reset, removes, order[first:end + 1], after_gone)
+    object.__setattr__(new_plan, "change", derive_change(plan, new_plan, named))
+    return new_plan, invalidated
 
 
 def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:
@@ -368,7 +479,8 @@ def set_status(plan: ProofPlan, node_id: str, status: Status) -> ProofPlan:
     reopened = node.status is Status.CLOSED and status is not Status.CLOSED
     return ProofPlan(nodes=nodes, order=plan.order, revision=plan.revision,
                      retired=plan.retired, edges=plan.edges, _anchor_id=plan._anchor_id,
-                     _first_open=0 if reopened else plan._first_open)
+                     _first_open=0 if reopened else plan._first_open,
+                     dependents=plan.dependents, position=plan.position)
 
 
 def next_open_statement(plan: ProofPlan) -> str | None:
@@ -546,7 +658,8 @@ def plan_from_text(text: str) -> ProofPlan:
         nodes.append(_node_block(reader, reader.expect("node")))
     plan = create_plan(nodes)
     return ProofPlan(nodes=plan.nodes, order=plan.order, revision=revision, retired=retired,
-                     edges=plan.edges, _anchor_id=plan._anchor_id)
+                     edges=plan.edges, _anchor_id=plan._anchor_id,
+                     dependents=plan.dependents, position=plan.position)
 
 
 def diff_to_text(diff: PlanDiff) -> str:

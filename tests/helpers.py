@@ -225,6 +225,46 @@ def oracle_invalidated(plan: ProofPlan, diff: PlanDiff) -> set[str]:
     return (reached | self_only) & survivors
 
 
+def oracle_order(nodes: dict[str, PlanNode], sort_key: dict[str, int]) -> tuple[str, ...]:
+    """The topological order that takes, at each step, the unplaced node of least
+    ``sort_key`` whose deps are all placed; a cycle leaves it short of ``nodes``."""
+    placed: list[str] = []
+    while True:
+        ready = [node_id for node_id, node in nodes.items()
+                 if node_id not in placed and all(dep in placed for dep in node.deps)]
+        if not ready:
+            return tuple(placed)
+        placed.append(min(ready, key=sort_key.__getitem__))
+
+
+def oracle_delta(previous, frame) -> dict:
+    """The frame record of ``frame`` after ``previous`` by comparing the two frames
+    whole, as docs/formats.md "Ledger version 3" defines a delta: the new ids and
+    changed statuses in node order, then, when not empty, the removed ids in the old
+    order, each id whose predecessor changed and each id whose deps changed."""
+    record = {"rec": "frame", "index": frame.index, "revision": frame.plan_revision}
+    if previous is None:
+        return {**record, "nodes": dict(frame.node_states),
+                "edges": [list(edge) for edge in frame.edges]}
+    old, new = previous.node_states, frame.node_states
+    old_pred = dict(zip(old, [None, *old]))
+    new_pred = dict(zip(new, [None, *new]))
+
+    def deps_of(edges, node_id):
+        return [dep for dep, node in edges if node == node_id]
+
+    changes = {
+        "nodes": {nid: status for nid, status in new.items() if old.get(nid) != status},
+        "removed": [nid for nid in old if nid not in new],
+        "after": {nid: pred for nid, pred in new_pred.items()
+                  if nid not in old_pred or old_pred[nid] != pred},
+        "deps": {nid: deps_of(frame.edges, nid) for nid in new
+                 if deps_of(frame.edges, nid) != deps_of(previous.edges, nid)},
+    }
+    return {**record, **{key: value for key, value in changes.items()
+                         if value or key == "nodes"}}
+
+
 def oracle_levels(node_ids: list[str], edges: list[tuple[str, str]]) -> dict[str, int]:
     """Longest path from sources by relaxation until fixpoint."""
     levels = {node: 0 for node in node_ids}
@@ -631,6 +671,40 @@ def random_diff(rng: random.Random, plan: ProofPlan) -> PlanDiff:
         adds.append(mk_node(node_id, deps))
     return PlanDiff(tuple(adds), removes, tuple(rewrites.values()),
                     DiffCause.DECOMPOSITION_SPLIT)
+
+
+def random_split_diff(rng: random.Random, plan: ProofPlan) -> PlanDiff:
+    """A diff shaped like a split: it adds helpers and points rewrites at them and at
+    later ids, so the order must be re-sorted; now and then a rewrite closes a cycle,
+    and now and then an id is removed, its users rewritten to drop it."""
+    ids = list(plan.order)
+    anchor = plan.anchor_id
+    removable = [node_id for node_id in ids if node_id != anchor]
+    removes = tuple(rng.sample(removable, rng.randint(0, min(1, len(removable)))))
+    survivors = [node_id for node_id in ids if node_id not in removes]
+    adds: list[PlanNode] = []
+    for i in range(rng.randint(0, 3)):
+        pool = survivors + [node.node_id for node in adds]
+        deps = tuple(rng.sample(pool, rng.randint(0, min(len(pool), 2))))
+        adds.append(mk_node(f"h{plan.revision}_{i}", deps))
+    rewrites: dict[str, NodeRewrite] = {}
+    for node_id in survivors:
+        node = plan.nodes[node_id]
+        if any(dep in removes for dep in node.deps):
+            deps = tuple(dep for dep in node.deps if dep not in removes)
+            rewrites[node_id] = NodeRewrite(node_id, node.informal, node.sketch, deps)
+    for node_id in rng.sample(survivors, rng.randint(1, min(3, len(survivors)))):
+        node = plan.nodes[node_id]
+        deps = [dep for dep in node.deps if dep not in removes]
+        at = ids.index(node_id)
+        later = [other for other in ids[at + 1:] if other not in removes]
+        pool = later + [add.node_id for add in adds]
+        for dep in rng.sample(pool, rng.randint(0, min(len(pool), 2))):
+            if dep not in deps:
+                deps.insert(rng.randint(0, len(deps)), dep)
+        rewrites[node_id] = NodeRewrite(node_id, node.informal + " (split)", node.sketch,
+                                        tuple(deps))
+    return PlanDiff(tuple(adds), removes, tuple(rewrites.values()), DiffCause.DECOMPOSITION_SPLIT)
 
 
 LEAN_WORDS = ["sorry", "admit", "axiom", "sorryFree", "unsorry", "sorry'", "axiom_of_choice",

@@ -816,6 +816,35 @@ def test_a_json_file_that_cannot_be_parsed_is_named(tmp_path, capsys, make_args,
         f"ERROR proofloop: cannot read {tmp_path / path}: {reason}\n")
 
 
+def not_utf_8(path):
+    path.write_bytes(b"\xff" + path.read_bytes() if path.exists() else b"\xff")
+    return path
+
+
+@pytest.mark.parametrize("make_args, path", [
+    pytest.param(lambda tmp_path: (simple_run_args(tmp_path),
+                                   not_utf_8(tmp_path / "input.lean"))[0],
+                 "input.lean", id="run-input"),
+    pytest.param(lambda tmp_path: ["audit", str(solved_run(tmp_path) / "workspace"),
+                                   "--verifier", "sim",
+                                   "--anchor", str(not_utf_8(tmp_path / "anchor.lean"))],
+                 "anchor.lean", id="audit-anchor"),
+    pytest.param(lambda tmp_path: (simple_run_args(tmp_path),
+                                   not_utf_8(tmp_path / "simple.fx"))[0],
+                 "simple.fx", id="fixture"),
+    pytest.param(lambda tmp_path: simple_run_args(
+        tmp_path, "--sim-rules", str(not_utf_8(tmp_path / "rules.sim"))), "rules.sim",
+                 id="sim-rules"),
+])
+def test_an_input_file_that_is_not_utf_8_is_named(tmp_path, capsys, make_args, path):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err.endswith(
+        f"ERROR proofloop: cannot read {tmp_path / path}: 'utf-8' codec can't decode byte "
+        "0xff in position 0: invalid start byte\n")
+
+
 def test_the_sidecar_carries_a_non_ascii_primed_name_to_the_audit(tmp_path, capsys):
     ws = tmp_path / "ws"
     (ws / "Proofws").mkdir(parents=True)

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     BURNSIDE_DIR, SIMPLE_INPUT, anchor_decl, chain_plan, expand_deltas, mk_node, oracle_frames,
-    oracle_cost, oracle_delta_accepted, oracle_ledger_records, oracle_levels, oracle_trace,
-    random_dag_plan, random_diff, replan_fixture,
+    oracle_cost, oracle_delta, oracle_delta_accepted, oracle_ledger_records, oracle_levels,
+    oracle_trace, random_dag_plan, random_diff, random_split_diff, replan_fixture,
 )
 import proofloop.ledger as ledger_mod
 from proofloop.agents import TOKEN_CLASSES, ScriptedBackend, TokenUsage, load_fixture
@@ -51,6 +51,7 @@ from proofloop.ledger import (
     verify_replay,
 )
 from proofloop.plan import (
+    Change,
     CycleError,
     DiffCause,
     NodeRewrite,
@@ -66,7 +67,7 @@ from proofloop.plan import (
 )
 
 
-real_frame_of, real_frame_record = ledger_mod.frame_of, ledger_mod.frame_record
+real_frame_of = ledger_mod.frame_of
 
 
 def frame_of(nodes: dict[str, str], edges: list[tuple[str, str]], index: int = 0) -> Frame:
@@ -559,8 +560,8 @@ class TestFrameWriter:
         ledger = RunLedger("r", _sink=sink)
         expected, v1_lines, plans = [], [], [None]
 
-        def snapshot(changed=None):
-            ledger.snapshot_frame(plan, changed)
+        def snapshot():
+            ledger.snapshot_frame(plan)
             expected.append(expected_frame_line(plan, plans[-1], len(expected)))
             v1_lines.append(keyframe_line(plan, len(v1_lines)))
             plans.append(plan)
@@ -570,10 +571,10 @@ class TestFrameWriter:
                                                     "rebuild"]), max_size=8))
         for step in steps:
             order = list(plan.order)
-            if step == "status":  # written from the changed id, or derived in full
+            if step == "status":  # written from the changed id
                 node_id = data.draw(st.sampled_from(order))
                 plan = set_status(plan, node_id, data.draw(st.sampled_from(STATUSES)))
-                snapshot((node_id,) if data.draw(st.booleans()) else None)
+                snapshot()
                 continue
             elif step == "add":
                 new_id = data.draw(st.text(ID_CHARS, min_size=1, max_size=4))
@@ -604,9 +605,9 @@ class TestChangedIdFrames:
     @settings(max_examples=150, deadline=None)
     def test_a_frame_from_the_changed_id_equals_the_full_derivation(self, seed):
         """After each status step, the frame derived from the previous frame and the ids
-        it touched, and its record, equal the full ``frame_of`` and ``frame_record``,
-        node order included, between diffs and across them; from one id, the record's
-        bytes are equal too."""
+        it touched equals the full ``frame_of``, node order included, between diffs and
+        across them, and its record equals the whole-frame comparison of
+        ``oracle_delta``; from one id, the record's bytes are equal too."""
         rng = random.Random(seed)
         plan = random_dag_plan(rng, 15)
         previous = ledger_frame_of(plan, 0)
@@ -621,16 +622,16 @@ class TestChangedIdFrames:
             touched = [rng.choice(plan.order) for _ in range(rng.choice((1, 1, 2, 3)))]
             for node_id in touched:
                 plan = set_status(plan, node_id, rng.choice(STATUSES))
-            changed = list(dict.fromkeys(touched))  # as replay keeps them, in event order
-            frame, full = (ledger_frame_of(plan, index, previous, changed),
+            change = Change(list(dict.fromkeys(touched)))  # as replay keeps them, in event order
+            frame, full = (ledger_frame_of(plan, index, previous, change),
                            ledger_frame_of(plan, index))
             assert frame == full
             assert list(frame.node_states.items()) == list(full.node_states.items())
             assert frame.edges is full.edges
-            record = frame_record(previous, frame, changed)
-            full_record = frame_record(previous, full)
+            record = frame_record(previous, frame, change)
+            full_record = oracle_delta(previous, full)
             assert record == full_record
-            if len(changed) == 1:
+            if len(change.statuses) == 1:
                 assert json.dumps(record) == json.dumps(full_record)
             previous = frame
 
@@ -639,8 +640,10 @@ class TestFrameRecord:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_a_random_diff_reads_back_and_replays(self, seed):
-        """After random diffs, ``read_frame(frame_record(previous, frame), previous)`` is
-        the new plan's frame, node order included, and replay accepts the records."""
+        """After random diffs, order-breaking splits among them, the record that
+        ``frame_record`` writes from the diff's ``Change`` is the whole-frame delta of
+        ``oracle_delta``, byte for byte; ``read_frame`` of it is the new plan's frame,
+        node order included, and replay accepts the records."""
         rng = random.Random(seed)
         plan = random_dag_plan(rng, 12)
         previous = ledger_frame_of(plan, 0)
@@ -649,13 +652,16 @@ class TestFrameRecord:
                    frame_record(None, previous)]
         frames = [previous]
         for _ in range(4):
-            diff = random_diff(rng, plan)
+            diff = (random_split_diff if rng.random() < 0.5 else random_diff)(rng, plan)
             try:
                 plan, invalidated = apply_diff(plan, diff)
             except PlanError:
                 continue
-            frame = ledger_frame_of(plan, len(frames))
-            record = json.loads(json.dumps(frame_record(previous, frame)))
+            frame = ledger_frame_of(plan, len(frames), previous, plan.change)
+            assert frame == ledger_frame_of(plan, len(frames))
+            written = frame_record(previous, frame, plan.change)
+            assert json.dumps(written) == json.dumps(oracle_delta(previous, frame))
+            record = json.loads(json.dumps(written))
             read = read_frame(record, previous)
             assert read == frame
             assert list(read.node_states) == list(frame.node_states)
@@ -666,6 +672,45 @@ class TestFrameRecord:
         assert verify_replay(records) == (len(frames), len(frames) - 1)
         assert [(list(f.node_states.items()), f.edges) for f in oracle_frames(records)] == [
             (list(f.node_states.items()), list(f.edges)) for f in frames]
+
+
+class TestStepsBetweenFrames:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_more_steps_than_one_between_two_frames_replay(self, seed):
+        """A frame after several steps (two diffs, status events after a diff, a new plan)
+        is the whole-frame delta of the plan since the frame before, as ``oracle_delta``
+        writes it; replay derives it from the ids the steps named."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, 12)
+        previous = ledger_frame_of(plan, 0)
+        records = [{"rec": "run", "version": 3},
+                   {"rec": "event", "kind": "PlanCreated", "data": {"plan": plan_to_text(plan)}},
+                   frame_record(None, previous)]
+        diffs = 0
+        for index in range(1, 7):
+            for step in rng.sample(["diff", "diff", "status", "status", "plan"], rng.randint(1, 3)):
+                if step == "diff":
+                    diff = (random_split_diff if rng.random() < 0.5 else random_diff)(rng, plan)
+                    try:
+                        plan, invalidated = apply_diff(plan, diff)
+                    except PlanError:
+                        continue
+                    diffs += 1
+                    records.append({"rec": "event", "kind": "DiffApplied", "data": {
+                        "diff": diff_to_text(diff), "invalidated": sorted(invalidated)}})
+                elif step == "status":
+                    node_id = rng.choice(plan.order)
+                    plan = set_status(plan, node_id, Status.CLOSED)
+                    records.append({"rec": "event", "kind": "NodeClosed", "node": node_id})
+                else:
+                    plan = random_dag_plan(rng, 12)
+                    records.append({"rec": "event", "kind": "PlanCreated",
+                                    "data": {"plan": plan_to_text(plan)}})
+            frame = ledger_frame_of(plan, index)
+            records.append(json.loads(json.dumps(oracle_delta(previous, frame))))
+            previous = frame
+        assert verify_replay(records) == (7, diffs)
 
 
 def edit_delta(rng: random.Random, previous: dict, delta: dict, removed_before: list) -> None:
@@ -705,24 +750,27 @@ class TestDeltaReader:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_random_deltas_load_as_the_oracle_reads_them(self, seed):
-        """Frames of random diffs and status changes, written by ``frame_record``, load
-        as ``oracle_frames`` reads them, node order included.  After one random edit of
+        """Frames of random diffs and status changes, written by ``frame_record`` from
+        each step's ``Change``, load as ``oracle_frames`` reads them, node order included.  After one random edit of
         one delta, the file loads iff ``oracle_delta_accepted`` accepts the delta, and
         then still as the oracle reads it."""
         rng = random.Random(seed)
         plan = random_dag_plan(rng, 12)
         frames = [ledger_frame_of(plan, 0)]
+        records = [{"rec": "run", "version": 3}, frame_record(None, frames[0])]
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.6:
                 try:
                     plan = apply_diff(plan, random_diff(rng, plan))[0]
                 except PlanError:
                     continue
+                change = plan.change
             else:
-                plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
-            frames.append(ledger_frame_of(plan, len(frames)))
-        records = json.loads(json.dumps([{"rec": "run", "version": 3}, *map(
-            frame_record, [None, *frames], frames)]))
+                change = Change((rng.choice(plan.order),))
+                plan = set_status(plan, change.statuses[0], rng.choice(list(Status)))
+            frames.append(ledger_frame_of(plan, len(frames), frames[-1], change))
+            records.append(frame_record(frames[-2], frames[-1], change))
+        records = json.loads(json.dumps(records))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.jsonl"
             loaded = load_ledger_of(path, records).frames
@@ -780,6 +828,34 @@ def three_closes_ledger(path):
         ledger.snapshot_frame(plan)
     ledger.record_outcome(Outcome("unfinished", "time-budget", 1.0, 5, 1))
     return list(read_ledger_records(path))
+
+
+@pytest.mark.parametrize("recorded, accepted", [
+    (["C", "D"], True), ("CD", True), (["D", "C"], False), (["C", "C"], False),
+    (["C", "D", "D"], False), (["C"], False), (["C", ["D"]], False), ([1, 2], False)])
+def test_a_diff_replays_only_if_it_records_its_invalidated_set_sorted(tmp_path, recorded,
+                                                                      accepted):
+    """The recorded invalidated ids must be the replayed set in sorted order, no id twice;
+    anything else, whatever its items, is the mismatch that names both."""
+    ledger = open_ledger("r", tmp_path / "run.jsonl")
+    plan = chain_plan(["A", "B", "C", "D"])
+    ledger.record_event(EventKind.PLAN_CREATED, "D", "", {"plan": plan_to_text(plan)})
+    ledger.snapshot_frame(plan)
+    diff = PlanDiff(rewrites=(NodeRewrite("C", "restated C", "", ("B",)),))
+    plan, invalidated = apply_diff(plan, diff)
+    assert sorted(invalidated) == ["C", "D"]
+    ledger.record_event(EventKind.DIFF_APPLIED, "C", "", {
+        "diff": diff_to_text(diff), "invalidated": recorded})
+    ledger.snapshot_frame(plan)
+    ledger.record_outcome(Outcome("unfinished", "time-budget", 1.0, 4, 1))
+    records = list(read_ledger_records(tmp_path / "run.jsonl"))
+    if accepted:
+        assert verify_replay(records) == (2, 1)
+    else:
+        with pytest.raises(ReplayMismatch) as refused:
+            verify_replay(records)
+        assert str(refused.value) == (f"diff #1: invalidated set ['C', 'D'] "
+                                      f"!= recorded {recorded}")
 
 
 class TestReplayChecksEveryFrame:
@@ -867,8 +943,9 @@ class TestReplayChecksEveryFrame:
     def test_a_status_delta_is_checked_against_the_events_before_it(self, tmp_path, monkeypatch,
                                                                     edit, message):
         """A status delta derived from the ids the events before it touched gives the
-        verdict and message of the full derivation, which is run for comparison with
-        the changed ids left out."""
+        verdict and message of the full derivation, which is run for comparison: each
+        frame from the plan alone, each record from ``oracle_delta``'s whole-frame
+        comparison."""
         records = three_closes_ledger(tmp_path / "run.jsonl")
         assert records[-2]["rec"] == "frame" and records[-2]["nodes"] == {"C": "formalized"}
         edit(records)
@@ -883,7 +960,7 @@ class TestReplayChecksEveryFrame:
         monkeypatch.setattr(ledger_mod, "frame_of", lambda plan, index, *hint: real_frame_of(
             plan, index))
         monkeypatch.setattr(ledger_mod, "frame_record", lambda previous, frame, *hint:
-                            real_frame_record(previous, frame))
+                            oracle_delta(previous, frame))
         assert outcome() == derived
         if message is None:
             assert derived == (4, 1)
@@ -1132,15 +1209,15 @@ class TestTraceThroughTheLoader:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_a_loaded_ledger_exports_like_the_oracle_or_names_the_first_cycle(self, seed):
-        """Frames written by ``frame_record`` and read back by ``load_ledger`` carry what
-        each delta named, so their export patches each layout from it.  It must render
+        """Frames written as ``oracle_delta`` writes them and read back by ``load_ledger``
+        carry what each delta named, so their export patches each layout from it.  It must render
         the written frames as the oracle does, up to the first cyclic frame, which must
         raise the CycleError that ``depth_layout`` raises for it; every other frame of
         them, whose deltas name changes from frames left out, too.  A frame that lists a
         pair twice stands for no plan: its ledger must fail to load, naming the first
         such frame, and the frames before it are checked as above."""
         frames = random_written_frames(random.Random(seed))
-        records = [{"rec": "run", "version": 3}, *map(frame_record, [None, *frames], frames)]
+        records = [{"rec": "run", "version": 3}, *map(oracle_delta, [None, *frames], frames)]
         doubled = next((k for k, frame in enumerate(frames)
                         if len(set(frame.edges)) < len(frame.edges)), None)
         with tempfile.TemporaryDirectory() as tmp:

@@ -10,8 +10,10 @@ from helpers import (
     mk_node,
     oracle_closed_cycle,
     oracle_invalidated,
+    oracle_order,
     random_dag_plan,
     random_diff,
+    random_split_diff,
 )
 from proofloop.ledger import Frame, depth_layout
 from proofloop.plan import (
@@ -23,6 +25,7 @@ from proofloop.plan import (
     NodeRewrite,
     PlanDiff,
     PlanError,
+    PlanNode,
     RejectedDiff,
     Status,
     apply_diff,
@@ -366,6 +369,57 @@ def _next_open_checking_deps(plan):
         if all(plan.nodes[dep].status is Status.CLOSED for dep in node.deps):
             return node_id
     return None
+
+
+def expected_nodes(plan, diff):
+    """The node map a diff gives, statuses aside, built anew in the order a pass
+    over the plan meets it: the survivors, each rewrite in its place, then the adds."""
+    rewrites = {rewrite.node_id: rewrite for rewrite in diff.rewrites}
+    nodes = {}
+    for node_id, node in plan.nodes.items():
+        if node_id in rewrites:
+            r = rewrites[node_id]
+            node = PlanNode(node_id, r.informal, r.sketch, r.deps, node.status, node.anchor)
+        if node_id not in diff.removes:
+            nodes[node_id] = node
+    return {**nodes, **{node.node_id: node for node in diff.adds}}
+
+
+class TestOrderBreakingDiffs:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_split_chains_sort_invalidate_and_refuse_as_the_oracles_do(self, seed):
+        """Chains of split-shaped diffs, which point ids at later ids and at the diff's
+        adds: the order is the least topological order by previous position, adds last
+        in diff order, and the invalidated set is the oracle's.  A diff that closes a
+        cycle is refused with the cycle a whole-plan pass finds, walked from the first
+        id it leaves unplaced along each id's first unplaced dep, and leaves the plan and
+        its carried maps as they were."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, max_nodes=30)
+        for _ in range(6):
+            diff = random_split_diff(rng, plan) if rng.random() < 0.7 else random_diff(rng, plan)
+            nodes = expected_nodes(plan, diff)
+            key = {node_id: i for i, node_id in enumerate((*plan.order,
+                                                           *(n.node_id for n in diff.adds)))}
+            order = oracle_order(nodes, key)
+            before = (plan_to_text(plan), plan.edges, dict(plan.position), plan.change,
+                      {node_id: list(users) for node_id, users in plan.dependents.items()})
+            try:
+                new, invalidated = apply_diff(plan, diff)
+            except RejectedDiff as exc:
+                unplaced = [node_id for node_id in nodes if node_id not in order]
+                walk = [unplaced[0]]
+                while walk.count(walk[-1]) < 2:
+                    walk.append(next(dep for dep in nodes[walk[-1]].deps if dep in unplaced))
+                assert str(exc) == "dependency cycle: " + " -> ".join(
+                    walk[walk.index(walk[-1]):])
+                assert (plan_to_text(plan), plan.edges, plan.position, plan.change,
+                        plan.dependents) == before
+                continue
+            assert new.order == order
+            assert invalidated == oracle_invalidated(plan, diff)
+            plan = new
 
 
 class TestRandomizedInvariants:
