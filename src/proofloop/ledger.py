@@ -378,7 +378,6 @@ class RunLedger:
     outcome: Outcome | None = None
     _sink: IO[str] | None = None
     _closed: bool = False
-    _plan: ProofPlan | None = None  # the plan of the last frame
 
     @property
     def usage_total(self) -> TokenUsage:
@@ -406,18 +405,16 @@ class RunLedger:
         self.events.append(event)
 
     def snapshot_frame(self, plan: ProofPlan, change: Change | None = None) -> None:
-        """Record ``plan``'s frame, from ``change``, the :class:`Change` of the step that
-        made it from the plan of the last frame: given for a status step, else the one the
-        plan carries; a plan that carries none (a created one) is compared with that plan
-        id by id."""
+        """Record ``plan``'s frame: the first is a keyframe; any later one is a delta written
+        from ``change``, the :class:`Change` of the step that made ``plan`` from the plan of
+        the last frame, which defaults to the one a plan from ``apply_diff`` carries."""
         previous = self.frames[-1] if self.frames else None
         change = change or plan.change
         if previous is not None and change is None:
-            change = derive_change(self._plan, plan)
+            raise ValueError("a frame after the first is written from the change of its step")
         frame = frame_of(plan, len(self.frames), previous, change)
         self._emit(frame_record(previous, frame, change))
         self.frames.append(frame)
-        self._plan = plan
 
     def record_usage(self, kind: str, check_kind: str | None, node_id: str | None,
                      usage: TokenUsage, elapsed: float) -> None:
@@ -553,9 +550,8 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     Each frame record, read by :func:`read_frame`, must equal :func:`frame_record`
     of the last frame (of none, for a keyframe) and the replayed plan's frame.  A delta
     is derived from the ids that status events touched since the last frame, in event
-    order; after a diff, from the :class:`Change` that ``apply_diff`` gave it; after
-    more steps, one of which made the structure, from the change found among the ids
-    they named.
+    order, or from the :class:`Change` that ``apply_diff`` gave the one diff since; after
+    any other steps, from the change found between the two plans.
     Returns (frames checked, diffs applied); the first fault in ``records`` raises
     :class:`ReplayMismatch` (a frame or invalidation set that differs) or
     :class:`LedgerError` (a malformed record, a missing header, an unknown version).
@@ -566,10 +562,9 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
     plan: ProofPlan | None = None
     basis: ProofPlan | None = None  # the plan of the last frame checked
     previous: Frame | None = None  # the last frame checked
-    steps: list[Change] = []  # the changes since the last frame, in order
-    # The ids whose status events were applied since the last frame, in event order;
-    # None once the plan was created or a diff applied since.
-    touched: dict[str, None] | None = {}
+    # The ids whose status events were applied since the last frame, in event order, while
+    # that is all; the change of one diff, if that is all; else None.
+    since: dict[str, None] | Change | None = {}
     frames_checked = 0
     diffs_applied = 0
     try:
@@ -579,26 +574,22 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                 kind = record.get("kind")
                 data = record.get("data") or {}
                 node = record.get("node")
-                if touched and kind in (EventKind.PLAN_CREATED, EventKind.DIFF_APPLIED):
-                    steps.append(Change(tuple(touched)))  # the status steps before it
                 if kind == EventKind.PLAN_CREATED:
-                    plan, touched = plan_from_text(data["plan"]), None
-                    steps.append(Change() if basis is None else derive_change(basis, plan))
+                    plan, since = plan_from_text(data["plan"]), None
                 elif kind == EventKind.DIFF_APPLIED:
                     if plan is None:
                         raise ReplayMismatch("diff applied before any plan was created")
                     diff = diff_from_text(data["diff"])
                     plan, invalidated = apply_diff(plan, diff)
-                    steps.append(plan.change)
-                    touched = None
+                    since = plan.change if since == {} else None
                     diffs_applied += 1
                     recorded = list(data.get("invalidated", []))
-                    try:  # a list already in order sorts in linear time; the set does not
-                        same = (len(recorded) == len(invalidated)
-                                and recorded == sorted(recorded) and invalidated == set(recorded))
-                    except TypeError:  # an item that is not a string
+                    try:  # a list in order sorts in linear time, where the set would not
+                        same = (recorded == sorted(recorded) and len(recorded) == len(invalidated)
+                                and invalidated == set(recorded))
+                    except TypeError:  # an item that does not sort or hash: no id
                         same = False
-                    if not same and sorted(invalidated) != recorded:
+                    if not same:
                         raise ReplayMismatch(
                             f"diff #{diffs_applied}: invalidated set {sorted(invalidated)} "
                             f"!= recorded {data.get('invalidated')}")
@@ -607,20 +598,17 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                         and record.get("detail", "").startswith(AUDIT_DETAIL))):
                     # A status event, or the audit CheckFail that reopens the anchor node
                     plan = set_status(plan, node, STATUS_EVENTS.get(kind, Status.OPEN))
-                    if touched is not None:
-                        touched[node] = None
+                    if type(since) is dict:
+                        since[node] = None
                     else:
-                        steps.append(Change((node,)))
+                        since = None
             elif rec == "frame":
                 delta = "edges" not in record
                 if delta and previous is None:
                     raise ReplayMismatch(f"frame {record.get('index')!r}: a delta "
                                          "with no frame before it")
-                change = (Change(tuple(touched)) if touched is not None
-                          else steps[0] if len(steps) == 1
-                          else basis and derive_change(basis, plan, chain.from_iterable(
-                              chain(step.statuses, step.came, step.removed, step.after or (),
-                                    step.deps or ()) for step in steps)))
+                change = (Change(since) if type(since) is dict
+                          else since or basis and derive_change(basis, plan))
                 expected = None if plan is None else frame_of(plan, frames_checked, previous,
                                                               change)
                 written = expected and frame_record(previous if delta else None, expected,
@@ -633,7 +621,7 @@ def verify_replay(records: Iterable[dict[str, Any]]) -> tuple[int, int]:
                     key = next(key for key in (*written, *record)
                                if record.get(key) != written.get(key))
                     raise ReplayMismatch(f"frame {record['index']}: {key!r} differs from replay")
-                previous, basis, steps, touched = expected, plan, [], {}
+                previous, basis, since = expected, plan, {}
                 frames_checked += 1
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"malformed ledger record: {exc!r}") from exc
@@ -755,19 +743,44 @@ def render_stats_row(stats: RunStats) -> str:
 
 # Per format: a node line from (level, id, status, color), an edge line from (dep, node),
 # and the trace's opening lines, a frame's header from (index, revision), its footer and
-# the separator between frames.
+# the (empty) lines between frames.
 _NODE_LINES = {"text": "  {} {} {}",
                "dot": '  "{1}" [class="{2}", fillcolor="{3}", label="{1}\\nL{0}"];'}
 _EDGE_LINES = {"text": "  edge {} {}", "dot": '  "{}" -> "{}";'}
-_FRAMING = {"text": (["prooftrace v1"], "frame {} revision {}", "end", "\n"),
+_FRAMING = {"text": (["prooftrace v1"], "frame {} revision {}", "end", []),
             "dot": ([], "digraph frame{} {{\n  rankdir=BT;\n  node [shape=box, style=filled];",
-                    "}", "\n\n")}
+                    "}", [""])}
+_BLOCK = 64  # lines to a joined block of a full layout
+
+
+class _Blocks:
+    """Lines in the order of their keys, and their text joined block by block: a block
+    holds the lines from its bound up to the next block's, and is joined anew only after
+    a line of it changed (:meth:`touch`)."""
+
+    def __init__(self, keys: list, lines: list[str]) -> None:
+        self.keys, self.lines = keys, lines
+        self.bounds = keys[_BLOCK::_BLOCK]  # the first key of each block but the first
+        self.texts: list[str | None] = [None] * (len(self.bounds) + 1)
+
+    def touch(self, key) -> None:
+        self.texts[bisect_right(self.bounds, key)] = None
+
+    def joined(self) -> list[str]:
+        """The text of each block that holds a line, in order."""
+        texts, keys, bounds = self.texts, self.keys, self.bounds
+        for k in [k for k, text in enumerate(texts) if text is None]:
+            low = bisect_left(keys, bounds[k - 1]) if k else 0
+            high = bisect_left(keys, bounds[k]) if k < len(bounds) else len(keys)
+            texts[k] = "\n".join(self.lines[low:high])
+        return list(filter(None, texts))
 
 
 class _Layout:
     """One structure's levels, its nodes in (level, id) order with their lines rendered
     for the statuses of the last frame (``states``), its sorted (dep, node) pairs with
-    their rendered lines, and each id's deps and users over every pair."""
+    their rendered lines, both also joined in :class:`_Blocks`, and each id's deps and
+    users over every pair."""
 
     def __init__(self, frame: Frame, fmt: str) -> None:
         """Lay ``frame`` out in full, from :func:`depth_layout`."""
@@ -777,6 +790,8 @@ class _Layout:
         self.node_lines = [self.render(level, nid, self.states[nid]) for level, nid in self.ordered]
         self.pairs = sorted(frame.edges)  # a repeated pair is printed once per occurrence
         self.edge_lines = list(starmap(self.edge_line, self.pairs))
+        self.node_blocks = _Blocks(self.ordered, self.node_lines)
+        self.edge_blocks = _Blocks(self.pairs, self.edge_lines)
         self.deps, self.users = defaultdict(set), defaultdict(set)
         for dep, node in frame.edges:
             self.deps[node].add(dep)
@@ -784,6 +799,10 @@ class _Layout:
 
     def render(self, level: int, node: str, status: str) -> str:
         return self.node_line(level, node, status, FRAME_COLORS[status])
+
+    def text(self) -> list[str]:
+        """The node lines, then the edge lines, in joined blocks."""
+        return [*self.node_blocks.joined(), *self.edge_blocks.joined()]
 
     def level(self, node: str, nodes: dict) -> int:
         """One above ``node``'s deepest dep in ``nodes``, or 0."""
@@ -811,18 +830,22 @@ class _Layout:
         merged = sorted([*kept, *added])  # two sorted runs; no two entries are equal
         ordered[low:high] = map(itemgetter(0), merged)
         lines[low:high] = map(itemgetter(1), merged)
+        for key in [*zip(out.values(), out), *entries]:
+            self.node_blocks.touch(key)
 
     def _link(self, dep: str, node: str) -> None:
         """Insert the pair and its line."""
         i = bisect_left(self.pairs, (dep, node))
         self.pairs.insert(i, (dep, node))
         self.edge_lines.insert(i, self.edge_line(dep, node))
+        self.edge_blocks.touch((dep, node))
         self.deps[node].add(dep)
         self.users[dep].add(node)
 
     def _unlink(self, dep: str, node: str) -> None:
         i = bisect_left(self.pairs, (dep, node))
         del self.pairs[i], self.edge_lines[i]
+        self.edge_blocks.touch((dep, node))
         self.deps[node].discard(dep)
         self.users[dep].discard(node)
 
@@ -833,6 +856,7 @@ class _Layout:
                 level = self.levels[node]
                 self.node_lines[bisect_left(self.ordered, (level, node))] = self.render(
                     level, node, status)
+                self.node_blocks.touch((level, node))
 
     def patch(self, change: Change, nodes: dict[str, str]) -> bool:
         """Patch the layout in place to the structure and statuses ``nodes`` that
@@ -926,16 +950,17 @@ def _layouts(frames: list[Frame], fmt: str) -> Iterator[tuple[Frame, _Layout]]:
 
 
 def export_trace(ledger: RunLedger, fmt: str) -> str:
-    """Render every frame; deterministic ordering by (level, node id).  Each frame's
-    lines are joined as it is rendered, so only its lines live next to the text."""
+    """Render every frame; deterministic ordering by (level, node id).  The text is one
+    join of the layouts' joined blocks, which a frame shares with the frame before it
+    wherever its lines did not change."""
     if fmt not in _FRAMING:
         raise UnsupportedFormat(f"unsupported trace format {fmt!r}")
     if not ledger.frames:
         raise LedgerError("ledger has no frames to export")
-    opening, header, footer, separator = _FRAMING[fmt]
+    opening, header, footer, between = _FRAMING[fmt]
     chunks = list(opening)
     for frame, layout in _layouts(ledger.frames, fmt):
-        chunks.append("\n".join([header.format(frame.index, frame.plan_revision),
-                                 *layout.node_lines, *layout.edge_lines, footer]))
-    chunks[-1] += "\n"
-    return separator.join(chunks)
+        if chunks:
+            chunks += between
+        chunks += [header.format(frame.index, frame.plan_revision), *layout.text(), footer]
+    return "\n".join([*chunks, ""])

@@ -112,7 +112,7 @@ class PlanNode:
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        """The (dep, id) pairs, made once: the edges of every plan that holds the node share them."""
+        """The (dep, id) pairs, made once: the edges of the plans a diff makes share them."""
         return tuple(zip(self.deps, repeat(self.node_id)))
 
     def with_status(self, status: Status) -> PlanNode:
@@ -146,7 +146,7 @@ class PlanDiff:
         object.__setattr__(self, "rewrites", tuple(self.rewrites))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Change:
     """What one step changed, by id, in the order of the plan after it: the ids whose
     status changed (``statuses``; a loaded delta maps them to its statuses) and, for a
@@ -189,8 +189,8 @@ class ProofPlan:
 
     def __post_init__(self) -> None:
         if self.edges is None:
-            nodes = map(self.nodes.__getitem__, self.order)
-            edges = tuple(chain.from_iterable(map(attrgetter("pairs"), nodes)))
+            edges = tuple((dep, node_id) for node_id in self.order
+                          for dep in self.nodes[node_id].deps)
             object.__setattr__(self, "edges", edges)
         if self._anchor_id is None:
             anchor_id = next((node_id for node_id in self.order
@@ -453,8 +453,9 @@ def apply_diff(plan: ProofPlan, diff: PlanDiff) -> tuple[ProofPlan, frozenset[st
     reset = [node_id for node_id in invalidated if new_nodes[node_id].status is not opened]
     for node_id in reset:
         new_nodes[node_id] = new_nodes[node_id].with_status(opened)
+    edges = tuple(chain.from_iterable(map(attrgetter("pairs"), map(new_nodes.__getitem__, order))))
     new_plan = ProofPlan(nodes=new_nodes, order=order, revision=plan.revision + 1,
-                         retired=plan.retired | removes, _anchor_id=anchor_id,
+                         retired=plan.retired | removes, edges=edges, _anchor_id=anchor_id,
                          dependents=dependents)
     # An id's predecessor can change only in the span the sort placed, just after it, and
     # just after a removed id.

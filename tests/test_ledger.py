@@ -60,6 +60,7 @@ from proofloop.plan import (
     Status,
     apply_diff,
     create_plan,
+    derive_change,
     diff_to_text,
     encode_json,
     plan_to_text,
@@ -82,10 +83,20 @@ class TestRecording:
         ledger.snapshot_frame(plan)
         plan = set_status(plan, "A", Status.CLOSED)
         ledger.record_event(EventKind.NODE_CLOSED, "A")
-        ledger.snapshot_frame(plan)
+        ledger.snapshot_frame(plan, Change(("A",)))
         assert [f.index for f in ledger.frames] == [0, 1]
         assert ledger.frames[1].node_states == {"A": "formalized", "B": "not-yet"}
         assert ledger.frames[1].edges == (("A", "B"),)
+
+    def test_a_later_frame_without_the_change_of_its_step_is_refused(self):
+        """After the first frame, a plan that carries no change (a created one) needs the
+        change of its step; without one nothing is written."""
+        sink = io.StringIO()
+        ledger = RunLedger("r1", _sink=sink)
+        ledger.snapshot_frame(chain_plan(["A"]))
+        with pytest.raises(ValueError, match="change of its step"):
+            ledger.snapshot_frame(set_status(chain_plan(["A"]), "A", Status.CLOSED))
+        assert len(ledger.frames) == 1 and len(sink.getvalue().splitlines()) == 1
 
     def test_closed_ledger_rejects_writes(self):
         ledger = open_ledger("r1")
@@ -97,7 +108,7 @@ class TestRecording:
         state = (list(ledger.events), list(ledger.frames), list(ledger.usage_records))
         writes = [
             lambda: ledger.record_event(EventKind.RESTART),
-            lambda: ledger.snapshot_frame(chain_plan(["A", "B"])),
+            lambda: ledger.snapshot_frame(chain_plan(["A"]), Change(("A",))),
             lambda: ledger.record_usage("check", "math", "A", TokenUsage(5, 2, 7, 0), 0.1),
             lambda: ledger.record_outcome(Outcome("unfinished", "time-budget", 2.0, 1, 0)),
         ]
@@ -450,7 +461,7 @@ class TestTraceExport:
         plan = create_plan([mk_node("Main", anchor=anchor_decl("Main"))])
         ledger.record_event(EventKind.PLAN_CREATED)
         ledger.snapshot_frame(plan)
-        ledger.snapshot_frame(set_status(plan, "Main", Status.CLOSED))
+        ledger.snapshot_frame(set_status(plan, "Main", Status.CLOSED), Change(("Main",)))
         return ledger
 
     def test_single_node_text_export(self):
@@ -560,8 +571,8 @@ class TestFrameWriter:
         ledger = RunLedger("r", _sink=sink)
         expected, v1_lines, plans = [], [], [None]
 
-        def snapshot():
-            ledger.snapshot_frame(plan)
+        def snapshot(change=None):
+            ledger.snapshot_frame(plan, change)
             expected.append(expected_frame_line(plan, plans[-1], len(expected)))
             v1_lines.append(keyframe_line(plan, len(v1_lines)))
             plans.append(plan)
@@ -574,7 +585,7 @@ class TestFrameWriter:
             if step == "status":  # written from the changed id
                 node_id = data.draw(st.sampled_from(order))
                 plan = set_status(plan, node_id, data.draw(st.sampled_from(STATUSES)))
-                snapshot()
+                snapshot(Change((node_id,)))
                 continue
             elif step == "add":
                 new_id = data.draw(st.text(ID_CHARS, min_size=1, max_size=4))
@@ -591,7 +602,9 @@ class TestFrameWriter:
                     NodeRewrite(node.node_id, node.informal, node.sketch, deps),)))
             else:  # a different structure at revision 0, as a second plan would be
                 plan = draw_plan(data, order)
-            snapshot()
+                snapshot(derive_change(plans[-1], plan))
+                continue
+            snapshot()  # from the change the diff's plan carries
         lines = sink.getvalue().splitlines()
         assert lines == expected
         assert [json.loads(line) for line in lines] == [json.loads(line) for line in expected]
@@ -814,7 +827,7 @@ def three_closes_ledger(path):
     ledger.snapshot_frame(plan)
     plan = set_status(plan, "A", Status.CLOSED)
     ledger.record_event(EventKind.NODE_CLOSED, "A")
-    ledger.snapshot_frame(plan)
+    ledger.snapshot_frame(plan, Change(("A",)))
     diff = PlanDiff(adds=(mk_node("E", ("B",)),),
                     rewrites=(NodeRewrite("D", "statement D", "", ("C", "E")),),
                     cause=DiffCause.DECOMPOSITION_SPLIT)
@@ -825,7 +838,7 @@ def three_closes_ledger(path):
     for node_id in ("B", "C"):
         plan = set_status(plan, node_id, Status.CLOSED)
         ledger.record_event(EventKind.NODE_CLOSED, node_id)
-        ledger.snapshot_frame(plan)
+        ledger.snapshot_frame(plan, Change((node_id,)))
     ledger.record_outcome(Outcome("unfinished", "time-budget", 1.0, 5, 1))
     return list(read_ledger_records(path))
 
@@ -1206,6 +1219,32 @@ def random_written_frames(rng: random.Random) -> list[Frame]:
 
 
 class TestTraceThroughTheLoader:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_layouts_in_small_blocks_export_like_the_oracle(self, seed, block):
+        """With a few lines to a joined block, the steps of random diffs, splits among
+        them, and status changes move lines across block bounds, empty blocks and insert
+        before the first bound; the loaded ledger must still export as the oracle does."""
+        rng = random.Random(seed)
+        plan = random_dag_plan(rng, 12)
+        frames = [ledger_frame_of(plan, 0)]
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.4:
+                plan = set_status(plan, rng.choice(plan.order), rng.choice(list(Status)))
+            else:
+                try:
+                    plan = apply_diff(plan, (random_split_diff if rng.random() < 0.5
+                                             else random_diff)(rng, plan))[0]
+                except PlanError:
+                    continue
+            frames.append(ledger_frame_of(plan, len(frames)))
+        records = [{"rec": "run", "version": 3}, *map(oracle_delta, [None, *frames], frames)]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ledger_mod, "_BLOCK", block)
+            loaded = load_ledger_of(Path(tmp) / "run.jsonl", records)
+            for fmt in ("text", "dot"):
+                assert export_trace(loaded, fmt) == oracle_trace(frames, fmt)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_a_loaded_ledger_exports_like_the_oracle_or_names_the_first_cycle(self, seed):
